@@ -129,48 +129,14 @@ impl Router {
         let mut deliveries = Vec::new();
         let mut sent = 0u64;
         for em in outbox {
-            match em.event {
-                Event::Data(deltas) => {
-                    self.batch_data(
-                        BatchCtx { from_worker, node: em.node, port: em.port, n_workers },
-                        deltas,
-                        net_key,
-                        live,
-                        snap,
-                        &mut deliveries,
-                        &mut sent,
-                    );
-                }
-                // Fast-lane batches crossing a boundary route as the
-                // insertions they are (lane plans have no network nodes
-                // today, but the router must not depend on that). Columnar
-                // batches additionally materialize their selected rows —
-                // partition routing is per-row anyway, so nothing is lost
-                // by leaving the columnar form at the network edge.
-                Event::Rows(rows) => {
-                    let deltas = rows.into_iter().map(Delta::insert).collect();
-                    self.batch_data(
-                        BatchCtx { from_worker, node: em.node, port: em.port, n_workers },
-                        deltas,
-                        net_key,
-                        live,
-                        snap,
-                        &mut deliveries,
-                        &mut sent,
-                    );
-                }
-                Event::Cols(batch) => {
-                    let deltas = batch.to_rows().into_iter().map(Delta::insert).collect();
-                    self.batch_data(
-                        BatchCtx { from_worker, node: em.node, port: em.port, n_workers },
-                        deltas,
-                        net_key,
-                        live,
-                        snap,
-                        &mut deliveries,
-                        &mut sent,
-                    );
-                }
+            // Every data form crosses the boundary as deltas: partition
+            // routing is per-row and must split cross-partition
+            // replacements, so bare and columnar batches route as the
+            // insertions they are.
+            let deltas = match em.event {
+                Event::Data(deltas) => deltas,
+                Event::Rows(rows) => rows.into_iter().map(Delta::insert).collect(),
+                Event::Cols(batch) => batch.to_rows().into_iter().map(Delta::insert).collect(),
                 Event::Punct(p) => {
                     self.batch_punct(
                         from_worker,
@@ -181,8 +147,18 @@ impl Router {
                         &mut deliveries,
                         &mut sent,
                     );
+                    continue;
                 }
-            }
+            };
+            self.batch_data(
+                BatchCtx { from_worker, node: em.node, port: em.port, n_workers },
+                deltas,
+                net_key,
+                live,
+                snap,
+                &mut deliveries,
+                &mut sent,
+            );
         }
         (deliveries, sent)
     }

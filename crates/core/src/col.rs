@@ -6,9 +6,9 @@
 //! validity vector for NULLs, and a batch-level *selection vector* so
 //! filters never move data — they only narrow the selection.
 //!
-//! The invariant that makes the lane safe to enable by default is
-//! **exact round-tripping**: `ColumnBatch::try_from_rows(rows)` followed
-//! by [`ColumnBatch::to_rows`] reproduces the input tuples bit-for-bit.
+//! The invariant that makes transposing safe is **exact
+//! round-tripping**: `ColumnBatch::try_from_rows(rows)` followed by
+//! [`ColumnBatch::to_rows`] reproduces the input tuples bit-for-bit.
 //! Because `Value`'s total order makes `Int(3) == Double(3.0)` while the
 //! two display (and type) differently, a column is given typed storage
 //! only when *every* value is the same variant (or NULL); any mixing —

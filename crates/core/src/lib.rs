@@ -59,11 +59,11 @@
 //!   materialized only when a key is first inserted;
 //! * the executor drains with one pooled [`operators::OpCtx`] emission
 //!   buffer, and fans events out without cloning edge lists;
-//! * provably insert-only pipelines run the *fast lane*: scans emit
-//!   run-length [`operators::Event::Rows`] batches, filters retain in
-//!   place through pre-compiled predicates ([`expr::CompiledExpr`]),
-//!   and the append sink ([`operators::SinkOp::append_only`]) sorts
-//!   once, by 64-bit order prefixes
+//! * insertions travel bare: scans emit run-length
+//!   [`operators::Event::Rows`] batches, filters retain in place through
+//!   pre-compiled predicates ([`expr::CompiledExpr`]), and the sink
+//!   ([`operators::SinkOp`]) appends until the first non-insert delta,
+//!   then sorts once, by 64-bit order prefixes
 //!   ([`tuple::sort_rows`] / [`Value::order_prefix`](value::Value::order_prefix)).
 //!
 //! ## Quick start

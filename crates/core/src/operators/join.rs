@@ -42,6 +42,9 @@ pub struct HashJoinOp {
     left: KeyedTable<TupleSet>,
     right: KeyedTable<TupleSet>,
     punct: PunctTracker,
+    /// Lowering's promise that neither input will ever carry anything but
+    /// insertions (see [`with_insert_only_inputs`](HashJoinOp::with_insert_only_inputs)).
+    insert_only_inputs: bool,
     /// Probes issued with a software prefetch ahead of them (telemetry).
     prefetch_probes: u64,
 }
@@ -56,8 +59,20 @@ impl HashJoinOp {
             left: KeyedTable::new(),
             right: KeyedTable::new(),
             punct: PunctTracker::new(2),
+            insert_only_inputs: false,
             prefetch_probes: 0,
         }
+    }
+
+    /// Promise that both inputs are insert-only *for ever*. A batch knows
+    /// its own annotations but not its port's future, so this is the one
+    /// fact the join cannot read off the data: with it, rows arriving
+    /// after the opposite input's end-of-stream are probed and not stored
+    /// (nothing can probe them, and no delete or replacement will look
+    /// for them). Without it every row is stored.
+    pub fn with_insert_only_inputs(mut self) -> Self {
+        self.insert_only_inputs = true;
+        self
     }
 
     /// Install a user join delta handler for `δ(E)` updates.
@@ -118,60 +133,7 @@ impl HashJoinOp {
         }
     }
 
-    /// Batch path for handler-free all-insert batches: group the batch by
-    /// join key (stable hash sort) so each run of duplicate keys costs
-    /// one build-side upsert and one opposite-side probe instead of one
-    /// of each *per delta*. The emitted multiset is identical to the
-    /// per-delta path; only intra-batch emission order changes, which no
-    /// downstream operator observes (sinks sort, aggregates commute).
-    fn apply_insert_batch(
-        &mut self,
-        deltas: Vec<Delta>,
-        from_left: bool,
-        out: &mut Vec<Delta>,
-        ctx: &mut OpCtx<'_>,
-    ) {
-        let mut keyed: Vec<(u64, Tuple)> =
-            deltas.into_iter().map(|d| (self.key_hash(&d.tuple, from_left), d.tuple)).collect();
-        // Stable: arrival order survives within a key run.
-        keyed.sort_by_key(|(h, _)| *h);
-        let mut i = 0;
-        while i < keyed.len() {
-            let hash = keyed[i].0;
-            let run_cols: &[usize] = if from_left { &self.left_key } else { &self.right_key };
-            let mut j = i + 1;
-            while j < keyed.len()
-                && keyed[j].0 == hash
-                && run_cols.iter().all(|&c| keyed[j].1.get(c) == keyed[i].1.get(c))
-            {
-                j += 1;
-            }
-            ctx.charge_cpu(ctx.cost.hash_cost);
-            {
-                let (state, cols) = self.side_mut(from_left);
-                let bucket = state.probe_or_insert_hashed(hash, &keyed[i].1, cols, TupleSet::new);
-                for (_, t) in &keyed[i..j] {
-                    bucket.insert(t.clone());
-                }
-            }
-            let (opposite, cols) = if from_left {
-                (&self.right, &self.left_key)
-            } else {
-                (&self.left, &self.right_key)
-            };
-            if let Some(bucket) = opposite.probe_hashed(hash, &keyed[i].1, cols) {
-                for m in bucket.iter() {
-                    for (_, t) in &keyed[i..j] {
-                        ctx.charge_cpu(ctx.cost.hash_cost);
-                        out.push(Delta::insert(self.fuse(t, m, from_left)));
-                    }
-                }
-            }
-            i = j;
-        }
-    }
-
-    /// Probe the opposite side and push bare fused tuples (rows-lane
+    /// Probe the opposite side and push bare fused tuples (bare-rows
     /// mirror of [`probe_emit`](HashJoinOp::probe_emit)).
     fn probe_rows(
         &self,
@@ -191,17 +153,17 @@ impl HashJoinOp {
         }
     }
 
-    /// Rows-lane twin of [`apply_insert_batch`](HashJoinOp::apply_insert_batch)
-    /// with the cache-conscious probe loop: every key in the batch is
-    /// hashed up front, the batch is stably sorted by hash (so duplicate
-    /// keys cost one upsert + one probe per *run*, and the emission order
-    /// is identical to the delta batch path bit for bit), and the probe
-    /// slot for the key [`PREFETCH_DIST`] runs ahead is prefetched before
-    /// each probe so the table's random cache-line reads overlap the
-    /// sequential key walk. When `store` is false (the opposite input has
-    /// already delivered end-of-stream, so nothing can probe this side
-    /// again) the build-side upsert is skipped entirely — the batch runs
-    /// probe-only.
+    /// Batch path for handler-free insert batches, with the
+    /// cache-conscious probe loop: every key in the batch is hashed up
+    /// front, the batch is stably sorted by hash (so duplicate keys cost
+    /// one upsert + one probe per *run* instead of one of each per row),
+    /// and the probe slot for the key [`PREFETCH_DIST`] runs ahead is
+    /// prefetched before each probe so the table's random cache-line
+    /// reads overlap the sequential key walk. The emitted multiset is
+    /// identical to the per-row path; only intra-batch emission order
+    /// changes, which no downstream operator observes (sinks sort,
+    /// aggregates commute). When `store` is false the build-side upsert
+    /// is skipped entirely — the batch runs probe-only.
     fn apply_rows_batch(
         &mut self,
         rows: Vec<Tuple>,
@@ -379,38 +341,40 @@ impl Operator for HashJoinOp {
     }
 
     fn on_deltas(&mut self, port: usize, deltas: Vec<Delta>, ctx: &mut OpCtx<'_>) -> Result<()> {
-        ctx.charge_input(deltas.len());
-        let from_left = port == 0;
-        let mut out = Vec::new();
         if self.handler.is_none()
             && deltas.len() >= INSERT_BATCH_MIN
             && deltas.iter().all(|d| d.ann == Annotation::Insert)
         {
-            self.apply_insert_batch(deltas, from_left, &mut out, ctx);
-        } else {
-            for d in deltas {
-                self.apply_default(d, from_left, &mut out, ctx)?;
-            }
+            // An all-insert batch is a rows batch with wrappers on.
+            return self.on_rows(port, deltas.into_iter().map(|d| d.tuple).collect(), ctx);
+        }
+        ctx.charge_input(deltas.len());
+        let from_left = port == 0;
+        let mut out = Vec::new();
+        for d in deltas {
+            self.apply_default(d, from_left, &mut out, ctx)?;
         }
         ctx.emit(0, out);
         Ok(())
     }
 
-    /// Fast lane: bare tuples are insertions by construction, so the join
-    /// stores and probes without delta wrapping and emits bare fused rows.
-    /// Once the *opposite* input has delivered end-of-stream nothing can
-    /// probe this side's table again, so arriving rows skip the build-side
-    /// store entirely and run probe-only — a bulk build-then-probe join
-    /// stores only its build side instead of both.
+    /// Bare tuples are insertions by construction, so the join stores and
+    /// probes without delta wrapping and emits bare fused rows. A bare
+    /// batch says nothing about later batches on the same port — a delete
+    /// or replacement of one of these rows may follow — so every row is
+    /// stored, unless lowering has promised insert-only inputs: then, once
+    /// the *opposite* input has delivered end-of-stream, nothing can probe
+    /// or retract this side's rows and they run probe-only — a bulk
+    /// build-then-probe join stores only its build side instead of both.
     fn on_rows(&mut self, port: usize, rows: Vec<Tuple>, ctx: &mut OpCtx<'_>) -> Result<()> {
         if self.handler.is_some() {
-            // Handler joins never ride the rows lane (lowering keeps them
-            // off); degrade to the delta path if one is mis-plumbed.
+            // A handler owns bucket maintenance for every delta, so bare
+            // rows reach it as the `+()` deltas they stand for.
             return self.on_deltas(port, rows.into_iter().map(Delta::insert).collect(), ctx);
         }
         ctx.charge_input(rows.len());
         let from_left = port == 0;
-        let store = !self.punct.is_eos(1 - port);
+        let store = !(self.insert_only_inputs && self.punct.is_eos(1 - port));
         // Equi-joins emit at least one row per matching input row; start
         // at the batch size instead of doubling up from empty.
         let mut out: Vec<Tuple> = Vec::with_capacity(rows.len());
@@ -483,13 +447,64 @@ mod tests {
         let mut m = ExecMetrics::default();
         let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
         op.on_deltas(port, deltas, &mut ctx).unwrap();
+        collect(&mut ctx)
+    }
+
+    fn drive_rows(op: &mut HashJoinOp, port: usize, rows: Vec<Tuple>) -> Vec<Delta> {
+        let reg = Registry::new();
+        let cost = CostModel::default();
+        let mut m = ExecMetrics::default();
+        let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
+        op.on_rows(port, rows, &mut ctx).unwrap();
+        collect(&mut ctx)
+    }
+
+    /// Everything emitted, bare rows unified back into the insertions
+    /// they stand for.
+    fn collect(ctx: &mut OpCtx<'_>) -> Vec<Delta> {
         ctx.take_output()
             .into_iter()
             .flat_map(|(_, e)| match e {
                 Event::Data(d) => d,
+                Event::Rows(rows) => rows.into_iter().map(Delta::insert).collect(),
                 _ => vec![],
             })
             .collect()
+    }
+
+    fn eos(op: &mut HashJoinOp, port: usize) {
+        let reg = Registry::new();
+        let cost = CostModel::default();
+        let mut m = ExecMetrics::default();
+        let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
+        op.on_punct(port, Punctuation::EndOfStream, &mut ctx).unwrap();
+    }
+
+    /// Bare rows promise nothing about their port's future: a delete of
+    /// one of them may follow, even after the opposite input has ended
+    /// (a recursive step, a join above an aggregate). Only a join whose
+    /// lowering proved both inputs insert-only may skip storing them.
+    #[test]
+    fn rows_after_opposite_eos_are_stored_unless_inputs_are_promised_insert_only() {
+        let build: Vec<Tuple> = (0..3i64).map(|k| tuple![k, "r"]).collect();
+        // Above and below the batch threshold: both inner loops.
+        for n in [4i64, 40] {
+            let probe: Vec<Tuple> = (0..n).map(|i| tuple![i % 3, i]).collect();
+
+            let mut j = HashJoinOp::new(vec![0], vec![0]);
+            drive_rows(&mut j, 1, build.clone());
+            eos(&mut j, 1);
+            assert_eq!(drive_rows(&mut j, 0, probe.clone()).len(), n as usize);
+            assert_eq!(j.state_size(), build.len() + probe.len());
+            let out = drive(&mut j, 0, vec![Delta::delete(tuple![1i64, 1i64])]);
+            assert_eq!(out, vec![Delta::delete(tuple![1i64, 1i64, 1i64, "r"])], "n={n}");
+
+            let mut j = HashJoinOp::new(vec![0], vec![0]).with_insert_only_inputs();
+            drive_rows(&mut j, 1, build.clone());
+            eos(&mut j, 1);
+            assert_eq!(drive_rows(&mut j, 0, probe).len(), n as usize);
+            assert_eq!(j.state_size(), build.len(), "n={n}: build side only");
+        }
     }
 
     #[test]

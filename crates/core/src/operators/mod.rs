@@ -45,19 +45,19 @@ use crate::udf::Registry;
 pub enum Event {
     /// A batch of annotated tuples.
     Data(Vec<Delta>),
-    /// A batch of *bare* tuples, every one an implicit `+()` insertion —
-    /// the insert-only fast lane. Scans on provably insert-only pipelines
-    /// emit these so filters, projections, and sinks move 16-byte tuples
-    /// instead of 48-byte deltas; any operator without a native
-    /// [`Operator::on_rows`] transparently receives the batch as
+    /// A batch of *bare* tuples, every one an implicit `+()` insertion.
+    /// Scans emit these, and operators that need no annotations (filters,
+    /// projections, group-by folds, the join's batch path, sinks) move
+    /// 16-byte tuples instead of 48-byte deltas; any operator without a
+    /// native [`Operator::on_rows`] transparently receives the batch as
     /// insertion deltas.
     Rows(Vec<Tuple>),
     /// A columnar batch of implicit `+()` insertions — the vectorized
-    /// form of [`Event::Rows`]. Scans on columnar-lowered stateless
-    /// pipelines emit these so filters and projections run whole-batch
-    /// kernels over typed columns; any operator without a native
-    /// [`Operator::on_cols`] transparently receives the batch as bare
-    /// rows (and, failing that, as insertion deltas).
+    /// form of [`Event::Rows`]. Scans feeding stateless chains emit these
+    /// so filters and projections run whole-batch kernels over typed
+    /// columns; any operator without a native [`Operator::on_cols`]
+    /// transparently receives the batch as bare rows (and, failing that,
+    /// as insertion deltas).
     Cols(ColumnBatch),
     /// A stratum/stream boundary.
     Punct(Punctuation),
@@ -113,7 +113,7 @@ impl<'a> OpCtx<'a> {
         }
     }
 
-    /// Emit a run-length insert batch on an output port (the fast lane's
+    /// Emit a run-length insert batch on an output port (the bare-rows
     /// counterpart of [`emit`](OpCtx::emit); each row counts as one
     /// emitted delta).
     pub fn emit_rows(&mut self, port: usize, rows: Vec<Tuple>) {
@@ -124,8 +124,8 @@ impl<'a> OpCtx<'a> {
     }
 
     /// Emit a columnar insert batch on an output port (the columnar
-    /// lane's counterpart of [`emit_rows`](OpCtx::emit_rows); each
-    /// selected row counts as one emitted delta).
+    /// counterpart of [`emit_rows`](OpCtx::emit_rows); each selected row
+    /// counts as one emitted delta).
     pub fn emit_cols(&mut self, port: usize, batch: ColumnBatch) {
         if !batch.is_empty() {
             self.metrics.deltas_emitted += batch.len() as u64;
@@ -191,6 +191,17 @@ impl OperatorState {
 }
 
 /// The push-based operator interface.
+///
+/// **Batch forms.** A data batch arrives in one of three forms — deltas
+/// ([`on_deltas`](Operator::on_deltas)), bare rows
+/// ([`on_rows`](Operator::on_rows)) or columns
+/// ([`on_cols`](Operator::on_cols)). The form is a property of the batch,
+/// not of the plan: any form may arrive on any port, interleaved with the
+/// others, and every operator must produce the same output for `Rows`/
+/// `Cols` as for the equivalent batch of `+()` deltas (the defaults below
+/// guarantee it by conversion; native overrides are optimizations).
+/// `Rows`/`Cols` say nothing about later batches: a delete or replacement
+/// of a row that arrived bare may follow on the same port.
 pub trait Operator: Send {
     /// Human-readable name, used in plans and metrics.
     fn name(&self) -> String;
@@ -205,17 +216,16 @@ pub trait Operator: Send {
 
     /// Handle a run-length insert batch arriving on `port`. The default
     /// expands the rows into `+()` deltas and delegates to
-    /// [`on_deltas`](Operator::on_deltas), so stateful operators need no
-    /// fast-lane awareness; the lane's operators (filter, project, sink)
-    /// override this to work on bare tuples.
+    /// [`on_deltas`](Operator::on_deltas); operators that can work on
+    /// bare tuples (filter, project, group-by, join, sink) override it.
     fn on_rows(&mut self, port: usize, rows: Vec<Tuple>, ctx: &mut OpCtx<'_>) -> Result<()> {
         self.on_deltas(port, rows.into_iter().map(Delta::insert).collect(), ctx)
     }
 
     /// Handle a columnar insert batch arriving on `port`. The default
     /// materializes the selected rows and delegates to
-    /// [`on_rows`](Operator::on_rows), so only the columnar lane's
-    /// operators (scan, filter, project, sink) carry native kernels.
+    /// [`on_rows`](Operator::on_rows), so only filter and project carry
+    /// native columnar kernels.
     fn on_cols(&mut self, port: usize, batch: ColumnBatch, ctx: &mut OpCtx<'_>) -> Result<()> {
         self.on_rows(port, batch.to_rows(), ctx)
     }
@@ -322,9 +332,9 @@ impl PunctTracker {
         stratum.map(Punctuation::EndOfStratum)
     }
 
-    /// Whether `port` has seen `EndOfStream`. The insert-only join lane
-    /// uses this to skip building hash state for a side whose opposite
-    /// input can no longer produce rows to probe it.
+    /// Whether `port` has seen `EndOfStream`. A join promised insert-only
+    /// inputs uses this to skip building hash state for a side whose
+    /// opposite input can no longer produce rows to probe it.
     pub fn is_eos(&self, port: usize) -> bool {
         self.per_port[port] == PortPunct::Eos
     }

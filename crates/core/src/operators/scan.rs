@@ -38,21 +38,18 @@ impl From<Vec<Tuple>> for ScanRows {
 }
 
 /// Scans a vector of tuples (the worker's local partition of a stored
-/// table) and emits them as insertion deltas followed by end-of-stream.
-///
-/// On a provably insert-only pipeline, lowering switches the scan onto
-/// the fast lane ([`insert_only`](ScanOp::insert_only)): batches go out
-/// as run-length [`Event::Rows`](crate::operators::Event::Rows) without
-/// per-row delta wrapping, and downstream lane operators keep them bare.
+/// table) and emits them followed by end-of-stream. A stored row is an
+/// insertion by definition, so batches go out bare — run-length
+/// [`Event::Rows`](crate::operators::Event::Rows), no per-row delta
+/// wrapping — and whichever operator first needs annotations receives
+/// them as `+()` deltas through the [`Operator`] defaults.
 pub struct ScanOp {
     table: String,
     source: ScanRows,
-    rows_lane: bool,
-    /// Columnar lane: transpose each batch into an
-    /// [`Event::Cols`](crate::operators::Event::Cols) columnar batch
-    /// (implies the stream is insert-only, like `rows_lane`). Ragged
-    /// batches fall back to `Event::Rows` per batch.
-    cols_lane: bool,
+    /// Transpose each batch into an
+    /// [`Event::Cols`](crate::operators::Event::Cols) columnar batch.
+    /// Ragged batches fall back to `Event::Rows` per batch.
+    columnar: bool,
     /// Total byte size of the source, when the storage layer already
     /// knows it — skips the per-row size accounting.
     known_bytes: Option<u64>,
@@ -73,8 +70,7 @@ impl ScanOp {
         ScanOp {
             table: table.into(),
             source: tuples.into(),
-            rows_lane: false,
-            cols_lane: false,
+            columnar: false,
             known_bytes: None,
             morsel: None,
             morsels_pulled: 0,
@@ -91,23 +87,14 @@ impl ScanOp {
         self
     }
 
-    /// Emit run-length insert batches (`Event::Rows`) instead of wrapped
-    /// deltas. Only valid on pipelines where every consumer treats the
-    /// stream as insertions — which is any consumer, since operators
-    /// without native fast-lane support receive the batch converted; the
-    /// flag exists so lowering opts in only where the lane pays.
-    pub fn insert_only(mut self, on: bool) -> ScanOp {
-        self.rows_lane = on;
-        self
-    }
-
     /// Emit columnar insert batches (`Event::Cols`) instead of row
-    /// batches: each [`SCAN_BATCH`] chunk (one morsel slice at a time in
+    /// batches: each `SCAN_BATCH` chunk (one morsel slice at a time in
     /// morsel mode) is transposed into a [`ColumnBatch`] so downstream
-    /// filters and projections run vectorized kernels. Only meaningful
-    /// together with [`insert_only`](ScanOp::insert_only).
+    /// filters and projections run vectorized kernels. Pays only when
+    /// nothing downstream materializes the rows again before the sink,
+    /// so lowering asks for it on stateless scan→filter/project chains.
     pub fn columnar(mut self, on: bool) -> ScanOp {
-        self.cols_lane = on;
+        self.columnar = on;
         self
     }
 
@@ -135,38 +122,20 @@ impl ScanOp {
                 bytes += t.byte_size() as u64;
             }
         };
-        if self.rows_lane {
-            loop {
-                let batch: Vec<Tuple> = it.by_ref().take(SCAN_BATCH).inspect(&mut size).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                ctx.charge_input(batch.len());
-                if self.cols_lane {
-                    match ColumnBatch::try_from_rows(batch) {
-                        Ok(cols) => ctx.emit_cols(0, cols),
-                        // Ragged batch: stay on the row lane for this batch.
-                        Err(rows) => ctx.emit_rows(0, rows),
-                    }
-                } else {
-                    ctx.emit_rows(0, batch);
-                }
+        loop {
+            let batch: Vec<Tuple> = it.by_ref().take(SCAN_BATCH).inspect(&mut size).collect();
+            if batch.is_empty() {
+                break;
             }
-        } else {
-            loop {
-                let batch: Vec<Delta> = it
-                    .by_ref()
-                    .take(SCAN_BATCH)
-                    .map(|t| {
-                        size(&t);
-                        Delta::insert(t)
-                    })
-                    .collect();
-                if batch.is_empty() {
-                    break;
+            ctx.charge_input(batch.len());
+            if self.columnar {
+                match ColumnBatch::try_from_rows(batch) {
+                    Ok(cols) => ctx.emit_cols(0, cols),
+                    // Ragged batch: stay on rows for this batch.
+                    Err(rows) => ctx.emit_rows(0, rows),
                 }
-                ctx.charge_input(batch.len());
-                ctx.emit(0, batch);
+            } else {
+                ctx.emit_rows(0, batch);
             }
         }
         bytes
@@ -191,8 +160,7 @@ impl Operator for ScanOp {
         // handed on exactly once, with no per-row clone (not even an
         // `Arc` bump) between storage and the first operator. Shared rows
         // are emitted as `Arc` bumps off the stored snapshot — no upfront
-        // deep copy. On the fast lane the batch is the rows themselves —
-        // no per-row delta wrapping.
+        // deep copy.
         match std::mem::replace(&mut self.source, ScanRows::Owned(Vec::new())) {
             ScanRows::Owned(v) => {
                 let counted = self.emit_all(v.into_iter(), ctx);
@@ -272,11 +240,8 @@ mod tests {
         let out = ctx.take_output();
         assert_eq!(out.len(), 2);
         match &out[0].1 {
-            Event::Data(ds) => {
-                assert_eq!(ds.len(), 2);
-                assert_eq!(ds[0], Delta::insert(tuple![1i64]));
-            }
-            _ => panic!("expected data"),
+            Event::Rows(rows) => assert_eq!(rows, &[tuple![1i64], tuple![2i64]]),
+            _ => panic!("expected bare rows"),
         }
         assert!(matches!(out[1].1, Event::Punct(Punctuation::EndOfStream)));
         assert!(m.disk_read > 0);
@@ -300,8 +265,8 @@ mod tests {
             let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
             op.run_source(&mut ctx).unwrap();
             for (_, ev) in ctx.take_output() {
-                if let Event::Data(ds) = ev {
-                    got.extend(ds.into_iter().map(|d| d.tuple));
+                if let Event::Rows(rows) = ev {
+                    got.extend(rows);
                 }
             }
             morsels += op.stats_detail().iter().map(|(_, v)| v).sum::<u64>();

@@ -1,6 +1,5 @@
 //! Result sink: materializes the delta stream into a final relation.
 
-use crate::col::ColumnBatch;
 use crate::delta::{Annotation, Delta, Punctuation};
 use crate::error::Result;
 use crate::hash::FxHashMap;
@@ -9,11 +8,10 @@ use crate::tuple::{sort_rows, Tuple};
 
 /// How the sink stores its result multiset.
 enum SinkState {
-    /// Insert-only fast lane: plain appends, one `sort_unstable` when the
-    /// results are taken. Chosen by lowering for pipelines that provably
-    /// emit nothing but `+()` deltas (see `rex_rql::lower`); degrades to
-    /// [`SinkState::Counted`] on the first non-insert delta, so a
-    /// mis-plumbed lane is a slow path, never a wrong answer.
+    /// Where every sink starts: plain appends, one sort when the results
+    /// are taken. Whether the stream is insert-only is a fact about the
+    /// data, so the sink finds out from the data — the first non-insert
+    /// delta degrades it to [`SinkState::Counted`].
     Append(Vec<Tuple>),
     /// General path: tuple → net multiplicity, so deletes and replacements
     /// apply in O(1) instead of scanning a bag.
@@ -47,14 +45,9 @@ impl Default for SinkOp {
 }
 
 impl SinkOp {
-    /// An empty sink on the general (delta-applying) path.
+    /// An empty sink: incoming insertions are appended without hashing
+    /// and sorted once at the end, until a non-insert delta arrives.
     pub fn new() -> SinkOp {
-        SinkOp { state: SinkState::Counted(FxHashMap::default()), eos: false }
-    }
-
-    /// An empty sink on the insert-only fast lane: incoming tuples are
-    /// appended without hashing and sorted once at the end.
-    pub fn append_only() -> SinkOp {
         SinkOp { state: SinkState::Append(Vec::new()), eos: false }
     }
 
@@ -63,8 +56,8 @@ impl SinkOp {
         self.eos
     }
 
-    /// Leave the fast lane: rebuild the counted multiset from whatever was
-    /// appended so far (correctness backstop for non-insert deltas).
+    /// Leave the append path: rebuild the counted multiset from whatever
+    /// was appended so far.
     fn degrade(&mut self) -> &mut FxHashMap<Tuple, i64> {
         if let SinkState::Append(v) = &mut self.state {
             let mut counts: FxHashMap<Tuple, i64> = FxHashMap::default();
@@ -113,10 +106,7 @@ fn expand(counts: &FxHashMap<Tuple, i64>) -> Vec<Tuple> {
 
 impl Operator for SinkOp {
     fn name(&self) -> String {
-        match self.state {
-            SinkState::Append(_) => "Sink[append]".into(),
-            SinkState::Counted(_) => "Sink".into(),
-        }
+        "Sink".into()
     }
 
     fn on_deltas(&mut self, _port: usize, deltas: Vec<Delta>, ctx: &mut OpCtx<'_>) -> Result<()> {
@@ -149,7 +139,7 @@ impl Operator for SinkOp {
         Ok(())
     }
 
-    /// Fast lane: bare tuples append (or count) directly.
+    /// Bare tuples append (or count) directly.
     fn on_rows(&mut self, _port: usize, rows: Vec<Tuple>, ctx: &mut OpCtx<'_>) -> Result<()> {
         ctx.charge_input(rows.len());
         match &mut self.state {
@@ -161,12 +151,6 @@ impl Operator for SinkOp {
             }
         }
         Ok(())
-    }
-
-    /// Columnar lane: materialize the selected rows once, at the end of
-    /// the pipeline, and append (or count) them.
-    fn on_cols(&mut self, port: usize, batch: ColumnBatch, ctx: &mut OpCtx<'_>) -> Result<()> {
-        self.on_rows(port, batch.to_rows(), ctx)
     }
 
     fn on_punct(&mut self, _port: usize, p: Punctuation, _ctx: &mut OpCtx<'_>) -> Result<()> {
@@ -181,11 +165,13 @@ impl Operator for SinkOp {
     }
 
     fn reset(&mut self) {
-        match &mut self.state {
-            SinkState::Append(v) => v.clear(),
-            SinkState::Counted(c) => c.clear(),
-        }
-        self.eos = false;
+        *self = SinkOp::new();
+    }
+
+    /// `degraded` is 1 once the sink has left the append path (summed
+    /// over workers and threads in merged traces).
+    fn stats_detail(&self) -> Vec<(String, u64)> {
+        vec![("degraded".into(), matches!(self.state, SinkState::Counted(_)) as u64)]
     }
 }
 
@@ -264,33 +250,41 @@ mod tests {
         assert!(s.results().is_empty());
     }
 
+    fn degraded(s: &SinkOp) -> u64 {
+        s.stats_detail()[0].1
+    }
+
     #[test]
-    fn append_lane_sorts_on_take() {
-        let mut s = SinkOp::append_only();
+    fn inserts_append_and_sort_on_take() {
+        let mut s = SinkOp::new();
         drive(&mut s, vec![Delta::insert(tuple![3i64]), Delta::insert(tuple![1i64])]);
         drive(&mut s, vec![Delta::insert(tuple![2i64]), Delta::insert(tuple![1i64])]);
-        assert_eq!(s.name(), "Sink[append]");
+        assert_eq!(degraded(&s), 0);
         assert_eq!(s.take_results(), vec![tuple![1i64], tuple![1i64], tuple![2i64], tuple![3i64]]);
     }
 
     #[test]
-    fn append_lane_degrades_on_non_insert() {
-        let mut s = SinkOp::append_only();
+    fn first_non_insert_degrades_to_counted() {
+        let mut s = SinkOp::new();
         drive(&mut s, vec![Delta::insert(tuple![1i64]), Delta::insert(tuple![2i64])]);
-        // A stray delete must not be silently dropped: the lane degrades
-        // to the counted path and applies it.
+        // A delete must not be dropped: the sink rebuilds the counted
+        // multiset from what it appended and applies it.
         drive(&mut s, vec![Delta::delete(tuple![1i64])]);
-        assert_eq!(s.name(), "Sink");
+        assert_eq!(degraded(&s), 1);
         assert_eq!(s.results(), vec![tuple![2i64]]);
     }
 
     #[test]
-    fn reset_clears_both_lanes() {
-        for mut s in [SinkOp::new(), SinkOp::append_only()] {
-            drive(&mut s, vec![Delta::insert(tuple![1i64])]);
-            s.reset();
-            assert!(s.results().is_empty());
-            assert!(!s.complete());
-        }
+    fn reset_clears_rows_and_returns_to_appending() {
+        let mut s = SinkOp::new();
+        drive(&mut s, vec![Delta::insert(tuple![1i64]), Delta::delete(tuple![1i64])]);
+        assert_eq!(degraded(&s), 1);
+        s.reset();
+        assert!(s.results().is_empty());
+        assert!(!s.complete());
+        // A restart-recovery rerun gets the append path back.
+        drive(&mut s, vec![Delta::insert(tuple![1i64])]);
+        assert_eq!(degraded(&s), 0);
+        assert!(matches!(s.state, SinkState::Append(_)));
     }
 }

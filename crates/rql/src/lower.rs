@@ -109,129 +109,35 @@ impl TableProvider for MemTables {
 pub const DEFAULT_MAX_STRATA: u64 = 10_000;
 
 /// Options controlling physical lowering.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LowerOptions {
     /// Lower a worker-local plan for distributed execution: insert network
     /// boundaries wherever the stream's partitioning does not match what
     /// the consuming operator requires (see the module docs).
     pub distributed: bool,
-    /// Use the insert-only sink fast lane when the plan provably emits
-    /// nothing but `+()` deltas (see [`insert_only_plan`]). On by
-    /// default; platform-agreement sweeps turn it off to prove the lane
-    /// is output-invisible.
-    pub fast_lane: bool,
-    /// Use the columnar batch lane where it applies: pure stateless
-    /// chains transpose scan batches into `Event::Cols` for the
-    /// vectorized filter/project kernels, and handler-free join plans
-    /// ride bare-rows batches through the join's cache-conscious batch
-    /// path (see [`join_lane_plan`]). Defaults from `REX_COLUMNAR`
-    /// (unset or anything but `"0"` → on); turning it off restores the
-    /// pre-columnar row path end to end, bit for bit.
-    pub columnar: bool,
-}
-
-impl Default for LowerOptions {
-    fn default() -> Self {
-        let columnar = std::env::var("REX_COLUMNAR").map(|v| v != "0").unwrap_or(true);
-        LowerOptions { distributed: false, fast_lane: true, columnar }
-    }
 }
 
 impl LowerOptions {
     /// Options for a per-worker plan in the cluster.
     pub fn cluster() -> LowerOptions {
-        LowerOptions { distributed: true, ..LowerOptions::default() }
-    }
-
-    /// Disable the insert-only sink fast lane (agreement sweeps).
-    pub fn without_fast_lane(mut self) -> LowerOptions {
-        self.fast_lane = false;
-        self
-    }
-
-    /// Disable the columnar batch lane (row-path oracle sweeps).
-    pub fn without_columnar(mut self) -> LowerOptions {
-        self.columnar = false;
-        self
-    }
-}
-
-/// Whether every delta a lowered `plan` can deliver to its sink is an
-/// insertion. Scans emit only `+()` deltas, filters/projections preserve
-/// annotations, and a handler-free equi-join of insert-only inputs emits
-/// only insertions — so pipelines of those shapes qualify. Aggregates
-/// (replacements on group refinement), top-k (retraction diffs),
-/// fixpoints, and handler joins (arbitrary handler output) do not.
-pub fn insert_only_plan(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::Scan { .. } => true,
-        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            insert_only_plan(input)
-        }
-        LogicalPlan::Join { left, right, handler, .. } => {
-            handler.is_none() && insert_only_plan(left) && insert_only_plan(right)
-        }
-        // A pure ORDER BY adds no dataflow operator (presentation order is
-        // applied by the session); the stream is its input's.
-        LogicalPlan::Sort { input, fetch: None, offset: 0, .. } => insert_only_plan(input),
-        LogicalPlan::Aggregate { .. }
-        | LogicalPlan::Sort { .. }
-        | LogicalPlan::Limit { .. }
-        | LogicalPlan::Fixpoint { .. }
-        | LogicalPlan::FixpointRef { .. } => false,
+        LowerOptions { distributed: true }
     }
 }
 
 /// Whether the plan is a pure stateless chain — scans feeding only
-/// filters and projections (pure ORDER BY on top included). On such
-/// plans the scans emit run-length `Event::Rows` batches and every
-/// operator down to the sink moves bare tuples instead of deltas. Join
-/// plans stay on delta batches (the join is where annotations start to
-/// matter) but still qualify for the append sink via
-/// [`insert_only_plan`].
-pub fn rows_lane_plan(plan: &LogicalPlan) -> bool {
+/// filters and projections (pure ORDER BY on top included). This is the
+/// one plan-shape question lowering asks about batch forms: nothing on
+/// such a plan materializes rows again before the sink, so its scans
+/// transpose their batches into `Event::Cols` for the vectorized kernels,
+/// and its thread copies can split each scan by morsels because no
+/// operator holds keyed state.
+fn stateless_chain(plan: &LogicalPlan) -> bool {
     match plan {
         LogicalPlan::Scan { .. } => true,
         LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-            rows_lane_plan(input)
+            stateless_chain(input)
         }
-        LogicalPlan::Sort { input, fetch: None, offset: 0, .. } => rows_lane_plan(input),
-        _ => false,
-    }
-}
-
-/// Whether the plan qualifies for the batched **join lane**: scans feed a
-/// handler-free equi-join through nothing but filters and projections,
-/// optionally under aggregates / top-k on top. On such plans the scans
-/// emit bare `Event::Rows` batches and the join runs its cache-conscious
-/// batch path — keys hashed up front, one store/probe per duplicate-key
-/// run, probe cache lines prefetched ahead of the cursor, and probe-only
-/// (no build-side store) once the opposite input has hit end-of-stream.
-/// Group-bys above fold the bare rows through the built-ins'
-/// allocation-free insert fast path. Every delta below the first
-/// aggregate is an insertion by construction, and the emitted multiset
-/// and order match the delta path bit for bit.
-pub fn join_lane_plan(plan: &LogicalPlan) -> bool {
-    /// The scan→join spine: insert-only rows all the way up.
-    fn rows_spine(p: &LogicalPlan) -> bool {
-        match p {
-            LogicalPlan::Scan { .. } => true,
-            LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-                rows_spine(input)
-            }
-            LogicalPlan::Join { left, right, handler, .. } => {
-                handler.is_none() && rows_spine(left) && rows_spine(right)
-            }
-            _ => false,
-        }
-    }
-    match plan {
-        LogicalPlan::Join { .. } => rows_spine(plan),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => join_lane_plan(input),
+        LogicalPlan::Sort { input, fetch: None, offset: 0, .. } => stateless_chain(input),
         _ => false,
     }
 }
@@ -263,44 +169,34 @@ pub fn lower_with(
     reg: &Registry,
     opts: LowerOptions,
 ) -> Result<PlanGraph> {
+    Ok(lower_graph(plan, provider, reg, opts, None)?.0)
+}
+
+/// Lower `plan` into a fresh graph with a sink on the result. Returns the
+/// graph and the shard gates inserted into it (thread-parallel shard
+/// mode only).
+fn lower_graph<'a>(
+    plan: &LogicalPlan,
+    provider: &'a dyn TableProvider,
+    reg: &'a Registry,
+    opts: LowerOptions,
+    parallel: Option<ParallelCtx<'a>>,
+) -> Result<(PlanGraph, Vec<NodeId>)> {
     let mut g = PlanGraph::new();
-    let (rows_lane, cols_lane) = plan_lanes(plan, &opts);
     let mut ctx = Lowering {
         g: &mut g,
         provider,
         reg,
         fixpoint: None,
         opts,
-        rows_lane,
-        cols_lane,
-        parallel: None,
+        columnar: stateless_chain(plan),
+        parallel,
     };
-    let (node, port, _) = ctx.node(plan)?;
-    // Insert-only pipelines take the append sink: no delta application,
-    // one unstable sort when results are taken. Anything that can emit
-    // deletes/replacements keeps the counted sink.
-    let sink = if opts.fast_lane && insert_only_plan(plan) {
-        g.add(Box::new(SinkOp::append_only()))
-    } else {
-        g.add(Box::new(SinkOp::new()))
-    };
+    let (node, port, _, _) = ctx.node(plan)?;
+    let gates = ctx.parallel.take().map(|p| p.gates).unwrap_or_default();
+    let sink = g.add(Box::new(SinkOp::new()));
     g.connect(node, port, sink, 0);
-    Ok(g)
-}
-
-/// Which batch lanes a plan's scans ride under `opts`: `(rows_lane,
-/// cols_lane)`. Pure stateless chains take the columnar lane (scans
-/// transpose into `Event::Cols` for the vectorized kernels); join-lane
-/// plans stay on bare `Event::Rows` — the join consumes row batches
-/// natively, and transposing at the scan just to materialize again at
-/// the join entry would cost more than it saves. `cols_lane` implies
-/// `rows_lane` (ragged batches fall back to rows per batch).
-fn plan_lanes(plan: &LogicalPlan, opts: &LowerOptions) -> (bool, bool) {
-    let pure_chain = rows_lane_plan(plan);
-    let join_lane = opts.columnar && !opts.distributed && join_lane_plan(plan);
-    let rows_lane = opts.fast_lane && (pure_chain || join_lane);
-    let cols_lane = rows_lane && pure_chain && opts.columnar;
-    (rows_lane, cols_lane)
+    Ok((g, gates))
 }
 
 /// Minimum total scanned rows before thread-parallel lowering pays:
@@ -520,37 +416,19 @@ pub fn lower_parallel(
     if total_rows < PARALLEL_ROWS_MIN {
         return Ok(None);
     }
-    let mode = if rows_lane_plan(plan) { ParallelMode::Morsel } else { ParallelMode::Shard };
+    let mode = if stateless_chain(plan) { ParallelMode::Morsel } else { ParallelMode::Shard };
     let mut cursors: Vec<Arc<AtomicUsize>> = Vec::new();
     let mut graphs = Vec::with_capacity(threads);
     for tid in 0..threads {
-        let mut g = PlanGraph::new();
-        let (rows_lane, cols_lane) = plan_lanes(plan, &opts);
-        let mut ctx = Lowering {
-            g: &mut g,
-            provider: &snaps,
-            reg,
-            fixpoint: None,
-            opts,
-            rows_lane,
-            cols_lane,
-            parallel: Some(ParallelCtx {
-                mode,
-                shard: tid,
-                shards: threads,
-                cursors: &mut cursors,
-                next_cursor: 0,
-                gates: Vec::new(),
-            }),
+        let parallel = ParallelCtx {
+            mode,
+            shard: tid,
+            shards: threads,
+            cursors: &mut cursors,
+            next_cursor: 0,
+            gates: Vec::new(),
         };
-        let (node, port, _) = ctx.node(plan)?;
-        let gates = ctx.parallel.take().map(|p| p.gates).unwrap_or_default();
-        let sink = if opts.fast_lane && insert_only_plan(plan) {
-            g.add(Box::new(SinkOp::append_only()))
-        } else {
-            g.add(Box::new(SinkOp::new()))
-        };
-        g.connect(node, port, sink, 0);
+        let (g, gates) = lower_graph(plan, &snaps, reg, opts, Some(parallel))?;
         // The copies are isomorphic, so the safety check on the first
         // settles them all.
         if tid == 0 && mode == ParallelMode::Shard && gate_reaches_gate(&g, &gates) {
@@ -566,6 +444,14 @@ pub fn lower_parallel(
 /// when unknown (forces a rehash wherever co-partitioning is required).
 type Partitioning = Option<Vec<usize>>;
 
+/// A lowered stream: `(node, output port, partitioning, insert_only)`.
+/// `insert_only` means every batch the stream will *ever* carry is an
+/// insertion: a scan, or filters / projections / handler-free joins over
+/// such streams. A batch shows its own annotations but not its port's
+/// future, so this is the one lane fact lowering still derives — for the
+/// join's probe-only shortcut (see `HashJoinOp::with_insert_only_inputs`).
+type Stream = (NodeId, usize, Partitioning, bool);
+
 struct Lowering<'a> {
     g: &'a mut PlanGraph,
     provider: &'a dyn TableProvider,
@@ -574,14 +460,10 @@ struct Lowering<'a> {
     /// port 0 feeds [`LogicalPlan::FixpointRef`] consumers) and its key.
     fixpoint: Option<(NodeId, Vec<usize>)>,
     opts: LowerOptions,
-    /// The plan's scans emit run-length `Event::Rows` batches: either a
-    /// pure stateless chain ([`rows_lane_plan`]) or a batched-join plan
-    /// ([`join_lane_plan`]).
-    rows_lane: bool,
-    /// On top of `rows_lane`, scans transpose each batch into columnar
-    /// [`Event::Cols`] form for the vectorized filter/project kernels
-    /// (pure stateless chains with [`LowerOptions::columnar`] on).
-    cols_lane: bool,
+    /// Scans transpose each batch into columnar `Event::Cols` form for
+    /// the vectorized filter/project kernels (the plan is a
+    /// [`stateless_chain`]).
+    columnar: bool,
     /// Set while building one thread copy of a parallel plan (see
     /// [`lower_parallel`]); `None` for ordinary lowering.
     parallel: Option<ParallelCtx<'a>>,
@@ -632,8 +514,8 @@ impl Lowering<'_> {
         keys: &[SortKey],
         fetch: Option<u64>,
         offset: u64,
-    ) -> Result<(NodeId, usize, Partitioning)> {
-        let (src, port, _) = self.node(input)?;
+    ) -> Result<Stream> {
+        let (src, port, _, _) = self.node(input)?;
         let specs: Vec<SortSpec> =
             keys.iter().map(|k| SortSpec { expr: k.expr.clone(), desc: k.desc }).collect();
         if self.opts.distributed {
@@ -648,7 +530,7 @@ impl Lowering<'_> {
                 offset as usize,
             )));
             self.g.connect(gather, 0, fin, 0);
-            Ok((fin, 0, None))
+            Ok((fin, 0, None, false))
         } else {
             let id = self.g.add(Box::new(TopKOp::new(
                 specs,
@@ -656,19 +538,17 @@ impl Lowering<'_> {
                 offset as usize,
             )));
             self.g.connect(src, port, id, 0);
-            Ok((id, 0, None))
+            Ok((id, 0, None, false))
         }
     }
 
-    /// Lower `plan`, returning `(node, output port, partitioning)` of its
-    /// result stream.
-    fn node(&mut self, plan: &LogicalPlan) -> Result<(NodeId, usize, Partitioning)> {
+    /// Lower `plan`, returning its result [`Stream`].
+    fn node(&mut self, plan: &LogicalPlan) -> Result<Stream> {
         match plan {
             LogicalPlan::Scan { table, .. } => {
                 let rows = self.provider.scan_shared(table)?;
                 let mut scan = ScanOp::new(table.clone(), rows)
-                    .insert_only(self.rows_lane)
-                    .columnar(self.cols_lane)
+                    .columnar(self.columnar)
                     .known_bytes(self.provider.scan_bytes(table));
                 // Morsel-parallel copies split each scan over a cursor
                 // shared with the sibling copies; the cursor for the n-th
@@ -688,32 +568,32 @@ impl Lowering<'_> {
                 let id = self.g.add(Box::new(scan));
                 let part =
                     if self.opts.distributed { self.provider.partition_cols(table) } else { None };
-                Ok((id, 0, part))
+                Ok((id, 0, part, true))
             }
             LogicalPlan::FixpointRef { name, .. } => {
                 let (fp, key) = self.fixpoint.clone().ok_or_else(|| {
                     RexError::Plan(format!("recursive relation {name} referenced outside WITH"))
                 })?;
-                Ok((fp, 0, Some(key)))
+                Ok((fp, 0, Some(key), false))
             }
             LogicalPlan::Filter { input, predicate } => {
-                let (src, port, part) = self.node(input)?;
+                let (src, port, part, ins) = self.node(input)?;
                 let id = self.g.add(Box::new(FilterOp::new(predicate.clone())));
                 self.g.connect(src, port, id, 0);
-                Ok((id, 0, part))
+                Ok((id, 0, part, ins))
             }
             LogicalPlan::Project { input, exprs, .. } => {
-                let (src, port, part) = self.node(input)?;
+                let (src, port, part, ins) = self.node(input)?;
                 let id = self.g.add(Box::new(ProjectOp::new(exprs.clone())));
                 self.g.connect(src, port, id, 0);
-                Ok((id, 0, remap_partitioning(&part, exprs)))
+                Ok((id, 0, remap_partitioning(&part, exprs), ins))
             }
             LogicalPlan::Join { left, right, left_key, right_key, handler, .. } => {
                 // Build-side selection. The executor starts sources in
                 // creation order, so the subtree lowered *first* is fully
                 // delivered — and EOS-punctuated — before the other side
-                // streams through the join. On the insert-only lanes the
-                // join then skips storing the streaming side entirely
+                // streams through the join. A join of insert-only inputs
+                // then skips storing the streaming side entirely
                 // (`HashJoinOp` probes without building state once the
                 // opposite port has seen EOS), so lowering the smaller
                 // input first keeps the resident build table the small,
@@ -727,7 +607,7 @@ impl Lowering<'_> {
                     ),
                     (Some(lb), Some(rb)) if rb < lb
                 );
-                let ((l, lp, lpart), (r, rp, rpart)) = if build_right {
+                let ((l, lp, lpart, l_ins), (r, rp, rpart, r_ins)) = if build_right {
                     let rnode = self.node(right)?;
                     (self.node(left)?, rnode)
                 } else {
@@ -767,13 +647,19 @@ impl Lowering<'_> {
                 if let Some(h) = handler {
                     join = join.with_handler(self.reg.join(h)?);
                 }
+                // A handler emits whatever it likes; without one,
+                // insertions in are insertions out.
+                let ins = handler.is_none() && l_ins && r_ins;
+                if ins {
+                    join = join.with_insert_only_inputs();
+                }
                 let id = self.g.add(Box::new(join));
                 self.g.connect(l, lp, id, 0);
                 self.g.connect(r, rp, id, 1);
-                Ok((id, 0, out_part))
+                Ok((id, 0, out_part, ins))
             }
             LogicalPlan::Aggregate { input, group_cols, aggs, post, .. } => {
-                let (src, port, part) = self.node(input)?;
+                let (src, port, part, _) = self.node(input)?;
                 // Repartition on the grouping key before aggregating. A
                 // *global* aggregate (no keys) is a pass-through locally
                 // but must gather all partitions at one worker in the
@@ -820,9 +706,9 @@ impl Lowering<'_> {
                     Some(exprs) => {
                         let proj = self.g.add(Box::new(ProjectOp::new(exprs.clone())));
                         self.g.connect(gb, 0, proj, 0);
-                        Ok((proj, 0, remap_partitioning(&gb_part, exprs)))
+                        Ok((proj, 0, remap_partitioning(&gb_part, exprs), false))
                     }
-                    None => Ok((gb, 0, gb_part)),
+                    None => Ok((gb, 0, gb_part, false)),
                 }
             }
             LogicalPlan::Sort { input, keys, fetch, offset } => {
@@ -849,7 +735,7 @@ impl Lowering<'_> {
                 self.topk(inner, keys, Some(*fetch), *offset)
             }
             LogicalPlan::Fixpoint { key_cols, base, step, .. } => {
-                let (b, bport, bpart) = self.node(base)?;
+                let (b, bport, bpart, _) = self.node(base)?;
                 // The base case must arrive partitioned on the fixpoint key
                 // so each worker's mutable set holds exactly its keys.
                 let (b, bport, _) = self.ensure_partitioned(b, bport, &bpart, key_cols);
@@ -859,13 +745,13 @@ impl Lowering<'_> {
                 )));
                 self.g.connect(b, bport, fp, 0);
                 let prev = self.fixpoint.replace((fp, key_cols.clone()));
-                let (s, sport, _) = self.node(step)?;
+                let (s, sport, _, _) = self.node(step)?;
                 self.fixpoint = prev;
                 // Step results re-enter the fixpoint keyed on its key.
                 let rehash = self.g.add_rehash(key_cols.clone());
                 self.g.connect(s, sport, rehash, 0);
                 self.g.connect(rehash, 0, fp, 1);
-                Ok((fp, 1, Some(key_cols.clone())))
+                Ok((fp, 1, Some(key_cols.clone()), false))
             }
         }
     }

@@ -14,12 +14,16 @@
 //!   [`fill_tkd`] (the `t`/`d`/`seed` random fixture big enough to engage
 //!   parallel lowering), [`edges_session`]/[`random_row`] (the
 //!   `edges`/`weights` IVM fixture);
-//! * **oracles** — [`assert_rows_close`] (bag equality, doubles to
-//!   relative tolerance), [`canon`] (canonical row order for queries with
-//!   no ORDER BY);
+//! * **oracles** — [`mod@reference`] (a naive evaluator over logical plans:
+//!   nested-loop joins, `BTreeMap` groups, row-at-a-time expressions — the
+//!   independent answer engine sweeps compare against, exactly),
+//!   [`assert_rows_close`] (bag equality, doubles to relative tolerance),
+//!   [`canon`] (canonical row order for queries with no ORDER BY);
 //! * **determinism** — [`XorShift`], the tiny seedable RNG used where
 //!   per-thread streams must be reproducible without `rex-data`'s heavier
 //!   generator.
+
+pub mod reference;
 
 use rex::core::tuple::{Schema, Tuple};
 use rex::core::value::{DataType, Value};
@@ -76,12 +80,14 @@ pub fn fill_tkd(s: &mut Session, seed: u64) {
 }
 
 /// One random `t` row for the [`fill_tkd`] fixture; `i` keys it onto one
-/// of the `D_ROWS` join keys.
+/// of the `D_ROWS` join keys. Doubles are dyadic (`n * 0.25`, like `d.w`'s
+/// `k * 1.5`), so sums and products of them are exact in any order and
+/// engines can be compared with the [`mod@reference`] bit for bit.
 pub fn tkd_row(rng: &mut StdRng, i: usize) -> Tuple {
     Tuple::new(vec![
         Value::Int((i as i64) % D_ROWS),
         Value::Int(rng.gen_range(0..=99i64)),
-        Value::Double(rng.gen_range(0..=999i64) as f64 * 0.37),
+        Value::Double(rng.gen_range(0..=999i64) as f64 * 0.25),
     ])
 }
 

@@ -1,22 +1,18 @@
-//! Columnar-lane oracle: `REX_COLUMNAR` switches the columnar batch lane
-//! (scan transposition, vectorized filter/project kernels, the batched
-//! join probe loop) on and off. The lane is an execution detail — with it
-//! on or off, every query must return *bit-identical* rows (same order,
-//! same float bits), across random seeds, both engines, and thread
-//! counts. Floats make this strict: the columnar kernels must feed each
-//! group's accumulator in exactly the row-lane order, or sum low bits
-//! diverge.
-//!
-//! The env toggle is process-global, so the whole sweep lives in one
-//! `#[test]` in its own binary: cargo runs test *binaries* serially, and
-//! nothing here races another toggle.
+//! Batch-form oracle: which form a batch travels in — deltas, bare rows,
+//! columns — is an execution detail the engine picks per batch, so there
+//! is no knob to sweep. Instead every configuration the engine *does*
+//! have (engine × thread count × data seed) must return exactly what the
+//! naive reference evaluator in `rex_testkit::reference` computes from
+//! the same logical plan: same rows, same order, same float bits. The
+//! fixture's doubles are dyadic, so sums are exact in any order and the
+//! comparison needs no tolerance.
 
-use rex_testkit::{fill_tkd, session, SEEDS};
+use rex_testkit::{fill_tkd, reference, session, SEEDS};
 
-/// Query shapes across every lane the toggle affects: pure stateless
-/// chains (scan→filter→project, the `Event::Cols` path), joins with and
-/// without downstream aggregation (the batched probe loop), grouped and
-/// global aggregates (avg/min/max fold over batch output).
+/// Query shapes across every batch form: pure stateless chains
+/// (scan→filter→project, the `Event::Cols` path), joins with and without
+/// downstream aggregation (the batched probe loop), grouped and global
+/// aggregates (avg/min/max fold over bare rows), and top-k.
 const QUERIES: &[&str] = &[
     "SELECT k, a, b FROM t WHERE a > 40",
     "SELECT k, a * 2 + 1, b FROM t WHERE b < 200.0",
@@ -27,51 +23,30 @@ const QUERIES: &[&str] = &[
     "SELECT k, b FROM t WHERE a < 50 ORDER BY b, k LIMIT 25",
 ];
 
-/// Run the whole sweep in one session configuration, returning per-query
-/// result sets.
-fn run_all(engine: &str, seed: u64, threads: usize) -> Vec<Vec<rex::core::tuple::Tuple>> {
-    let mut s = session(engine);
-    s.set_threads(threads);
-    fill_tkd(&mut s, seed);
-    QUERIES.iter().map(|q| s.query(q).unwrap().rows).collect()
-}
-
 #[test]
-fn columnar_toggle_is_bit_identical_across_seeds_engines_threads() {
+fn engines_and_thread_counts_match_the_naive_reference() {
     for seed in SEEDS {
+        // The reference reads the same stored rows, through the
+        // unoptimized plan.
+        let mut base = session("local");
+        fill_tkd(&mut base, seed);
+        let want: Vec<_> = QUERIES
+            .iter()
+            .map(|q| {
+                reference::evaluate(&base.plan(q).unwrap(), base.store(), base.registry()).unwrap()
+            })
+            .collect();
+        assert!(want.iter().all(|r| !r.is_empty()), "vacuous sweep for seed {seed}");
         for engine in ["local", "cluster"] {
             for threads in [1usize, 4] {
-                std::env::set_var("REX_COLUMNAR", "1");
-                let on = run_all(engine, seed, threads);
-                std::env::set_var("REX_COLUMNAR", "0");
-                let off = run_all(engine, seed, threads);
-                for ((a, b), q) in on.iter().zip(&off).zip(QUERIES) {
-                    assert_eq!(
-                        a, b,
-                        "{engine}/seed {seed}/{threads} threads: columnar toggle changed: {q}"
-                    );
+                let mut s = session(engine);
+                s.set_threads(threads);
+                fill_tkd(&mut s, seed);
+                for (q, want) in QUERIES.iter().zip(&want) {
+                    let got = s.query(q).unwrap().rows;
+                    assert_eq!(&got, want, "{engine}/seed {seed}/{threads} threads: {q}");
                 }
-                assert!(on.iter().all(|r| !r.is_empty()), "vacuous sweep for seed {seed}");
             }
         }
     }
-
-    // Non-vacuity: the toggle must actually steer the plan. With the lane
-    // on, the local join runs the batched probe loop (prefetch_probes
-    // counts its bucket prefetches); with it off, the general delta path
-    // runs and the counter stays zero.
-    let probes = |columnar: &str| {
-        std::env::set_var("REX_COLUMNAR", columnar);
-        let mut s = session("local");
-        s.set_threads(1);
-        s.set_telemetry(true);
-        fill_tkd(&mut s, SEEDS[0]);
-        let r = s.query(QUERIES[2]).unwrap();
-        let trace = r.trace.as_ref().expect("trace");
-        let join = trace.ops.iter().find(|o| o.name.starts_with("HashJoin")).expect("join in plan");
-        join.detail.iter().find(|(k, _)| k == "prefetch_probes").map(|(_, v)| *v)
-    };
-    assert!(probes("1").is_some_and(|p| p > 0), "columnar on: batched probe loop ran");
-    assert_eq!(probes("0").unwrap_or(0), 0, "columnar off: general delta path, no batched probes");
-    std::env::remove_var("REX_COLUMNAR");
 }

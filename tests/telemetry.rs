@@ -123,7 +123,15 @@ fn explain_analyze_executes_and_renders_actuals() {
         assert!(text.contains("== explain analyze"), "{text}");
         assert!(text.contains("actual"), "{text}");
         assert!(text.contains("rows_out="), "{text}");
-        assert!(r.trace.is_some());
+        // The sink is one operator with one name; whether it stayed on
+        // its append path is a counter. A one-shot group-by emits each
+        // group once, at end of stream, as an insertion: no sink on
+        // either engine degrades.
+        assert!(!text.contains("Sink["), "{text}");
+        let trace = r.trace.as_ref().expect("trace");
+        let sink = trace.ops.iter().find(|o| o.name == "Sink").expect("sink in plan");
+        assert_eq!(detail(sink, "degraded"), Some(0), "{text}");
+        assert!(text.contains("degraded=0"), "{text}");
         // Plain EXPLAIN never executes: no trace, estimate only.
         let r = s.query("EXPLAIN SELECT item FROM sales").unwrap();
         let text: String =
@@ -140,7 +148,7 @@ fn detail(op: &rex::core::telemetry::OpStats, key: &str) -> Option<u64> {
 
 #[test]
 fn batched_lane_detail_counters_surface_in_traces() {
-    // Filter batch counters ride the batched lanes on both engines:
+    // Filter batch counters on a stateless chain, on both engines:
     // `batch_rows` counts every row the filter saw in Rows/Cols batches,
     // `selectivity` the percent it kept.
     for mut s in sales_sessions(21) {
@@ -161,16 +169,32 @@ fn batched_lane_detail_counters_surface_in_traces() {
         assert!(sel <= 100 * filter.threads, "{engine}: selectivity {sel} out of range");
     }
 
-    // The batched join probe loop (hash-all-first + software prefetch)
-    // is local-engine only: distributed plans repartition through the
-    // network edge and keep the general lane. It also rides the columnar
-    // toggle, so when the suite runs with the lane forced off (CI's
-    // REX_COLUMNAR=0 pass) zero prefetches is the correct answer.
-    if std::env::var("REX_COLUMNAR").as_deref() == Ok("0") {
-        return;
-    }
+    // Bare rows keep going past the stateless prefix: on the shape the
+    // ad hoc OLAP traffic runs most (scan → filter → group-by → having →
+    // top-k) the filter and the group-by both consume row batches, not
+    // deltas — no plan-level proof selects this, the scan's batches are
+    // simply bare.
     let mut s = sales_sessions(21).remove(0);
     s.set_telemetry(true);
+    let r = s
+        .query(
+            "SELECT item, count(*), sum(qty) FROM sales WHERE qty >= 1 GROUP BY item \
+             HAVING count(*) > 2 ORDER BY 2 DESC LIMIT 3",
+        )
+        .unwrap();
+    assert!(!r.rows.is_empty());
+    let trace = r.trace.as_ref().expect("trace");
+    for prefix in ["Filter", "GroupBy"] {
+        // The first match is the scan-side operator (HAVING's filter sits
+        // above the group-by and sees its deltas).
+        let op = trace.ops.iter().find(|o| o.name.starts_with(prefix)).expect(prefix);
+        assert!(op.lane_hits > 0, "{prefix} consumed bare batches: {}", trace.render());
+    }
+
+    // The batched join probe loop (hash-all-first + software prefetch)
+    // runs on bare rows too, and — both inputs being scans, insert-only
+    // for ever — the join stores only its build side: the side that
+    // streams in after the build side's end-of-stream probes and is gone.
     let r = s
         .query("SELECT a.item, b.qty FROM sales a, sales b WHERE a.item = b.item AND a.qty < b.qty")
         .unwrap();
@@ -180,6 +204,7 @@ fn batched_lane_detail_counters_surface_in_traces() {
     assert!(prefetches > 0, "batched probe loop ran: {prefetches}");
     let probes = detail(join, "hash_probes").expect("hash_probes counter");
     assert!(prefetches <= probes, "one prefetch per batched key run, at most one per probe");
+    assert_eq!(detail(join, "state_rows"), Some(60), "build side only, not both inputs");
 }
 
 #[test]
