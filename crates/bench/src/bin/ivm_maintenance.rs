@@ -21,8 +21,8 @@
 //!
 //! Under PR 2's dirty-group *replay*, each touched group re-derived from
 //! all its rows, so the skew workload was quadratic in group size; the
-//! specialized O(1) aggregate state makes per-batch work proportional to
-//! the batch.
+//! per-delta aggregate state of rex-core's `GroupByOp` makes per-batch
+//! work proportional to the batch.
 //!
 //! Two configurations process the same stream of small insert batches:
 //!
@@ -35,8 +35,9 @@
 //! Per workload the bench reports per-phase timings — `maintain` (the
 //! insert + delta propagation) and `serve` (sync + scan of the stored
 //! copy) — plus `state_bytes` of maintenance state, and writes everything
-//! to `BENCH_ivm.json` so CI can track the perf trajectory and the memory
-//! footprint against the PR 2 baseline.
+//! to `BENCH_ivm.json`. The run exits non-zero when a speedup floor or the
+//! state cap (1.5x the PR 2 footprint) is missed, which is the whole CI
+//! gate.
 
 use rex::core::tuple::Tuple;
 use rex::core::value::Value;
@@ -57,8 +58,17 @@ const SKEW_QUERY: &str = "SELECT g, count(*), sum(v), min(v), max(v) FROM events
 
 /// `state_bytes` of the lineitem view measured on PR 2 (BTreeMap states,
 /// replayable group multisets) at scale 1 — the memory-regression anchor
-/// CI compares against.
+/// the state cap is relative to.
 const PR2_STATE_BYTES: usize = 1_394_942;
+
+/// Lineitem join+aggregate floor: PR 2's hot path measured 13.97x; the
+/// O(1) aggregate deltas, hashed state and view-state serving must hold
+/// at least 2x over that.
+const LINEITEM_FLOOR: f64 = 28.0;
+
+/// Skew-heavy floor: dirty-group replay was quadratic here, so the
+/// per-delta aggregate state must keep a wide margin.
+const SKEW_FLOOR: f64 = 30.0;
 
 struct WorkloadReport {
     name: &'static str,
@@ -285,4 +295,28 @@ fn main() {
     );
     std::fs::write("BENCH_ivm.json", json).expect("write BENCH_ivm.json");
     println!("wrote BENCH_ivm.json");
+
+    // The gates, held here so CI only has to run the binary. The state cap
+    // keeps hashed maintenance state within 1.5x of the PR 2 baseline.
+    let cap = PR2_STATE_BYTES as f64 * 1.5;
+    let mut misses = Vec::new();
+    if lineitem.speedup < LINEITEM_FLOOR {
+        misses.push(format!("lineitem speedup {:.2}x < {LINEITEM_FLOOR}x", lineitem.speedup));
+    }
+    if skew.speedup < SKEW_FLOOR {
+        misses.push(format!("skew speedup {:.2}x < {SKEW_FLOOR}x", skew.speedup));
+    }
+    if lineitem.state_bytes as f64 > cap {
+        misses.push(format!(
+            "lineitem state {} bytes > 1.5 x {PR2_STATE_BYTES}",
+            lineitem.state_bytes
+        ));
+    }
+    if !misses.is_empty() {
+        eprintln!("ivm_maintenance gates missed: {}", misses.join("; "));
+        std::process::exit(1);
+    }
+    println!(
+        "gates held: lineitem >= {LINEITEM_FLOOR}x, skew >= {SKEW_FLOOR}x, state <= {cap:.0} bytes"
+    );
 }

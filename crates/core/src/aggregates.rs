@@ -7,8 +7,8 @@
 //! * **sum** subtracts on deletion and adjusts on replacement; a `δ(E)`
 //!   update with a numeric payload is treated as an *adjustment* to the sum
 //!   (the generalized-delta behaviour PageRank relies on);
-//! * **min/max** keep a buffered multiset so that deleting the current
-//!   extremum can find the next-best value;
+//! * **min/max** keep a count-annotated ordered multiset so that deleting
+//!   the current extremum finds the next-best value in O(log n);
 //! * **avg** is split into a composable sum+count pre-aggregate and a final
 //!   division, mirroring the MapReduce combiner discussion.
 
@@ -18,6 +18,7 @@ use crate::handlers::{AggHandler, AggState};
 use crate::tuple::Tuple;
 use crate::udf::Registry;
 use crate::value::{DataType, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn numeric(v: &Value) -> Result<f64> {
@@ -204,44 +205,71 @@ impl AggHandler for CountAgg {
 /// MIN with buffered state: "a min aggregate will take a tuple deletion
 /// delta, and first determine whether the deletion affects the existing
 /// minimum value. If so, it must determine the next-smallest value (which
-/// needs to be in its buffered state)" (§3.3).
+/// needs to be in its buffered state)" (§3.3). The buffer is a
+/// count-annotated ordered multiset, so inserts and deletes — deleting the
+/// current minimum included — cost O(log n) and the result is its first key.
 pub struct MinAgg;
 
 /// MAX, symmetric to [`MinAgg`].
 pub struct MaxAgg;
 
-/// Extremum insert fold: push the value into the buffered bag.
-fn fold_extremum(state: &mut AggState, v: &Value, name: &str) -> Result<bool> {
+fn multiset<'s>(state: &'s mut AggState, name: &str) -> Result<&'s mut BTreeMap<Value, i64>> {
     match state {
-        AggState::Bag(bag) => {
-            bag.push(v.clone());
-            Ok(true)
-        }
+        AggState::Multiset(m) => Ok(m),
         _ => Err(RexError::Exec(format!("{name}: bad state shape"))),
     }
 }
 
-fn extremum_state(state: &mut AggState, d: &Delta, name: &str) -> Result<()> {
-    let bag = match state {
-        AggState::Bag(b) => b,
-        _ => return Err(RexError::Exec(format!("{name}: bad state shape"))),
-    };
-    match &d.ann {
-        Annotation::Insert | Annotation::Update(_) => bag.push(arg(d).clone()),
-        Annotation::Delete => {
-            if let Some(pos) = bag.iter().position(|v| v == arg(d)) {
-                bag.swap_remove(pos);
-            }
+/// Remove one occurrence of `v`. Deleting a value the group does not hold
+/// is an error, not a silent no-op: it means the input stream and the
+/// state have diverged.
+fn remove_one(m: &mut BTreeMap<Value, i64>, v: &Value, name: &str) -> Result<()> {
+    match m.get_mut(v) {
+        Some(n) if *n > 1 => *n -= 1,
+        Some(_) => {
+            m.remove(v);
         }
-        Annotation::Replace(old) => {
-            if let Some(pos) = bag.iter().position(|v| v == old.get(0)) {
-                bag[pos] = arg(d).clone();
-            } else {
-                bag.push(arg(d).clone());
-            }
+        None => {
+            return Err(RexError::Exec(format!(
+                "{name}: deleting {v}, which the group does not hold (negative multiplicity)"
+            )))
         }
     }
     Ok(())
+}
+
+/// Extremum insert fold: count the value into the multiset.
+fn fold_extremum(state: &mut AggState, v: &Value, name: &str) -> Result<bool> {
+    *multiset(state, name)?.entry(v.clone()).or_insert(0) += 1;
+    Ok(true)
+}
+
+fn extremum_state(state: &mut AggState, d: &Delta, name: &str) -> Result<()> {
+    let m = multiset(state, name)?;
+    match &d.ann {
+        Annotation::Insert | Annotation::Update(_) => {}
+        Annotation::Delete => return remove_one(m, arg(d), name),
+        // Upsert, like `TupleSet::replace`: an old value the group never
+        // held leaves only the insertion.
+        Annotation::Replace(old) => {
+            if m.contains_key(old.get(0)) {
+                remove_one(m, old.get(0), name)?;
+            }
+        }
+    }
+    *m.entry(arg(d).clone()).or_insert(0) += 1;
+    Ok(())
+}
+
+/// The multiset's first (`min`) or last (`max`) value; `NULL` when empty.
+fn extremum_result(state: &AggState, name: &str, min: bool) -> Result<Vec<Delta>> {
+    match state {
+        AggState::Multiset(m) => {
+            let v = if min { m.keys().next() } else { m.keys().next_back() };
+            Ok(scalar_result(v.cloned().unwrap_or(Value::Null)))
+        }
+        _ => Err(RexError::Exec(format!("{name}: bad state shape"))),
+    }
 }
 
 impl AggHandler for MinAgg {
@@ -254,7 +282,7 @@ impl AggHandler for MinAgg {
     }
 
     fn init(&self) -> AggState {
-        AggState::Bag(vec![])
+        AggState::Multiset(BTreeMap::new())
     }
 
     fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
@@ -267,10 +295,7 @@ impl AggHandler for MinAgg {
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
-        match state {
-            AggState::Bag(b) => Ok(scalar_result(b.iter().min().cloned().unwrap_or(Value::Null))),
-            _ => Err(RexError::Exec("min: bad state shape".into())),
-        }
+        extremum_result(state, "min", true)
     }
 
     fn return_type(&self) -> DataType {
@@ -295,7 +320,7 @@ impl AggHandler for MaxAgg {
     }
 
     fn init(&self) -> AggState {
-        AggState::Bag(vec![])
+        AggState::Multiset(BTreeMap::new())
     }
 
     fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
@@ -308,10 +333,7 @@ impl AggHandler for MaxAgg {
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
-        match state {
-            AggState::Bag(b) => Ok(scalar_result(b.iter().max().cloned().unwrap_or(Value::Null))),
-            _ => Err(RexError::Exec("max: bad state shape".into())),
-        }
+        extremum_result(state, "max", false)
     }
 
     fn return_type(&self) -> DataType {
@@ -617,6 +639,22 @@ mod tests {
     }
 
     #[test]
+    fn duplicated_extremes_survive_one_delete_and_absent_deletes_fail() {
+        for (h, extreme, other) in [(&MinAgg as &dyn AggHandler, 2i64, 9i64), (&MaxAgg, 9, 2)] {
+            let mut s = h.init();
+            for v in [extreme, extreme, other] {
+                h.agg_state(&mut s, &Delta::insert(tuple![v])).unwrap();
+            }
+            h.agg_state(&mut s, &Delta::delete(tuple![extreme])).unwrap();
+            assert_eq!(result_value(h, &s), Value::Int(extreme), "{}", h.name());
+            h.agg_state(&mut s, &Delta::delete(tuple![extreme])).unwrap();
+            assert_eq!(result_value(h, &s), Value::Int(other), "{}", h.name());
+            let err = h.agg_state(&mut s, &Delta::delete(tuple![extreme])).unwrap_err();
+            assert!(err.to_string().contains("does not hold"), "{err}");
+        }
+    }
+
+    #[test]
     fn max_replacement() {
         let h = MaxAgg;
         let mut s = h.init();
@@ -681,7 +719,7 @@ mod tests {
         let c = CountAgg;
         assert_eq!(c.multiply(&AggState::Int(4), 3).unwrap(), AggState::Int(12));
         // min is not composable and has no multiply.
-        assert!(MinAgg.multiply(&AggState::Bag(vec![]), 3).is_none());
+        assert!(MinAgg.multiply(&MinAgg.init(), 3).is_none());
     }
 
     #[test]

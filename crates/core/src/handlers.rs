@@ -15,6 +15,7 @@ use crate::delta::Delta;
 use crate::error::Result;
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A mutable bag of tuples — the paper's `TUPLESET`, used for join buckets
@@ -144,8 +145,9 @@ pub enum AggState {
     Double(f64),
     /// Sum and count (sum / avg and their pre-aggregates).
     SumCount(f64, i64),
-    /// A buffered multiset of values (min/max need it to survive deletions).
-    Bag(Vec<Value>),
+    /// A count-annotated ordered multiset of values (min/max need it to
+    /// survive deletions of the current extreme).
+    Multiset(BTreeMap<Value, i64>),
     /// A bag of tuples (table-valued UDAs).
     Tuples(TupleSet),
     /// An arbitrary encoded value for custom UDAs.
@@ -160,7 +162,7 @@ impl AggState {
             AggState::Int(_) => 8,
             AggState::Double(_) => 8,
             AggState::SumCount(_, _) => 16,
-            AggState::Bag(b) => b.iter().map(Value::byte_size).sum(),
+            AggState::Multiset(m) => m.keys().map(|v| v.byte_size() + 8).sum(),
             AggState::Tuples(t) => t.byte_size(),
             AggState::Value(v) => v.byte_size(),
         }
@@ -350,8 +352,8 @@ mod tests {
     fn aggstate_byte_sizes() {
         assert_eq!(AggState::Empty.byte_size(), 1);
         assert_eq!(AggState::SumCount(1.0, 2).byte_size(), 16);
-        let bag = AggState::Bag(vec![Value::Int(1), Value::Int(2)]);
-        assert_eq!(bag.byte_size(), 16);
+        let set = AggState::Multiset([(Value::Int(1), 1), (Value::Int(2), 3)].into());
+        assert_eq!(set.byte_size(), 32);
     }
 
     #[test]

@@ -37,14 +37,14 @@
 //! `δ(E)` per Definition 1 of the paper — is also the substrate of the
 //! `rex-views` crate: `CREATE MATERIALIZED VIEW` (through the `rex`
 //! facade's `Session`) builds a maintenance plan whose join and group-by
-//! nodes apply the same Gupta/Mumick view-maintenance rules the
-//! [`operators`] here implement for recursive dataflow, but against
-//! persistent per-view state. Base-table inserts/deletes become delta
-//! batches; maintenance cost scales with the batch, not the table. The
-//! decomposable built-in [`aggregates`] (`sum`/`count`/`avg`/`min`/`max`)
-//! get O(1)-per-delta specialized group state there; other registered
-//! [`handlers::AggHandler`]s still participate unchanged via dirty-group
-//! replay. The keyed maintenance state is hashed with this crate's
+//! nodes *are* this crate's [`operators::HashJoinOp`] and
+//! [`operators::GroupByOp`], holding persistent per-view state.
+//! Base-table inserts/deletes become delta batches; maintenance cost
+//! scales with the batch, not the table. Views and queries therefore
+//! share one set of [`aggregates`] rules — O(1) `sum`/`count`/`avg`, an
+//! O(log n) ordered multiset for `min`/`max`, `-()` deltas for user
+//! [`handlers::AggHandler`]s — and a group whose last row is deleted
+//! retracts its output. Keyed state is hashed with this crate's
 //! deterministic [`hash::FxHasher`].
 //!
 //! ## The hot path

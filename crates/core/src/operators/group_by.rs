@@ -7,14 +7,16 @@
 //! aggregate function needs to determine how to update its own intermediate
 //! state and what to emit" (§3.3).
 //!
-//! At stratum end, only *changed* groups are flushed: an unseen group emits
-//! an insertion, a previously-emitted group emits a replacement. Retaining
+//! At stratum end, only *changed* groups are flushed — a sorted list of
+//! dirty keys, never a scan of every group: an unseen group emits an
+//! insertion, a previously-emitted group emits a replacement, and a group
+//! whose last row was deleted retracts its output and is pruned. Retaining
 //! state across strata (`retain_across_strata`) is what makes delta-based
 //! recursion incremental; clearing it reproduces the `no-delta`
 //! configuration that re-aggregates everything each iteration.
 
-use crate::delta::{Delta, Punctuation};
-use crate::error::Result;
+use crate::delta::{Annotation, Delta, Punctuation};
+use crate::error::{Result, RexError};
 use crate::handlers::{AggHandler, AggOutputKind, AggState};
 use crate::hash::KeyedTable;
 use crate::operators::{OpCtx, Operator, OperatorState};
@@ -40,24 +42,66 @@ impl AggSpec {
     }
 }
 
+#[derive(Clone)]
 struct GroupEntry {
     states: Vec<AggState>,
+    /// Net `+()`/`-()` rows folded into the group; replacements and
+    /// `δ(E)` updates leave it unchanged.
+    rows: i64,
+    /// A `-()` arrived since the last flush, so a zero `rows` means the
+    /// group's last row is gone (an update-only group also counts zero).
+    deleted: bool,
     /// What this group last emitted (scalar mode), for replacement deltas.
     last_emitted: Option<Tuple>,
     /// Last emitted result tuples (table-valued mode).
     last_results: Vec<Tuple>,
+    /// Whether the group's key is already on the dirty list.
     changed: bool,
+}
+
+impl GroupEntry {
+    fn new(aggs: &[AggSpec]) -> GroupEntry {
+        GroupEntry {
+            states: aggs.iter().map(|a| a.handler.init()).collect(),
+            rows: 0,
+            deleted: false,
+            last_emitted: None,
+            last_results: Vec::new(),
+            changed: false,
+        }
+    }
+
+    /// Count one input row into the group and queue its key for the next
+    /// flush the first time it changes.
+    fn touch(&mut self, ann: &Annotation, t: &Tuple, key_cols: &[usize], dirty: &mut Vec<Key>) {
+        match ann {
+            Annotation::Insert => self.rows += 1,
+            Annotation::Delete => {
+                self.rows -= 1;
+                self.deleted = true;
+            }
+            Annotation::Replace(_) | Annotation::Update(_) => {}
+        }
+        if !self.changed {
+            self.changed = true;
+            dirty.push(t.key(key_cols));
+        }
+    }
 }
 
 /// The group-by operator.
 ///
 /// Group state lives in a [`KeyedTable`], so the per-delta group lookup
 /// hashes and compares the grouping columns in place; an owned key is
-/// allocated only when a group is first seen.
+/// allocated only when a group is first seen, and once per stratum for its
+/// entry on the dirty list.
+#[derive(Clone)]
 pub struct GroupByOp {
     key_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
     groups: KeyedTable<GroupEntry>,
+    /// Keys of the groups changed since the last flush.
+    dirty: Vec<Key>,
     /// Keep aggregate state across strata (delta mode). When false the
     /// operator clears itself after each flush (no-delta / Hadoop-like).
     retain_across_strata: bool,
@@ -79,6 +123,7 @@ impl GroupByOp {
             key_cols,
             aggs,
             groups: KeyedTable::new(),
+            dirty: Vec::new(),
             retain_across_strata: true,
             streaming: false,
             scratch: Vec::new(),
@@ -103,19 +148,42 @@ impl GroupByOp {
         self.groups.len()
     }
 
+    /// Approximate bytes of retained group state: each group's row count
+    /// plus its aggregates' states.
+    pub fn state_bytes(&self) -> usize {
+        self.groups
+            .values()
+            .map(|g| 8 + g.states.iter().map(AggState::byte_size).sum::<usize>())
+            .sum()
+    }
+
     fn flush(&mut self, ctx: &mut OpCtx<'_>) -> Result<Vec<Delta>> {
         let mut out = Vec::new();
         // Deterministic flush order simplifies testing and reproducibility.
-        let mut changed_keys: Vec<Key> =
-            self.groups.iter().filter(|(_, g)| g.changed).map(|(k, _)| k.to_vec()).collect();
-        changed_keys.sort_unstable();
-        for key in changed_keys {
-            let table_valued = self
-                .aggs
-                .first()
-                .map(|a| a.handler.output_kind() == AggOutputKind::TableValued)
-                .unwrap_or(false);
-            let g = self.groups.get_mut(&key).expect("changed key exists");
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        let table_valued = self
+            .aggs
+            .first()
+            .map(|a| a.handler.output_kind() == AggOutputKind::TableValued)
+            .unwrap_or(false);
+        for key in dirty {
+            let g = self.groups.get_mut(&key).expect("dirty key exists");
+            g.changed = false;
+            if g.rows < 0 {
+                return Err(RexError::Exec(format!(
+                    "group-by: negative row count {} in group {key:?}",
+                    g.rows
+                )));
+            }
+            if std::mem::take(&mut g.deleted) && g.rows == 0 {
+                // The group's last row was deleted: retract what it
+                // emitted and forget it.
+                out.extend(g.last_emitted.take().map(Delta::delete));
+                out.extend(g.last_results.drain(..).map(Delta::delete));
+                self.groups.remove(&key);
+                continue;
+            }
             if table_valued {
                 // Single table-valued UDA: key-prefixed result tuples.
                 let spec = &self.aggs[0];
@@ -156,7 +224,6 @@ impl GroupByOp {
                 }
                 g.last_emitted = Some(t);
             }
-            g.changed = false;
         }
         if !self.retain_across_strata {
             self.groups.clear();
@@ -177,12 +244,10 @@ impl Operator for GroupByOp {
         for d in deltas {
             ctx.charge_cpu(ctx.cost.hash_cost);
             let aggs = &self.aggs;
-            let entry = self.groups.probe_or_insert_with(&d.tuple, &self.key_cols, || GroupEntry {
-                states: aggs.iter().map(|a| a.handler.init()).collect(),
-                last_emitted: None,
-                last_results: Vec::new(),
-                changed: false,
-            });
+            let entry = self
+                .groups
+                .probe_or_insert_with(&d.tuple, &self.key_cols, || GroupEntry::new(aggs));
+            entry.touch(&d.ann, &d.tuple, &self.key_cols, &mut self.dirty);
             for (i, spec) in self.aggs.iter().enumerate() {
                 let projected = d.with_tuple(project_tuple(
                     &d,
@@ -200,7 +265,6 @@ impl Operator for GroupByOp {
                     streamed.extend(inter);
                 }
             }
-            entry.changed = true;
         }
         if self.streaming && !streamed.is_empty() {
             ctx.emit(0, streamed);
@@ -219,12 +283,9 @@ impl Operator for GroupByOp {
         for t in &rows {
             ctx.charge_cpu(ctx.cost.hash_cost);
             let aggs = &self.aggs;
-            let entry = self.groups.probe_or_insert_with(t, &self.key_cols, || GroupEntry {
-                states: aggs.iter().map(|a| a.handler.init()).collect(),
-                last_emitted: None,
-                last_results: Vec::new(),
-                changed: false,
-            });
+            let entry =
+                self.groups.probe_or_insert_with(t, &self.key_cols, || GroupEntry::new(aggs));
+            entry.touch(&Annotation::Insert, t, &self.key_cols, &mut self.dirty);
             for (i, spec) in self.aggs.iter().enumerate() {
                 if spec.handler.is_builtin() {
                     ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
@@ -241,7 +302,6 @@ impl Operator for GroupByOp {
                     streamed.extend(inter);
                 }
             }
-            entry.changed = true;
         }
         if self.streaming && !streamed.is_empty() {
             ctx.emit(0, streamed);
@@ -264,6 +324,7 @@ impl Operator for GroupByOp {
 
     fn reset(&mut self) {
         self.groups.clear();
+        self.dirty.clear();
     }
 
     fn stats_detail(&self) -> Vec<(String, u64)> {
@@ -410,6 +471,55 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].ann, Annotation::Replace(_)));
         assert_eq!(out[0].tuple, tuple![1i64, 5.0f64]);
+    }
+
+    #[test]
+    fn deleting_a_groups_only_row_retracts_and_prunes_it() {
+        let mut g = sum_group();
+        drive(&mut g, vec![Delta::insert(tuple![1i64, 2.0f64])], true);
+        let out = drive(&mut g, vec![Delta::delete(tuple![1i64, 2.0f64])], true);
+        assert_eq!(out, vec![Delta::delete(tuple![1i64, 2.0f64])]);
+        assert_eq!(g.group_count(), 0);
+        assert_eq!(g.state_bytes(), 0);
+    }
+
+    #[test]
+    fn insert_then_delete_in_one_stratum_emits_nothing() {
+        let mut g = sum_group();
+        let out = drive(
+            &mut g,
+            vec![Delta::insert(tuple![1i64, 2.0f64]), Delta::delete(tuple![1i64, 2.0f64])],
+            true,
+        );
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(g.group_count(), 0);
+    }
+
+    #[test]
+    fn update_only_groups_count_zero_rows_but_stay() {
+        // δ(E) adjustments carry no row, so the group's count stays 0; only
+        // a delete of its last row may retract it.
+        let mut g = sum_group();
+        let adjust = |x: f64| Delta::update(tuple![1i64, x], Value::Null);
+        assert_eq!(
+            drive(&mut g, vec![adjust(2.0)], true),
+            vec![Delta::insert(tuple![1i64, 2.0f64])]
+        );
+        let out = drive(&mut g, vec![adjust(0.5)], true);
+        assert_eq!(out, vec![Delta::replace(tuple![1i64, 2.0f64], tuple![1i64, 2.5f64])]);
+        assert_eq!(g.group_count(), 1);
+    }
+
+    #[test]
+    fn a_delete_before_any_insert_is_an_error() {
+        let mut g = sum_group();
+        let reg = Registry::new();
+        let cost = CostModel::default();
+        let mut m = ExecMetrics::default();
+        let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
+        g.on_deltas(0, vec![Delta::delete(tuple![1i64, 2.0f64])], &mut ctx).unwrap();
+        let err = g.on_punct(0, Punctuation::EndOfStratum(0), &mut ctx).unwrap_err();
+        assert!(err.to_string().contains("negative row count"), "{err}");
     }
 
     #[test]

@@ -35,6 +35,7 @@ const PREFETCH_DIST: usize = 8;
 /// probing the opposite side, locating this side's bucket — hash and
 /// compare the join-key *columns in place*; an owned `Vec<Value>` key is
 /// allocated only the first time a key is seen.
+#[derive(Clone)]
 pub struct HashJoinOp {
     left_key: Vec<usize>,
     right_key: Vec<usize>,
@@ -85,6 +86,11 @@ impl HashJoinOp {
     pub fn state_size(&self) -> usize {
         self.left.values().map(TupleSet::len).sum::<usize>()
             + self.right.values().map(TupleSet::len).sum::<usize>()
+    }
+
+    /// Approximate bytes of the tuples buffered on both sides.
+    pub fn state_bytes(&self) -> usize {
+        self.left.values().chain(self.right.values()).map(TupleSet::byte_size).sum()
     }
 
     /// This side's build table and key columns (split borrow, so callers

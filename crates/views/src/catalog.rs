@@ -36,9 +36,6 @@ pub struct ViewMetrics {
     pub incremental_passes: u64,
     /// Passes that re-ran the defining query (recompute fallback).
     pub recomputes: u64,
-    /// Dirty groups re-derived from retained rows by replay-strategy
-    /// group-by nodes.
-    pub replayed_groups: u64,
     /// Wall time spent in maintenance passes, nanoseconds.
     pub maint_ns: u64,
     /// Current cardinality.
@@ -500,7 +497,6 @@ impl ViewCatalog {
                     deltas_out: v.deltas_out(),
                     incremental_passes: v.incremental_passes(),
                     recomputes: v.recomputes() as u64,
-                    replayed_groups: v.replayed_groups(),
                     maint_ns: v.maint_ns(),
                     rows: v.len(),
                     state_bytes: v.state_bytes(),
@@ -614,7 +610,6 @@ mod tests {
         assert_eq!(m.deltas_out, 2);
         assert_eq!(m.incremental_passes, 1);
         assert_eq!(m.recomputes, 0);
-        assert_eq!(m.replayed_groups, 0, "count(*) is specialized, never replays");
         assert!(m.rows == 2 && m.state_bytes > 0);
     }
 

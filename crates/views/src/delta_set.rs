@@ -44,27 +44,33 @@ impl DeltaSet {
         s
     }
 
-    /// Build from annotated deltas: `+()` adds, `-()` subtracts, `→(t')`
-    /// subtracts the old tuple and adds the new one. Programmable `δ(E)`
-    /// deltas have no set-level meaning and are rejected.
+    /// Build from annotated deltas (see [`add_delta`](DeltaSet::add_delta)).
     pub fn from_deltas(deltas: &[Delta]) -> Result<DeltaSet> {
         let mut s = DeltaSet::new();
         for d in deltas {
-            match &d.ann {
-                Annotation::Insert => s.add(d.tuple.clone(), 1),
-                Annotation::Delete => s.add(d.tuple.clone(), -1),
-                Annotation::Replace(old) => {
-                    s.add(old.clone(), -1);
-                    s.add(d.tuple.clone(), 1);
-                }
-                Annotation::Update(_) => {
-                    return Err(RexError::Plan(
-                        "programmable δ(E) deltas cannot drive view maintenance".into(),
-                    ))
-                }
-            }
+            s.add_delta(d.clone())?;
         }
         Ok(s)
+    }
+
+    /// Fold in one annotated delta: `+()` adds, `-()` subtracts, `→(t')`
+    /// subtracts the old tuple and adds the new one. Programmable `δ(E)`
+    /// deltas have no set-level meaning and are rejected.
+    pub fn add_delta(&mut self, d: Delta) -> Result<()> {
+        match d.ann {
+            Annotation::Insert => self.add(d.tuple, 1),
+            Annotation::Delete => self.add(d.tuple, -1),
+            Annotation::Replace(old) => {
+                self.add(old, -1);
+                self.add(d.tuple, 1);
+            }
+            Annotation::Update(_) => {
+                return Err(RexError::Plan(
+                    "programmable δ(E) deltas cannot drive view maintenance".into(),
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// Adjust a tuple's multiplicity by `n`, pruning zero entries.

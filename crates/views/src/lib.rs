@@ -13,28 +13,27 @@
 //!   [`DeltaSet`] and propagates through the select/project/join/group-by
 //!   delta rules, touching state proportional to the *change*;
 //! * **full recompute** — recursive (`WITH … UNTIL FIXPOINT`) and
-//!   handler-defined shapes re-run the defining query, diffing old vs new
-//!   output so cascades still see deltas.
+//!   handler-defined shapes (join handlers, table-valued aggregates)
+//!   re-run the defining query, diffing old vs new output so cascades
+//!   still see deltas.
 //!
 //! ## The maintenance hot path
 //!
 //! Three properties keep per-batch cost proportional to the batch:
 //!
-//! * **O(1) decomposable aggregate deltas** — group-by state is
-//!   specialized at build time ([`maintain::AggStrategy`]): `sum`,
-//!   `count`, and `avg` keep running scalars updated in O(1) per delta
-//!   tuple (`avg` as a sum+count pair); `min`/`max` keep a
-//!   count-annotated ordered multiset, so inserts and deletes — *including
-//!   deleting the current extreme* — are O(log n) with the next-best
-//!   value read straight off the multiset, never a group replay. Only
-//!   when a group-by mixes in a non-decomposable aggregate (a UDA, or a
-//!   shape with handler-defined state) does the whole node fall back to
-//!   materializing group input rows and re-deriving dirty groups.
-//! * **Hashed keyed state** — join sides, group state, the emitted-row
-//!   cache, and [`DeltaSet`] counts are hash maps keyed by the
-//!   deterministic in-tree [`FxHasher`](rex_core::hash::FxHasher): O(1)
-//!   probes, reproducible iteration for a given program, and sorting only
-//!   at emission boundaries where output becomes observable.
+//! * **One set of delta rules** — a view's joins and group-bys *are*
+//!   rex-core's `HashJoinOp` and `GroupByOp`, built as lowering builds
+//!   them, so views and queries share every aggregate handler: `sum`,
+//!   `count` and `avg` update O(1) running state per delta tuple,
+//!   `min`/`max` a count-annotated ordered multiset (O(log n), deleting
+//!   the current extreme included), a user UDA's AGGSTATE sees every
+//!   `+()` and `-()`, and a group whose last row is deleted retracts. This
+//!   crate holds no aggregate state of its own.
+//! * **Hashed keyed state** — join sides, group state and [`DeltaSet`]
+//!   counts are hash maps keyed by the deterministic in-tree
+//!   [`FxHasher`](rex_core::hash::FxHasher): O(1) probes, reproducible
+//!   iteration for a given program, and sorting only at emission
+//!   boundaries where output becomes observable.
 //! * **Delta-granular sync** — each view retains its output delta since
 //!   the last sync; [`ViewCatalog::sync`] applies it to the stored copy
 //!   through `Catalog::apply_delta` (insert/remove by signed

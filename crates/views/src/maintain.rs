@@ -1,252 +1,64 @@
 //! The incremental maintenance plan: a stateful mirror of a logical plan
 //! that converts base-table delta batches into view-output deltas.
 //!
-//! Each stateful operator applies the classic view-maintenance delta rules
-//! (Gupta/Mumick), specialized to the `+()` / `-()` count algebra of
-//! [`DeltaSet`]:
+//! The delta rules are rex-core's own. A join node drives a
+//! [`HashJoinOp`] and a group-by node a [`GroupByOp`] built from the
+//! registry exactly as lowering builds it, so views and queries share one
+//! set of operators, aggregate handlers and aggregate state (PAPER §3.3;
+//! OpenIVM's design point of compiling maintenance onto the host engine's
+//! own operators):
 //!
 //! * **Scan** — the leaf: emits the batch when it targets this table;
 //! * **Filter / Project** — stateless, per-tuple mapping of deltas;
-//! * **Join** — materializes both inputs keyed by the join key and computes
+//! * **Join** — the left delta enters port 0, then the right delta port 1.
+//!   The symmetric join probes before it stores, so the output is
 //!   `Δ(L ⋈ R) = ΔL ⋈ R_old + L_new ⋈ ΔR` (which expands to the textbook
 //!   `ΔL ⋈ R + L ⋈ ΔR + ΔL ⋈ ΔR`, so self-joins — both children delta-ing
 //!   in one batch — stay correct);
-//! * **Aggregate** — maintains per-group state chosen at build time (see
-//!   [`AggStrategy`]): *decomposable* built-ins (`sum`/`count`/`avg`/
-//!   `min`/`max`) keep constant-size running state updated in O(1) — or
-//!   O(log n) for the min/max multiset — per delta tuple; anything else
-//!   falls back to materializing the group's input rows and re-deriving
-//!   *only the dirty groups* through the registered handlers.
+//! * **Aggregate** — the batch goes in, an end-of-stratum flushes: every
+//!   aggregate's handler updates its own state under `+()`/`-()` (O(1) for
+//!   `sum`/`count`/`avg`, an O(log n) ordered multiset for `min`/`max`, a
+//!   user UDA's AGGSTATE for anything else), only dirty groups emit, and a
+//!   group whose last row is deleted retracts its output row.
 //!
 //! Two RQL clauses ride on these rules for free: `SELECT DISTINCT` plans
 //! as a group-by over every output column with *no* aggregate calls — a
-//! counted projection whose only state is each row's multiplicity (the
+//! counted projection whose only state is each group's row count (the
 //! row retracts when its count reaches zero) — and `HAVING` plans as a
 //! stateless filter *above* the aggregate, post-filtering maintained
 //! group state. Both therefore maintain incrementally, never by
 //! recompute fallback.
 //!
-//! All keyed state (join sides, groups, the emitted-row cache) lives in
-//! hash maps keyed by the deterministic in-tree
-//! [`FxHasher`](rex_core::hash::FxHasher): probes are O(1), and because the
-//! hasher is unseeded, every run traverses in the same order. Outputs are
-//! only observable through [`DeltaSet`] emission boundaries, which sort.
+//! Both stateful nodes speak [`DeltaSet`] at their boundary: an
+//! all-positive batch enters through [`Operator::on_rows`] (so priming
+//! rides the aggregates' `fold_insert` fast path), anything else as
+//! [`DeltaSet::to_deltas`], and emissions fold back with
+//! [`DeltaSet::add_delta`]. Outputs are only observable through
+//! [`DeltaSet`] emission boundaries, which sort.
 //!
 //! Shapes the rules don't cover — recursive fixpoints, user join delta
 //! handlers, table-valued UDAs — fail [`build`] with a descriptive error;
 //! the view layer responds by falling back to full recomputation.
 
 use crate::delta_set::DeltaSet;
-use rex_core::delta::Delta;
+use rex_core::delta::Punctuation;
 use rex_core::error::{Result, RexError};
 use rex_core::expr::{eval_predicate, Expr};
 use rex_core::handlers::AggOutputKind;
-use rex_core::hash::{FxHashMap, KeyedTable};
+use rex_core::metrics::{CostModel, ExecMetrics};
+use rex_core::operators::{AggSpec, Event, GroupByOp, HashJoinOp, OpCtx, Operator};
 use rex_core::tuple::Tuple;
 use rex_core::udf::Registry;
-use rex_core::value::Value;
-use rex_rql::logical::{AggCall, LogicalPlan};
-use std::collections::BTreeMap;
+use rex_rql::logical::LogicalPlan;
 
-type Key = Vec<Value>;
-/// Join-side state: the input multiset bucketed by join key. A
-/// [`KeyedTable`] so per-row probes borrow the key columns in place.
-type KeyedState = KeyedTable<DeltaSet>;
-
-/// The per-aggregate specialization chosen at [`build`] time for the
-/// decomposable built-ins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggSpec {
-    /// Running `Σ value·count` — O(1) per delta tuple.
-    Sum,
-    /// Running row count — O(1) per delta tuple.
-    Count,
-    /// Running `(Σ, count)` pair, divided at emission — O(1) per delta.
-    Avg,
-    /// Count-annotated ordered multiset of values; inserts and deletes —
-    /// including deleting the current minimum — are O(log n), and the new
-    /// extreme is read off the multiset without replaying the group.
-    Min,
-    /// Symmetric to [`AggSpec::Min`].
-    Max,
-}
-
-impl AggSpec {
-    fn describe(&self) -> &'static str {
-        match self {
-            AggSpec::Sum => "O(1) running sum",
-            AggSpec::Count => "O(1) running count",
-            AggSpec::Avg => "O(1) running sum+count",
-            AggSpec::Min | AggSpec::Max => "O(log n) ordered multiset",
-        }
-    }
-}
-
-/// How a [`MaintNode::Aggregate`] maintains its groups, fixed at build
-/// time for the whole node: either *every* aggregate call is a
-/// decomposable built-in (constant-size scalar state per group, no input
-/// rows retained), or the node keeps each group's input multiset and
-/// re-derives dirty groups through the handlers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AggStrategy {
-    /// One [`AggSpec`] per aggregate call; group state is scalars.
-    Specialized(Vec<AggSpec>),
-    /// Dirty-group re-derivation over materialized input rows, with the
-    /// reason specialization was not possible.
-    Replay {
-        /// Which aggregate forced the fallback, and why.
-        reason: String,
-    },
-}
-
-impl AggStrategy {
-    /// Render the strategy for EXPLAIN output, naming each aggregate.
-    pub fn describe(&self, aggs: &[AggCall]) -> String {
-        match self {
-            // A group-by with no aggregate calls is DISTINCT: the group's
-            // net count is the only state (a counted projection).
-            AggStrategy::Specialized(specs) if specs.is_empty() => {
-                "distinct[counted projection, O(1) per delta]".to_string()
-            }
-            AggStrategy::Specialized(specs) => {
-                let parts: Vec<String> = aggs
-                    .iter()
-                    .zip(specs)
-                    .map(|(a, s)| format!("{}: {}", a.func, s.describe()))
-                    .collect();
-                format!("group-by[{}]", parts.join(", "))
-            }
-            AggStrategy::Replay { reason } => {
-                format!("group-by[dirty-group replay: {reason}]")
-            }
-        }
-    }
-}
-
-/// Constant-size running state for one specialized aggregate call.
-#[derive(Debug, Clone)]
-pub enum AggAccum {
-    /// Shared by `sum` and `avg`.
-    SumCount {
-        /// Running Σ value·count.
-        sum: f64,
-        /// Net row count behind the sum.
-        count: i64,
-    },
-    /// `count(*)` / `count(col)`.
-    Count(i64),
-    /// `min`/`max`: value → multiplicity, ordered so either extreme is the
-    /// first/last key.
-    Extremes(BTreeMap<Value, i64>),
-}
-
-impl AggAccum {
-    fn init(spec: &AggSpec) -> AggAccum {
-        match spec {
-            AggSpec::Sum | AggSpec::Avg => AggAccum::SumCount { sum: 0.0, count: 0 },
-            AggSpec::Count => AggAccum::Count(0),
-            AggSpec::Min | AggSpec::Max => AggAccum::Extremes(BTreeMap::new()),
-        }
-    }
-
-    /// Fold one delta tuple (multiplicity `n`, possibly negative) into the
-    /// running state.
-    fn update(&mut self, call: &AggCall, t: &Tuple, n: i64) -> Result<()> {
-        match self {
-            AggAccum::SumCount { sum, count } => {
-                let v = t.get(call.input_cols[0]);
-                let x = v.as_double().ok_or_else(|| {
-                    RexError::Type(format!(
-                        "aggregate input must be numeric, got {}",
-                        v.data_type()
-                    ))
-                })?;
-                *sum += x * n as f64;
-                *count += n;
-            }
-            AggAccum::Count(c) => *c += n,
-            AggAccum::Extremes(map) => {
-                let v = t.get(call.input_cols[0]);
-                let slot = map.entry(v.clone()).or_insert(0);
-                *slot += n;
-                if *slot == 0 {
-                    map.remove(v);
-                } else if *slot < 0 {
-                    return Err(RexError::Exec(format!(
-                        "view maintenance: negative multiplicity for value {v} under {}",
-                        call.func
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The aggregate's current result, mirroring the built-in handlers'
-    /// semantics for a non-empty group.
-    fn result(&self, spec: &AggSpec) -> Value {
-        match (self, spec) {
-            (AggAccum::SumCount { sum, .. }, AggSpec::Sum) => Value::Double(*sum),
-            (AggAccum::SumCount { sum, count }, _) => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(*sum / *count as f64)
-                }
-            }
-            (AggAccum::Count(c), _) => Value::Int(*c),
-            (AggAccum::Extremes(map), AggSpec::Min) => {
-                map.keys().next().cloned().unwrap_or(Value::Null)
-            }
-            (AggAccum::Extremes(map), _) => map.keys().next_back().cloned().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Approximate bytes held (diagnostics).
-    fn byte_size(&self) -> usize {
-        match self {
-            AggAccum::SumCount { .. } => 16,
-            AggAccum::Count(_) => 8,
-            AggAccum::Extremes(map) => map.keys().map(|v| v.byte_size() + 8).sum::<usize>(),
-        }
-    }
-}
-
-/// Per-group maintenance state.
-#[derive(Debug, Clone)]
-pub enum GroupState {
-    /// Specialized: the group's net row count plus one accumulator per
-    /// aggregate call. No input rows are retained.
-    Scalars {
-        /// Net multiplicity of the group's input rows.
-        total: i64,
-        /// One accumulator per aggregate call.
-        accums: Vec<AggAccum>,
-    },
-    /// Fallback: the group's input multiset, replayed on change.
-    Rows(DeltaSet),
-}
-
-/// A group's state plus its intra-batch dirty flag. The flag lets the
-/// batch loop collect each dirty group's owned key exactly once — per
-/// dirty *group*, not per delta row — keeping the per-row path
-/// allocation-free.
-#[derive(Debug, Clone)]
-pub struct GroupSlot {
-    /// The group's maintenance state.
-    state: GroupState,
-    /// Whether the current batch already queued this group for re-emission.
-    dirty: bool,
-}
-
-/// A node of the maintenance plan. Stateful nodes own the materializations
-/// the delta rules need; the tree is primed by replaying each base table's
-/// current contents as an insert batch.
+/// A node of the maintenance plan. Stateful nodes own the core operator
+/// whose state the delta rules need; the tree is primed by replaying each
+/// base table's current contents as an insert batch.
 ///
-/// `Clone` copies the full keyed state — that is the point: sharded
+/// `Clone` copies the full operator state — that is the point: sharded
 /// maintenance ([`crate::sharded`]) clones a shard's tree as its replica
 /// snapshot after each round.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub enum MaintNode {
     /// Base-table leaf (table name lowercased).
     Scan {
@@ -267,74 +79,31 @@ pub enum MaintNode {
         /// Output expressions.
         exprs: Vec<Expr>,
     },
-    /// Equi-join (empty keys = cross join) with both sides materialized.
+    /// Equi-join (empty keys = cross join); the join's two build sides are
+    /// the materialized inputs.
     Join {
         /// Left child.
         left: Box<MaintNode>,
         /// Right child.
         right: Box<MaintNode>,
-        /// Left key columns.
-        left_key: Vec<usize>,
-        /// Right key columns (relative to the right schema).
-        right_key: Vec<usize>,
-        /// Materialized left input, bucketed by key.
-        left_state: KeyedState,
-        /// Materialized right input, bucketed by key.
-        right_state: KeyedState,
+        /// The symmetric hash join, left on port 0 and right on port 1.
+        op: HashJoinOp,
     },
-    /// Group-by with per-strategy group state (see [`AggStrategy`]).
+    /// Group-by, then the post-aggregation projection.
     Aggregate {
         /// Child node.
         input: Box<MaintNode>,
-        /// Grouping columns (input indices).
-        group_cols: Vec<usize>,
-        /// Aggregate calls.
-        aggs: Vec<AggCall>,
+        /// The group-by holding per-group aggregate state.
+        op: GroupByOp,
         /// Post-aggregation projection over `group cols ++ agg results`.
         post: Option<Vec<Expr>>,
-        /// How groups are maintained, fixed at build time.
-        strategy: AggStrategy,
-        /// Per-group state, probed by borrowed grouping columns.
-        groups: KeyedTable<GroupSlot>,
-        /// What each group currently contributes to the output (every
-        /// group emits exactly one row).
-        emitted: FxHashMap<Key, Tuple>,
-        /// Dirty groups re-derived from retained rows (replay strategy
-        /// only — a specialized node never replays).
-        replays: u64,
     },
-}
-
-/// Classify one aggregate call: a decomposable built-in gets an
-/// [`AggSpec`]; anything else names why the node must replay.
-fn classify(call: &AggCall, reg: &Registry) -> Result<std::result::Result<AggSpec, String>> {
-    let h = reg.agg(&call.func)?;
-    if !h.is_builtin() {
-        return Ok(Err(format!("user aggregate {} has handler-defined state", call.func)));
-    }
-    Ok(match h.name() {
-        "sum" => Ok(AggSpec::Sum),
-        "count" => Ok(AggSpec::Count),
-        "avg" => Ok(AggSpec::Avg),
-        "min" => Ok(AggSpec::Min),
-        "max" => Ok(AggSpec::Max),
-        other => Err(format!("aggregate {other} has no O(1) delta rule")),
-    })
 }
 
 /// Build a maintenance plan for `plan`, or explain why the plan is not
 /// incrementally maintainable (the caller then falls back to full
 /// recomputation).
 pub fn build(plan: &LogicalPlan, reg: &Registry) -> Result<MaintNode> {
-    build_with(plan, reg, true)
-}
-
-/// [`build`], with aggregate specialization forced off when `specialize`
-/// is false — every group-by node keeps input rows and replays dirty
-/// groups. This is the PR-2-era behaviour; it exists so tests and
-/// benchmarks can compare the O(1) path against the replay oracle on the
-/// same plan.
-pub fn build_with(plan: &LogicalPlan, reg: &Registry, specialize: bool) -> Result<MaintNode> {
     match plan {
         LogicalPlan::Scan { table, .. } => {
             Ok(MaintNode::Scan { table: table.to_ascii_lowercase() })
@@ -350,13 +119,12 @@ pub fn build_with(plan: &LogicalPlan, reg: &Registry, specialize: bool) -> Resul
                 .into(),
         )),
         LogicalPlan::Filter { input, predicate } => Ok(MaintNode::Filter {
-            input: Box::new(build_with(input, reg, specialize)?),
+            input: Box::new(build(input, reg)?),
             predicate: predicate.clone(),
         }),
-        LogicalPlan::Project { input, exprs, .. } => Ok(MaintNode::Project {
-            input: Box::new(build_with(input, reg, specialize)?),
-            exprs: exprs.clone(),
-        }),
+        LogicalPlan::Project { input, exprs, .. } => {
+            Ok(MaintNode::Project { input: Box::new(build(input, reg)?), exprs: exprs.clone() })
+        }
         LogicalPlan::Join { left, right, left_key, right_key, handler, .. } => {
             if let Some(h) = handler {
                 return Err(RexError::Plan(format!(
@@ -364,49 +132,27 @@ pub fn build_with(plan: &LogicalPlan, reg: &Registry, specialize: bool) -> Resul
                 )));
             }
             Ok(MaintNode::Join {
-                left: Box::new(build_with(left, reg, specialize)?),
-                right: Box::new(build_with(right, reg, specialize)?),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
-                left_state: KeyedState::default(),
-                right_state: KeyedState::default(),
+                left: Box::new(build(left, reg)?),
+                right: Box::new(build(right, reg)?),
+                op: HashJoinOp::new(left_key.clone(), right_key.clone()),
             })
         }
         LogicalPlan::Aggregate { input, group_cols, aggs, post, .. } => {
+            let mut specs = Vec::with_capacity(aggs.len());
             for a in aggs {
-                if reg.agg(&a.func)?.output_kind() == AggOutputKind::TableValued {
+                let handler = reg.agg(&a.func)?;
+                if handler.output_kind() == AggOutputKind::TableValued {
                     return Err(RexError::Plan(format!(
                         "table-valued aggregate {}: output shape is handler-defined",
                         a.func
                     )));
                 }
-            }
-            let mut specs = Vec::with_capacity(aggs.len());
-            let mut strategy = if specialize {
-                None
-            } else {
-                Some(AggStrategy::Replay { reason: "specialization disabled".into() })
-            };
-            if strategy.is_none() {
-                for a in aggs {
-                    match classify(a, reg)? {
-                        Ok(spec) => specs.push(spec),
-                        Err(reason) => {
-                            strategy = Some(AggStrategy::Replay { reason });
-                            break;
-                        }
-                    }
-                }
+                specs.push(AggSpec::new(handler, a.input_cols.clone()));
             }
             Ok(MaintNode::Aggregate {
-                input: Box::new(build_with(input, reg, specialize)?),
-                group_cols: group_cols.clone(),
-                aggs: aggs.clone(),
+                input: Box::new(build(input, reg)?),
+                op: GroupByOp::new(group_cols.clone(), specs),
                 post: post.clone(),
-                strategy: strategy.unwrap_or(AggStrategy::Specialized(specs)),
-                groups: KeyedTable::new(),
-                emitted: FxHashMap::default(),
-                replays: 0,
             })
         }
     }
@@ -432,282 +178,87 @@ impl MaintNode {
                 Ok(out)
             }
             MaintNode::Project { input, exprs } => {
-                let din = input.apply(table, batch, reg)?;
-                let mut out = DeltaSet::new();
-                for (t, n) in din.iter() {
-                    let mut vals = Vec::with_capacity(exprs.len());
-                    for e in exprs.iter() {
-                        vals.push(e.eval(t, reg)?);
-                    }
-                    out.add(Tuple::new(vals), n);
-                }
-                Ok(out)
+                project(&input.apply(table, batch, reg)?, exprs, reg)
             }
-            MaintNode::Join { left, right, left_key, right_key, left_state, right_state } => {
+            MaintNode::Join { left, right, op } => {
                 let dl = left.apply(table, batch, reg)?;
                 let dr = right.apply(table, batch, reg)?;
-                let mut out = DeltaSet::new();
-                // ΔL ⋈ R_old — probe the opposite side with the key
-                // columns in place, no owned key per row.
-                for (t, m) in dl.iter() {
-                    if let Some(bucket) = right_state.probe(t, left_key) {
-                        for (u, n) in bucket.iter() {
-                            out.add(t.concat(u), m * n);
-                        }
-                    }
-                }
-                fold_into(left_state, &dl, left_key);
-                // L_new ⋈ ΔR  (= L_old ⋈ ΔR + ΔL ⋈ ΔR)
-                for (u, n) in dr.iter() {
-                    if let Some(bucket) = left_state.probe(u, right_key) {
-                        for (t, m) in bucket.iter() {
-                            out.add(t.concat(u), m * n);
-                        }
-                    }
-                }
-                fold_into(right_state, &dr, right_key);
+                let mut out = drive(op, 0, &dl, reg)?;
+                out.merge_scaled(&drive(op, 1, &dr, reg)?, 1);
                 Ok(out)
             }
-            MaintNode::Aggregate {
-                input,
-                group_cols,
-                aggs,
-                post,
-                strategy,
-                groups,
-                emitted,
-                replays,
-            } => {
-                let din = input.apply(table, batch, reg)?;
-                // One owned key per *dirty group* per batch; the per-row
-                // group lookup borrows the grouping columns in place.
-                let mut dirty: Vec<Key> = Vec::new();
-                for (t, n) in din.iter() {
-                    let slot = groups.probe_or_insert_with(t, group_cols, || GroupSlot {
-                        state: match strategy {
-                            AggStrategy::Specialized(specs) => GroupState::Scalars {
-                                total: 0,
-                                accums: specs.iter().map(AggAccum::init).collect(),
-                            },
-                            AggStrategy::Replay { .. } => GroupState::Rows(DeltaSet::new()),
-                        },
-                        dirty: false,
-                    });
-                    match &mut slot.state {
-                        GroupState::Scalars { total, accums } => {
-                            *total += n;
-                            for (acc, call) in accums.iter_mut().zip(aggs.iter()) {
-                                acc.update(call, t, n)?;
-                            }
-                        }
-                        GroupState::Rows(rows) => rows.add(t.clone(), n),
-                    }
-                    if !slot.dirty {
-                        slot.dirty = true;
-                        dirty.push(t.key(group_cols));
-                    }
+            MaintNode::Aggregate { input, op, post } => {
+                let raw = drive(op, 0, &input.apply(table, batch, reg)?, reg)?;
+                match post {
+                    Some(exprs) => project(&raw, exprs, reg),
+                    None => Ok(raw),
                 }
-                let mut out = DeltaSet::new();
-                for k in dirty {
-                    if let Some(slot) = groups.get_mut(&k) {
-                        slot.dirty = false;
-                    }
-                    let new_row = match groups.get(&k).map(|s| &s.state) {
-                        Some(GroupState::Scalars { total, accums }) => {
-                            if *total < 0 {
-                                return Err(RexError::Exec(format!(
-                                    "view maintenance: negative row count in group {k:?}"
-                                )));
-                            } else if *total == 0 {
-                                None
-                            } else {
-                                let specs = match strategy {
-                                    AggStrategy::Specialized(s) => s,
-                                    AggStrategy::Replay { .. } => unreachable!("scalar group"),
-                                };
-                                Some(compose_row(&k, specs, accums, post, reg)?)
-                            }
-                        }
-                        Some(GroupState::Rows(g)) if !g.is_empty() => {
-                            *replays += 1;
-                            Some(derive_group(&k, g, aggs, post, reg)?)
-                        }
-                        _ => None,
-                    };
-                    if new_row.is_none() {
-                        groups.remove(&k);
-                    }
-                    let old_row = match &new_row {
-                        Some(row) => emitted.insert(k, row.clone()),
-                        None => emitted.remove(&k),
-                    };
-                    // Equal old/new rows cancel inside the DeltaSet, so an
-                    // untouched output emits nothing.
-                    if let Some(o) = old_row {
-                        out.add(o, -1);
-                    }
-                    if let Some(r) = new_row {
-                        out.add(r, 1);
-                    }
-                }
-                Ok(out)
             }
         }
     }
 
-    /// Approximate bytes held in materializations (diagnostics). Counts
-    /// join-side and group state — for specialized groups the constant
-    /// accumulator footprint, for replay groups the retained input rows.
+    /// Approximate bytes held by the operators' state (diagnostics): join
+    /// sides and per-group aggregate state.
     pub fn state_bytes(&self) -> usize {
         match self {
             MaintNode::Scan { .. } => 0,
             MaintNode::Filter { input, .. } | MaintNode::Project { input, .. } => {
                 input.state_bytes()
             }
-            MaintNode::Join { left, right, left_state, right_state, .. } => {
-                let side = |s: &KeyedState| -> usize {
-                    s.values().flat_map(|b| b.iter().map(|(t, _)| t.byte_size())).sum::<usize>()
-                };
-                left.state_bytes() + right.state_bytes() + side(left_state) + side(right_state)
+            MaintNode::Join { left, right, op } => {
+                left.state_bytes() + right.state_bytes() + op.state_bytes()
             }
-            MaintNode::Aggregate { input, groups, .. } => {
-                input.state_bytes()
-                    + groups
-                        .values()
-                        .map(|g| match &g.state {
-                            GroupState::Scalars { accums, .. } => {
-                                8 + accums.iter().map(AggAccum::byte_size).sum::<usize>()
-                            }
-                            GroupState::Rows(rows) => {
-                                rows.iter().map(|(t, _)| t.byte_size()).sum::<usize>()
-                            }
-                        })
-                        .sum::<usize>()
-            }
-        }
-    }
-
-    /// Total dirty groups re-derived from retained rows across every
-    /// replay-strategy group-by node in this subtree. Zero on a fully
-    /// specialized plan — the per-view metrics surface this so a
-    /// supposedly-O(1) view that silently fell back to replay shows up.
-    pub fn replayed_groups(&self) -> u64 {
-        match self {
-            MaintNode::Scan { .. } => 0,
-            MaintNode::Filter { input, .. } | MaintNode::Project { input, .. } => {
-                input.replayed_groups()
-            }
-            MaintNode::Join { left, right, .. } => left.replayed_groups() + right.replayed_groups(),
-            MaintNode::Aggregate { input, replays, .. } => input.replayed_groups() + replays,
-        }
-    }
-
-    /// One line per group-by node describing the chosen aggregate
-    /// strategy, leaves-first (EXPLAIN and docs surface these).
-    pub fn agg_strategies(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_agg_strategies(&mut out);
-        out
-    }
-
-    fn collect_agg_strategies(&self, out: &mut Vec<String>) {
-        match self {
-            MaintNode::Scan { .. } => {}
-            MaintNode::Filter { input, .. } | MaintNode::Project { input, .. } => {
-                input.collect_agg_strategies(out)
-            }
-            MaintNode::Join { left, right, .. } => {
-                left.collect_agg_strategies(out);
-                right.collect_agg_strategies(out);
-            }
-            MaintNode::Aggregate { input, aggs, strategy, .. } => {
-                input.collect_agg_strategies(out);
-                out.push(strategy.describe(aggs));
-            }
+            MaintNode::Aggregate { input, op, .. } => input.state_bytes() + op.state_bytes(),
         }
     }
 }
 
-/// Fold a delta into one join side's keyed state, pruning empty buckets.
-/// The bucket lookup borrows the key columns; an owned key is allocated
-/// only when a join key is first seen.
-fn fold_into(state: &mut KeyedState, delta: &DeltaSet, key: &[usize]) {
-    for (t, n) in delta.iter() {
-        let bucket = state.probe_or_insert_with(t, key, DeltaSet::new);
-        bucket.add(t.clone(), n);
-        if bucket.is_empty() {
-            state.remove_probe(t, key);
+/// Feed one delta batch to a core operator on `port`, then end the stratum
+/// (a group-by flushes its dirty groups; a join has nothing to flush) and
+/// collect everything it emitted as a signed multiset.
+fn drive(op: &mut dyn Operator, port: usize, batch: &DeltaSet, reg: &Registry) -> Result<DeltaSet> {
+    let mut out = DeltaSet::new();
+    if batch.is_empty() {
+        return Ok(out);
+    }
+    let cost = CostModel::default();
+    let mut metrics = ExecMetrics::default();
+    let mut ctx = OpCtx::new(0, 0, reg, &cost, &mut metrics);
+    if batch.iter().all(|(_, n)| n > 0) {
+        op.on_rows(port, batch.iter_rows().cloned().collect(), &mut ctx)?;
+    } else {
+        op.on_deltas(port, batch.to_deltas(), &mut ctx)?;
+    }
+    op.on_punct(port, Punctuation::EndOfStratum(0), &mut ctx)?;
+    for (_, event) in ctx.take_output() {
+        match event {
+            Event::Data(deltas) => {
+                for d in deltas {
+                    out.add_delta(d)?;
+                }
+            }
+            Event::Rows(rows) => rows.into_iter().for_each(|t| out.add(t, 1)),
+            Event::Cols(cols) => cols.to_rows().into_iter().for_each(|t| out.add(t, 1)),
+            Event::Punct(_) => {}
         }
     }
+    Ok(out)
 }
 
-/// Compose a specialized group's output row: `key ++ agg results`, then
-/// the post-projection — without touching any input rows.
-fn compose_row(
-    key: &Key,
-    specs: &[AggSpec],
-    accums: &[AggAccum],
-    post: &Option<Vec<Expr>>,
-    reg: &Registry,
-) -> Result<Tuple> {
-    let mut vals = key.clone();
-    for (spec, acc) in specs.iter().zip(accums) {
-        vals.push(acc.result(spec));
+/// Map every tuple of `d` through `exprs`, carrying its multiplicity.
+fn project(d: &DeltaSet, exprs: &[Expr], reg: &Registry) -> Result<DeltaSet> {
+    let mut out = DeltaSet::new();
+    for (t, n) in d.iter() {
+        let vals: Result<Vec<_>> = exprs.iter().map(|e| e.eval(t, reg)).collect();
+        out.add(Tuple::new(vals?), n);
     }
-    project_post(Tuple::new(vals), post, reg)
-}
-
-/// Re-derive one group's output row from its materialized input: run each
-/// aggregate handler over the group's rows, compose `key ++ results`, and
-/// apply the post-projection — mirroring the engine's group-by flush.
-fn derive_group(
-    key: &Key,
-    group: &DeltaSet,
-    aggs: &[AggCall],
-    post: &Option<Vec<Expr>>,
-    reg: &Registry,
-) -> Result<Tuple> {
-    let mut vals = key.clone();
-    for a in aggs {
-        let handler = reg.agg(&a.func)?;
-        let mut state = handler.init();
-        for (t, n) in group.iter() {
-            if n < 0 {
-                return Err(RexError::Exec(format!(
-                    "view maintenance: negative multiplicity for {t} in group {key:?}"
-                )));
-            }
-            let projected = t.project(&a.input_cols);
-            for _ in 0..n {
-                handler.agg_state(&mut state, &Delta::insert(projected.clone()))?;
-            }
-        }
-        let mut results = handler.agg_result(&state)?;
-        vals.push(match results.pop() {
-            Some(d) => d.tuple.get(0).clone(),
-            None => Value::Null,
-        });
-    }
-    project_post(Tuple::new(vals), post, reg)
-}
-
-/// Apply the post-aggregation projection, if any.
-fn project_post(raw: Tuple, post: &Option<Vec<Expr>>, reg: &Registry) -> Result<Tuple> {
-    match post {
-        None => Ok(raw),
-        Some(exprs) => {
-            let mut out = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                out.push(e.eval(&raw, reg)?);
-            }
-            Ok(Tuple::new(out))
-        }
-    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rex_core::delta::Delta;
     use rex_core::tuple;
     use rex_core::tuple::Schema;
     use rex_core::value::DataType;
@@ -800,20 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn decomposable_aggregates_are_specialized() {
-        let n = node(
-            "SELECT src, count(*), sum(dst), min(dst), max(dst), avg(dst) \
-                      FROM edges GROUP BY src",
-        );
-        let strategies = n.agg_strategies();
-        assert_eq!(strategies.len(), 1);
-        assert!(strategies[0].contains("count: O(1) running count"), "{strategies:?}");
-        assert!(strategies[0].contains("sum: O(1) running sum"), "{strategies:?}");
-        assert!(strategies[0].contains("min: O(log n) ordered multiset"), "{strategies:?}");
-        assert!(strategies[0].contains("avg: O(1) running sum+count"), "{strategies:?}");
-    }
-
-    #[test]
     fn min_survives_deleting_the_current_extreme() {
         let reg = Registry::with_builtins();
         let mut n = node("SELECT src, min(dst), max(dst) FROM edges GROUP BY src");
@@ -823,8 +360,8 @@ mod tests {
             &reg,
         )
         .unwrap();
-        // Delete the current minimum: the multiset recovers 5 without a
-        // group replay (there are no retained rows to replay).
+        // Delete the current minimum: the multiset recovers 5 without
+        // revisiting the group's other rows.
         let mut del = DeltaSet::new();
         del.add(tuple![0i64, 3i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
@@ -837,78 +374,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_fallback_for_non_builtin_aggregates() {
-        use rex_core::handlers::{AggHandler, AggState};
-        struct LastAgg;
-        impl AggHandler for LastAgg {
-            fn name(&self) -> &str {
-                "last"
-            }
-            fn init(&self) -> AggState {
-                AggState::Value(Value::Null)
-            }
-            fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-                *state = AggState::Value(d.tuple.get(0).clone());
-                Ok(vec![])
-            }
-            fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
-                match state {
-                    AggState::Value(v) => Ok(vec![Delta::insert(Tuple::new(vec![v.clone()]))]),
-                    _ => Err(RexError::Exec("last: bad state".into())),
-                }
-            }
-        }
-        let reg = Registry::with_builtins();
-        reg.register_agg("last", std::sync::Arc::new(LastAgg));
-        let plan =
-            plan_text("SELECT src, last(dst) FROM edges GROUP BY src", &catalog(), &reg).unwrap();
-        let n = build(&plan, &reg).unwrap();
-        let strategies = n.agg_strategies();
-        assert!(strategies[0].contains("dirty-group replay"), "{strategies:?}");
-        assert!(strategies[0].contains("last"), "{strategies:?}");
-    }
-
-    #[test]
-    fn forced_replay_matches_specialized_outputs() {
-        let reg = Registry::with_builtins();
-        // Scalar aggregates only: their state is constant per group, so
-        // the size comparison below is meaningful (a min/max multiset
-        // legitimately scales with the group's distinct values).
-        let sql = "SELECT src, count(*), sum(dst), avg(dst) FROM edges GROUP BY src";
-        let plan = plan_text(sql, &catalog(), &reg).unwrap();
-        let mut fast = build(&plan, &reg).unwrap();
-        let mut slow = build_with(&plan, &reg, false).unwrap();
-        assert!(fast.agg_strategies()[0].contains("O(1)"));
-        assert!(slow.agg_strategies()[0].contains("replay"));
-        let batches: Vec<DeltaSet> = vec![
-            inserts((0..24i64).map(|i| tuple![i % 2, i]).collect()),
-            {
-                let mut d = DeltaSet::new();
-                d.add(tuple![0i64, 0i64], -1);
-                d.add(tuple![1i64, 1i64], -1);
-                d
-            },
-            inserts(vec![tuple![0i64, 2i64], tuple![1i64, 7i64]]),
-        ];
-        for b in &batches {
-            let a = fast.apply("edges", b, &reg).unwrap();
-            let e = slow.apply("edges", b, &reg).unwrap();
-            assert_eq!(a.rows(), e.rows());
-        }
-        // Specialized state retains no input rows; replay retains them all.
-        assert!(fast.state_bytes() < slow.state_bytes());
-        // The specialized node never re-derives a group; the replay node
-        // re-derived both groups in every batch (3 batches × 2 groups).
-        assert_eq!(fast.replayed_groups(), 0);
-        assert_eq!(slow.replayed_groups(), 6);
-    }
-
-    #[test]
     fn distinct_maintains_as_counted_projection() {
         let reg = Registry::with_builtins();
         let mut n = node("SELECT DISTINCT src FROM edges");
-        let strategies = n.agg_strategies();
-        assert!(strategies[0].contains("counted projection"), "{strategies:?}");
         // Two rows project to src=0: one output row, counted twice.
         let out =
             n.apply("edges", &inserts(vec![tuple![0i64, 1i64], tuple![0i64, 2i64]]), &reg).unwrap();
@@ -929,7 +397,6 @@ mod tests {
     fn having_maintains_as_filter_over_group_state() {
         let reg = Registry::with_builtins();
         let mut n = node("SELECT src, count(*) FROM edges GROUP BY src HAVING count(*) > 1");
-        assert!(n.agg_strategies()[0].contains("O(1) running count"));
         let out = n.apply("edges", &inserts(vec![tuple![0i64, 1i64]]), &reg).unwrap();
         assert!(out.is_empty(), "count=1 fails the HAVING");
         // Crossing the threshold emits the group…
@@ -946,7 +413,6 @@ mod tests {
     fn expression_aggregate_views_maintain_incrementally() {
         let reg = Registry::with_builtins();
         let mut n = node("SELECT src, sum(dst * dst) FROM edges GROUP BY src");
-        assert!(n.agg_strategies()[0].contains("O(1) running sum"));
         let out =
             n.apply("edges", &inserts(vec![tuple![0i64, 2i64], tuple![0i64, 3i64]]), &reg).unwrap();
         assert_eq!(out.rows(), vec![tuple![0i64, 13.0f64]]);
@@ -957,7 +423,7 @@ mod tests {
         let reg = Registry::with_builtins();
         let plan =
             plan_text("SELECT src FROM edges ORDER BY src LIMIT 3", &catalog(), &reg).unwrap();
-        let err = build(&plan, &reg).unwrap_err();
+        let err = build(&plan, &reg).err().expect("not maintainable");
         assert!(err.to_string().contains("unordered relation"), "{err}");
     }
 
@@ -971,7 +437,7 @@ mod tests {
             &reg,
         )
         .unwrap();
-        let err = build(&rec, &reg).unwrap_err();
+        let err = build(&rec, &reg).err().expect("not maintainable");
         assert!(err.to_string().contains("recursive fixpoint"));
     }
 }

@@ -3,7 +3,7 @@
 //! death (§4.3 of the paper, applied to materialized views).
 //!
 //! A single-node [`MaintNode`] tree holds *all* keyed state — join sides,
-//! group accumulators — on the session node. [`ShardedMaint`] splits that
+//! group-by state — on the session node. [`ShardedMaint`] splits that
 //! state across `n` shards, one per cluster worker: every delta batch is
 //! routed once, at the base-table boundary, by hashing the view's
 //! *partition columns* with the same [`shard_of`] function the cluster
@@ -56,7 +56,7 @@
 //! floats); both paths record [`rex_core::faults`] telemetry.
 
 use crate::delta_set::DeltaSet;
-use crate::maintain::{build_with, MaintNode};
+use crate::maintain::{build, MaintNode};
 use rex_core::error::Result;
 use rex_core::expr::Expr;
 use rex_core::faults;
@@ -90,7 +90,6 @@ pub struct ShardStats {
 }
 
 /// A maintenance plan partitioned across `n` worker shards.
-#[derive(Debug)]
 pub struct ShardedMaint {
     n: usize,
     plan: LogicalPlan,
@@ -233,7 +232,7 @@ impl ShardedMaint {
         };
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
-            shards.push(Some(build_with(plan, reg, true)?));
+            shards.push(Some(build(plan, reg)?));
         }
         Ok(Ok(ShardedMaint {
             n,
@@ -282,17 +281,6 @@ impl ShardedMaint {
     /// Total state bytes across live shards (replicas excluded).
     pub fn state_bytes(&self) -> usize {
         self.shards.iter().flatten().map(MaintNode::state_bytes).sum()
-    }
-
-    /// Dirty groups re-derived across all shards.
-    pub fn replayed_groups(&self) -> u64 {
-        self.shards.iter().flatten().map(MaintNode::replayed_groups).sum()
-    }
-
-    /// Aggregate strategy descriptions (identical on every shard; shard
-    /// 0's copy — or any live shard's — is reported).
-    pub fn agg_strategies(&self) -> Vec<String> {
-        self.shards.iter().flatten().next().map(MaintNode::agg_strategies).unwrap_or_default()
     }
 
     /// Kill worker `w`: its shards and the replicas it hosted are gone.
@@ -366,7 +354,7 @@ impl ShardedMaint {
                 // Restart (or the replica died with its host): rebuild
                 // from the base tables, replaying only this shard's slice.
                 None => {
-                    let mut tree = build_with(&self.plan, reg, true)?;
+                    let mut tree = build(&self.plan, reg)?;
                     let mut b = 0u64;
                     for (table, cols) in &self.routes {
                         let all = DeltaSet::from_rows(store.get(table)?.rows().iter().cloned());
@@ -532,7 +520,7 @@ mod tests {
             "SELECT t.k, count(*), sum(d.w) FROM t, d WHERE t.k = d.k GROUP BY t.k",
         ] {
             let p = plan(sql);
-            let mut single = build_with(&p, &reg, true).unwrap();
+            let mut single = build(&p, &reg).unwrap();
             let mut sharded =
                 ShardedMaint::build(&p, &reg, 3, RecoveryStrategy::Incremental).unwrap().unwrap();
             for step in 0..4 {
@@ -605,7 +593,7 @@ mod tests {
         let p = plan("SELECT a, count(*), sum(b) FROM t GROUP BY a");
         let mut m =
             ShardedMaint::build(&p, &reg, 3, RecoveryStrategy::Incremental).unwrap().unwrap();
-        let mut single = build_with(&p, &reg, true).unwrap();
+        let mut single = build(&p, &reg).unwrap();
         let seed = DeltaSet::from_rows(c.get("t").unwrap().rows().iter().cloned());
         single.apply("t", &seed, &reg).unwrap();
         prime(&mut m, &c, &reg);

@@ -276,16 +276,6 @@ impl MaterializedView {
         }
     }
 
-    /// One line per group-by node of the maintenance plan describing the
-    /// chosen aggregate strategy (empty for recompute-fallback views).
-    pub fn agg_strategies(&self) -> Vec<String> {
-        self.maint
-            .as_ref()
-            .map(MaintNode::agg_strategies)
-            .or_else(|| self.sharded.as_ref().map(ShardedMaint::agg_strategies))
-            .unwrap_or_default()
-    }
-
     /// How many times the recompute fallback re-ran the defining query.
     /// Incremental views never recompute, so this stays 0 for them; for
     /// fallback views it counts one per maintenance pass that touched the
@@ -316,16 +306,6 @@ impl MaterializedView {
     /// Wall time spent in maintenance passes, nanoseconds.
     pub fn maint_ns(&self) -> u64 {
         self.maint_ns
-    }
-
-    /// Dirty groups re-derived from retained rows by replay-strategy
-    /// group-by nodes (0 for fully specialized or recompute views).
-    pub fn replayed_groups(&self) -> u64 {
-        self.maint
-            .as_ref()
-            .map(MaintNode::replayed_groups)
-            .or_else(|| self.sharded.as_ref().map(ShardedMaint::replayed_groups))
-            .unwrap_or(0)
     }
 
     /// The output deltas not yet applied to the stored-table copy.

@@ -281,11 +281,7 @@ impl Session {
             .into_iter()
             .map(|name| {
                 let v = self.views.get(&name).expect("view exists");
-                ViewStat {
-                    strategy: v.strategy().to_string(),
-                    agg_strategies: v.agg_strategies(),
-                    name,
-                }
+                ViewStat { strategy: v.strategy().to_string(), name }
             })
             .collect();
         Ok(Arc::new(SnapshotView::assemble(
@@ -681,14 +677,7 @@ impl Session {
                 let plan = self.plan_view_query(query)?;
                 let probe =
                     MaterializedView::define(name.as_str(), rql, plan.clone(), &self.registry);
-                let mut m = format!("== maintenance ==\n{}: {}\n", probe.name(), probe.strategy());
-                // For incremental plans, say how each group-by maintains
-                // its aggregates (O(1) scalars vs dirty-group replay).
-                for s in probe.agg_strategies() {
-                    m.push_str("  ");
-                    m.push_str(&s);
-                    m.push('\n');
-                }
+                let m = format!("== maintenance ==\n{}: {}\n", probe.name(), probe.strategy());
                 (plan, Some(m))
             }
             _ => (
@@ -722,7 +711,7 @@ impl Session {
         for m in self.views.metrics() {
             out.push_str(&format!(
                 "{} [{}]: rows={} deltas_in={} deltas_out={} passes={} recomputes={} \
-                 replayed_groups={} maint_time={} state_bytes={}\n",
+                 maint_time={} state_bytes={}\n",
                 m.name,
                 m.strategy,
                 m.rows,
@@ -730,7 +719,6 @@ impl Session {
                 m.deltas_out,
                 m.incremental_passes,
                 m.recomputes,
-                m.replayed_groups,
                 rex_core::telemetry::fmt_ns(m.maint_ns),
                 m.state_bytes,
             ));
@@ -1079,8 +1067,7 @@ mod tests {
             .explain("CREATE MATERIALIZED VIEW agg AS SELECT src, sum(dst) FROM edges GROUP BY src")
             .unwrap();
         assert!(txt.contains("== maintenance =="));
-        assert!(txt.contains("incremental delta propagation"));
-        assert!(txt.contains("sum: O(1) running sum"), "explain names the aggregate strategy");
+        assert!(txt.contains("agg: incremental delta propagation\n"), "{txt}");
         let txt = s
             .explain(
                 "CREATE MATERIALIZED VIEW reach AS

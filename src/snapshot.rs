@@ -61,9 +61,6 @@ pub struct ViewStat {
     /// Rendered maintenance strategy ("incremental delta propagation",
     /// "full recompute (…)").
     pub strategy: String,
-    /// Per-aggregate maintenance strategies (O(1) running sum, ordered
-    /// multiset min/max, dirty-group replay, …).
-    pub agg_strategies: Vec<String>,
 }
 
 /// An immutable, versioned view of the database: the read half of a
@@ -205,9 +202,6 @@ impl SnapshotView {
             let rows = self.table_rows(&v.name).unwrap_or(0);
             out.push_str(&format!("view.{}.rows {rows}\n", v.name));
             out.push_str(&format!("view.{}.strategy {}\n", v.name, v.strategy));
-            for a in &v.agg_strategies {
-                out.push_str(&format!("view.{}.agg {}\n", v.name, a));
-            }
         }
         out
     }
@@ -407,8 +401,7 @@ mod tests {
         let stats = next.stats_text();
         assert!(stats.contains("table.edges.rows 4"), "{stats}");
         assert!(stats.contains("view.fanout.rows 2"), "{stats}");
-        assert!(stats.contains("view.fanout.strategy incremental"), "{stats}");
-        assert!(stats.contains("count: O(1)"), "{stats}");
+        assert!(stats.contains("view.fanout.strategy incremental delta propagation\n"), "{stats}");
     }
 
     #[test]
