@@ -118,7 +118,7 @@ impl JoinHandler for PrAgg {
         if first_arrival {
             // Seed the destination group so vertices without in-edges still
             // converge to the base rank 0.15.
-            out.push(Delta::insert(Tuple::new(vec![src.clone(), Value::Double(0.0)])));
+            out.push(Delta::insert(Tuple::from_slice(&[src.clone(), Value::Double(0.0)])));
         }
         let out_deg = right.len();
         if out_deg == 0 {
@@ -128,7 +128,7 @@ impl JoinHandler for PrAgg {
             if delta_pr.abs() > self.threshold {
                 let share = delta_pr / out_deg as f64;
                 for e in right.iter() {
-                    out.push(Delta::insert(Tuple::new(vec![
+                    out.push(Delta::insert(Tuple::from_slice(&[
                         e.get(1).clone(),
                         Value::Double(share),
                     ])));
@@ -138,7 +138,10 @@ impl JoinHandler for PrAgg {
             // Full share of the current rank, every stratum.
             let share = new_pr / out_deg as f64;
             for e in right.iter() {
-                out.push(Delta::insert(Tuple::new(vec![e.get(1).clone(), Value::Double(share)])));
+                out.push(Delta::insert(Tuple::from_slice(&[
+                    e.get(1).clone(),
+                    Value::Double(share),
+                ])));
             }
         }
         Ok(out)

@@ -95,9 +95,12 @@ impl JoinHandler for SpAgg {
         // later (worse) cycle offer can never displace it. Needed when the
         // fixpoint runs without a monotone while-handler (the pure-RQL
         // Listing 2 lowering).
-        out.push(Delta::insert(Tuple::new(vec![node.clone(), Value::Double(best)])));
+        out.push(Delta::insert(Tuple::from_slice(&[node.clone(), Value::Double(best)])));
         for e in right.iter() {
-            out.push(Delta::insert(Tuple::new(vec![e.get(1).clone(), Value::Double(best + 1.0)])));
+            out.push(Delta::insert(Tuple::from_slice(&[
+                e.get(1).clone(),
+                Value::Double(best + 1.0),
+            ])));
         }
         Ok(out)
     }

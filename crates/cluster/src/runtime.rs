@@ -180,6 +180,17 @@ impl ClusterRuntime {
                 executors[w].start(reg, cost)?;
             }
             drain_all(&mut executors, &mut router, &live, &snapshot, reg, cost, threads)?;
+            // Every scan batch has now been delivered on every worker:
+            // start stratum 0, as the stratum loop below advances the rest.
+            let fixpoints = executors[live[0]].fixpoint_ids();
+            if !fixpoints.is_empty() {
+                for &w in &live {
+                    for &f in &fixpoints {
+                        executors[w].start_fixpoint(f, reg, cost, &mut Vec::new())?;
+                    }
+                }
+                drain_all(&mut executors, &mut router, &live, &snapshot, reg, cost, threads)?;
+            }
 
             // On incremental recovery only the failed worker's range is
             // actually cold: the survivors' scans and immutable operator
@@ -194,8 +205,6 @@ impl ClusterRuntime {
                     scale_metrics(&mut executors[w].metrics, share);
                 }
             }
-
-            let fixpoints = executors[live[0]].fixpoint_ids();
 
             // ---- non-recursive query ------------------------------------
             if fixpoints.is_empty() {
@@ -495,29 +504,26 @@ fn drain_all_serial(
     }
 }
 
-/// A message from the coordinator to the thread owning a worker.
-enum ToWorker {
-    /// Inject a routed batch into `worker`'s executor.
-    Deliver { worker: usize, delivery: Delivery },
-    /// Credit routed-output bytes to `worker`'s `bytes_sent`.
-    Sent { worker: usize, bytes: u64 },
-    /// Drain every owned worker with queued work; report the outboxes.
-    Round,
-    /// Globally quiescent (or erred): exit the thread.
-    Stop,
+/// One worker thread's share of a round's routing: what it applies to its
+/// executors before it drains them. The coordinator sends exactly one per
+/// thread per round, so a thread wakes once per round however many batches
+/// were routed to it.
+#[derive(Default)]
+struct Inbound {
+    /// Routed-output bytes to credit to `(worker, bytes)`'s `bytes_sent`.
+    sent: Vec<(usize, u64)>,
+    /// Routed batches for this thread's workers, in routing order.
+    deliveries: Vec<Delivery>,
 }
 
-/// Bound on each worker thread's command inbox: a slow thread applies
-/// backpressure to the routing coordinator instead of buffering every
-/// in-flight delivery of the round.
-const INBOX_DEPTH: usize = 64;
-
 /// The threaded schedule: each of `threads` persistent worker threads
-/// owns a disjoint round-robin slice of the live executors and drains
-/// them on `Round` commands; the coordinator keeps the router and turns
-/// outboxes into channel deliveries between rounds. Same rounds, same
-/// worker-order routing, same per-channel FIFO as the serial path —
-/// only the drain phase actually runs in parallel.
+/// owns a disjoint round-robin slice of the live executors. Per round it
+/// receives one [`Inbound`], applies it, drains every owned worker with
+/// queued work and reports the outboxes; the coordinator keeps the router
+/// and turns the outboxes into the next round's inbounds. Same rounds,
+/// same worker-order routing, same per-channel FIFO as the serial path —
+/// only the drain phase actually runs in parallel. Dropping the inbound
+/// senders (global quiescence or an error) ends the threads.
 fn drain_all_threaded(
     executors: &mut [Executor],
     router: &mut Router,
@@ -556,7 +562,7 @@ fn drain_all_threaded(
         let (res_tx, res_rx) = mpsc::channel::<Result<Vec<(usize, Vec<NetEmission>)>>>();
         let mut inboxes = Vec::with_capacity(threads);
         for group in slots {
-            let (tx, rx) = mpsc::sync_channel::<ToWorker>(INBOX_DEPTH);
+            let (tx, rx) = mpsc::channel::<Inbound>();
             let res_tx = res_tx.clone();
             s.spawn(move || {
                 let mut group = group;
@@ -570,40 +576,35 @@ fn drain_all_threaded(
                         .expect("delivery to a worker this thread does not own");
                     slot.1
                 }
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        ToWorker::Deliver { worker, delivery } => {
-                            let ex = find(&mut group, worker);
-                            ex.metrics.bytes_received += delivery.bytes;
-                            ex.inject_downstream(delivery.node, delivery.port, delivery.event);
-                        }
-                        ToWorker::Sent { worker, bytes } => {
-                            find(&mut group, worker).metrics.bytes_sent += bytes;
-                        }
-                        ToWorker::Round => {
-                            let mut drained = Vec::new();
-                            let mut err = None;
-                            for (w, ex) in group.iter_mut() {
-                                if ex.has_work() {
-                                    let mut outbox = Vec::new();
-                                    match ex.drain(reg, cost, &mut outbox) {
-                                        Ok(()) => drained.push((*w, outbox)),
-                                        Err(e) => {
-                                            err = Some(e);
-                                            break;
-                                        }
-                                    }
+                while let Ok(inbound) = rx.recv() {
+                    for (worker, bytes) in inbound.sent {
+                        find(&mut group, worker).metrics.bytes_sent += bytes;
+                    }
+                    for d in inbound.deliveries {
+                        let ex = find(&mut group, d.target);
+                        ex.metrics.bytes_received += d.bytes;
+                        ex.inject_downstream(d.node, d.port, d.event);
+                    }
+                    let mut drained = Vec::new();
+                    let mut err = None;
+                    for (w, ex) in group.iter_mut() {
+                        if ex.has_work() {
+                            let mut outbox = Vec::new();
+                            match ex.drain(reg, cost, &mut outbox) {
+                                Ok(()) => drained.push((*w, outbox)),
+                                Err(e) => {
+                                    err = Some(e);
+                                    break;
                                 }
                             }
-                            let reply = match err {
-                                Some(e) => Err(e),
-                                None => Ok(drained),
-                            };
-                            if res_tx.send(reply).is_err() {
-                                return;
-                            }
                         }
-                        ToWorker::Stop => return,
+                    }
+                    let reply = match err {
+                        Some(e) => Err(e),
+                        None => Ok(drained),
+                    };
+                    if res_tx.send(reply).is_err() {
+                        return;
                     }
                 }
             });
@@ -612,11 +613,11 @@ fn drain_all_threaded(
         drop(res_tx);
 
         let mut failure: Option<RexError> = None;
+        let fresh = || (0..threads).map(|_| Inbound::default()).collect::<Vec<_>>();
+        let mut inbound = fresh();
         loop {
-            // Inbox FIFO guarantees each thread applies all of last
-            // round's deliveries before draining for this one.
-            for tx in &inboxes {
-                let _ = tx.send(ToWorker::Round);
+            for (tx, msg) in inboxes.iter().zip(std::mem::replace(&mut inbound, fresh())) {
+                let _ = tx.send(msg);
             }
             let mut round: Vec<(usize, Vec<NetEmission>)> = Vec::new();
             for _ in 0..threads {
@@ -645,16 +646,12 @@ fn drain_all_threaded(
                 let (deliveries, sent) =
                     router.route_batches(w, outbox, &lookup, live, snap, n_workers);
                 if sent > 0 {
-                    let _ = inboxes[owner[w]].send(ToWorker::Sent { worker: w, bytes: sent });
+                    inbound[owner[w]].sent.push((w, sent));
                 }
                 for d in deliveries {
-                    let to = owner[d.target];
-                    let _ = inboxes[to].send(ToWorker::Deliver { worker: d.target, delivery: d });
+                    inbound[owner[d.target]].deliveries.push(d);
                 }
             }
-        }
-        for tx in &inboxes {
-            let _ = tx.send(ToWorker::Stop);
         }
         drop(inboxes);
         match failure {

@@ -1,11 +1,12 @@
 //! Plan graphs and the push-based executor.
 //!
 //! A [`PlanGraph`] wires operators into a dataflow; the [`Executor`]
-//! delivers events along edges until quiescence. Recursion is driven by an
-//! outer runtime ([`LocalRuntime`] here, the cluster runtime in
-//! `rex-cluster`) that plays the query-requestor role of §4.2: after each
-//! stratum it collects the fixpoint operators' new-tuple counts and decides
-//! whether to advance to another stratum or terminate the query.
+//! delivers events along edges, depth-first, until quiescence. Recursion is
+//! driven by an outer runtime ([`LocalRuntime`] here, the cluster runtime
+//! in `rex-cluster`) that plays the query-requestor role of §4.2: it starts
+//! stratum 0 once the initial drain is quiescent, and after each stratum it
+//! collects the fixpoint operators' new-tuple counts and decides whether to
+//! advance to another stratum or terminate the query.
 
 use crate::error::{Result, RexError};
 use crate::metrics::{CostModel, ExecMetrics, QueryReport, StratumReport};
@@ -307,6 +308,21 @@ impl Executor {
     /// Process queued events until quiescence. Network emissions are
     /// appended to `outbox`.
     ///
+    /// **Depth-first.** An activation's outputs go to the *front* of the
+    /// queue, in emission order, so each batch is pushed through to the
+    /// sink (or the next stateful barrier) before the next input batch is
+    /// taken — the pipelined push of §3.2. Order on every edge stays FIFO:
+    /// everything queued ahead of a node's output descends from that same
+    /// activation, so in an acyclic plan the node cannot run again before
+    /// its earlier output is consumed; the only cycles pass through
+    /// fixpoints, which emit only when the runtime drives them. A query's
+    /// live intermediate is therefore O(batch × plan depth) rather than
+    /// the size of its largest intermediate relation. Order *across*
+    /// edges is not FIFO, and nothing may depend on it: recursion is
+    /// started by the runtime after quiescence
+    /// ([`start_fixpoint`](Executor::start_fixpoint)), never by a
+    /// punctuation racing queued batches.
+    ///
     /// The hot loop constructs a single [`OpCtx`] whose emission buffer is
     /// drained — not reallocated — after every operator activation, and
     /// hands events downstream without cloning edge lists.
@@ -344,6 +360,7 @@ impl Executor {
                 s.wall_ns += t0.elapsed().as_nanos() as u64;
                 s.queue_depth = s.queue_depth.max(qdepth);
             }
+            let queued = self.queue.len();
             for (p, ev) in ctx.drain_output() {
                 if traced {
                     if let Some(tr) = self.trace.as_mut() {
@@ -361,6 +378,9 @@ impl Executor {
                     ev,
                 );
             }
+            // Move what this activation appended to the front, in order.
+            let appended = self.queue.len() - queued;
+            self.queue.rotate_right(appended);
         }
         Ok(())
     }
@@ -387,6 +407,19 @@ impl Executor {
         Ok(f(fp))
     }
 
+    /// Start a fixpoint's stratum 0 ([`FixpointOp::start`]), queueing
+    /// its feedback. Runtimes call this once the initial drain is
+    /// quiescent; it is traced like [`advance_fixpoint`](Executor::advance_fixpoint).
+    pub fn start_fixpoint(
+        &mut self,
+        id: NodeId,
+        reg: &Registry,
+        cost: &CostModel,
+        outbox: &mut Vec<NetEmission>,
+    ) -> Result<()> {
+        self.drive_fixpoint(id, reg, cost, outbox, |fp, ctx| fp.start(ctx))
+    }
+
     /// Drive a fixpoint's advance (continue/finish), queueing its output.
     pub fn advance_fixpoint(
         &mut self,
@@ -396,13 +429,26 @@ impl Executor {
         cost: &CostModel,
         outbox: &mut Vec<NetEmission>,
     ) -> Result<()> {
+        self.drive_fixpoint(id, reg, cost, outbox, |fp, ctx| fp.advance(cont, ctx))
+    }
+
+    /// Run one coordinator call on a fixpoint, tracing it as an
+    /// activation and queueing what it emits.
+    fn drive_fixpoint(
+        &mut self,
+        id: NodeId,
+        reg: &Registry,
+        cost: &CostModel,
+        outbox: &mut Vec<NetEmission>,
+        call: impl FnOnce(&mut FixpointOp, &mut OpCtx<'_>) -> Result<()>,
+    ) -> Result<()> {
         let traced = self.trace.is_some();
         let mut ctx = OpCtx::new(self.stratum, self.worker, reg, cost, &mut self.metrics);
         let fp = self.nodes[id]
             .as_fixpoint()
             .ok_or_else(|| RexError::Exec(format!("node {id} is not a fixpoint")))?;
         let t0 = traced.then(Instant::now);
-        fp.advance(cont, &mut ctx)?;
+        call(fp, &mut ctx)?;
         if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
             tr[id].batches += 1;
             tr[id].wall_ns += t0.elapsed().as_nanos() as u64;
@@ -689,7 +735,12 @@ impl LocalRuntime {
             return Ok((ex.take_sink_results()?, report, trace));
         }
 
-        // Recursive query: stratum loop.
+        // Recursive query: start stratum 0 now that every scan batch has
+        // been delivered, then run the stratum loop.
+        for &id in &fixpoints {
+            ex.start_fixpoint(id, &self.reg, &self.cost, &mut outbox)?;
+        }
+        ex.drain(&self.reg, &self.cost, &mut outbox)?;
         let mut completed = 0u64;
         loop {
             // All fixpoints must be ready for a vote; otherwise the plan is
@@ -780,13 +831,16 @@ mod tests {
     use super::*;
     use crate::aggregates::SumAgg;
     use crate::delta::Delta;
+    use crate::delta::Punctuation;
     use crate::expr::Expr;
+    use crate::handlers::{JoinHandler, TupleSet};
+    use crate::operators::HashJoinOp;
     use crate::operators::{
         AggSpec, ApplyFunctionOp, FilterOp, FnMapper, GroupByOp, ScanOp, SinkOp, Termination,
     };
     use crate::tuple;
     use crate::value::Value;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn non_recursive_pipeline_runs_to_completion() {
@@ -977,5 +1031,140 @@ mod tests {
         let rt = LocalRuntime::new();
         let (results, _) = rt.run(g).unwrap();
         assert_eq!(results, vec![tuple![1i64]]);
+    }
+
+    /// A source emitting three one-row batches, `1`, `2`, `3`.
+    struct ThreeBatches;
+    impl Operator for ThreeBatches {
+        fn name(&self) -> String {
+            "ThreeBatches".into()
+        }
+        fn n_inputs(&self) -> usize {
+            0
+        }
+        fn is_source(&self) -> bool {
+            true
+        }
+        fn run_source(&mut self, ctx: &mut OpCtx<'_>) -> Result<()> {
+            for i in 1..=3i64 {
+                ctx.emit_rows(0, vec![tuple![i]]);
+            }
+            ctx.punct(0, Punctuation::EndOfStream);
+            Ok(())
+        }
+        fn on_deltas(
+            &mut self,
+            _: usize,
+            _: Vec<crate::delta::Delta>,
+            _: &mut OpCtx<'_>,
+        ) -> Result<()> {
+            Err(RexError::Exec("source has no inputs".into()))
+        }
+        fn on_punct(&mut self, _: usize, _: Punctuation, _: &mut OpCtx<'_>) -> Result<()> {
+            Err(RexError::Exec("source has no inputs".into()))
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Records every data batch it sees as `in<row>` (port 0) or
+    /// `out<row>` (port 1).
+    struct Recorder(Arc<Mutex<Vec<String>>>);
+    impl Operator for Recorder {
+        fn name(&self) -> String {
+            "Recorder".into()
+        }
+        fn n_inputs(&self) -> usize {
+            2
+        }
+        fn on_deltas(&mut self, port: usize, deltas: Vec<Delta>, _: &mut OpCtx<'_>) -> Result<()> {
+            let side = if port == 0 { "in" } else { "out" };
+            for d in deltas {
+                self.0.lock().unwrap().push(format!("{side}{}", d.tuple.get(0)));
+            }
+            Ok(())
+        }
+        fn on_punct(&mut self, _: usize, _: Punctuation, _: &mut OpCtx<'_>) -> Result<()> {
+            Ok(())
+        }
+        fn reset(&mut self) {}
+    }
+
+    /// Depth-first scheduling: each input batch is pushed through the
+    /// pass-through op to the recorder before the next input batch is
+    /// taken, and every edge (including the source's fan-out) stays FIFO.
+    #[test]
+    fn drain_is_depth_first_and_fifo_per_edge() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut g = PlanGraph::new();
+        let src = g.add(Box::new(ThreeBatches));
+        let pass = g.add(Box::new(ApplyFunctionOp::new(Arc::new(FnMapper::new("id", |d, _| {
+            Ok(vec![d.clone()])
+        })))));
+        let rec = g.add(Box::new(Recorder(Arc::clone(&seen))));
+        g.connect(src, 0, rec, 0);
+        g.connect(src, 0, pass, 0);
+        g.connect(pass, 0, rec, 1);
+        let mut ex = Executor::new(g, 0, false);
+        let (reg, cost) = (Registry::new(), CostModel::default());
+        ex.start(&reg, &cost).unwrap();
+        ex.drain(&reg, &cost, &mut Vec::new()).unwrap();
+        assert_eq!(*seen.lock().unwrap(), ["in1", "out1", "in2", "out2", "in3", "out3"]);
+    }
+
+    /// Reachability through a handler join: edges are stored silently on
+    /// the right, and a reached node on the left emits its out-neighbours.
+    struct Expand;
+    impl JoinHandler for Expand {
+        fn name(&self) -> &str {
+            "expand"
+        }
+        fn update(
+            &self,
+            _left: &mut TupleSet,
+            right: &mut TupleSet,
+            d: &Delta,
+            from_left: bool,
+        ) -> Result<Vec<Delta>> {
+            if !from_left {
+                right.insert(d.tuple.clone());
+                return Ok(vec![]);
+            }
+            Ok(right
+                .iter()
+                .map(|e| Delta::insert(Tuple::from_slice(&[e.get(1).clone()])))
+                .collect())
+        }
+    }
+
+    /// The handler join's edge scan is queued *behind* the base case, and
+    /// the handler emits nothing for an edge. Were stratum 0 fed back when
+    /// the base case ends, the depth-first executor would probe the node
+    /// before any edge arrived and stop at `{0}`; started by the runtime
+    /// after quiescence, the recursion reaches the whole chain.
+    #[test]
+    fn runtime_started_stratum_zero_sees_every_scan_batch() {
+        let mut g = PlanGraph::new();
+        let base = g.add(Box::new(ScanOp::new("seed", vec![tuple![0i64]])));
+        let edges = g.add(Box::new(ScanOp::new(
+            "edges",
+            (0..4i64).map(|i| tuple![i, i + 1]).collect::<Vec<_>>(),
+        )));
+        let fp = g.add(Box::new(FixpointOp::new(vec![0], Termination::Fixpoint)));
+        let join =
+            g.add(Box::new(HashJoinOp::new(vec![0], vec![0]).with_handler(Arc::new(Expand))));
+        let sink = g.add(Box::new(SinkOp::new()));
+        g.connect(base, 0, fp, 0);
+        g.connect(edges, 0, join, 1);
+        g.connect(fp, 0, join, 0);
+        g.connect(join, 0, fp, 1);
+        g.connect(fp, 1, sink, 0);
+
+        let rt = LocalRuntime::new().with_telemetry(true);
+        let (results, report, trace) = rt.run_traced(g).unwrap();
+        assert_eq!(results, (0..=4i64).map(|i| tuple![i]).collect::<Vec<_>>());
+        assert_eq!(report.iterations(), 5);
+        // The stratum-0 start is traced: five feedback rows (one per
+        // stratum) plus the five final rows.
+        assert_eq!(trace.expect("telemetry on").ops[fp].rows_out, 10);
     }
 }

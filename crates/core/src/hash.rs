@@ -321,7 +321,13 @@ impl<V> KeyedTable<V> {
 
     /// Borrowed-key mutable lookup.
     pub fn probe_mut(&mut self, t: &Tuple, cols: &[usize]) -> Option<&mut V> {
-        self.found(t.hash_key(cols), |k| t.key_eq(cols, k)).map(|i| &mut self.entries[i].2)
+        self.probe_mut_hashed(t.hash_key(cols), t, cols)
+    }
+
+    /// [`probe_mut`](KeyedTable::probe_mut) with the key hash already
+    /// computed.
+    pub fn probe_mut_hashed(&mut self, hash: u64, t: &Tuple, cols: &[usize]) -> Option<&mut V> {
+        self.found(hash, |k| t.key_eq(cols, k)).map(|i| &mut self.entries[i].2)
     }
 
     /// Borrowed-key upsert: the value under `t`'s key columns, inserting
@@ -365,10 +371,16 @@ impl<V> KeyedTable<V> {
     /// Borrowed-key removal: drop and return the value under `t`'s key
     /// columns.
     pub fn remove_probe(&mut self, t: &Tuple, cols: &[usize]) -> Option<V> {
+        self.remove_probe_hashed(t.hash_key(cols), t, cols)
+    }
+
+    /// [`remove_probe`](KeyedTable::remove_probe) with the key hash
+    /// already computed.
+    pub fn remove_probe_hashed(&mut self, hash: u64, t: &Tuple, cols: &[usize]) -> Option<V> {
         if self.slots.is_empty() {
             return None;
         }
-        match self.locate(t.hash_key(cols), |k| t.key_eq(cols, k)) {
+        match self.locate(hash, |k| t.key_eq(cols, k)) {
             Slot::Found(slot) => Some(self.remove_slot(slot)),
             Slot::Free(_) => None,
         }

@@ -14,18 +14,25 @@
 //! In delta mode only the tuples changed in the current stratum (the Δᵢ
 //! set) are fed back; in no-delta mode the entire mutable set is re-emitted
 //! every stratum, reproducing the paper's `no-delta` baseline. The Δᵢ set is
-//! also what gets checkpointed for incremental recovery (§4.3).
+//! also what gets checkpointed for incremental recovery (§4.3). The set is
+//! a [`KeyedTable`]: each delta hashes (FxHash) and compares its key
+//! columns in place, and an owned key is allocated only on first insert.
+//!
+//! Every stratum is started by the runtime, never by the data. The base
+//! case's end of stream only marks the operator startable; once the
+//! initial drain is quiescent the runtime calls [`FixpointOp::start`] to
+//! feed stratum 0 back, and after each vote [`FixpointOp::advance`] to feed
+//! the next. The executor runs depth-first, so an emission made from
+//! `on_punct` could overtake scan batches still queued for the recursive
+//! subplan (a handler join's build side, say); quiescence cannot.
 
 use crate::delta::{Annotation, Delta, Punctuation};
-use crate::error::Result;
+use crate::error::{Result, RexError};
 use crate::handlers::{TupleSet, WhileHandler};
+use crate::hash::KeyedTable;
 use crate::operators::{OpCtx, Operator, OperatorState};
 use crate::tuple::Tuple;
-use crate::value::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-type Key = Vec<Value>;
 
 /// Termination conditions for recursion (§3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,17 +65,16 @@ pub struct FixpointOp {
     handler: Option<Arc<dyn WhileHandler>>,
     term: Termination,
     /// The mutable set: key → current tuple.
-    state: HashMap<Key, Tuple>,
+    state: KeyedTable<Tuple>,
     /// Δᵢ: deltas produced in the current stratum, fed back on advance.
     pending: Vec<Delta>,
     /// In no-delta mode the full mutable set is re-emitted each stratum.
     delta_mode: bool,
     stratum: u64,
+    /// The base case has ended: the runtime may [`start`](Self::start).
+    base_ended: bool,
     ready_for_vote: bool,
     finished: bool,
-    /// Count of deltas processed in the current stratum (reported to the
-    /// coordinator alongside the pending count).
-    processed_this_stratum: u64,
 }
 
 impl FixpointOp {
@@ -78,13 +84,13 @@ impl FixpointOp {
             key_cols,
             handler: None,
             term,
-            state: HashMap::new(),
+            state: KeyedTable::new(),
             pending: Vec::new(),
             delta_mode: true,
             stratum: 0,
+            base_ended: false,
             ready_for_vote: false,
             finished: false,
-            processed_this_stratum: 0,
         }
     }
 
@@ -144,60 +150,43 @@ impl FixpointOp {
         self.pending.iter().map(|d| d.byte_size() as u64).sum()
     }
 
-    /// Apply one delta to the mutable set, recording feedback deltas.
+    /// Apply one delta to the mutable set, recording feedback deltas. The
+    /// key columns are hashed and compared in place; an owned key is
+    /// allocated only when a key is first inserted.
     fn apply(&mut self, d: Delta, ctx: &mut OpCtx<'_>) -> Result<()> {
-        self.processed_this_stratum += 1;
-        let key = d.tuple.key(&self.key_cols);
-        if let Some(h) = self.handler.clone() {
+        let cols = &self.key_cols;
+        let hash = d.tuple.hash_key(cols);
+        if let Some(h) = &self.handler {
             ctx.charge_udf_call();
             // Present the key's current tuple to the handler as a TupleSet.
             let mut set = TupleSet::new();
-            if let Some(existing) = self.state.get(&key) {
+            if let Some(existing) = self.state.probe_hashed(hash, &d.tuple, cols) {
                 set.insert(existing.clone());
             }
             let produced = h.update(&mut set, &d)?;
             match set.into_tuples().pop() {
                 Some(t) => {
-                    self.state.insert(key, t);
+                    upsert(&mut self.state, hash, &d.tuple, cols, t);
                 }
                 None => {
-                    self.state.remove(&key);
+                    self.state.remove_probe_hashed(hash, &d.tuple, cols);
                 }
             }
             self.pending.extend(produced);
             return Ok(());
         }
         ctx.charge_cpu(ctx.cost.hash_cost);
-        match &d.ann {
-            Annotation::Insert | Annotation::Update(_) => {
-                match self.state.get(&key) {
-                    Some(existing) if *existing == d.tuple => {
-                        // Duplicate derivation: set semantics drop it.
-                    }
-                    Some(existing) => {
-                        let old = existing.clone();
-                        self.state.insert(key, d.tuple.clone());
-                        self.pending.push(Delta::replace(old, d.tuple));
-                    }
-                    None => {
-                        self.state.insert(key, d.tuple.clone());
-                        self.pending.push(Delta::insert(d.tuple));
-                    }
-                }
+        if d.ann == Annotation::Delete {
+            if self.state.remove_probe_hashed(hash, &d.tuple, cols).is_some() {
+                self.pending.push(Delta::delete(d.tuple));
             }
-            Annotation::Delete => {
-                if self.state.remove(&key).is_some() {
-                    self.pending.push(Delta::delete(d.tuple));
-                }
-            }
-            Annotation::Replace(_) => {
-                let old = self.state.insert(key, d.tuple.clone());
-                match old {
-                    Some(o) if o == d.tuple => {}
-                    Some(o) => self.pending.push(Delta::replace(o, d.tuple)),
-                    None => self.pending.push(Delta::insert(d.tuple)),
-                }
-            }
+            return Ok(());
+        }
+        match upsert(&mut self.state, hash, &d.tuple, cols, d.tuple.clone()) {
+            // Duplicate derivation: set semantics drop it.
+            Some(old) if old == d.tuple => {}
+            Some(old) => self.pending.push(Delta::replace(old, d.tuple)),
+            None => self.pending.push(Delta::insert(d.tuple)),
         }
         Ok(())
     }
@@ -216,12 +205,26 @@ impl FixpointOp {
         ctx.punct(0, Punctuation::EndOfStratum(self.stratum));
     }
 
+    /// Start stratum 0: feed the base case back into the recursive
+    /// subplan. The runtime calls this once the initial drain is
+    /// quiescent, exactly as it calls [`advance`](Self::advance) for every
+    /// later stratum. By then every scan batch has been delivered,
+    /// including the recursive subplan's immutable inputs (a handler
+    /// join's build side), whatever order the executor ran them in. The
+    /// base case's end only makes the fixpoint startable.
+    pub fn start(&mut self, ctx: &mut OpCtx<'_>) -> Result<()> {
+        if !self.base_ended {
+            return Err(RexError::Exec("fixpoint started before its base case ended".into()));
+        }
+        self.emit_feedback(ctx);
+        Ok(())
+    }
+
     /// Coordinator decision: continue with another stratum or finish.
     /// Called by the runtime after all fixpoints have become
     /// [`ready_for_vote`](Self::ready_for_vote).
     pub fn advance(&mut self, cont: bool, ctx: &mut OpCtx<'_>) -> Result<()> {
         self.ready_for_vote = false;
-        self.processed_this_stratum = 0;
         if cont {
             self.stratum += 1;
             self.emit_feedback(ctx);
@@ -256,6 +259,22 @@ impl FixpointOp {
     }
 }
 
+/// Store `t` under `key_of`'s key columns, returning the tuple it
+/// replaced. The owned key is allocated only when the key is new.
+fn upsert(
+    state: &mut KeyedTable<Tuple>,
+    hash: u64,
+    key_of: &Tuple,
+    cols: &[usize],
+    t: Tuple,
+) -> Option<Tuple> {
+    let mut fresh = Some(t);
+    let slot = state.probe_or_insert_hashed(hash, key_of, cols, || {
+        fresh.take().expect("init runs at most once")
+    });
+    fresh.map(|t| std::mem::replace(slot, t))
+}
+
 impl Operator for FixpointOp {
     fn name(&self) -> String {
         format!("Fixpoint{:?}{}", self.key_cols, if self.delta_mode { "" } else { " (no-Δ)" })
@@ -273,12 +292,12 @@ impl Operator for FixpointOp {
         Ok(())
     }
 
-    fn on_punct(&mut self, port: usize, p: Punctuation, ctx: &mut OpCtx<'_>) -> Result<()> {
+    fn on_punct(&mut self, port: usize, p: Punctuation, _ctx: &mut OpCtx<'_>) -> Result<()> {
         match (port, p) {
-            // Base case complete: start stratum 0 of the recursion.
-            (0, Punctuation::EndOfStream) => {
-                self.emit_feedback(ctx);
-            }
+            // Base case complete (a stratified base case punctuates a
+            // stratum instead): the runtime starts stratum 0 once the
+            // initial drain is quiescent.
+            (0, _) => self.base_ended = true,
             // Recursive case punctuated: ready for the coordinator's vote.
             (1, Punctuation::EndOfStratum(s)) => {
                 debug_assert_eq!(s, self.stratum, "stratum punctuation mismatch");
@@ -286,10 +305,6 @@ impl Operator for FixpointOp {
             }
             // EndOfStream echoes back after we broadcast it; ignore.
             (1, Punctuation::EndOfStream) => {}
-            (0, Punctuation::EndOfStratum(_)) => {
-                // A stratified base case (unusual); treat as feedback point.
-                self.emit_feedback(ctx);
-            }
             _ => {}
         }
         Ok(())
@@ -313,9 +328,9 @@ impl Operator for FixpointOp {
         self.state.clear();
         self.pending.clear();
         self.stratum = 0;
+        self.base_ended = false;
         self.ready_for_vote = false;
         self.finished = false;
-        self.processed_this_stratum = 0;
     }
 }
 
@@ -349,19 +364,26 @@ mod tests {
             .collect()
     }
 
+    /// The base case's end only makes the fixpoint startable; the
+    /// runtime's start call feeds stratum 0 back.
     #[test]
-    fn base_case_feeds_back_on_eos() {
+    fn base_case_eos_marks_started_and_start_feeds_back() {
         let mut fp = FixpointOp::new(vec![0], Termination::Fixpoint);
-        ctx_run(&mut fp, |op, ctx| {
-            op.on_deltas(0, vec![Delta::insert(tuple![1i64, 1.0f64])], ctx).unwrap();
-        });
         let out = ctx_run(&mut fp, |op, ctx| {
+            assert!(op.start(ctx).is_err(), "no start before the base case ends");
+        });
+        assert!(out.is_empty());
+        let out = ctx_run(&mut fp, |op, ctx| {
+            op.on_deltas(0, vec![Delta::insert(tuple![1i64, 1.0f64])], ctx).unwrap();
             op.on_punct(0, Punctuation::EndOfStream, ctx).unwrap();
         });
+        assert!(out.is_empty(), "end of the base case emits nothing: {out:?}");
+        assert_eq!(fp.pending_count(), 1);
+        let out = ctx_run(&mut fp, |op, ctx| op.start(ctx).unwrap());
         assert_eq!(data_on(&out, 0), vec![Delta::insert(tuple![1i64, 1.0f64])]);
-        assert!(out
-            .iter()
-            .any(|(p, e)| *p == 0 && matches!(e, Event::Punct(Punctuation::EndOfStratum(0)))));
+        assert!(matches!(out.last(), Some((0, Event::Punct(Punctuation::EndOfStratum(0))))));
+        assert_eq!(fp.pending_count(), 0);
+        assert_eq!(fp.stratum(), 0);
     }
 
     #[test]
@@ -385,10 +407,15 @@ mod tests {
     #[test]
     fn vote_and_advance_cycle() {
         let mut fp = FixpointOp::new(vec![0], Termination::Fixpoint);
-        ctx_run(&mut fp, |op, ctx| {
+        let out = ctx_run(&mut fp, |op, ctx| {
             op.on_deltas(0, vec![Delta::insert(tuple![1i64])], ctx).unwrap();
             op.on_punct(0, Punctuation::EndOfStream, ctx).unwrap();
         });
+        assert!(out.is_empty());
+        assert!(!fp.ready_for_vote());
+        // The runtime starts stratum 0 with the base case's Δ.
+        let out = ctx_run(&mut fp, |op, ctx| op.start(ctx).unwrap());
+        assert_eq!(data_on(&out, 0), vec![Delta::insert(tuple![1i64])]);
         assert!(!fp.ready_for_vote());
         ctx_run(&mut fp, |op, ctx| {
             op.on_deltas(1, vec![Delta::insert(tuple![2i64])], ctx).unwrap();
@@ -401,6 +428,7 @@ mod tests {
             op.advance(true, ctx).unwrap();
         });
         assert_eq!(data_on(&out, 0), vec![Delta::insert(tuple![2i64])]);
+        assert!(matches!(out.last(), Some((0, Event::Punct(Punctuation::EndOfStratum(1))))));
         assert_eq!(fp.stratum(), 1);
         // No new data this stratum → pending 0 → finish.
         ctx_run(&mut fp, |op, ctx| {
@@ -422,6 +450,7 @@ mod tests {
             op.on_deltas(0, vec![Delta::insert(tuple![1i64]), Delta::insert(tuple![2i64])], ctx)
                 .unwrap();
             op.on_punct(0, Punctuation::EndOfStream, ctx).unwrap();
+            op.start(ctx).unwrap();
         });
         // Stratum 1: only key 1 changed, but no-delta re-emits everything.
         ctx_run(&mut fp, |op, ctx| {

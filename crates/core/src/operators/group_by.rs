@@ -157,6 +157,45 @@ impl GroupByOp {
             .sum()
     }
 
+    /// Fold one annotated row into its group. A `+()` row takes the
+    /// allocation-free [`fold_insert`](AggHandler::fold_insert) path of
+    /// the built-in aggregates: no delta wrapper, no projected tuple. Any
+    /// other annotation, and any handler without a fast fold, dispatches
+    /// AGGSTATE on a projected delta; its intermediate deltas are kept in
+    /// `streamed` when streaming.
+    fn fold(
+        &mut self,
+        ann: &Annotation,
+        t: &Tuple,
+        streamed: &mut Vec<Delta>,
+        ctx: &mut OpCtx<'_>,
+    ) -> Result<()> {
+        ctx.charge_cpu(ctx.cost.hash_cost);
+        let aggs = &self.aggs;
+        let entry = self.groups.probe_or_insert_with(t, &self.key_cols, || GroupEntry::new(aggs));
+        entry.touch(ann, t, &self.key_cols, &mut self.dirty);
+        let insert = *ann == Annotation::Insert;
+        for (i, spec) in self.aggs.iter().enumerate() {
+            if spec.handler.is_builtin() {
+                ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
+            } else {
+                ctx.charge_udf_call();
+            }
+            if insert && spec.handler.fold_insert(&mut entry.states[i], t, &spec.input_cols)? {
+                continue;
+            }
+            let projected = Delta {
+                ann: ann.clone(),
+                tuple: project_row(t, &spec.input_cols, &mut self.scratch, &self.empty),
+            };
+            let inter = spec.handler.agg_state(&mut entry.states[i], &projected)?;
+            if self.streaming {
+                streamed.extend(inter);
+            }
+        }
+        Ok(())
+    }
+
     fn flush(&mut self, ctx: &mut OpCtx<'_>) -> Result<Vec<Delta>> {
         let mut out = Vec::new();
         // Deterministic flush order simplifies testing and reproducibility.
@@ -241,30 +280,8 @@ impl Operator for GroupByOp {
     fn on_deltas(&mut self, _port: usize, deltas: Vec<Delta>, ctx: &mut OpCtx<'_>) -> Result<()> {
         ctx.charge_input(deltas.len());
         let mut streamed = Vec::new();
-        for d in deltas {
-            ctx.charge_cpu(ctx.cost.hash_cost);
-            let aggs = &self.aggs;
-            let entry = self
-                .groups
-                .probe_or_insert_with(&d.tuple, &self.key_cols, || GroupEntry::new(aggs));
-            entry.touch(&d.ann, &d.tuple, &self.key_cols, &mut self.dirty);
-            for (i, spec) in self.aggs.iter().enumerate() {
-                let projected = d.with_tuple(project_tuple(
-                    &d,
-                    &spec.input_cols,
-                    &mut self.scratch,
-                    &self.empty,
-                ));
-                if spec.handler.is_builtin() {
-                    ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
-                } else {
-                    ctx.charge_udf_call();
-                }
-                let inter = spec.handler.agg_state(&mut entry.states[i], &projected)?;
-                if self.streaming {
-                    streamed.extend(inter);
-                }
-            }
+        for d in &deltas {
+            self.fold(&d.ann, &d.tuple, &mut streamed, ctx)?;
         }
         if self.streaming && !streamed.is_empty() {
             ctx.emit(0, streamed);
@@ -272,36 +289,13 @@ impl Operator for GroupByOp {
         Ok(())
     }
 
-    /// Fast lane: fold bare (insert-only) rows straight into group state.
-    /// Built-in aggregates take the allocation-free
-    /// [`fold_insert`](AggHandler::fold_insert) path — no delta wrapper,
-    /// no projected tuple per row; handlers without a fast fold fall back
-    /// to the general AGGSTATE dispatch on a projected insert delta.
+    /// Bare rows fold straight into group state as the `+()` deltas they
+    /// stand for, with no delta wrapper.
     fn on_rows(&mut self, _port: usize, rows: Vec<Tuple>, ctx: &mut OpCtx<'_>) -> Result<()> {
         ctx.charge_input(rows.len());
         let mut streamed = Vec::new();
         for t in &rows {
-            ctx.charge_cpu(ctx.cost.hash_cost);
-            let aggs = &self.aggs;
-            let entry =
-                self.groups.probe_or_insert_with(t, &self.key_cols, || GroupEntry::new(aggs));
-            entry.touch(&Annotation::Insert, t, &self.key_cols, &mut self.dirty);
-            for (i, spec) in self.aggs.iter().enumerate() {
-                if spec.handler.is_builtin() {
-                    ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
-                } else {
-                    ctx.charge_udf_call();
-                }
-                if spec.handler.fold_insert(&mut entry.states[i], t, &spec.input_cols)? {
-                    continue;
-                }
-                let projected =
-                    Delta::insert(project_row(t, &spec.input_cols, &mut self.scratch, &self.empty));
-                let inter = spec.handler.agg_state(&mut entry.states[i], &projected)?;
-                if self.streaming {
-                    streamed.extend(inter);
-                }
-            }
+            self.fold(&Annotation::Insert, t, &mut streamed, ctx)?;
         }
         if self.streaming && !streamed.is_empty() {
             ctx.emit(0, streamed);
@@ -337,15 +331,10 @@ impl Operator for GroupByOp {
     }
 }
 
-/// Project the delta's tuple onto the aggregate's input columns, through
-/// a reusable scratch buffer (one allocation per projected tuple); the
-/// zero-column projection of `count(*)` reuses a cached empty tuple.
-fn project_tuple(d: &Delta, cols: &[usize], scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple {
-    project_row(&d.tuple, cols, scratch, empty)
-}
-
-/// [`project_tuple`] over a bare row (the rows-lane fallback when a
-/// handler has no [`AggHandler::fold_insert`] fast path).
+/// Project a row onto an aggregate's input columns, through a reusable
+/// scratch buffer (one allocation per projected tuple); the zero-column
+/// projection of `count(*)` reuses a cached empty tuple. The fallback
+/// when an input cannot take the [`AggHandler::fold_insert`] fast path.
 fn project_row(t: &Tuple, cols: &[usize], scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple {
     if cols.is_empty() {
         return empty.clone();

@@ -18,15 +18,15 @@ use crate::operators::{OpCtx, Operator, OperatorState, PunctTracker};
 use crate::tuple::Tuple;
 use std::sync::Arc;
 
-/// Below this batch size the per-delta path is used unconditionally: the
-/// group-by-key pass only pays once duplicate keys are plausible.
+/// Below this size an all-insert delta batch stays on the per-delta path:
+/// scanning and unwrapping the batch into rows only pays past a few rows.
 const INSERT_BATCH_MIN: usize = 8;
 
-/// How many sorted keys ahead of the probe cursor the opposite table's
-/// probe slot is prefetched on the batched rows path. Far enough that the
-/// line arrives before the probe (a probe is a fold + slot read + key
-/// compare, a few nanoseconds each); near enough that L1 does not evict
-/// it again before use.
+/// How many rows ahead of the probe cursor the opposite table's probe
+/// slot is prefetched on the rows path. Far enough that the line arrives
+/// before the probe (a probe is a fold + slot read + key compare, a few
+/// nanoseconds each); near enough that L1 does not evict it again before
+/// use.
 const PREFETCH_DIST: usize = 8;
 
 /// Pipelined hash join. Port 0 is the left input, port 1 the right.
@@ -103,15 +103,6 @@ impl HashJoinOp {
         }
     }
 
-    /// Join output tuple: always left ++ right regardless of probe side.
-    fn fuse(&self, probe: &Tuple, matched: &Tuple, from_left: bool) -> Tuple {
-        if from_left {
-            probe.concat(matched)
-        } else {
-            matched.concat(probe)
-        }
-    }
-
     /// The probing tuple's join-key hash, on its arrival side.
     fn key_hash(&self, t: &Tuple, from_left: bool) -> u64 {
         t.hash_key(if from_left { &self.left_key } else { &self.right_key })
@@ -134,95 +125,96 @@ impl HashJoinOp {
         if let Some(bucket) = opposite.probe_hashed(hash, t, cols) {
             for m in bucket.iter() {
                 ctx.charge_cpu(ctx.cost.hash_cost);
-                out.push(make(self.fuse(t, m, from_left)));
+                out.push(make(fuse(t, m, from_left)));
             }
         }
     }
 
-    /// Probe the opposite side and push bare fused tuples (bare-rows
-    /// mirror of [`probe_emit`](HashJoinOp::probe_emit)).
-    fn probe_rows(
-        &self,
-        hash: u64,
-        t: &Tuple,
-        from_left: bool,
-        out: &mut Vec<Tuple>,
-        ctx: &mut OpCtx<'_>,
-    ) {
-        let (opposite, cols) =
-            if from_left { (&self.right, &self.left_key) } else { (&self.left, &self.right_key) };
-        if let Some(bucket) = opposite.probe_hashed(hash, t, cols) {
-            for m in bucket.iter() {
-                ctx.charge_cpu(ctx.cost.hash_cost);
-                out.push(self.fuse(t, m, from_left));
-            }
-        }
-    }
-
-    /// Batch path for handler-free insert batches, with the
-    /// cache-conscious probe loop: every key in the batch is hashed up
-    /// front, the batch is stably sorted by hash (so duplicate keys cost
-    /// one upsert + one probe per *run* instead of one of each per row),
-    /// and the probe slot for the key [`PREFETCH_DIST`] runs ahead is
-    /// prefetched before each probe so the table's random cache-line
-    /// reads overlap the sequential key walk. The emitted multiset is
-    /// identical to the per-row path; only intra-batch emission order
-    /// changes, which no downstream operator observes (sinks sort,
-    /// aggregates commute). When `store` is false the build-side upsert
-    /// is skipped entirely — the batch runs probe-only.
-    fn apply_rows_batch(
+    /// The insert-rows path (handler-free). Rows are probed in arrival
+    /// order: every key in the batch is hashed up front, a run of
+    /// *consecutive* equal keys costs one upsert and one probe instead of
+    /// one of each per row, and the probe slot of the key
+    /// [`PREFETCH_DIST`] rows ahead is prefetched before each probe so the
+    /// table's random cache-line reads overlap the sequential key walk.
+    /// Emission order is the per-row order — each row's matches, row by
+    /// row — whatever the batch size. When `store` is false the
+    /// build-side upsert is skipped entirely: the batch runs probe-only.
+    fn apply_rows(
         &mut self,
-        rows: Vec<Tuple>,
+        rows: &[Tuple],
         from_left: bool,
         store: bool,
         out: &mut Vec<Tuple>,
         ctx: &mut OpCtx<'_>,
     ) {
-        let own_cols: &[usize] = if from_left { &self.left_key } else { &self.right_key };
-        let mut keyed: Vec<(u64, Tuple)> =
-            rows.into_iter().map(|t| (t.hash_key(own_cols), t)).collect();
-        // Stable: arrival order survives within a key run.
-        keyed.sort_by_key(|(h, _)| *h);
+        let HashJoinOp { left, right, left_key, right_key, prefetch_probes, .. } = self;
+        let (own, opposite, cols) = if from_left {
+            (left, &*right, left_key.as_slice())
+        } else {
+            (right, &*left, right_key.as_slice())
+        };
+        let hashes: Vec<u64> = rows.iter().map(|t| t.hash_key(cols)).collect();
         let mut i = 0;
-        while i < keyed.len() {
-            let hash = keyed[i].0;
-            let run_cols: &[usize] = if from_left { &self.left_key } else { &self.right_key };
+        while i < rows.len() {
+            let (hash, t) = (hashes[i], &rows[i]);
             let mut j = i + 1;
-            while j < keyed.len()
-                && keyed[j].0 == hash
-                && run_cols.iter().all(|&c| keyed[j].1.get(c) == keyed[i].1.get(c))
+            while j < rows.len()
+                && hashes[j] == hash
+                && cols.iter().all(|&c| rows[j].get(c) == t.get(c))
             {
                 j += 1;
             }
-            {
-                let ahead = (i + PREFETCH_DIST).min(keyed.len() - 1);
-                let opposite = if from_left { &self.right } else { &self.left };
-                opposite.prefetch(keyed[ahead].0);
-            }
-            self.prefetch_probes += 1;
+            opposite.prefetch(hashes[(i + PREFETCH_DIST).min(rows.len() - 1)]);
+            *prefetch_probes += 1;
             ctx.charge_cpu(ctx.cost.hash_cost);
             if store {
-                let (state, cols) = self.side_mut(from_left);
-                let bucket = state.probe_or_insert_hashed(hash, &keyed[i].1, cols, TupleSet::new);
-                for (_, t) in &keyed[i..j] {
-                    bucket.insert(t.clone());
+                let bucket = own.probe_or_insert_hashed(hash, t, cols, TupleSet::new);
+                for r in &rows[i..j] {
+                    bucket.insert(r.clone());
                 }
             }
-            let (opposite, cols) = if from_left {
-                (&self.right, &self.left_key)
-            } else {
-                (&self.left, &self.right_key)
-            };
-            if let Some(bucket) = opposite.probe_hashed(hash, &keyed[i].1, cols) {
-                for m in bucket.iter() {
-                    for (_, t) in &keyed[i..j] {
+            if let Some(bucket) = opposite.probe_hashed(hash, t, cols) {
+                for r in &rows[i..j] {
+                    for m in bucket.iter() {
                         ctx.charge_cpu(ctx.cost.hash_cost);
-                        out.push(self.fuse(t, m, from_left));
+                        out.push(fuse(r, m, from_left));
                     }
                 }
             }
             i = j;
         }
+    }
+
+    /// A user join handler owns bucket maintenance for *all* deltas (the
+    /// paper's Listing 1 PRAgg manages prBucket and nbrBucket entirely).
+    /// It is handed both buckets for the delta's key in place. A key with
+    /// no bucket on a side gets an empty scratch set, stored only if the
+    /// handler leaves it non-empty; a stored bucket the handler empties is
+    /// removed. Keyed state stays proportional to *live* keys, and a probe
+    /// that finds nothing leaves nothing behind.
+    fn apply_handler(
+        &mut self,
+        d: Delta,
+        from_left: bool,
+        out: &mut Vec<Delta>,
+        ctx: &mut OpCtx<'_>,
+    ) -> Result<()> {
+        ctx.charge_udf_call();
+        let HashJoinOp { handler, left, right, left_key, right_key, .. } = self;
+        let h = handler.as_deref().expect("apply_handler without a handler");
+        let cols: &[usize] = if from_left { left_key } else { right_key };
+        let hash = d.tuple.hash_key(cols);
+        let (mut left_new, mut right_new) = (TupleSet::new(), TupleSet::new());
+        let lb = left.probe_mut_hashed(hash, &d.tuple, cols);
+        let rb = right.probe_mut_hashed(hash, &d.tuple, cols);
+        let (left_stored, right_stored) = (lb.is_some(), rb.is_some());
+        let lb = lb.unwrap_or(&mut left_new);
+        let rb = rb.unwrap_or(&mut right_new);
+        out.extend(h.update(lb, rb, &d, from_left)?);
+        let (left_empty, right_empty) = (lb.is_empty(), rb.is_empty());
+        settle_bucket(left, left_stored, left_empty, left_new, hash, &d.tuple, cols);
+        settle_bucket(right, right_stored, right_empty, right_new, hash, &d.tuple, cols);
+        Ok(())
     }
 
     fn apply_default(
@@ -232,30 +224,10 @@ impl HashJoinOp {
         out: &mut Vec<Delta>,
         ctx: &mut OpCtx<'_>,
     ) -> Result<()> {
-        // When a user join handler is installed it owns bucket maintenance
-        // for *all* deltas (the paper's Listing 1 PRAgg manages prBucket and
-        // nbrBucket entirely); without one, the standard view-maintenance
-        // rules apply and δ(E) degrades to a hidden attribute.
-        if let Some(h) = self.handler.clone() {
-            ctx.charge_udf_call();
-            // Hand the handler both buckets for the delta's key in place,
-            // then prune whichever it left (or created) empty — keyed
-            // state must stay proportional to *live* keys, not every key
-            // ever seen.
-            let HashJoinOp { left, right, left_key, right_key, .. } = self;
-            let cols: &[usize] = if from_left { left_key } else { right_key };
-            let lb = left.probe_or_insert_with(&d.tuple, cols, TupleSet::new);
-            let rb = right.probe_or_insert_with(&d.tuple, cols, TupleSet::new);
-            let produced = h.update(lb, rb, &d, from_left)?;
-            let (left_empty, right_empty) = (lb.is_empty(), rb.is_empty());
-            if left_empty {
-                left.remove_probe(&d.tuple, cols);
-            }
-            if right_empty {
-                right.remove_probe(&d.tuple, cols);
-            }
-            out.extend(produced);
-            return Ok(());
+        // Without a handler the standard view-maintenance rules apply and
+        // δ(E) degrades to a hidden attribute.
+        if self.handler.is_some() {
+            return self.apply_handler(d, from_left, out, ctx);
         }
         match d.ann.clone() {
             Annotation::Insert => {
@@ -296,8 +268,8 @@ impl HashJoinOp {
                         for m in bucket.iter() {
                             ctx.charge_cpu(ctx.cost.hash_cost);
                             out.push(Delta::replace(
-                                self.fuse(&old, m, from_left),
-                                self.fuse(&d.tuple, m, from_left),
+                                fuse(&old, m, from_left),
+                                fuse(&d.tuple, m, from_left),
                             ));
                         }
                     }
@@ -331,6 +303,38 @@ impl HashJoinOp {
             }
         }
         Ok(())
+    }
+}
+
+/// Join output tuple: always left ++ right regardless of probe side.
+fn fuse(probe: &Tuple, matched: &Tuple, from_left: bool) -> Tuple {
+    if from_left {
+        probe.concat(matched)
+    } else {
+        matched.concat(probe)
+    }
+}
+
+/// Settle one side's bucket for `t`'s key after a join handler ran on it:
+/// a stored bucket the handler emptied is removed, and a scratch bucket
+/// (`stored == false`) the handler filled is stored.
+fn settle_bucket(
+    table: &mut KeyedTable<TupleSet>,
+    stored: bool,
+    empty: bool,
+    scratch: TupleSet,
+    hash: u64,
+    t: &Tuple,
+    cols: &[usize],
+) {
+    match (stored, empty) {
+        (true, true) => {
+            table.remove_probe_hashed(hash, t, cols);
+        }
+        (false, false) => {
+            table.probe_or_insert_hashed(hash, t, cols, move || scratch);
+        }
+        _ => {}
     }
 }
 
@@ -384,21 +388,7 @@ impl Operator for HashJoinOp {
         // Equi-joins emit at least one row per matching input row; start
         // at the batch size instead of doubling up from empty.
         let mut out: Vec<Tuple> = Vec::with_capacity(rows.len());
-        if rows.len() >= INSERT_BATCH_MIN {
-            self.apply_rows_batch(rows, from_left, store, &mut out, ctx);
-        } else {
-            // Tiny batch: per-row in arrival order, mirroring the
-            // per-delta path (including its emission order).
-            for t in rows {
-                ctx.charge_cpu(ctx.cost.hash_cost);
-                let hash = self.key_hash(&t, from_left);
-                if store {
-                    let (state, cols) = self.side_mut(from_left);
-                    state.probe_or_insert_hashed(hash, &t, cols, TupleSet::new).insert(t.clone());
-                }
-                self.probe_rows(hash, &t, from_left, &mut out, ctx);
-            }
-        }
+        self.apply_rows(&rows, from_left, store, &mut out, ctx);
         ctx.emit_rows(0, out);
         Ok(())
     }
@@ -493,7 +483,7 @@ mod tests {
     #[test]
     fn rows_after_opposite_eos_are_stored_unless_inputs_are_promised_insert_only() {
         let build: Vec<Tuple> = (0..3i64).map(|k| tuple![k, "r"]).collect();
-        // Above and below the batch threshold: both inner loops.
+        // A tiny and a larger batch.
         for n in [4i64, 40] {
             let probe: Vec<Tuple> = (0..n).map(|i| tuple![i % 3, i]).collect();
 
@@ -524,13 +514,16 @@ mod tests {
     #[test]
     fn insert_batch_with_duplicate_keys_matches_per_delta_path() {
         // The same all-insert traffic through the batch path (one big
-        // batch) and the per-delta path (singleton batches) must produce
-        // the same output multiset and the same build state.
-        let build: Vec<Delta> = (0..5i64).map(|k| Delta::insert(tuple![k, "r"])).collect();
-        let probe: Vec<Delta> = (0..40i64).map(|i| Delta::insert(tuple![i % 5, i])).collect();
+        // batch, with runs of consecutive equal keys and repeats apart)
+        // and the per-delta path (singleton batches) must produce the same
+        // output in the same order, and the same build state.
+        let build: Vec<Delta> = (0..5i64)
+            .flat_map(|k| [Delta::insert(tuple![k, "r"]), Delta::insert(tuple![k, "s"])])
+            .collect();
+        let probe: Vec<Delta> = (0..40i64).map(|i| Delta::insert(tuple![i / 3 % 5, i])).collect();
         let mut batched = HashJoinOp::new(vec![0], vec![0]);
         drive(&mut batched, 1, build.clone());
-        let mut out_batched = drive(&mut batched, 0, probe.clone());
+        let out_batched = drive(&mut batched, 0, probe.clone());
         let mut single = HashJoinOp::new(vec![0], vec![0]);
         for d in build {
             drive(&mut single, 1, vec![d]);
@@ -539,9 +532,7 @@ mod tests {
         for d in probe {
             out_single.extend(drive(&mut single, 0, vec![d]));
         }
-        let key = |d: &Delta| d.to_string();
-        out_batched.sort_by_key(key);
-        out_single.sort_by_key(key);
+        assert_eq!(out_batched.len(), 80);
         assert_eq!(out_batched, out_single);
         assert_eq!(batched.state_size(), single.state_size());
     }
@@ -681,6 +672,35 @@ mod tests {
         // emptied — not one (hash, owned key, empty bucket) per key seen.
         assert!(j.left.is_empty(), "left retains {} emptied buckets", j.left.len());
         assert!(j.right.is_empty(), "right retains {} emptied buckets", j.right.len());
+    }
+
+    /// A handler that only reads its buckets.
+    struct ReadOnlyHandler;
+    impl JoinHandler for ReadOnlyHandler {
+        fn name(&self) -> &str {
+            "read-only"
+        }
+        fn update(
+            &self,
+            left: &mut TupleSet,
+            right: &mut TupleSet,
+            _d: &Delta,
+            _from_left: bool,
+        ) -> Result<Vec<Delta>> {
+            Ok(vec![Delta::insert(tuple![(left.len() + right.len()) as i64])])
+        }
+    }
+
+    #[test]
+    fn handler_join_creates_no_bucket_the_handler_leaves_empty() {
+        let mut j = HashJoinOp::new(vec![0], vec![0]).with_handler(Arc::new(ReadOnlyHandler));
+        let out = drive(&mut j, 0, (0..1000i64).map(|i| Delta::insert(tuple![i])).collect());
+        assert_eq!(out.len(), 1000);
+        assert!(j.left.is_empty() && j.right.is_empty());
+        // No bucket was created and then removed: no tombstones to walk.
+        let detail = j.stats_detail();
+        let collisions = detail.iter().find(|(k, _)| k == "hash_collisions").unwrap().1;
+        assert_eq!(collisions, 0);
     }
 
     #[test]

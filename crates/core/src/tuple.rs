@@ -62,25 +62,12 @@ impl Tuple {
         Tuple::new(cols.iter().map(|&c| self.0[c].clone()).collect())
     }
 
-    /// Concatenate two tuples (used by joins). Joined rows up to 16
-    /// attributes are assembled on the stack and built with a single
-    /// allocation — every probe match on the join hot path constructs one
-    /// of these.
+    /// Concatenate two tuples (used by joins). Every probe match on the
+    /// join hot path constructs one of these, so the values are cloned
+    /// straight into the `Arc` buffer: the chained iterator knows its
+    /// exact length, and the collect makes one allocation of that size.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        const STACK: usize = 16;
-        let n = self.arity() + other.arity();
-        if n <= STACK {
-            let mut buf: [Value; STACK] = [const { Value::Null }; STACK];
-            for (slot, v) in buf.iter_mut().zip(self.0.iter().chain(other.0.iter())) {
-                *slot = v.clone();
-            }
-            Tuple::from_slice(&buf[..n])
-        } else {
-            let mut v = Vec::with_capacity(n);
-            v.extend_from_slice(&self.0);
-            v.extend_from_slice(&other.0);
-            Tuple::new(v)
-        }
+        Tuple(self.0.iter().chain(other.0.iter()).cloned().collect())
     }
 
     /// Approximate serialized size in bytes (network accounting).

@@ -15,7 +15,9 @@ use rex_core::tuple::Tuple;
 use rex_server::{Client, Server, ServerConfig};
 use rex_testkit::{canon, XorShift};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const READERS: usize = 8;
 const BATCHES: usize = 30; // write ops; each bumps the version once
@@ -59,7 +61,12 @@ fn run_scenario(session: Session) {
     let edges_at: Arc<Vec<Vec<Tuple>>> = Arc::new((0..=BATCHES).map(expected_edges).collect());
     let deg_at: Arc<Vec<Vec<Tuple>>> = Arc::new((0..=BATCHES).map(expected_deg).collect());
     let v_final = v0 + BATCHES as u64;
+    // The newest version any reader has observed. The writer pauses
+    // halfway until a reader has seen its version, so an intermediate
+    // snapshot is observed however fast the writes finish.
+    let seen = Arc::new(AtomicU64::new(0));
 
+    let writer_seen = Arc::clone(&seen);
     let writer = std::thread::spawn(move || {
         let (mut c, _) = Client::connect(addr).unwrap();
         for k in 0..BATCHES {
@@ -69,6 +76,13 @@ fn run_scenario(session: Session) {
             // Read-your-writes: the covering snapshot is already live.
             let reply = c.query("SELECT * FROM deg").unwrap();
             assert!(reply.version >= ack.version, "ack before publish");
+            if k == BATCHES / 2 {
+                let deadline = Instant::now() + Duration::from_secs(60);
+                while writer_seen.load(Ordering::Acquire) < ack.version {
+                    assert!(Instant::now() < deadline, "no reader saw version {}", ack.version);
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
         }
         c.quit().unwrap();
     });
@@ -77,6 +91,7 @@ fn run_scenario(session: Session) {
         .map(|r| {
             let edges_at = Arc::clone(&edges_at);
             let deg_at = Arc::clone(&deg_at);
+            let seen = Arc::clone(&seen);
             std::thread::spawn(move || {
                 let (mut c, _) = Client::connect(addr).unwrap();
                 let mut rng = XorShift(0x9E3779B97F4A7C15 ^ (r as u64 + 1));
@@ -112,6 +127,7 @@ fn run_scenario(session: Session) {
                         "reader {r}: {rql} at version {} diverged from full recompute",
                         reply.version
                     );
+                    seen.fetch_max(reply.version, Ordering::Release);
                     last_version = reply.version;
                 }
                 c.quit().unwrap();
