@@ -26,8 +26,8 @@
 //!
 //! Two configurations process the same stream of small insert batches:
 //!
-//! * **IVM** — `Session::insert` drives the view's delta-propagation
-//!   maintenance plan, and `SELECT * FROM <view>` serves the contents
+//! * **IVM** — `Session::insert` drives the view's long-lived dataflow,
+//!   and `SELECT * FROM <view>` serves the contents
 //!   (delta-granular view→store sync included in the measured window);
 //! * **recompute** — the defining query re-runs from scratch after every
 //!   batch (what `Session::query` did before views existed).

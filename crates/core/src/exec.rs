@@ -519,6 +519,29 @@ impl Executor {
         self.queue.clear();
         self.stratum = 0;
     }
+
+    /// A copy of this executor with every operator's state and any queued
+    /// events (telemetry off) — a replica of a long-lived dataflow. `None`
+    /// when some operator has no [`Operator::boxed_clone`].
+    pub fn try_clone(&self) -> Option<Executor> {
+        Some(Executor {
+            nodes: self.nodes.iter().map(|n| n.boxed_clone()).collect::<Option<_>>()?,
+            network: self.network.clone(),
+            edges: self.edges.clone(),
+            queue: self.queue.clone(),
+            metrics: self.metrics,
+            stratum: self.stratum,
+            worker: self.worker,
+            distributed: self.distributed,
+            trace: None,
+        })
+    }
+
+    /// Approximate bytes of state the operators retain
+    /// ([`Operator::state_bytes`]).
+    pub fn state_bytes(&self) -> usize {
+        self.nodes.iter().map(|n| n.state_bytes()).sum()
+    }
 }
 
 /// Queue an event for every `(dst, port)` edge, moving the event into the

@@ -36,13 +36,14 @@
 //! The [`delta`] vocabulary this crate defines — `+()`, `-()`, `→(t')`,
 //! `δ(E)` per Definition 1 of the paper — is also the substrate of the
 //! `rex-views` crate: `CREATE MATERIALIZED VIEW` (through the `rex`
-//! facade's `Session`) builds a maintenance plan whose join and group-by
-//! nodes *are* this crate's [`operators::HashJoinOp`] and
-//! [`operators::GroupByOp`], holding persistent per-view state.
-//! Base-table inserts/deletes become delta batches; maintenance cost
-//! scales with the batch, not the table. Views and queries therefore
-//! share one set of [`aggregates`] rules — O(1) `sum`/`count`/`avg`, an
-//! O(log n) ordered multiset for `min`/`max`, `-()` deltas for user
+//! facade's `Session`) lowers the defining query once into a long-lived
+//! [`exec::Executor`] whose join and group-by nodes *are* this crate's
+//! [`operators::HashJoinOp`] and [`operators::GroupByOp`], holding
+//! persistent per-view state. Base-table inserts/deletes enter at the
+//! scans as delta batches; maintenance cost scales with the batch, not
+//! the table. Views and queries therefore share one set of
+//! [`aggregates`] rules — O(1) `sum`/`count`/`avg`, an O(log n) ordered
+//! multiset for `min`/`max`, `-()` deltas for user
 //! [`handlers::AggHandler`]s — and a group whose last row is deleted
 //! retracts its output. Keyed state is hashed with this crate's
 //! deterministic [`hash::FxHasher`].

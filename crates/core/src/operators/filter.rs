@@ -19,6 +19,7 @@ use crate::tuple::Tuple;
 /// | no         | yes        | `+() new`              |
 /// | yes        | no         | `-() old`              |
 /// | no         | no         | nothing                |
+#[derive(Clone)]
 pub struct FilterOp {
     predicate: Expr,
     /// The predicate pre-compiled for the per-row path: `col OP lit` /
@@ -156,6 +157,10 @@ impl Operator for FilterOp {
     fn reset(&mut self) {
         self.batch_in = 0;
         self.batch_out = 0;
+    }
+
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(self.clone()))
     }
 
     fn stats_detail(&self) -> Vec<(String, u64)> {

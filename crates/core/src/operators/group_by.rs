@@ -148,15 +148,6 @@ impl GroupByOp {
         self.groups.len()
     }
 
-    /// Approximate bytes of retained group state: each group's row count
-    /// plus its aggregates' states.
-    pub fn state_bytes(&self) -> usize {
-        self.groups
-            .values()
-            .map(|g| 8 + g.states.iter().map(AggState::byte_size).sum::<usize>())
-            .sum()
-    }
-
     /// Fold one annotated row into its group. A `+()` row takes the
     /// allocation-free [`fold_insert`](AggHandler::fold_insert) path of
     /// the built-in aggregates: no delta wrapper, no projected tuple. Any
@@ -319,6 +310,19 @@ impl Operator for GroupByOp {
     fn reset(&mut self) {
         self.groups.clear();
         self.dirty.clear();
+    }
+
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(self.clone()))
+    }
+
+    /// Approximate bytes of retained group state: each group's row count
+    /// plus its aggregates' states.
+    fn state_bytes(&self) -> usize {
+        self.groups
+            .values()
+            .map(|g| 8 + g.states.iter().map(AggState::byte_size).sum::<usize>())
+            .sum()
     }
 
     fn stats_detail(&self) -> Vec<(String, u64)> {

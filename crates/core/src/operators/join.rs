@@ -88,11 +88,6 @@ impl HashJoinOp {
             + self.right.values().map(TupleSet::len).sum::<usize>()
     }
 
-    /// Approximate bytes of the tuples buffered on both sides.
-    pub fn state_bytes(&self) -> usize {
-        self.left.values().chain(self.right.values()).map(TupleSet::byte_size).sum()
-    }
-
     /// This side's build table and key columns (split borrow, so callers
     /// can keep using `&self`-derived key columns while mutating state).
     fn side_mut(&mut self, from_left: bool) -> (&mut KeyedTable<TupleSet>, &[usize]) {
@@ -413,6 +408,15 @@ impl Operator for HashJoinOp {
         self.right.clear();
         self.punct.reset();
         self.prefetch_probes = 0;
+    }
+
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(self.clone()))
+    }
+
+    /// Approximate bytes of the tuples buffered on both sides.
+    fn state_bytes(&self) -> usize {
+        self.left.values().chain(self.right.values()).map(TupleSet::byte_size).sum()
     }
 
     fn stats_detail(&self) -> Vec<(String, u64)> {

@@ -270,6 +270,19 @@ pub trait Operator: Send {
     /// condition (used by restart recovery).
     fn reset(&mut self);
 
+    /// A copy of this operator, state included, so a long-lived dataflow
+    /// can be replicated ([`Executor::try_clone`](crate::exec::Executor::try_clone)).
+    /// `None` (the default) when the operator cannot be copied.
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        None
+    }
+
+    /// Approximate bytes of state retained across batches (join sides,
+    /// group state). Stateless operators hold none (the default).
+    fn state_bytes(&self) -> usize {
+        0
+    }
+
     /// Operator-specific telemetry counters (hash probes/collisions,
     /// retained state sizes), harvested once per traced query. Stateless
     /// operators report nothing.

@@ -13,6 +13,7 @@ use crate::tuple::Tuple;
 /// (valid because projection is deterministic). Expressions are
 /// pre-compiled ([`CompiledExpr`]) so the common `col` / `col OP lit`
 /// shapes evaluate on borrowed operands per row.
+#[derive(Clone)]
 pub struct ProjectOp {
     exprs: Vec<Expr>,
     compiled: Vec<CompiledExpr>,
@@ -99,6 +100,10 @@ impl Operator for ProjectOp {
     }
 
     fn reset(&mut self) {}
+
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

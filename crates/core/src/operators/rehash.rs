@@ -42,6 +42,7 @@ pub fn hash_key_cols(t: &Tuple, cols: &[usize]) -> u64 {
 }
 
 /// The rehash operator.
+#[derive(Clone)]
 pub struct RehashOp {
     key_cols: Vec<usize>,
 }
@@ -181,6 +182,10 @@ impl Operator for RehashOp {
     }
 
     fn reset(&mut self) {}
+
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

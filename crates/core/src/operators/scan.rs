@@ -24,6 +24,7 @@ pub const MORSEL_ROWS: usize = 4096;
 /// `Arc` bump — no upfront deep copy of the table into the plan. Storage
 /// backends hand out `Shared` sources (`rex-storage`'s catalog provider);
 /// hand-built plans and per-worker partitions use `Owned`.
+#[derive(Clone)]
 pub enum ScanRows {
     /// Rows owned by the scan, moved out on emission.
     Owned(Vec<Tuple>),
@@ -43,6 +44,7 @@ impl From<Vec<Tuple>> for ScanRows {
 /// [`Event::Rows`](crate::operators::Event::Rows), no per-row delta
 /// wrapping — and whichever operator first needs annotations receives
 /// them as `+()` deltas through the [`Operator`] defaults.
+#[derive(Clone)]
 pub struct ScanOp {
     table: String,
     source: ScanRows,
@@ -210,6 +212,10 @@ impl Operator for ScanOp {
     fn reset(&mut self) {
         // Tuples were consumed by run_source; a reset scan re-reads storage
         // via the runtime, which re-creates scan operators. Nothing to do.
+    }
+
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(self.clone()))
     }
 
     fn stats_detail(&self) -> Vec<(String, u64)> {

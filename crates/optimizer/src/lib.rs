@@ -1,19 +1,19 @@
 //! # rex-optimizer
 //!
-//! The REX cost-based optimizer (§5): top-down join enumeration with
-//! memoization and branch-and-bound ([`enumerate`]), a resource-vector
-//! cost model with CPU/disk/network overlap and worst-case node
-//! calibration ([`cost`]), rank-based ordering of expensive UDF predicates
-//! ([`rules`]), UDA pre-aggregation pushdown with composability and
-//! multiplicative-join compensation ([`rules`]), and recursive-query
-//! costing by capped simulated iteration ([`plan_cost`]).
+//! The REX cost-based optimizer (§5): a resource-vector cost model with
+//! CPU/disk/network overlap and worst-case node calibration ([`cost`]),
+//! rank-based ordering of expensive UDF predicates ([`rules`]), UDA
+//! pre-aggregation pushdown with composability and multiplicative-join
+//! compensation ([`rules`]), and recursive-query costing by capped
+//! simulated iteration ([`plan_cost`]). Joins keep the order the query
+//! wrote them in: §5's join enumeration pays only on three-way and wider
+//! joins, and no served workload has one.
 //!
 //! The [`Optimizer`] facade takes an RQL [`LogicalPlan`], applies the
 //! semantics-preserving rewrites, and returns the rewritten plan with its
 //! estimated [`PlanCost`].
 
 pub mod cost;
-pub mod enumerate;
 pub mod error;
 pub mod plan_cost;
 pub mod rules;

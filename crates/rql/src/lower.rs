@@ -191,12 +191,55 @@ fn lower_graph<'a>(
         opts,
         columnar: stateless_chain(plan),
         parallel,
+        fed_scans: None,
     };
     let (node, port, _, _) = ctx.node(plan)?;
     let gates = ctx.parallel.take().map(|p| p.gates).unwrap_or_default();
     let sink = g.add(Box::new(SinkOp::new()));
     g.connect(node, port, sink, 0);
     Ok((g, gates))
+}
+
+/// A plan lowered as a long-lived dataflow that is fed from outside: no
+/// table data and no sink (see [`lower_dataflow`]).
+pub struct Dataflow {
+    /// The wired operators.
+    pub graph: PlanGraph,
+    /// Every scan node with its table name (lowercase), in lowering
+    /// order. The scans hold no rows; a caller hands a batch for table
+    /// `t` to the consumers of each of `t`'s scans
+    /// ([`Executor::inject_downstream`](rex_core::exec::Executor::inject_downstream)).
+    pub scans: Vec<(String, NodeId)>,
+    /// The node and output port that carry the plan's result.
+    pub root: (NodeId, usize),
+}
+
+/// Lower `plan` locally as a [`Dataflow`]: the same operators [`lower`]
+/// builds, with empty scans and the result left on an open port. Batches
+/// fed to the scans may carry deletes, so no join is promised
+/// insert-only inputs.
+pub fn lower_dataflow(plan: &LogicalPlan, reg: &Registry) -> Result<Dataflow> {
+    /// Every table is empty: the rows arrive later, as batches.
+    struct NoRows;
+    impl TableProvider for NoRows {
+        fn scan(&self, _table: &str) -> Result<Vec<Tuple>> {
+            Ok(Vec::new())
+        }
+    }
+    let mut graph = PlanGraph::new();
+    let mut ctx = Lowering {
+        g: &mut graph,
+        provider: &NoRows,
+        reg,
+        fixpoint: None,
+        opts: LowerOptions::default(),
+        columnar: false,
+        parallel: None,
+        fed_scans: Some(Vec::new()),
+    };
+    let (node, port, _, _) = ctx.node(plan)?;
+    let scans = ctx.fed_scans.take().unwrap_or_default();
+    Ok(Dataflow { graph, scans, root: (node, port) })
 }
 
 /// Minimum total scanned rows before thread-parallel lowering pays:
@@ -446,8 +489,8 @@ type Partitioning = Option<Vec<usize>>;
 
 /// A lowered stream: `(node, output port, partitioning, insert_only)`.
 /// `insert_only` means every batch the stream will *ever* carry is an
-/// insertion: a scan, or filters / projections / handler-free joins over
-/// such streams. A batch shows its own annotations but not its port's
+/// insertion: a scan of stored rows (not a [`lower_dataflow`] scan), or
+/// filters / projections / handler-free joins over such streams. A batch shows its own annotations but not its port's
 /// future, so this is the one lane fact lowering still derives — for the
 /// join's probe-only shortcut (see `HashJoinOp::with_insert_only_inputs`).
 type Stream = (NodeId, usize, Partitioning, bool);
@@ -467,6 +510,10 @@ struct Lowering<'a> {
     /// Set while building one thread copy of a parallel plan (see
     /// [`lower_parallel`]); `None` for ordinary lowering.
     parallel: Option<ParallelCtx<'a>>,
+    /// Set by [`lower_dataflow`]: the scans lowered so far. Such scans
+    /// are fed from outside, deletes included, so they are not
+    /// insert-only streams.
+    fed_scans: Option<Vec<(String, NodeId)>>,
 }
 
 impl Lowering<'_> {
@@ -568,7 +615,14 @@ impl Lowering<'_> {
                 let id = self.g.add(Box::new(scan));
                 let part =
                     if self.opts.distributed { self.provider.partition_cols(table) } else { None };
-                Ok((id, 0, part, true))
+                let insert_only = match &mut self.fed_scans {
+                    Some(scans) => {
+                        scans.push((table.to_ascii_lowercase(), id));
+                        false
+                    }
+                    None => true,
+                };
+                Ok((id, 0, part, insert_only))
             }
             LogicalPlan::FixpointRef { name, .. } => {
                 let (fp, key) = self.fixpoint.clone().ok_or_else(|| {

@@ -18,6 +18,20 @@ use rex_core::tuple::Tuple;
 use rex_core::value::Value;
 use std::fmt::Write as _;
 
+/// The longest request line the server reads, in bytes, newline
+/// included. The largest line the server tests, the examples and
+/// `rexbench --quick` send is 238 bytes, so 1 MiB leaves wide headroom
+/// while bounding what one client can make the server buffer. A longer
+/// line is discarded through its newline and answered with
+/// [`oversize_line`]; inside `BATCH`/`SCRIPT` it fails the whole command
+/// as that line's decode error, after every announced line was read.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The reply to a request line longer than [`MAX_LINE_BYTES`].
+pub fn oversize_line() -> String {
+    format!("ERR line exceeds {MAX_LINE_BYTES} bytes")
+}
+
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {

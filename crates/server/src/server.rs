@@ -33,7 +33,7 @@ use rex::Session;
 use rex_core::error::{Result, RexError};
 use rex_core::tuple::Tuple;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -440,17 +440,59 @@ fn accept_loop(
     // closed channel and exits.
 }
 
-/// Read one line, waking every `cfg.poll` to honor shutdown. Returns
-/// `Ok(0)` on EOF *or* shutdown. Partial reads accumulate in `buf`
-/// across timeouts (read_line appends), so no bytes are lost.
+/// What [`read_line_interruptible`] read.
+enum Line {
+    /// EOF, or shutdown while waiting.
+    End,
+    /// A line (its newline included, unless the stream ended first).
+    Read,
+    /// A line longer than [`protocol::MAX_LINE_BYTES`], discarded through
+    /// its newline.
+    Oversize,
+}
+
+/// Read one line of at most [`protocol::MAX_LINE_BYTES`] bytes into `buf`,
+/// waking every `cfg.poll` to honor shutdown. A longer line is skipped
+/// through its newline without being buffered, so no client can make the
+/// server allocate without bound. Partial reads accumulate across
+/// timeouts, so no bytes are lost.
 fn read_line_interruptible(
     reader: &mut BufReader<TcpStream>,
     buf: &mut String,
     shared: &Shared,
-) -> std::io::Result<usize> {
+) -> std::io::Result<Line> {
+    let limit = protocol::MAX_LINE_BYTES as u64;
+    let mut bytes = std::mem::take(buf).into_bytes();
+    let read = retry(shared, || {
+        let room = limit - bytes.len() as u64;
+        reader.by_ref().take(room).read_until(b'\n', &mut bytes)
+    })?;
+    if read.is_none() {
+        return Ok(Line::End);
+    }
+    if bytes.len() as u64 == limit && bytes.last() != Some(&b'\n') {
+        return Ok(match retry(shared, || reader.skip_until(b'\n'))? {
+            Some(_) => Line::Oversize,
+            None => Line::End,
+        });
+    }
+    if bytes.is_empty() {
+        return Ok(Line::End);
+    }
+    *buf = String::from_utf8(bytes)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    Ok(Line::Read)
+}
+
+/// Run a blocking socket read, retrying when it times out (every
+/// `cfg.poll`) or is interrupted. `None` when shutdown began meanwhile.
+fn retry<T>(
+    shared: &Shared,
+    mut read: impl FnMut() -> std::io::Result<T>,
+) -> std::io::Result<Option<T>> {
     loop {
-        match reader.read_line(buf) {
-            Ok(n) => return Ok(n),
+        match read() {
+            Ok(v) => return Ok(Some(v)),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -458,7 +500,7 @@ fn read_line_interruptible(
                 ) =>
             {
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(0);
+                    return Ok(None);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -479,26 +521,29 @@ fn serve_connection(
     let mut line = String::new();
     loop {
         line.clear();
-        if read_line_interruptible(&mut reader, &mut line, shared)? == 0 {
-            return Ok(()); // EOF or shutdown
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        // Hot path: QUERY skips the command parser entirely — no verb
-        // uppercasing, no argument allocation; the line's tail is the
-        // cache key. (Lower-case `query` still works via the parser.)
-        let quit = if let Some(rql) = line.strip_prefix("QUERY ") {
-            handle_query(rql.trim_end_matches(['\r', '\n']), shared, &mut writer)?;
-            false
-        } else {
-            match protocol::parse_command(&line) {
-                Ok(cmd) => handle_command(cmd, shared, &write_tx, &mut reader, &mut writer)?,
-                Err(e) => {
-                    writeln!(writer, "{}", protocol::err_line(&e))?;
+        let quit = match read_line_interruptible(&mut reader, &mut line, shared)? {
+            Line::End => return Ok(()), // EOF or shutdown
+            Line::Oversize => {
+                writeln!(writer, "{}", protocol::oversize_line())?;
+                false
+            }
+            Line::Read if line.trim().is_empty() => continue,
+            // Hot path: QUERY skips the command parser entirely — no verb
+            // uppercasing, no argument allocation; the line's tail is the
+            // cache key. (Lower-case `query` still works via the parser.)
+            Line::Read => match line.strip_prefix("QUERY ") {
+                Some(rql) => {
+                    handle_query(rql.trim_end_matches(['\r', '\n']), shared, &mut writer)?;
                     false
                 }
-            }
+                None => match protocol::parse_command(&line) {
+                    Ok(cmd) => handle_command(cmd, shared, &write_tx, &mut reader, &mut writer)?,
+                    Err(e) => {
+                        writeln!(writer, "{}", protocol::err_line(&e))?;
+                        false
+                    }
+                },
+            },
         };
         // Batch-flush: while more complete requests are already buffered
         // (a pipelining client), keep processing and amortize the flush;
@@ -547,17 +592,20 @@ fn handle_command(
             let mut line = String::new();
             for _ in 0..count {
                 line.clear();
-                if read_line_interruptible(reader, &mut line, shared)? == 0 {
-                    writeln!(writer, "ERR batch truncated by EOF/shutdown")?;
-                    return Ok(true);
-                }
-                match protocol::decode_row(&line) {
-                    Ok(t) => rows.push(t),
-                    Err(e) => decode_err = Some(e),
+                match read_line_interruptible(reader, &mut line, shared)? {
+                    Line::End => {
+                        writeln!(writer, "ERR batch truncated by EOF/shutdown")?;
+                        return Ok(true);
+                    }
+                    Line::Oversize => decode_err = Some(protocol::oversize_line()),
+                    Line::Read => match protocol::decode_row(&line) {
+                        Ok(t) => rows.push(t),
+                        Err(e) => decode_err = Some(protocol::err_line(&e)),
+                    },
                 }
             }
             if let Some(e) = decode_err {
-                writeln!(writer, "{}", protocol::err_line(&e))?;
+                writeln!(writer, "{e}")?;
                 return Ok(false);
             }
             let reply = send_write(write_tx, WriteOp::Ingest { table, batches: vec![rows] });
@@ -565,14 +613,22 @@ fn handle_command(
         }
         Command::Script { count } => {
             let mut stmts = Vec::with_capacity(count.min(4_096));
+            let mut oversize = false;
             let mut line = String::new();
             for _ in 0..count {
                 line.clear();
-                if read_line_interruptible(reader, &mut line, shared)? == 0 {
-                    writeln!(writer, "ERR script truncated by EOF/shutdown")?;
-                    return Ok(true);
+                match read_line_interruptible(reader, &mut line, shared)? {
+                    Line::End => {
+                        writeln!(writer, "ERR script truncated by EOF/shutdown")?;
+                        return Ok(true);
+                    }
+                    Line::Oversize => oversize = true,
+                    Line::Read => stmts.push(line.trim_end_matches(['\r', '\n']).to_string()),
                 }
-                stmts.push(line.trim_end_matches(['\r', '\n']).to_string());
+            }
+            if oversize {
+                writeln!(writer, "{}", protocol::oversize_line())?;
+                return Ok(false);
             }
             match send_write(write_tx, WriteOp::Script { stmts }) {
                 Ok(WriteReply::Script { results, version }) => {

@@ -3,6 +3,7 @@
 use rex::Session;
 use rex_core::tuple;
 use rex_core::value::Value;
+use rex_server::protocol::MAX_LINE_BYTES;
 use rex_server::{Client, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -126,6 +127,36 @@ fn malformed_commands_get_err_lines_on_the_raw_socket() {
     line.clear();
     reader.read_line(&mut line).unwrap();
     assert!(line.starts_with("OK rex-server"), "{line:?}");
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn oversize_lines_are_refused_without_desynchronizing_the_connection() {
+    let server = server_with_edges();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut w = stream;
+    let mut reply = |w: &mut TcpStream, send: &[u8]| {
+        w.write_all(send).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    };
+    let huge = "x".repeat(2 * MAX_LINE_BYTES);
+    let refused = format!("ERR line exceeds {MAX_LINE_BYTES} bytes\n");
+    assert_eq!(reply(&mut w, format!("QUERY {huge}\n").as_bytes()), refused);
+    // Inside BATCH and SCRIPT the oversize line is that line's error: the
+    // rest of the announced lines are still consumed, nothing is applied.
+    let batch = format!("BATCH edges 3\ni:1\ti:2\n{huge}\ni:1\ti:3\n");
+    assert_eq!(reply(&mut w, batch.as_bytes()), refused);
+    let script = format!("SCRIPT 2\nCREATE TABLE t (x INT)\nSELECT {huge}\n");
+    assert_eq!(reply(&mut w, script.as_bytes()), refused);
+    assert!(reply(&mut w, b"INSERT edges i:1\ti:2\n").starts_with("OK 1 "));
+    // The next command on the same connection gets its right answer.
+    assert!(reply(&mut w, b"QUERY SELECT * FROM deg\n").starts_with("OK 1 "));
+    assert_eq!(reply(&mut w, b""), "i:1\ti:1\n");
+    assert_eq!(reply(&mut w, b""), ".\n");
+    assert!(reply(&mut w, b"QUERY SELECT * FROM t\n").starts_with("ERR "), "script never ran");
     server.shutdown().unwrap();
 }
 

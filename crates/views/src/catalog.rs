@@ -139,7 +139,7 @@ impl ViewCatalog {
     /// applied history, which is what makes a restart rebuild (replay the
     /// store) equivalent to the lost state. Stale upstream view copies
     /// are synced first so cascaded views replay current data. Returns
-    /// the number of shards that lost their primary tree.
+    /// the number of shards that lost their primary dataflow.
     pub fn kill_worker(&mut self, w: usize, store: &Catalog, reg: &Registry) -> Result<usize> {
         self.sync(store)?;
         let mut lost = 0;
@@ -603,7 +603,7 @@ mod tests {
         let m = &views.metrics()[0];
         assert_eq!(m.name, "fanout");
         assert!(m.strategy.contains("incremental"));
-        // Priming replays seed rows through the maintenance plan directly
+        // Priming replays seed rows through the dataflow directly
         // (not via on_change), so counters reflect only the insert batch.
         assert_eq!(m.deltas_in, 1);
         // The touched group retracts its old row and emits the new one.

@@ -20,9 +20,10 @@ use rex_core::tuple::Tuple;
 /// hot path cost O(1) instead of a `BTreeMap`'s O(log n) pointer chase,
 /// while every run of the same program still traverses in the same
 /// (arbitrary) order. Observable outputs sort at the emission boundary:
-/// [`rows`](DeltaSet::rows) and [`to_deltas`](DeltaSet::to_deltas) are
-/// sorted; [`iter`](DeltaSet::iter) and [`iter_rows`](DeltaSet::iter_rows)
-/// are unordered and meant for count-algebra internals where order cannot
+/// [`rows`](DeltaSet::rows) is sorted; [`iter`](DeltaSet::iter),
+/// [`iter_rows`](DeltaSet::iter_rows) and
+/// [`to_deltas`](DeltaSet::to_deltas) are unordered and meant for
+/// count-algebra internals and for feeding a dataflow, where order cannot
 /// matter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaSet {
@@ -148,16 +149,13 @@ impl DeltaSet {
         out
     }
 
-    /// Render as annotated deltas (`+()`×n / `-()`×n per tuple), sorted by
-    /// tuple — an emission boundary, so order is stable for consumers.
+    /// Render as annotated deltas (`+()`×n / `-()`×n per tuple), in
+    /// *unspecified* order like [`iter`](DeltaSet::iter).
     pub fn to_deltas(&self) -> Vec<Delta> {
-        let mut distinct: Vec<(&Tuple, i64)> = self.counts.iter().map(|(t, &n)| (t, n)).collect();
-        distinct.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut out = Vec::new();
-        for (t, n) in distinct {
-            for _ in 0..n.abs() {
-                out.push(if n > 0 { Delta::insert(t.clone()) } else { Delta::delete(t.clone()) });
-            }
+        let mut out = Vec::with_capacity(self.counts.len());
+        for (t, &n) in &self.counts {
+            let make = if n > 0 { Delta::insert } else { Delta::delete };
+            out.extend(std::iter::repeat_n(t, n.unsigned_abs() as usize).map(|t| make(t.clone())));
         }
         out
     }

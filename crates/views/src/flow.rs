@@ -1,258 +1,182 @@
-//! The incremental maintenance plan: a stateful mirror of a logical plan
-//! that converts base-table delta batches into view-output deltas.
+//! A view's maintenance dataflow: the defining plan lowered once, by
+//! [`lower_dataflow`], into rex-core operators that live as long as the
+//! view, driven batch by batch by an [`Executor`].
 //!
-//! The delta rules are rex-core's own. A join node drives a
-//! [`HashJoinOp`] and a group-by node a [`GroupByOp`] built from the
-//! registry exactly as lowering builds it, so views and queries share one
-//! set of operators, aggregate handlers and aggregate state (PAPER §3.3;
-//! OpenIVM's design point of compiling maintenance onto the host engine's
-//! own operators):
+//! Views and queries therefore share one lowering, one set of operators
+//! and one driver (PAPER §3.3; OpenIVM's design point of compiling
+//! maintenance onto the host engine's own operators). The delta rules are
+//! the operators' own:
 //!
-//! * **Scan** — the leaf: emits the batch when it targets this table;
 //! * **Filter / Project** — stateless, per-tuple mapping of deltas;
-//! * **Join** — the left delta enters port 0, then the right delta port 1.
-//!   The symmetric join probes before it stores, so the output is
-//!   `Δ(L ⋈ R) = ΔL ⋈ R_old + L_new ⋈ ΔR` (which expands to the textbook
-//!   `ΔL ⋈ R + L ⋈ ΔR + ΔL ⋈ ΔR`, so self-joins — both children delta-ing
-//!   in one batch — stay correct);
-//! * **Aggregate** — the batch goes in, an end-of-stratum flushes: every
-//!   aggregate's handler updates its own state under `+()`/`-()` (O(1) for
-//!   `sum`/`count`/`avg`, an O(log n) ordered multiset for `min`/`max`, a
-//!   user UDA's AGGSTATE for anything else), only dirty groups emit, and a
-//!   group whose last row is deleted retracts its output row.
+//! * **Join** — a [`HashJoinOp`](rex_core::operators::HashJoinOp) probes
+//!   before it stores, so a batch that changes both inputs (a self-join)
+//!   yields `Δ(L ⋈ R) = ΔL ⋈ R_old + L_new ⋈ ΔR`, which expands to the
+//!   textbook `ΔL ⋈ R + L ⋈ ΔR + ΔL ⋈ ΔR`. Both sides are always stored:
+//!   the scans are fed deletes too, so no join is promised insert-only
+//!   inputs, and the graph never sees end-of-stream;
+//! * **Aggregate** — a [`GroupByOp`](rex_core::operators::GroupByOp)
+//!   folds the batch and flushes at the end-of-stratum that closes it:
+//!   every aggregate's handler updates its own state under `+()`/`-()`
+//!   (O(1) for `sum`/`count`/`avg`, an O(log n) ordered multiset for
+//!   `min`/`max`, a user UDA's AGGSTATE for anything else), only dirty
+//!   groups emit, and a group whose last row is deleted retracts its row.
 //!
 //! Two RQL clauses ride on these rules for free: `SELECT DISTINCT` plans
 //! as a group-by over every output column with *no* aggregate calls — a
-//! counted projection whose only state is each group's row count (the
-//! row retracts when its count reaches zero) — and `HAVING` plans as a
-//! stateless filter *above* the aggregate, post-filtering maintained
-//! group state. Both therefore maintain incrementally, never by
-//! recompute fallback.
+//! counted projection whose only state is each group's row count — and
+//! `HAVING` plans as a filter *above* the aggregate. Both maintain
+//! incrementally, never by recompute fallback.
 //!
-//! Both stateful nodes speak [`DeltaSet`] at their boundary: an
-//! all-positive batch enters through [`Operator::on_rows`] (so priming
-//! rides the aggregates' `fold_insert` fast path), anything else as
-//! [`DeltaSet::to_deltas`], and emissions fold back with
-//! [`DeltaSet::add_delta`]. Outputs are only observable through
-//! [`DeltaSet`] emission boundaries, which sort.
+//! A batch for table `t` enters at `t`'s scan nodes, as [`Event::Rows`]
+//! when it only inserts and as [`Event::Data`] otherwise; an
+//! end-of-stratum on every scan closes it, and one drain pushes it
+//! through. The root's output crosses a gather boundary into the drain's
+//! outbox, and that emission *is* the view delta, folded into a
+//! [`DeltaSet`] once, at the view boundary. The graph holds no copy of
+//! the view's contents.
 //!
-//! Shapes the rules don't cover — recursive fixpoints, user join delta
-//! handlers, table-valued UDAs — fail [`build`] with a descriptive error;
-//! the view layer responds by falling back to full recomputation.
+//! Shapes the rules don't cover — recursive fixpoints, ORDER BY/LIMIT,
+//! user join delta handlers, table-valued UDAs — fail [`ViewFlow::new`]
+//! with a descriptive error; the view layer then falls back to full
+//! recomputation.
 
 use crate::delta_set::DeltaSet;
 use rex_core::delta::Punctuation;
 use rex_core::error::{Result, RexError};
-use rex_core::expr::{eval_predicate, Expr};
+use rex_core::exec::{Executor, NodeId};
 use rex_core::handlers::AggOutputKind;
-use rex_core::metrics::{CostModel, ExecMetrics};
-use rex_core::operators::{AggSpec, Event, GroupByOp, HashJoinOp, OpCtx, Operator};
-use rex_core::tuple::Tuple;
+use rex_core::metrics::CostModel;
+use rex_core::operators::Event;
 use rex_core::udf::Registry;
 use rex_rql::logical::LogicalPlan;
+use rex_rql::lower::{lower_dataflow, Dataflow};
 
-/// A node of the maintenance plan. Stateful nodes own the core operator
-/// whose state the delta rules need; the tree is primed by replaying each
-/// base table's current contents as an insert batch.
-///
-/// `Clone` copies the full operator state — that is the point: sharded
-/// maintenance ([`crate::sharded`]) clones a shard's tree as its replica
-/// snapshot after each round.
-#[derive(Clone)]
-pub enum MaintNode {
-    /// Base-table leaf (table name lowercased).
-    Scan {
-        /// The scanned table, lowercase.
-        table: String,
-    },
-    /// Stateless selection.
-    Filter {
-        /// Child node.
-        input: Box<MaintNode>,
-        /// Row predicate.
-        predicate: Expr,
-    },
-    /// Stateless projection.
-    Project {
-        /// Child node.
-        input: Box<MaintNode>,
-        /// Output expressions.
-        exprs: Vec<Expr>,
-    },
-    /// Equi-join (empty keys = cross join); the join's two build sides are
-    /// the materialized inputs.
-    Join {
-        /// Left child.
-        left: Box<MaintNode>,
-        /// Right child.
-        right: Box<MaintNode>,
-        /// The symmetric hash join, left on port 0 and right on port 1.
-        op: HashJoinOp,
-    },
-    /// Group-by, then the post-aggregation projection.
-    Aggregate {
-        /// Child node.
-        input: Box<MaintNode>,
-        /// The group-by holding per-group aggregate state.
-        op: GroupByOp,
-        /// Post-aggregation projection over `group cols ++ agg results`.
-        post: Option<Vec<Expr>>,
-    },
-}
-
-/// Build a maintenance plan for `plan`, or explain why the plan is not
-/// incrementally maintainable (the caller then falls back to full
-/// recomputation).
-pub fn build(plan: &LogicalPlan, reg: &Registry) -> Result<MaintNode> {
+/// Explain why the delta rules do not cover `plan`, if they don't.
+fn maintainable(plan: &LogicalPlan, reg: &Registry) -> Result<()> {
     match plan {
-        LogicalPlan::Scan { table, .. } => {
-            Ok(MaintNode::Scan { table: table.to_ascii_lowercase() })
-        }
+        LogicalPlan::Scan { .. } => Ok(()),
         LogicalPlan::FixpointRef { .. } | LogicalPlan::Fixpoint { .. } => Err(RexError::Plan(
             "recursive fixpoint: delta rules do not cover WITH ... UNTIL FIXPOINT".into(),
         )),
         // The session rejects ORDER BY/LIMIT view definitions outright
         // (a materialized view is an unordered relation); this arm keeps
-        // `build` total for callers that probe arbitrary plans.
+        // the check total for callers that probe arbitrary plans.
         LogicalPlan::Sort { .. } | LogicalPlan::Limit { .. } => Err(RexError::Plan(
             "ORDER BY/LIMIT: a materialized view is an unordered relation; order at query time"
                 .into(),
         )),
-        LogicalPlan::Filter { input, predicate } => Ok(MaintNode::Filter {
-            input: Box::new(build(input, reg)?),
-            predicate: predicate.clone(),
-        }),
-        LogicalPlan::Project { input, exprs, .. } => {
-            Ok(MaintNode::Project { input: Box::new(build(input, reg)?), exprs: exprs.clone() })
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            maintainable(input, reg)
         }
-        LogicalPlan::Join { left, right, left_key, right_key, handler, .. } => {
+        LogicalPlan::Join { left, right, handler, .. } => {
             if let Some(h) = handler {
                 return Err(RexError::Plan(format!(
                     "user join delta handler {h}: maintenance semantics are handler-defined"
                 )));
             }
-            Ok(MaintNode::Join {
-                left: Box::new(build(left, reg)?),
-                right: Box::new(build(right, reg)?),
-                op: HashJoinOp::new(left_key.clone(), right_key.clone()),
-            })
+            maintainable(left, reg)?;
+            maintainable(right, reg)
         }
-        LogicalPlan::Aggregate { input, group_cols, aggs, post, .. } => {
-            let mut specs = Vec::with_capacity(aggs.len());
+        LogicalPlan::Aggregate { input, aggs, .. } => {
             for a in aggs {
-                let handler = reg.agg(&a.func)?;
-                if handler.output_kind() == AggOutputKind::TableValued {
+                if reg.agg(&a.func)?.output_kind() == AggOutputKind::TableValued {
                     return Err(RexError::Plan(format!(
                         "table-valued aggregate {}: output shape is handler-defined",
                         a.func
                     )));
                 }
-                specs.push(AggSpec::new(handler, a.input_cols.clone()));
             }
-            Ok(MaintNode::Aggregate {
-                input: Box::new(build(input, reg)?),
-                op: GroupByOp::new(group_cols.clone(), specs),
-                post: post.clone(),
-            })
+            maintainable(input, reg)
         }
     }
 }
 
-impl MaintNode {
-    /// Propagate a batch of changes to `table` through this subtree,
-    /// returning the delta of this subtree's output and updating internal
-    /// materializations along the way.
+/// One long-lived maintenance dataflow. `Clone` copies every operator's
+/// state — sharded maintenance ([`crate::sharded`]) clones a shard's flow
+/// as its replica after each round.
+pub struct ViewFlow {
+    exec: Executor,
+    /// Scan nodes with their (lowercase) table names.
+    scans: Vec<(String, NodeId)>,
+    cost: CostModel,
+    /// Batches applied so far; batch `k` ends with `EndOfStratum(k)`.
+    batches: u64,
+}
+
+impl Clone for ViewFlow {
+    fn clone(&self) -> ViewFlow {
+        ViewFlow {
+            exec: self.exec.try_clone().expect("every operator of a view dataflow clones"),
+            scans: self.scans.clone(),
+            cost: self.cost,
+            batches: self.batches,
+        }
+    }
+}
+
+impl ViewFlow {
+    /// Lower `plan` into an empty dataflow, or explain why it is not
+    /// incrementally maintainable.
+    pub fn new(plan: &LogicalPlan, reg: &Registry) -> Result<ViewFlow> {
+        maintainable(plan, reg)?;
+        let Dataflow { mut graph, scans, root: (root, port) } = lower_dataflow(plan, reg)?;
+        // A distributed executor hands whatever leaves a network boundary
+        // to the drain's outbox: the gather on the root is the view
+        // boundary.
+        let out = graph.add_gather();
+        graph.connect(root, port, out, 0);
+        Ok(ViewFlow {
+            exec: Executor::new(graph, 0, true),
+            scans,
+            cost: CostModel::default(),
+            batches: 0,
+        })
+    }
+
+    /// Propagate a batch of changes to `table` (lowercase) and return the
+    /// delta of the view's output; operator state carries over to the
+    /// next batch.
     pub fn apply(&mut self, table: &str, batch: &DeltaSet, reg: &Registry) -> Result<DeltaSet> {
-        match self {
-            MaintNode::Scan { table: t } => {
-                Ok(if t == table { batch.clone() } else { DeltaSet::new() })
-            }
-            MaintNode::Filter { input, predicate } => {
-                let din = input.apply(table, batch, reg)?;
-                let mut out = DeltaSet::new();
-                for (t, n) in din.iter() {
-                    if eval_predicate(predicate, t, reg)? {
-                        out.add(t.clone(), n);
+        let mut out = DeltaSet::new();
+        let mut targets: Vec<NodeId> =
+            self.scans.iter().filter(|(t, _)| t == table).map(|&(_, id)| id).collect();
+        let Some(last) = targets.pop().filter(|_| !batch.is_empty()) else { return Ok(out) };
+        let event = if batch.iter().all(|(_, n)| n > 0) {
+            Event::Rows(batch.iter_rows().cloned().collect())
+        } else {
+            Event::Data(batch.to_deltas())
+        };
+        for scan in targets {
+            self.exec.inject_downstream(scan, 0, event.clone());
+        }
+        self.exec.inject_downstream(last, 0, event);
+        self.batches += 1;
+        for &(_, scan) in &self.scans {
+            let end = Event::Punct(Punctuation::EndOfStratum(self.batches));
+            self.exec.inject_downstream(scan, 0, end);
+        }
+        let mut emitted = Vec::new();
+        self.exec.drain(reg, &self.cost, &mut emitted)?;
+        for e in emitted {
+            match e.event {
+                Event::Data(deltas) => {
+                    for d in deltas {
+                        out.add_delta(d)?;
                     }
                 }
-                Ok(out)
-            }
-            MaintNode::Project { input, exprs } => {
-                project(&input.apply(table, batch, reg)?, exprs, reg)
-            }
-            MaintNode::Join { left, right, op } => {
-                let dl = left.apply(table, batch, reg)?;
-                let dr = right.apply(table, batch, reg)?;
-                let mut out = drive(op, 0, &dl, reg)?;
-                out.merge_scaled(&drive(op, 1, &dr, reg)?, 1);
-                Ok(out)
-            }
-            MaintNode::Aggregate { input, op, post } => {
-                let raw = drive(op, 0, &input.apply(table, batch, reg)?, reg)?;
-                match post {
-                    Some(exprs) => project(&raw, exprs, reg),
-                    None => Ok(raw),
-                }
+                Event::Rows(rows) => rows.into_iter().for_each(|t| out.add(t, 1)),
+                Event::Cols(cols) => cols.to_rows().into_iter().for_each(|t| out.add(t, 1)),
+                Event::Punct(_) => {}
             }
         }
+        Ok(out)
     }
 
     /// Approximate bytes held by the operators' state (diagnostics): join
     /// sides and per-group aggregate state.
     pub fn state_bytes(&self) -> usize {
-        match self {
-            MaintNode::Scan { .. } => 0,
-            MaintNode::Filter { input, .. } | MaintNode::Project { input, .. } => {
-                input.state_bytes()
-            }
-            MaintNode::Join { left, right, op } => {
-                left.state_bytes() + right.state_bytes() + op.state_bytes()
-            }
-            MaintNode::Aggregate { input, op, .. } => input.state_bytes() + op.state_bytes(),
-        }
+        self.exec.state_bytes()
     }
-}
-
-/// Feed one delta batch to a core operator on `port`, then end the stratum
-/// (a group-by flushes its dirty groups; a join has nothing to flush) and
-/// collect everything it emitted as a signed multiset.
-fn drive(op: &mut dyn Operator, port: usize, batch: &DeltaSet, reg: &Registry) -> Result<DeltaSet> {
-    let mut out = DeltaSet::new();
-    if batch.is_empty() {
-        return Ok(out);
-    }
-    let cost = CostModel::default();
-    let mut metrics = ExecMetrics::default();
-    let mut ctx = OpCtx::new(0, 0, reg, &cost, &mut metrics);
-    if batch.iter().all(|(_, n)| n > 0) {
-        op.on_rows(port, batch.iter_rows().cloned().collect(), &mut ctx)?;
-    } else {
-        op.on_deltas(port, batch.to_deltas(), &mut ctx)?;
-    }
-    op.on_punct(port, Punctuation::EndOfStratum(0), &mut ctx)?;
-    for (_, event) in ctx.take_output() {
-        match event {
-            Event::Data(deltas) => {
-                for d in deltas {
-                    out.add_delta(d)?;
-                }
-            }
-            Event::Rows(rows) => rows.into_iter().for_each(|t| out.add(t, 1)),
-            Event::Cols(cols) => cols.to_rows().into_iter().for_each(|t| out.add(t, 1)),
-            Event::Punct(_) => {}
-        }
-    }
-    Ok(out)
-}
-
-/// Map every tuple of `d` through `exprs`, carrying its multiplicity.
-fn project(d: &DeltaSet, exprs: &[Expr], reg: &Registry) -> Result<DeltaSet> {
-    let mut out = DeltaSet::new();
-    for (t, n) in d.iter() {
-        let vals: Result<Vec<_>> = exprs.iter().map(|e| e.eval(t, reg)).collect();
-        out.add(Tuple::new(vals?), n);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -260,7 +184,7 @@ mod tests {
     use super::*;
     use rex_core::delta::Delta;
     use rex_core::tuple;
-    use rex_core::tuple::Schema;
+    use rex_core::tuple::{Schema, Tuple};
     use rex_core::value::DataType;
     use rex_rql::logical::plan_text;
     use rex_rql::SchemaCatalog;
@@ -272,9 +196,9 @@ mod tests {
         c
     }
 
-    fn node(sql: &str) -> MaintNode {
+    fn node(sql: &str) -> ViewFlow {
         let reg = Registry::with_builtins();
-        build(&plan_text(sql, &catalog(), &reg).unwrap(), &reg).unwrap()
+        ViewFlow::new(&plan_text(sql, &catalog(), &reg).unwrap(), &reg).unwrap()
     }
 
     fn inserts(rows: Vec<Tuple>) -> DeltaSet {
@@ -423,7 +347,7 @@ mod tests {
         let reg = Registry::with_builtins();
         let plan =
             plan_text("SELECT src FROM edges ORDER BY src LIMIT 3", &catalog(), &reg).unwrap();
-        let err = build(&plan, &reg).err().expect("not maintainable");
+        let err = ViewFlow::new(&plan, &reg).err().expect("not maintainable");
         assert!(err.to_string().contains("unordered relation"), "{err}");
     }
 
@@ -437,7 +361,7 @@ mod tests {
             &reg,
         )
         .unwrap();
-        let err = build(&rec, &reg).err().expect("not maintainable");
+        let err = ViewFlow::new(&rec, &reg).err().expect("not maintainable");
         assert!(err.to_string().contains("recursive fixpoint"));
     }
 }

@@ -8,10 +8,11 @@
 //! a [`LogicalPlan`](rex_rql::logical::LogicalPlan) and picks a
 //! [`MaintenanceStrategy`]:
 //!
-//! * **incremental** — a [`MaintNode`](maintain::MaintNode) tree mirrors
-//!   the plan; each base-table insert/delete batch becomes a
-//!   [`DeltaSet`] and propagates through the select/project/join/group-by
-//!   delta rules, touching state proportional to the *change*;
+//! * **incremental** — the plan is lowered once, by the query engine's
+//!   own lowering, into a long-lived [`ViewFlow`]; each base-table
+//!   insert/delete batch enters at that table's scans and is driven
+//!   through the select/project/join/group-by operators by rex-core's
+//!   `Executor`, touching state proportional to the *change*;
 //! * **full recompute** — recursive (`WITH … UNTIL FIXPOINT`) and
 //!   handler-defined shapes (join handlers, table-valued aggregates)
 //!   re-run the defining query, diffing old vs new output so cascades
@@ -21,19 +22,21 @@
 //!
 //! Three properties keep per-batch cost proportional to the batch:
 //!
-//! * **One set of delta rules** — a view's joins and group-bys *are*
-//!   rex-core's `HashJoinOp` and `GroupByOp`, built as lowering builds
-//!   them, so views and queries share every aggregate handler: `sum`,
-//!   `count` and `avg` update O(1) running state per delta tuple,
-//!   `min`/`max` a count-annotated ordered multiset (O(log n), deleting
-//!   the current extreme included), a user UDA's AGGSTATE sees every
-//!   `+()` and `-()`, and a group whose last row is deleted retracts. This
-//!   crate holds no aggregate state of its own.
-//! * **Hashed keyed state** — join sides, group state and [`DeltaSet`]
-//!   counts are hash maps keyed by the deterministic in-tree
-//!   [`FxHasher`](rex_core::hash::FxHasher): O(1) probes, reproducible
-//!   iteration for a given program, and sorting only at emission
-//!   boundaries where output becomes observable.
+//! * **One engine** — a view's dataflow is what a query over the same
+//!   plan lowers to, minus the table data and the sink: joins and
+//!   group-bys *are* rex-core's `HashJoinOp` and `GroupByOp`, filters and
+//!   projections its compiled `FilterOp`/`ProjectOp`. Views and queries
+//!   share every aggregate handler: `sum`, `count` and `avg` update O(1)
+//!   running state per delta tuple, `min`/`max` a count-annotated ordered
+//!   multiset (O(log n), deleting the current extreme included), a user
+//!   UDA's AGGSTATE sees every `+()` and `-()`, and a group whose last
+//!   row is deleted retracts. Operator state persists across batches;
+//!   this crate holds no operator state of its own.
+//! * **Signed multisets only at the boundary** — a [`DeltaSet`] is what
+//!   a view's contents, its pending sync, cascades between views and the
+//!   routing of an input batch to shards are made of. Inside the
+//!   dataflow a batch is an executor event; the root's emissions fold
+//!   into a `DeltaSet` once per batch.
 //! * **Delta-granular sync** — each view retains its output delta since
 //!   the last sync; [`ViewCatalog::sync`] applies it to the stored copy
 //!   through `Catalog::apply_delta` (insert/remove by signed
@@ -58,11 +61,12 @@
 
 pub mod catalog;
 pub mod delta_set;
-pub mod maintain;
+pub mod flow;
 pub mod sharded;
 pub mod view;
 
 pub use catalog::{ViewCatalog, ViewMetrics};
 pub use delta_set::DeltaSet;
+pub use flow::ViewFlow;
 pub use sharded::{RecoveryStrategy, ShardStats, ShardedMaint};
 pub use view::{evaluate, MaintenanceStrategy, MaterializedView};

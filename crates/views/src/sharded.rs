@@ -1,15 +1,16 @@
-//! Sharded view maintenance: one maintenance tree per cluster worker,
-//! co-partitioned with the worker's base-table shards, surviving worker
-//! death (§4.3 of the paper, applied to materialized views).
+//! Sharded view maintenance: a view's dataflow split across cluster
+//! workers, co-partitioned with the workers' base-table shards, surviving
+//! worker death (§4.3 of the paper, applied to materialized views).
 //!
-//! A single-node [`MaintNode`] tree holds *all* keyed state — join sides,
-//! group-by state — on the session node. [`ShardedMaint`] splits that
-//! state across `n` shards, one per cluster worker: every delta batch is
-//! routed once, at the base-table boundary, by hashing the view's
+//! A view's maintenance state — join sides, group-by state — lives in
+//! [`ViewFlow`]s. [`ShardedMaint`] holds one flow per shard: every delta
+//! batch is routed once, at the base-table boundary, by hashing the view's
 //! *partition columns* with the same [`shard_of`] function the cluster
-//! engine uses for base tables, and each shard's tree then maintains only
+//! engine uses for base tables, and each shard's flow then maintains only
 //! the keys it owns. Outputs are signed multisets, so the view's output
-//! delta is simply the union of the per-shard outputs.
+//! delta is simply the union of the per-shard outputs. A single-node view
+//! is the one-shard case: its flow runs on the session node, with nothing
+//! to route or replicate.
 //!
 //! ## When is a view shardable?
 //!
@@ -26,16 +27,15 @@
 //! * global aggregates, computed shard keys, cross joins, and a table
 //!   scanned twice under conflicting keys are not shardable.
 //!
-//! Unshardable views simply stay on the session node (the pre-existing
-//! single-tree path); [`MaterializedView`](crate::view::MaterializedView)
-//! records the reason.
+//! Unshardable views run as one shard on the session node, and
+//! [`ShardedMaint::fallback`] records the reason.
 //!
 //! ## Replication and recovery
 //!
-//! After every maintenance round each live shard's tree is snapshotted to
-//! a replica hosted by the next live worker — the `(i+1) % n` ring the
+//! After every maintenance round each live shard's flow is cloned to a
+//! replica hosted by the next live worker — the `(i+1) % n` ring the
 //! cluster runtime also replicates checkpoints over. Killing worker `w`
-//! drops the trees it owned *and* the replicas it hosted.
+//! drops the flows it owned *and* the replicas it hosted.
 //! [`ShardedMaint::kill_worker`] only marks the loss;
 //! [`ShardedMaint::recover`] rebuilds dead shards and is idempotent, so the
 //! session invokes it eagerly at kill time (via
@@ -47,8 +47,8 @@
 //!
 //! * **Incremental** — the successor adopts the replica clone; cost is
 //!   proportional to the shard's state.
-//! * **Restart** — the shard's tree is rebuilt from scratch by replaying
-//!   the routed slice of every base table; cost is proportional to the
+//! * **Restart** — the shard's flow is lowered afresh and replays the
+//!   routed slice of every base table; cost is proportional to the
 //!   shard's share of the *base data*.
 //!
 //! Either way the recovered shard is bit-identical to the lost one
@@ -56,7 +56,7 @@
 //! floats); both paths record [`rex_core::faults`] telemetry.
 
 use crate::delta_set::DeltaSet;
-use crate::maintain::{build, MaintNode};
+use crate::flow::ViewFlow;
 use rex_core::error::Result;
 use rex_core::expr::Expr;
 use rex_core::faults;
@@ -89,17 +89,20 @@ pub struct ShardStats {
     pub recovered_bytes: u64,
 }
 
-/// A maintenance plan partitioned across `n` worker shards.
+/// A view's maintenance dataflow partitioned across `n` worker shards
+/// (`n == 1`: one flow on the session node).
 pub struct ShardedMaint {
     n: usize,
     plan: LogicalPlan,
     routes: ShardRoutes,
-    /// Shard `i`'s tree; `None` after its worker was killed, until the
+    /// Why a multi-worker layout was refused (the view runs as one shard).
+    fallback: Option<String>,
+    /// Shard `i`'s flow; `None` after its worker was killed, until the
     /// next round recovers it.
-    shards: Vec<Option<MaintNode>>,
-    /// Replica snapshot of shard `i` as of the last completed round,
-    /// hosted by [`Self::replica_host`]`[i]`.
-    replicas: Vec<Option<MaintNode>>,
+    shards: Vec<Option<ViewFlow>>,
+    /// Replica of shard `i` as of the last completed round, hosted by
+    /// [`Self::replica_host`]`[i]`.
+    replicas: Vec<Option<ViewFlow>>,
     /// Which worker holds shard `i`'s replica.
     replica_host: Vec<usize>,
     /// Which worker currently owns shard `i` (its original worker, or the
@@ -216,36 +219,57 @@ fn plan_kind(p: &LogicalPlan) -> &'static str {
 }
 
 impl ShardedMaint {
-    /// Build an `n`-shard maintenance plan for `plan`. `Err` inside the
-    /// `Ok` means the view is not shardable (stay single-tree); the outer
-    /// `Result` carries real build failures.
+    /// Build the maintenance dataflows for `plan` across `n` workers: one
+    /// shard per worker when [`shard_routes`] co-partitions every stateful
+    /// operator, else (and for `n <= 1`) one shard on the session node,
+    /// with the reason in [`fallback`](ShardedMaint::fallback). Fails
+    /// when the delta rules do not cover `plan`.
     pub fn build(
         plan: &LogicalPlan,
         reg: &Registry,
         n: usize,
         recovery: RecoveryStrategy,
-    ) -> Result<std::result::Result<ShardedMaint, String>> {
-        debug_assert!(n > 1, "sharding needs at least two workers");
-        let routes = match shard_routes(plan) {
-            Ok(r) => r,
-            Err(reason) => return Ok(Err(reason)),
+    ) -> Result<ShardedMaint> {
+        let (n, routes, fallback) = match n {
+            0 | 1 => (1, ShardRoutes::default(), None),
+            _ => match shard_routes(plan) {
+                Ok(routes) => (n, routes, None),
+                Err(reason) => (1, ShardRoutes::default(), Some(reason)),
+            },
         };
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(Some(build(plan, reg)?));
-        }
-        Ok(Ok(ShardedMaint {
+        let mut m = ShardedMaint {
             n,
             plan: plan.clone(),
             routes,
-            shards,
-            replicas: vec![None; n],
-            replica_host: (0..n).map(|i| (i + 1) % n).collect(),
-            owner: (0..n).collect(),
-            dead: vec![false; n],
+            fallback,
+            shards: Vec::new(),
+            replicas: Vec::new(),
+            replica_host: Vec::new(),
+            owner: Vec::new(),
+            dead: Vec::new(),
             recovery,
             stats: ShardStats::default(),
-        }))
+        };
+        m.reset(reg)?;
+        Ok(m)
+    }
+
+    /// Discard all maintained state: every shard gets a fresh, empty flow
+    /// on its original worker and no replica. Layout, strategy and
+    /// counters survive.
+    pub fn reset(&mut self, reg: &Registry) -> Result<()> {
+        let n = self.n;
+        self.shards = vec![Some(ViewFlow::new(&self.plan, reg)?); n];
+        self.replicas = vec![None; n];
+        self.replica_host = (0..n).map(|i| (i + 1) % n).collect();
+        self.owner = (0..n).collect();
+        self.dead = vec![false; n];
+        Ok(())
+    }
+
+    /// Why a multi-worker layout was refused, if it was.
+    pub fn fallback(&self) -> Option<&str> {
+        self.fallback.as_deref()
     }
 
     /// Number of shards (= workers at definition time).
@@ -253,19 +277,9 @@ impl ShardedMaint {
         self.n
     }
 
-    /// The per-table routing columns.
-    pub fn routes(&self) -> &ShardRoutes {
-        &self.routes
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> &ShardStats {
         &self.stats
-    }
-
-    /// Which worker currently owns each shard.
-    pub fn owners(&self) -> &[usize] {
-        &self.owner
     }
 
     /// Strategy used when a dead shard is recovered.
@@ -280,13 +294,13 @@ impl ShardedMaint {
 
     /// Total state bytes across live shards (replicas excluded).
     pub fn state_bytes(&self) -> usize {
-        self.shards.iter().flatten().map(MaintNode::state_bytes).sum()
+        self.shards.iter().flatten().map(ViewFlow::state_bytes).sum()
     }
 
     /// Kill worker `w`: its shards and the replicas it hosted are gone.
     /// Survivors adopt the dead worker's shard range immediately;
     /// rebuilding the state is deferred to the next maintenance round.
-    /// Returns how many shards lost their primary tree.
+    /// Returns how many shards lost their primary flow.
     pub fn kill_worker(&mut self, w: usize) -> usize {
         if w >= self.n || self.dead[w] || self.live_workers() <= 1 {
             return 0;
@@ -327,7 +341,7 @@ impl ShardedMaint {
     }
 
     /// Recover every dead shard per the configured strategy. Idempotent:
-    /// shards that already have a tree are skipped. The session calls this
+    /// shards that already have a flow are skipped. The session calls this
     /// eagerly at kill time — while the store still equals the applied
     /// history — and [`apply`](ShardedMaint::apply) calls it again as a
     /// safety net; callers driving `kill_worker`/`apply` directly must
@@ -344,17 +358,17 @@ impl ShardedMaint {
                 RecoveryStrategy::Restart => None,
             };
             let incremental = replica.is_some();
-            let (tree, bytes) = match replica {
-                // Adopt the replica snapshot: state as of the last
-                // completed round, which is exactly when the kill hit.
-                Some(tree) => {
-                    let b = tree.state_bytes() as u64;
-                    (tree, b)
+            let (flow, bytes) = match replica {
+                // Adopt the replica: state as of the last completed
+                // round, which is exactly when the kill hit.
+                Some(flow) => {
+                    let b = flow.state_bytes() as u64;
+                    (flow, b)
                 }
                 // Restart (or the replica died with its host): rebuild
                 // from the base tables, replaying only this shard's slice.
                 None => {
-                    let mut tree = build(&self.plan, reg)?;
+                    let mut flow = ViewFlow::new(&self.plan, reg)?;
                     let mut b = 0u64;
                     for (table, cols) in &self.routes {
                         let all = DeltaSet::from_rows(store.get(table)?.rows().iter().cloned());
@@ -368,12 +382,12 @@ impl ShardedMaint {
                         // The emitted rows are discarded: the session
                         // already holds the view contents; priming only
                         // rebuilds the shard's internal state.
-                        tree.apply(table, &slice, reg)?;
+                        flow.apply(table, &slice, reg)?;
                     }
-                    (tree, b)
+                    (flow, b)
                 }
             };
-            self.shards[s] = Some(tree);
+            self.shards[s] = Some(flow);
             self.replicas[s] = None;
             self.stats.recoveries += 1;
             self.stats.recovered_bytes += bytes;
@@ -382,20 +396,21 @@ impl ShardedMaint {
         Ok(())
     }
 
-    /// Snapshot every live shard's tree to its ring successor. The clone
+    /// Clone every live shard's flow to its ring successor. The clone
     /// *is* the replication cost, charged to `replicated_bytes`.
     fn replicate(&mut self) {
         for s in 0..self.n {
-            if let Some(tree) = &self.shards[s] {
-                self.stats.replicated_bytes += tree.state_bytes() as u64;
-                self.replicas[s] = Some(tree.clone());
+            if let Some(flow) = &self.shards[s] {
+                self.stats.replicated_bytes += flow.state_bytes() as u64;
+                self.replicas[s] = Some(flow.clone());
                 self.replica_host[s] = self.successor(self.owner[s]);
             }
         }
     }
 
     /// One maintenance round: recover dead shards, route the batch, apply
-    /// each slice on its shard, union the outputs, replicate.
+    /// each slice on its shard, union the outputs, replicate. A lone shard
+    /// takes the whole batch and has no other worker to replicate to.
     pub fn apply(
         &mut self,
         table: &str,
@@ -404,6 +419,9 @@ impl ShardedMaint {
         reg: &Registry,
     ) -> Result<DeltaSet> {
         self.recover(store, reg)?;
+        if self.n == 1 {
+            return self.shards[0].as_mut().expect("recovered above").apply(table, batch, reg);
+        }
         let Some(cols) = self.routes.get(table).cloned() else {
             return Ok(DeltaSet::new());
         };
@@ -414,8 +432,8 @@ impl ShardedMaint {
                 continue;
             }
             self.stats.sharded_rows += slice.iter().map(|(_, m)| m.unsigned_abs()).sum::<u64>();
-            let tree = self.shards[s].as_mut().expect("recovered above");
-            let delta = tree.apply(table, slice, reg)?;
+            let flow = self.shards[s].as_mut().expect("recovered above");
+            let delta = flow.apply(table, slice, reg)?;
             out.merge_scaled(&delta, 1);
         }
         self.replicate();
@@ -509,7 +527,7 @@ mod tests {
         }
     }
 
-    /// The sharded plan must produce the same output deltas as one tree,
+    /// The sharded flows must produce the same output deltas as one flow,
     /// batch by batch — sharding is pure partitioning of state.
     #[test]
     fn sharded_output_matches_single_tree() {
@@ -520,9 +538,9 @@ mod tests {
             "SELECT t.k, count(*), sum(d.w) FROM t, d WHERE t.k = d.k GROUP BY t.k",
         ] {
             let p = plan(sql);
-            let mut single = build(&p, &reg).unwrap();
+            let mut single = ViewFlow::new(&p, &reg).unwrap();
             let mut sharded =
-                ShardedMaint::build(&p, &reg, 3, RecoveryStrategy::Incremental).unwrap().unwrap();
+                ShardedMaint::build(&p, &reg, 3, RecoveryStrategy::Incremental).unwrap();
             for step in 0..4 {
                 let b = batch(step * 50, step * 50 + 50);
                 let want = single.apply("t", &b, &reg).unwrap();
@@ -535,7 +553,7 @@ mod tests {
     }
 
     /// Prime a sharded maint with the store's current contents so that
-    /// tree state always equals the net of the store — the invariant that
+    /// flow state always equals the net of the store — the invariant that
     /// makes restart's replay-from-base-data equivalent to the live state.
     fn prime(m: &mut ShardedMaint, c: &Catalog, reg: &Registry) {
         for table in ["d", "t"] {
@@ -556,7 +574,7 @@ mod tests {
         let run = |kill: Option<(usize, i64, RecoveryStrategy)>| -> Vec<DeltaSet> {
             let c = store();
             let strategy = kill.map(|(_, _, s)| s).unwrap_or_default();
-            let mut m = ShardedMaint::build(&p, &reg, n, strategy).unwrap().unwrap();
+            let mut m = ShardedMaint::build(&p, &reg, n, strategy).unwrap();
             prime(&mut m, &c, &reg);
             let mut outs = Vec::new();
             for step in 0..4i64 {
@@ -568,7 +586,7 @@ mod tests {
                 let b = batch(step * 50, step * 50 + 50);
                 outs.push(m.apply("t", &b, &c, &reg).unwrap());
                 // Keep the store in lockstep with applied history so a later
-                // restart rebuild replays exactly what the trees saw.
+                // restart rebuild replays exactly what the flows saw.
                 c.apply_delta("t", b.iter().map(|(t, m)| (t.clone(), m))).unwrap();
             }
             outs
@@ -591,9 +609,8 @@ mod tests {
         let reg = Registry::with_builtins();
         let c = store();
         let p = plan("SELECT a, count(*), sum(b) FROM t GROUP BY a");
-        let mut m =
-            ShardedMaint::build(&p, &reg, 3, RecoveryStrategy::Incremental).unwrap().unwrap();
-        let mut single = build(&p, &reg).unwrap();
+        let mut m = ShardedMaint::build(&p, &reg, 3, RecoveryStrategy::Incremental).unwrap();
+        let mut single = ViewFlow::new(&p, &reg).unwrap();
         let seed = DeltaSet::from_rows(c.get("t").unwrap().rows().iter().cloned());
         single.apply("t", &seed, &reg).unwrap();
         prime(&mut m, &c, &reg);

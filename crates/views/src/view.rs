@@ -1,7 +1,6 @@
 //! A single materialized view: definition, strategy, and maintained state.
 
 use crate::delta_set::DeltaSet;
-use crate::maintain::{build, MaintNode};
 use crate::sharded::{RecoveryStrategy, ShardStats, ShardedMaint};
 use rex_core::error::Result;
 use rex_core::exec::LocalRuntime;
@@ -19,8 +18,8 @@ use std::time::Instant;
 /// How a view is kept consistent with its base tables.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintenanceStrategy {
-    /// Delta batches propagate through a maintenance plan; cost scales
-    /// with the size of the change, not the size of the data.
+    /// Delta batches propagate through the view's long-lived dataflow;
+    /// cost scales with the size of the change, not the size of the data.
     Incremental,
     /// The defining query re-runs on every base-table change. Chosen
     /// automatically when the delta rules do not cover the plan shape.
@@ -50,13 +49,9 @@ pub struct MaterializedView {
     schema: Schema,
     base_tables: Vec<String>,
     strategy: MaintenanceStrategy,
-    maint: Option<MaintNode>,
-    /// Shard-partitioned maintenance state (cluster sessions). When set,
-    /// `maint` is `None`: the plan's keyed state lives on the workers.
-    sharded: Option<ShardedMaint>,
-    /// Why sharding was not possible for an incremental view defined
-    /// under a cluster session (`None` when sharded or single-node).
-    shard_fallback: Option<String>,
+    /// The maintenance dataflows — one shard on the session node, or one
+    /// per cluster worker; `None` for recompute fallbacks.
+    maint: Option<ShardedMaint>,
     output: DeltaSet,
     /// Output deltas accumulated since the stored copy was last synced —
     /// what [`ViewCatalog::sync`](crate::catalog::ViewCatalog::sync)
@@ -110,24 +105,10 @@ impl MaterializedView {
         partitions: usize,
         recovery: RecoveryStrategy,
     ) -> MaterializedView {
-        let (mut maint, strategy) = match build(&plan, reg) {
-            Ok(node) => (Some(node), MaintenanceStrategy::Incremental),
+        let (maint, strategy) = match ShardedMaint::build(&plan, reg, partitions, recovery) {
+            Ok(m) => (Some(m), MaintenanceStrategy::Incremental),
             Err(e) => (None, MaintenanceStrategy::FullRecompute { reason: e.to_string() }),
         };
-        let mut sharded = None;
-        let mut shard_fallback = None;
-        if partitions > 1 && maint.is_some() {
-            match ShardedMaint::build(&plan, reg, partitions, recovery) {
-                Ok(Ok(s)) => {
-                    sharded = Some(s);
-                    maint = None;
-                }
-                Ok(Err(reason)) => shard_fallback = Some(reason),
-                // A build error here would also have failed `build` above;
-                // keep the single tree.
-                Err(_) => {}
-            }
-        }
         MaterializedView {
             name: name.into(),
             sql: sql.into(),
@@ -136,8 +117,6 @@ impl MaterializedView {
             plan,
             strategy,
             maint,
-            sharded,
-            shard_fallback,
             output: DeltaSet::new(),
             pending: DeltaSet::new(),
             sorted_cache: None,
@@ -227,35 +206,31 @@ impl MaterializedView {
 
     /// Approximate bytes of maintenance state (diagnostics).
     pub fn state_bytes(&self) -> usize {
-        self.maint
-            .as_ref()
-            .map(MaintNode::state_bytes)
-            .or_else(|| self.sharded.as_ref().map(ShardedMaint::state_bytes))
-            .unwrap_or(0)
+        self.maint.as_ref().map_or(0, ShardedMaint::state_bytes)
     }
 
     /// Shard count of the maintenance state: 1 on the session node,
     /// the worker count for sharded views.
     pub fn shards(&self) -> usize {
-        self.sharded.as_ref().map(ShardedMaint::shards).unwrap_or(1)
+        self.maint.as_ref().map_or(1, ShardedMaint::shards)
     }
 
     /// Sharded-maintenance counters (zeroes for single-node views).
     pub fn shard_stats(&self) -> ShardStats {
-        self.sharded.as_ref().map(|s| *s.stats()).unwrap_or_default()
+        self.maint.as_ref().map(|m| *m.stats()).unwrap_or_default()
     }
 
     /// Why the view stayed on the session node under a cluster session.
     pub fn shard_fallback(&self) -> Option<&str> {
-        self.shard_fallback.as_deref()
+        self.maint.as_ref().and_then(ShardedMaint::fallback)
     }
 
     /// Kill worker `w`'s shards of this view. The view's published output
-    /// is untouched — reads keep serving — but the lost shards' trees must
+    /// is untouched — reads keep serving — but the lost shards' flows must
     /// be recovered (see [`recover`](MaterializedView::recover)) before
     /// the next maintenance round. Returns shards lost (0 single-node).
     pub fn kill_worker(&mut self, w: usize) -> usize {
-        self.sharded.as_mut().map(|s| s.kill_worker(w)).unwrap_or(0)
+        self.maint.as_mut().map_or(0, |m| m.kill_worker(w))
     }
 
     /// Recover any dead shards now, while `store` still equals the
@@ -263,16 +238,16 @@ impl MaterializedView {
     /// until the next batch — when the store already includes that batch —
     /// would double-count it). No-op for single-node views.
     pub fn recover(&mut self, store: &Catalog, reg: &Registry) -> Result<()> {
-        match &mut self.sharded {
-            Some(s) => s.recover(store, reg),
+        match &mut self.maint {
+            Some(m) => m.recover(store, reg),
             None => Ok(()),
         }
     }
 
     /// Set the recovery strategy for subsequent shard recoveries.
     pub fn set_recovery(&mut self, strategy: RecoveryStrategy) {
-        if let Some(s) = &mut self.sharded {
-            s.set_recovery(strategy);
+        if let Some(m) = &mut self.maint {
+            m.set_recovery(strategy);
         }
     }
 
@@ -321,28 +296,18 @@ impl MaterializedView {
 
     /// Populate the view from the current store contents. Incremental
     /// views prime by replaying each base table as one insert batch through
-    /// the maintenance plan — the same code path later changes take — so
-    /// priming exercises exactly the machinery maintenance relies on.
+    /// the dataflow — the same code path later changes take — so priming
+    /// exercises exactly the machinery maintenance relies on.
     pub fn prime(&mut self, store: &Catalog, reg: &Registry) -> Result<()> {
-        if let Some(sharded) = &mut self.sharded {
-            for table in self.base_tables.clone() {
-                let batch = DeltaSet::from_rows(store.get(&table)?.rows().iter().cloned());
-                let out = sharded.apply(&table, &batch, store, reg)?;
-                self.output.merge_scaled(&out, 1);
-            }
-        } else {
-            match &mut self.maint {
-                Some(node) => {
-                    for table in self.base_tables.clone() {
-                        let batch = DeltaSet::from_rows(store.get(&table)?.rows().iter().cloned());
-                        let out = node.apply(&table, &batch, reg)?;
-                        self.output.merge_scaled(&out, 1);
-                    }
-                }
-                None => {
-                    self.output = DeltaSet::from_rows(evaluate(&self.plan, store, reg)?);
+        match &mut self.maint {
+            Some(m) => {
+                for table in &self.base_tables {
+                    let batch = DeltaSet::from_rows(store.get(table)?.rows().iter().cloned());
+                    let out = m.apply(table, &batch, store, reg)?;
+                    self.output.merge_scaled(&out, 1);
                 }
             }
+            None => self.output = DeltaSet::from_rows(evaluate(&self.plan, store, reg)?),
         }
         // Priming is followed by a full publish of the contents, so no
         // deltas are owed to the stored copy.
@@ -358,19 +323,8 @@ impl MaterializedView {
     pub fn rebuild(&mut self, store: &Catalog, reg: &Registry) -> Result<()> {
         self.output = DeltaSet::new();
         self.pending = DeltaSet::new();
-        if matches!(self.strategy, MaintenanceStrategy::Incremental) {
-            if let Some(old) = self.sharded.take() {
-                // Preserve the shard layout and strategy; state rebuilds
-                // from the store like the single-tree path.
-                if let Ok(fresh) =
-                    ShardedMaint::build(&self.plan, reg, old.shards(), old.recovery())
-                {
-                    self.sharded = fresh.ok();
-                }
-            }
-            if self.sharded.is_none() {
-                self.maint = Some(build(&self.plan, reg)?);
-            }
+        if let Some(m) = &mut self.maint {
+            m.reset(reg)?;
         }
         self.prime(store, reg)
     }
@@ -387,60 +341,39 @@ impl MaterializedView {
     ) -> Result<DeltaSet> {
         let start = Instant::now();
         self.deltas_in += delta_rows(batch);
-        if let Some(sharded) = &mut self.sharded {
-            let out = sharded.apply(&table.to_ascii_lowercase(), batch, store, reg)?;
-            self.incremental_passes += 1;
-            self.deltas_out += delta_rows(&out);
+        let Some(maint) = &mut self.maint else {
+            self.recomputes += 1;
+            let fresh = DeltaSet::from_rows(evaluate(&self.plan, store, reg)?);
+            let mut diff = fresh.clone();
+            diff.merge_scaled(&self.output, -1);
+            self.deltas_out += delta_rows(&diff);
             self.maint_ns += start.elapsed().as_nanos() as u64;
-            self.output.merge_scaled(&out, 1);
-            self.pending.merge_scaled(&out, 1);
-            if self.cache_hot {
-                if let Some(cache) = &mut self.sorted_cache {
-                    merge_sorted(cache, &out);
-                }
-                self.cache_hot = false;
-            } else {
-                self.sorted_cache = None;
+            self.output = fresh;
+            // Recompute-fallback views republish whole contents on sync;
+            // no per-delta ledger (or merge-maintained sorted cache) is
+            // kept for them.
+            self.sorted_cache = None;
+            self.cache_hot = false;
+            return Ok(diff);
+        };
+        let out = maint.apply(&table.to_ascii_lowercase(), batch, store, reg)?;
+        self.incremental_passes += 1;
+        self.deltas_out += delta_rows(&out);
+        self.maint_ns += start.elapsed().as_nanos() as u64;
+        self.output.merge_scaled(&out, 1);
+        self.pending.merge_scaled(&out, 1);
+        // Merge the delta into the sorted cache only while it is being
+        // read between batches; a write-only stream drops the cache
+        // instead of paying O(view) merges nobody uses.
+        if self.cache_hot {
+            if let Some(cache) = &mut self.sorted_cache {
+                merge_sorted(cache, &out);
             }
-            return Ok(out);
+            self.cache_hot = false;
+        } else {
+            self.sorted_cache = None;
         }
-        match &mut self.maint {
-            Some(node) => {
-                let out = node.apply(&table.to_ascii_lowercase(), batch, reg)?;
-                self.incremental_passes += 1;
-                self.deltas_out += delta_rows(&out);
-                self.maint_ns += start.elapsed().as_nanos() as u64;
-                self.output.merge_scaled(&out, 1);
-                self.pending.merge_scaled(&out, 1);
-                // Merge the delta into the sorted cache only while it is
-                // being read between batches; a write-only stream drops
-                // the cache instead of paying O(view) merges nobody uses.
-                if self.cache_hot {
-                    if let Some(cache) = &mut self.sorted_cache {
-                        merge_sorted(cache, &out);
-                    }
-                    self.cache_hot = false;
-                } else {
-                    self.sorted_cache = None;
-                }
-                Ok(out)
-            }
-            None => {
-                self.recomputes += 1;
-                let fresh = DeltaSet::from_rows(evaluate(&self.plan, store, reg)?);
-                let mut diff = fresh.clone();
-                diff.merge_scaled(&self.output, -1);
-                self.deltas_out += delta_rows(&diff);
-                self.maint_ns += start.elapsed().as_nanos() as u64;
-                self.output = fresh;
-                // Recompute-fallback views republish whole contents on
-                // sync; no per-delta ledger (or merge-maintained sorted
-                // cache) is kept for them.
-                self.sorted_cache = None;
-                self.cache_hot = false;
-                Ok(diff)
-            }
-        }
+        Ok(out)
     }
 }
 

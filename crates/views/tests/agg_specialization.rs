@@ -2,7 +2,7 @@
 //! `GroupByOp` and its aggregate handlers.
 //!
 //! The invariant: for any sequence of random insert/delete batches, the
-//! view contents accumulated from a maintenance node's output deltas equal
+//! view contents accumulated from a view dataflow's output deltas equal
 //! the naive reference evaluator (`rex_testkit::reference`) run over the
 //! accumulated base relation. The values are dyadic, so every sum, and
 //! every average of equal sums, is exact and the comparison is exact too.
@@ -24,8 +24,7 @@ use rex_storage::catalog::Catalog;
 use rex_storage::table::StoredTable;
 use rex_testkit::reference;
 use rex_views::delta_set::DeltaSet;
-use rex_views::maintain::build;
-use rex_views::{evaluate, MaintenanceStrategy, MaterializedView};
+use rex_views::{evaluate, MaintenanceStrategy, MaterializedView, ViewFlow};
 use std::sync::Arc;
 
 const SQL: &str = "SELECT g, count(*), sum(v), avg(v), min(v), max(v) FROM vals GROUP BY g";
@@ -96,10 +95,10 @@ fn random_batch(base: &DeltaSet, rng: &mut StdRng) -> DeltaSet {
 fn seed_sweep(seed: u64) {
     let reg = Registry::with_builtins();
     let plan = plan_text(SQL, &schema_catalog(), &reg).unwrap();
-    let mut node = build(&plan, &reg).unwrap();
+    let mut node = ViewFlow::new(&plan, &reg).unwrap();
     let store = empty_store();
     let mut rng = StdRng::seed_from_u64(seed);
-    // The accumulated base relation and the node's accumulated output.
+    // The accumulated base relation and the flow's accumulated output.
     let mut base = DeltaSet::new();
     let mut out = DeltaSet::new();
     for step in 0..24 {
@@ -126,7 +125,7 @@ fn maintained_groups_match_the_naive_reference_seed_sweep() {
 fn deleting_every_row_of_a_group_retracts_its_output() {
     let reg = Registry::with_builtins();
     let plan = plan_text(SQL, &schema_catalog(), &reg).unwrap();
-    let mut node = build(&plan, &reg).unwrap();
+    let mut node = ViewFlow::new(&plan, &reg).unwrap();
     let mut ins = DeltaSet::new();
     ins.add(row(1, 2.0), 2); // duplicate values: multiset multiplicity 2
     ins.add(row(1, 5.0), 1);
@@ -152,7 +151,7 @@ fn deleting_every_row_of_a_group_retracts_its_output() {
 fn deleting_a_row_never_inserted_is_an_error() {
     let reg = Registry::with_builtins();
     let plan = plan_text(SQL, &schema_catalog(), &reg).unwrap();
-    let mut node = build(&plan, &reg).unwrap();
+    let mut node = ViewFlow::new(&plan, &reg).unwrap();
     let mut del = DeltaSet::new();
     del.add(row(3, 1.0), -1);
     let err = node.apply("vals", &del, &reg).unwrap_err();

@@ -3,7 +3,7 @@
 //! Creates a join+aggregate view over an orders stream, then inserts and
 //! deletes rows and watches the view track the base tables without ever
 //! re-running the defining query — the `+()` / `-()` deltas of each batch
-//! propagate through the view's maintenance plan instead.
+//! propagate through the view's long-lived dataflow instead.
 //!
 //! ```sh
 //! cargo run --example incremental_views

@@ -70,15 +70,15 @@
 //! where they pay off directly: `CREATE MATERIALIZED VIEW v AS <query>`
 //! materializes the query once, and every subsequent
 //! [`Session::insert`] / [`Session::delete`] batch propagates through the
-//! view's *maintenance plan* — the select/project/join/group-by delta
-//! rules of rex-core's own `HashJoinOp`/`GroupByOp`, driven by the
-//! [`views`] crate — touching state proportional to the change, not the
-//! data. Queries and views share one set of aggregate rules:
-//! `sum`/`count`/`avg` keep O(1) running scalars, `min`/`max` an
-//! O(log n) count-annotated multiset (deleting the current extreme
-//! included), a user UDA's AGGSTATE receives `-()` deltas too, and all
-//! keyed state lives in hash maps keyed by the deterministic in-tree
-//! [`core::hash::FxHasher`]. Recursive (`WITH … UNTIL FIXPOINT`)
+//! view's *dataflow* — the defining query lowered once, as a query would
+//! be, into rex-core operators that keep their state between batches and
+//! are driven by rex-core's `Executor` (the [`views`] crate) — touching
+//! state proportional to the change, not the data. Queries and views
+//! share one set of aggregate rules: `sum`/`count`/`avg` keep O(1)
+//! running scalars, `min`/`max` an O(log n) count-annotated multiset
+//! (deleting the current extreme included), a user UDA's AGGSTATE
+//! receives `-()` deltas too, and all keyed state lives in hash maps
+//! keyed by the deterministic in-tree [`core::hash::FxHasher`]. Recursive (`WITH … UNTIL FIXPOINT`)
 //! definitions fall back to full recomputation automatically; `explain`
 //! on the DDL shows which strategy a view gets. A bare `SELECT * FROM v`
 //! is served directly from authoritative view state (no engine pass);
