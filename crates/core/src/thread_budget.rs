@@ -1,10 +1,10 @@
 //! Process-wide worker-thread budget.
 //!
-//! Parallel execution spawns threads in three places — morsel-parallel
-//! local queries, threaded cluster workers, and parallel view
-//! maintenance — and a server handles many connections at once. Without
-//! coordination, eight reader connections each asking for eight threads
-//! would oversubscribe the machine 8×. The budget is a single global
+//! Parallel execution spawns threads in two places — morsel-parallel
+//! local queries and threaded cluster workers — and a server handles
+//! many connections at once. Without coordination, eight reader
+//! connections each asking for eight threads would oversubscribe the
+//! machine 8×. The budget is a single global
 //! counter of *extra* worker threads (beyond the calling thread) the
 //! process may have in flight: callers [`try_acquire`] permits before
 //! spawning and [`release`] them when the parallel region ends, degrading

@@ -72,7 +72,7 @@ pub struct ServerConfig {
     pub cache_entries: usize,
     /// Largest encoded response the cache will hold, in bytes.
     pub cache_max_bytes: usize,
-    /// Worker-thread ceiling for query execution and view maintenance:
+    /// Worker-thread ceiling for query execution:
     /// sets the session's per-query thread count AND caps the
     /// process-wide [`thread_budget`](rex::core::thread_budget) so
     /// concurrent reader connections share one pool instead of each

@@ -13,7 +13,6 @@ use crate::sharded::RecoveryStrategy;
 use crate::view::{MaintenanceStrategy, MaterializedView};
 use rex_core::delta::Delta;
 use rex_core::error::{Result, RexError};
-use rex_core::thread_budget;
 use rex_core::udf::Registry;
 use rex_storage::catalog::Catalog;
 use rex_storage::table::StoredTable;
@@ -57,9 +56,8 @@ pub struct ViewMetrics {
 #[derive(Default)]
 pub struct ViewCatalog {
     views: BTreeMap<String, MaterializedView>,
-    /// Creation order — a stable tie-break inside each dependency depth
-    /// when maintenance orders views (see
-    /// [`on_base_change`](ViewCatalog::on_base_change)).
+    /// Creation order — a topological order, which is the order
+    /// [`on_base_change`](ViewCatalog::on_base_change) maintains views in.
     order: Vec<String>,
     /// Views whose stored-table copy is stale.
     dirty: BTreeSet<String>,
@@ -67,9 +65,6 @@ pub struct ViewCatalog {
     /// since the catalog was created (delta bytes for incremental flushes,
     /// whole-contents bytes for republishes).
     sync_bytes: u64,
-    /// Thread ceiling for same-depth maintenance (0 and 1 both mean
-    /// sequential; see [`set_threads`](ViewCatalog::set_threads)).
-    threads: usize,
     /// Worker count views defined under this catalog shard across (1 =
     /// single-node maintenance; cluster sessions set their worker count).
     partitions: usize,
@@ -96,16 +91,6 @@ impl ViewCatalog {
     /// Whether `name` is a view (case-insensitive).
     pub fn contains(&self, name: &str) -> bool {
         self.views.contains_key(&name.to_ascii_lowercase())
-    }
-
-    /// Set the thread ceiling for maintenance passes: when a base change
-    /// affects several *independent* views (same dependency depth),
-    /// [`on_base_change`](ViewCatalog::on_base_change) maintains up to
-    /// this many of them on concurrent threads. Sequential by default;
-    /// extra threads are leased from the process-wide
-    /// [`thread_budget`], so a serving process stays inside its cap.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Shard views defined *from now on* across `n` workers (see
@@ -226,35 +211,17 @@ impl ViewCatalog {
         store.drop_table(&key)
     }
 
-    /// Each view's dependency depth: 1 for views over base tables only,
-    /// `1 + max(upstream view depth)` otherwise. Because views can only be
-    /// created over relations that already exist, creation order is a
-    /// topological order and one forward pass suffices.
-    fn dependency_depths(&self) -> BTreeMap<String, usize> {
-        let mut depths: BTreeMap<String, usize> = BTreeMap::new();
-        for name in &self.order {
-            let d = self.views[name]
-                .base_tables()
-                .iter()
-                .map(|t| depths.get(t).map(|u| u + 1).unwrap_or(1))
-                .max()
-                .unwrap_or(1);
-            depths.insert(name.clone(), d);
-        }
-        depths
-    }
-
     /// Propagate a change to base relation `table` (already applied to the
     /// store) through every dependent view, cascading view-output deltas
-    /// to views-on-views. Returns the names of views that changed.
+    /// to views-on-views. Returns the names of views that changed, in
+    /// creation order.
     ///
-    /// Views are processed in *dependency-depth* order (creation order
-    /// breaking ties), so by the time any view runs, every source it reads
+    /// One pass over the views in creation order. Creation order is a
+    /// topological order (a view can only be created over relations that
+    /// already exist), so by the time any view runs, every source it reads
     /// is final for this pass. That is what lets a full-recompute view
-    /// that reads several delta sources — a base table plus views over it
-    /// — re-run its defining query exactly **once** per pass instead of
-    /// once per source, and it is the reason a naive "already ran" flag is
-    /// unnecessary: there is no second visit to suppress.
+    /// that reads several changed sources — a base table plus views over
+    /// it — re-run its defining query exactly **once** per pass.
     pub fn on_base_change(
         &mut self,
         table: &str,
@@ -266,159 +233,38 @@ impl ViewCatalog {
         if initial.is_empty() {
             return Ok(Vec::new());
         }
-        let depths = self.dependency_depths();
-        // Views grouped by dependency depth, creation order within a
-        // level. Views at one depth never read each other (every source
-        // of a depth-d view is at depth < d), so a level's affected
-        // views are independent — free to run in any order, or on
-        // concurrent threads.
-        let mut levels: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-        for name in &self.order {
-            levels.entry(depths[name]).or_default().push(name.clone());
-        }
-        // Deltas available to downstream readers, by source relation.
-        let mut pending: BTreeMap<String, DeltaSet> = BTreeMap::new();
-        pending.insert(table.to_ascii_lowercase(), initial);
+        // Final deltas of this pass, by relation: the base table plus the
+        // output of every view that has run and changed.
+        let mut changed: BTreeMap<String, DeltaSet> = BTreeMap::new();
+        changed.insert(table.to_ascii_lowercase(), initial);
         let mut touched = Vec::new();
-        for names in levels.into_values() {
-            let mut affected: Vec<(String, Vec<String>, bool)> = Vec::new();
-            for name in names {
-                let view = &self.views[&name];
-                let srcs: Vec<String> = view
-                    .base_tables()
-                    .iter()
-                    .filter(|t| pending.contains_key(*t))
-                    .cloned()
-                    .collect();
-                if srcs.is_empty() {
-                    continue;
-                }
-                let recompute =
-                    matches!(view.strategy(), MaintenanceStrategy::FullRecompute { .. });
-                affected.push((name, srcs, recompute));
-            }
-            if affected.is_empty() {
+        for name in self.order.clone() {
+            let view = &self.views[&name];
+            let batches: Vec<(&str, &DeltaSet)> = view
+                .base_tables()
+                .iter()
+                .filter_map(|t| changed.get_key_value(t))
+                .map(|(t, batch)| (t.as_str(), batch))
+                .collect();
+            if batches.is_empty() {
                 continue;
             }
-            let mut outputs: BTreeMap<String, DeltaSet> = BTreeMap::new();
-            // Recompute fallbacks re-run the defining query against the
-            // store, so stale upstream copies must be flushed first —
-            // everything dirty here is at a strictly smaller depth,
-            // hence final. They read catalog state and stay sequential.
-            for (name, srcs, _) in affected.iter().filter(|(_, _, recompute)| *recompute) {
+            // A recompute re-runs the defining query against the store, so
+            // stale upstream copies (all final by now) are flushed first.
+            if matches!(view.strategy(), MaintenanceStrategy::FullRecompute { .. }) {
                 self.sync(store)?;
-                let view = self.views.get_mut(name).expect("view exists");
-                // One re-run diffs in every changed source at once.
-                let out = view.on_change(&srcs[0], &pending[&srcs[0]], store, reg)?;
-                outputs.insert(name.clone(), out);
             }
-            let incremental: Vec<(String, Vec<String>)> = affected
-                .iter()
-                .filter(|(_, _, recompute)| !*recompute)
-                .map(|(name, srcs, _)| (name.clone(), srcs.clone()))
-                .collect();
-            self.maintain_incremental(incremental, &pending, store, reg, &mut outputs)?;
-            // Merge in creation order, whatever order the work ran in.
-            for (name, _, _) in affected {
-                let out_total = outputs.remove(&name).expect("every affected view produced");
-                // An empty output delta proves the stored copy is still
-                // valid — don't force a needless republish on sync.
-                if !out_total.is_empty() {
-                    self.dirty.insert(name.clone());
-                    touched.push(name.clone());
-                    pending.insert(name, out_total);
-                }
+            let view = self.views.get_mut(&name).expect("view exists");
+            let out = view.on_change(&batches, store, reg)?;
+            // An empty output delta proves the stored copy is still
+            // valid — don't force a needless republish on sync.
+            if !out.is_empty() {
+                self.dirty.insert(name.clone());
+                touched.push(name.clone());
+                changed.insert(name, out);
             }
         }
         Ok(touched)
-    }
-
-    /// Run one dependency level's incremental maintenance — across
-    /// threads when several views are affected, the catalog's ceiling
-    /// allows it, and the process-wide [`thread_budget`] grants extra
-    /// threads. Each worker thread temporarily *owns* its views (moved
-    /// out of the map, reinserted after the scope), so no locking is
-    /// involved; results merge deterministically in the caller.
-    fn maintain_incremental(
-        &mut self,
-        work: Vec<(String, Vec<String>)>,
-        pending: &BTreeMap<String, DeltaSet>,
-        store: &Catalog,
-        reg: &Registry,
-        outputs: &mut BTreeMap<String, DeltaSet>,
-    ) -> Result<()> {
-        let run = |view: &mut MaterializedView, srcs: &[String]| -> Result<DeltaSet> {
-            let mut out_total = DeltaSet::new();
-            for src in srcs {
-                let out = view.on_change(src, &pending[src], store, reg)?;
-                out_total.merge_scaled(&out, 1);
-            }
-            Ok(out_total)
-        };
-        let want = self.threads.max(1).min(work.len());
-        let extra = if want > 1 { thread_budget::try_acquire(want - 1) } else { 0 };
-        if extra == 0 {
-            for (name, srcs) in work {
-                let view = self.views.get_mut(&name).expect("view exists");
-                let out = run(view, &srcs)?;
-                outputs.insert(name, out);
-            }
-            return Ok(());
-        }
-        // Move each view out of the map so worker threads own them; all
-        // are reinserted below regardless of maintenance errors.
-        let mut owned: Vec<(String, MaterializedView, Vec<String>)> = work
-            .into_iter()
-            .map(|(name, srcs)| {
-                let view = self.views.remove(&name).expect("view exists");
-                (name, view, srcs)
-            })
-            .collect();
-        let threads = 1 + extra;
-        let run = &run;
-        let results: Vec<(String, Result<DeltaSet>)> = std::thread::scope(|s| {
-            let mut slots: Vec<Vec<&mut (String, MaterializedView, Vec<String>)>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (i, item) in owned.iter_mut().enumerate() {
-                slots[i % threads].push(item);
-            }
-            let handles: Vec<_> = slots
-                .into_iter()
-                .map(|group| {
-                    s.spawn(move || {
-                        group
-                            .into_iter()
-                            .map(|(name, view, srcs)| (name.clone(), run(view, srcs)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("maintenance thread panicked"))
-                .collect()
-        });
-        thread_budget::release(extra);
-        for (name, view, _) in owned {
-            self.views.insert(name, view);
-        }
-        let mut first_err = None;
-        for (name, res) in results {
-            match res {
-                Ok(out) => {
-                    outputs.insert(name, out);
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Rebuild every view's state and contents from the current store, in
@@ -614,41 +460,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_maintenance_matches_sequential() {
-        // Several independent views at one dependency depth: the threaded
-        // pass must produce exactly the sequential pass's states, touched
-        // list, and stored copies.
-        let build = |threads: usize| {
-            let (store, schemas, reg) = setup();
-            let mut views = ViewCatalog::new();
-            views.set_threads(threads);
-            for (name, sql) in [
-                ("fanout", "SELECT src, count(*) FROM edges GROUP BY src"),
-                ("fanin", "SELECT dst, count(*) FROM edges GROUP BY dst"),
-                ("wide", "SELECT src, dst FROM edges WHERE dst > 1"),
-            ] {
-                views.create(define(name, sql, &schemas, &reg), &store, &reg).unwrap();
-            }
-            let batch: Vec<Delta> =
-                (0..50i64).map(|i| Delta::insert(tuple![i % 7, i % 5])).collect();
-            store.append("edges", batch.iter().map(|d| d.tuple.clone()).collect()).unwrap();
-            let touched = views.on_base_change("edges", &batch, &store, &reg).unwrap();
-            views.sync(&store).unwrap();
-            let states: Vec<Vec<rex_core::tuple::Tuple>> =
-                ["fanout", "fanin", "wide"].iter().map(|n| views.get(n).unwrap().rows()).collect();
-            let mut stored: Vec<Vec<rex_core::tuple::Tuple>> = ["fanout", "fanin", "wide"]
-                .iter()
-                .map(|n| store.get(n).unwrap().rows().to_vec())
-                .collect();
-            for s in &mut stored {
-                s.sort_unstable();
-            }
-            (touched, states, stored)
-        };
-        let sequential = build(1);
-        for threads in [2, 4] {
-            assert_eq!(build(threads), sequential, "threads={threads}");
-        }
+    fn recompute_view_counts_every_changed_source() {
+        // A recursive (recompute) view reading `edges` and an incremental
+        // view over `edges`: one pass hands it both sources' deltas.
+        let (store, mut schemas, reg) = setup();
+        let mut views = ViewCatalog::new();
+        let v1 = define("fanout", "SELECT src, count(*) FROM edges GROUP BY src", &schemas, &reg);
+        views.create(v1, &store, &reg).unwrap();
+        schemas.register("fanout", views.get("fanout").unwrap().schema().clone());
+        let sql = "WITH R (id) AS (SELECT src FROM fanout) UNION UNTIL FIXPOINT BY id ( \
+                   SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
+        views.create(define("reach", sql, &schemas, &reg), &store, &reg).unwrap();
+        store.append("edges", vec![tuple![1i64, 9i64]]).unwrap();
+        views.on_base_change("edges", &[Delta::insert(tuple![1i64, 9i64])], &store, &reg).unwrap();
+        let m = views.metrics();
+        let (fanout, reach) = (&m[0], &m[1]);
+        assert!(reach.strategy.contains("full recompute"));
+        assert_eq!(reach.recomputes, 1);
+        // `fanout` retracts (1, 1) and emits (1, 2).
+        assert_eq!(fanout.deltas_out, 2);
+        assert_eq!(reach.deltas_in, 1 + fanout.deltas_out, "the edge row plus fanout's delta");
     }
 
     #[test]

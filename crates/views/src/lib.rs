@@ -45,7 +45,8 @@
 //!
 //! The [`ViewCatalog`] tracks which views read which tables (so dropping
 //! a base table can be refused) and cascades deltas through views defined
-//! over other views in *dependency-depth order* — every source a view
+//! over other views in *creation order*, on the writer's thread — a view
+//! can only be created over relations that exist, so every source a view
 //! reads is final before the view runs, which also lets a recompute
 //! fallback reading several changed sources re-run exactly once per pass.
 //! View contents are still published lazily into the session's

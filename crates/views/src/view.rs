@@ -254,10 +254,10 @@ impl MaterializedView {
     /// How many times the recompute fallback re-ran the defining query.
     /// Incremental views never recompute, so this stays 0 for them; for
     /// fallback views it counts one per maintenance pass that touched the
-    /// view — the dependency-depth ordering in
+    /// view — the creation-order pass in
     /// [`ViewCatalog::on_base_change`](crate::catalog::ViewCatalog::on_base_change)
-    /// guarantees exactly one re-run per pass however many of the view's
-    /// sources changed.
+    /// hands the view every changed source at once, so it re-runs exactly
+    /// once per pass however many of its sources changed.
     pub fn recomputes(&self) -> usize {
         self.recomputes
     }
@@ -329,18 +329,19 @@ impl MaterializedView {
         self.prime(store, reg)
     }
 
-    /// Apply a batch of changes to base relation `table`, returning the
-    /// delta of the view's own output (for cascading to views that read
-    /// this view). `store` must already reflect the change.
+    /// Apply one maintenance pass: a batch of changes to each listed
+    /// `(relation, batch)` the view reads. Returns the delta of the view's
+    /// own output (for cascading to views that read this view). `store`
+    /// must already reflect every change; a recompute fallback re-runs
+    /// its defining query once, however many relations changed.
     pub fn on_change(
         &mut self,
-        table: &str,
-        batch: &DeltaSet,
+        changes: &[(&str, &DeltaSet)],
         store: &Catalog,
         reg: &Registry,
     ) -> Result<DeltaSet> {
         let start = Instant::now();
-        self.deltas_in += delta_rows(batch);
+        self.deltas_in += changes.iter().map(|(_, batch)| delta_rows(batch)).sum::<u64>();
         let Some(maint) = &mut self.maint else {
             self.recomputes += 1;
             let fresh = DeltaSet::from_rows(evaluate(&self.plan, store, reg)?);
@@ -356,7 +357,10 @@ impl MaterializedView {
             self.cache_hot = false;
             return Ok(diff);
         };
-        let out = maint.apply(&table.to_ascii_lowercase(), batch, store, reg)?;
+        let mut out = DeltaSet::new();
+        for (table, batch) in changes {
+            out.merge_scaled(&maint.apply(&table.to_ascii_lowercase(), batch, store, reg)?, 1);
+        }
         self.incremental_passes += 1;
         self.deltas_out += delta_rows(&out);
         self.maint_ns += start.elapsed().as_nanos() as u64;
@@ -470,7 +474,7 @@ mod tests {
         // An insert batch shifts only the touched group.
         store.append("edges", vec![tuple![1i64, 3i64]]).unwrap();
         let out = v
-            .on_change("edges", &DeltaSet::from_rows(vec![tuple![1i64, 3i64]]), &store, &reg)
+            .on_change(&[("edges", &DeltaSet::from_rows(vec![tuple![1i64, 3i64]]))], &store, &reg)
             .unwrap();
         assert_eq!(out.iter().count(), 2);
         assert_eq!(v.rows(), vec![tuple![0i64, 2i64], tuple![1i64, 2i64]]);
@@ -493,7 +497,7 @@ mod tests {
         // emitted diff carries exactly the new row.
         store.append("edges", vec![tuple![2i64, 7i64]]).unwrap();
         let out = v
-            .on_change("edges", &DeltaSet::from_rows(vec![tuple![2i64, 7i64]]), &store, &reg)
+            .on_change(&[("edges", &DeltaSet::from_rows(vec![tuple![2i64, 7i64]]))], &store, &reg)
             .unwrap();
         assert_eq!(out.rows(), vec![tuple![7i64]]);
         assert_eq!(v.len(), 4);

@@ -204,7 +204,7 @@ fn user_aggregate_views_receive_deletes_and_stay_incremental() {
         }
         base.merge_scaled(&batch, 1);
         store.apply_delta("vals", batch.iter().map(|(t, n)| (t.clone(), n))).unwrap();
-        view.on_change("vals", &batch, &store, &reg).unwrap();
+        view.on_change(&[("vals", &batch)], &store, &reg).unwrap();
         let mut want = evaluate(&plan, &store, &reg).unwrap();
         want.sort_unstable();
         assert_eq!(view.rows(), want, "step {step}");

@@ -70,7 +70,7 @@ fn sweep(seed: u64) {
         };
         let b = batch(&store, table, inserts, deletes, &mut rng);
         store.apply_delta(table, b.iter().map(|(t, n)| (t.clone(), n))).unwrap();
-        view.on_change(table, &b, &store, &reg).unwrap();
+        view.on_change(&[(table, &b)], &store, &reg).unwrap();
         let want = reference::evaluate(&plan, &store, &reg).unwrap();
         assert_eq!(view.rows(), want, "seed {seed} step {step} ({table})");
     }

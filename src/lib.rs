@@ -84,7 +84,7 @@
 //! is served directly from authoritative view state (no engine pass);
 //! composed queries read the stored copy, which syncs *delta-granularly*
 //! — O(change), not O(view). Views can be defined over other views
-//! (deltas cascade in dependency-depth order), and `drop_table` refuses
+//! (deltas cascade in creation order), and `drop_table` refuses
 //! while a view still reads the table.
 //!
 //! ```

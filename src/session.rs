@@ -194,12 +194,13 @@ impl Session {
     /// on one thread, and the process-wide
     /// [`thread_budget`](rex_core::thread_budget) (the server's
     /// `--threads` flag) may cap the extra threads actually spawned.
+    /// View maintenance is not affected: it runs on the thread that calls
+    /// [`insert`](Self::insert) or [`delete`](Self::delete).
     ///
     /// Defaults to the `REX_THREADS` environment variable when set, else
     /// the host's available parallelism.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-        self.views.set_threads(self.threads);
     }
 
     /// The current per-query thread ceiling.

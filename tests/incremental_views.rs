@@ -88,9 +88,9 @@ fn self_join_view_matches_recompute() {
 /// *several* delta sources (the base table directly plus a view two levels
 /// up), must re-run its defining query exactly **once** per maintenance
 /// pass — and only after every upstream view is final, so the single run
-/// sees fully-updated state. Dependency-depth ordering guarantees both;
-/// a naive "already ran" flag would either double-run (PR 2 behaviour) or
-/// risk reading not-yet-final upstream state.
+/// sees fully-updated state. The creation-order pass guarantees both; a
+/// naive "already ran" flag would either double-run or risk reading
+/// not-yet-final upstream state.
 #[test]
 fn recompute_fallback_runs_once_per_pass_in_deep_cascades() {
     let mut s = make_session("local");
@@ -133,6 +133,61 @@ fn recompute_fallback_runs_once_per_pass_in_deep_cascades() {
     s.insert("edges", vec![Tuple::new(vec![Value::Int(7), Value::Int(6)])]).unwrap();
     assert_eq!(s.views().get("best").unwrap().recomputes(), 2);
     assert_eq!(s.query("SELECT * FROM best").unwrap().rows, s.query(best_sql).unwrap().rows);
+}
+
+const REACH_SQL: &str = "WITH R (id) AS (SELECT src FROM edges WHERE src < 2) \
+     UNION UNTIL FIXPOINT BY id (SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
+const REACH_WEIGHT_SQL: &str = "SELECT w.node, count(*), sum(w.weight) \
+     FROM r, weights w WHERE r.id = w.node GROUP BY w.node";
+
+/// An *incremental* view downstream of a *recompute* view: the recursive
+/// `r`'s output delta must cascade into the join+group-by over
+/// `r ⋈ weights`, which keeps maintaining by deltas while `r` re-runs once
+/// per pass that changes `edges`.
+fn recompute_feeds_incremental_sweep(engine: &str, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut s = make_session(engine);
+    for table in ["edges", "weights"] {
+        let rows: Vec<Tuple> = (0..12).map(|_| random_row(&mut rng, table)).collect();
+        s.insert(table, rows).unwrap();
+    }
+    s.create_materialized_view("r", REACH_SQL).unwrap();
+    s.create_materialized_view("rw", REACH_WEIGHT_SQL).unwrap();
+    assert!(s.view_strategy("r").unwrap().contains("full recompute"));
+    assert!(s.view_strategy("rw").unwrap().contains("incremental"));
+
+    let mut edge_passes = 0;
+    for step in 0..12 {
+        let table = if rng.gen_range(0..=1i64) == 0 { "edges" } else { "weights" };
+        let stored = s.store().get(table).unwrap().rows().to_vec();
+        if rng.gen_range(0..=2i64) == 0 && !stored.is_empty() {
+            let victim = stored[rng.gen_range(0..stored.len())].clone();
+            s.delete(table, vec![victim]).unwrap();
+        } else {
+            let rows: Vec<Tuple> =
+                (0..rng.gen_range(1..=3i64)).map(|_| random_row(&mut rng, table)).collect();
+            s.insert(table, rows).unwrap();
+        }
+        edge_passes += usize::from(table == "edges");
+        let ctx = format!("{engine} seed {seed} step {step} ({table})");
+        let got = s.query("SELECT * FROM r").unwrap().rows;
+        assert_eq!(got, s.query(REACH_SQL).unwrap().rows, "{ctx}: r");
+        let got = s.query("SELECT * FROM rw").unwrap().rows;
+        let want = s.query(REACH_WEIGHT_SQL).unwrap().rows;
+        assert_rows_close(&got, &want, &format!("{ctx}: rw"));
+        assert_eq!(s.views().get("r").unwrap().recomputes(), edge_passes, "{ctx}: one per pass");
+        assert_eq!(s.views().get("rw").unwrap().recomputes(), 0, "{ctx}: rw stays incremental");
+    }
+}
+
+#[test]
+fn incremental_view_over_recompute_view_matches_recompute() {
+    for seed in 0..4 {
+        recompute_feeds_incremental_sweep("local", seed);
+    }
+    for seed in 0..2 {
+        recompute_feeds_incremental_sweep("cluster", seed);
+    }
 }
 
 #[test]

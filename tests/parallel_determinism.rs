@@ -3,14 +3,15 @@
 //! must return results *bit-identical* to the single-threaded run — the
 //! same rows, the same order, the same float bits.
 //!
-//! Three schedulers are under test (seed-swept random data each):
+//! Three paths are under test (seed-swept random data each):
 //!
 //! * the morsel/shard-parallel local engine (`lower_parallel` + shared
 //!   scan cursors + shard-by-key gates),
 //! * the threaded cluster drain scheduler (BSP rounds over worker
 //!   threads),
-//! * parallel materialized-view maintenance (independent same-depth
-//!   views fanned out across threads).
+//! * materialized-view maintenance, which runs in one creation-order
+//!   pass on the writer's thread whatever the session's thread count —
+//!   the thread setting must not reach view state.
 //!
 //! Floats make this strict: a sum folded in a different order gives
 //! different low bits, so plain `assert_eq!` on tuples proves the
@@ -75,8 +76,8 @@ fn cluster_engine_threaded_results_are_bit_identical() {
     check_engine("cluster");
 }
 
-/// Parallel view maintenance: sessions that differ only in thread count
-/// must hold bit-identical view contents after every random write batch.
+/// View maintenance: sessions that differ only in thread count must hold
+/// bit-identical view contents after every random write batch.
 #[test]
 fn view_maintenance_is_bit_identical_across_thread_counts() {
     let views = [
