@@ -19,10 +19,21 @@
 //!   SELECT g, count(*), sum(v), min(v), max(v) FROM events GROUP BY g
 //! ```
 //!
+//! **recursive reachability** — a 20k-node management forest rooted at
+//! employee 0, fed 4-row batches of new hires:
+//!
+//! ```sql
+//! CREATE MATERIALIZED VIEW reports AS
+//!   WITH r (emp) AS (SELECT emp FROM roots) UNION UNTIL FIXPOINT BY emp
+//!   (SELECT org.emp FROM org, r WHERE org.mgr = r.emp)
+//! ```
+//!
 //! Under PR 2's dirty-group *replay*, each touched group re-derived from
 //! all its rows, so the skew workload was quadratic in group size; the
 //! per-delta aggregate state of rex-core's `GroupByOp` makes per-batch
-//! work proportional to the batch.
+//! work proportional to the batch. The recursive view's fixpoint continues
+//! from its converged state, so a batch costs the strata its new rows
+//! open, not a re-derivation of the forest.
 //!
 //! Two configurations process the same stream of small insert batches:
 //!
@@ -35,9 +46,9 @@
 //! Per workload the bench reports per-phase timings — `maintain` (the
 //! insert + delta propagation) and `serve` (sync + scan of the stored
 //! copy) — plus `state_bytes` of maintenance state, and writes everything
-//! to `BENCH_ivm.json`. The run exits non-zero when a speedup floor or the
-//! state cap (1.5x the PR 2 footprint) is missed, which is the whole CI
-//! gate.
+//! to `BENCH_ivm.json`. The run exits non-zero when a speedup floor
+//! (28x lineitem, 30x skew, 10x recursive) or the state cap (1.5x the
+//! recorded baseline footprint) is missed, which is the whole CI gate.
 
 use rex::core::tuple::Tuple;
 use rex::core::value::Value;
@@ -69,6 +80,13 @@ const LINEITEM_FLOOR: f64 = 28.0;
 /// Skew-heavy floor: dirty-group replay was quadratic here, so the
 /// per-delta aggregate state must keep a wide margin.
 const SKEW_FLOOR: f64 = 30.0;
+
+const FOREST_QUERY: &str = "WITH r (emp) AS (SELECT emp FROM roots) \
+     UNION UNTIL FIXPOINT BY emp (SELECT org.emp FROM org, r WHERE org.mgr = r.emp)";
+
+/// Recursive floor: a batch of new hires re-enters the converged fixpoint
+/// for a stratum or two instead of re-deriving the whole forest.
+const RECURSIVE_FLOOR: f64 = 10.0;
 
 struct WorkloadReport {
     name: &'static str,
@@ -283,15 +301,57 @@ fn skew_workload(n_batches: usize, batch_rows: usize) -> WorkloadReport {
     )
 }
 
+/// A management forest: everyone in `lo..hi` reports to someone hired
+/// earlier (`org(emp, mgr)`), so every employee is reachable from 0.
+fn org_rows(lo: i64, hi: i64, rng: &mut StdRng) -> Vec<Tuple> {
+    (lo..hi)
+        .map(|emp| Tuple::new(vec![Value::Int(emp), Value::Int(rng.gen_range(0..=emp - 1))]))
+        .collect()
+}
+
+fn forest_session(org: Vec<Tuple>) -> Session {
+    let mut s = Session::local();
+    s.create_table("org", Schema::of(&[("emp", DataType::Int), ("mgr", DataType::Int)])).unwrap();
+    s.create_table("roots", Schema::of(&[("emp", DataType::Int)])).unwrap();
+    s.insert("org", org).unwrap();
+    s.insert("roots", vec![Tuple::new(vec![Value::Int(0)])]).unwrap();
+    s
+}
+
+fn recursive_workload(n_batches: usize, batch_rows: usize) -> WorkloadReport {
+    let staff = (20_000.0 * scale()) as i64;
+    let mut rng = StdRng::seed_from_u64(11);
+    let base = org_rows(1, staff, &mut rng);
+    let batches: Vec<Vec<Tuple>> = (0..n_batches as i64)
+        .map(|b| {
+            let lo = staff + b * batch_rows as i64;
+            org_rows(lo, lo + batch_rows as i64, &mut rng)
+        })
+        .collect();
+    run_workload(
+        "recursive reachability view maintenance",
+        forest_session(base.clone()),
+        forest_session(base),
+        "org",
+        "reports",
+        FOREST_QUERY,
+        staff as usize,
+        &batches,
+    )
+}
+
 fn main() {
     let lineitem = lineitem_workload(32, 16);
     let skew = skew_workload(32, 16);
+    let recursive = recursive_workload(32, 4);
 
     let json = format!(
-        "{{\n  {},\n  \"state_bytes_pr2_baseline\": {},\n  \"skew\": {{\n    {}\n  }}\n}}\n",
+        "{{\n  {},\n  \"state_bytes_pr2_baseline\": {},\n  \"skew\": {{\n    {}\n  }},\n  \
+         \"recursive\": {{\n    {}\n  }}\n}}\n",
         lineitem.json_fields(),
         PR2_STATE_BYTES,
         skew.json_fields().replace("\n  ", "\n    "),
+        recursive.json_fields().replace("\n  ", "\n    "),
     );
     std::fs::write("BENCH_ivm.json", json).expect("write BENCH_ivm.json");
     println!("wrote BENCH_ivm.json");
@@ -306,6 +366,9 @@ fn main() {
     if skew.speedup < SKEW_FLOOR {
         misses.push(format!("skew speedup {:.2}x < {SKEW_FLOOR}x", skew.speedup));
     }
+    if recursive.speedup < RECURSIVE_FLOOR {
+        misses.push(format!("recursive speedup {:.2}x < {RECURSIVE_FLOOR}x", recursive.speedup));
+    }
     if lineitem.state_bytes as f64 > cap {
         misses.push(format!(
             "lineitem state {} bytes > 1.5 x {PR2_STATE_BYTES}",
@@ -317,6 +380,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "gates held: lineitem >= {LINEITEM_FLOOR}x, skew >= {SKEW_FLOOR}x, state <= {cap:.0} bytes"
+        "gates held: lineitem >= {LINEITEM_FLOOR}x, skew >= {SKEW_FLOOR}x, \
+         recursive >= {RECURSIVE_FLOOR}x, state <= {cap:.0} bytes"
     );
 }

@@ -296,9 +296,7 @@ impl ClusterRuntime {
                 }
                 let mut any_continue = false;
                 for &f in &fixpoints {
-                    let (stratum, term) = executors[live[0]]
-                        .with_fixpoint(f, |fp| (fp.stratum(), fp.termination()))?;
-                    if term.wants_continue(total_pending, stratum) {
+                    if executors[live[0]].with_fixpoint(f, |fp| fp.wants_continue(total_pending))? {
                         any_continue = true;
                     }
                 }
@@ -728,7 +726,7 @@ fn merged_diff(
 ) -> ExecMetrics {
     let mut m = ExecMetrics::default();
     for &w in live {
-        m.merge(&diff(&executors[w].metrics, &prev[w]));
+        m.merge(&executors[w].metrics.since(&prev[w]));
     }
     m
 }
@@ -747,20 +745,6 @@ fn scale_metrics(m: &mut ExecMetrics, f: f64) {
     m.punctuations = (m.punctuations as f64 * f) as u64;
 }
 
-fn diff(cur: &ExecMetrics, prev: &ExecMetrics) -> ExecMetrics {
-    ExecMetrics {
-        tuples_processed: cur.tuples_processed - prev.tuples_processed,
-        deltas_emitted: cur.deltas_emitted - prev.deltas_emitted,
-        udf_calls: cur.udf_calls - prev.udf_calls,
-        cpu_units: cur.cpu_units - prev.cpu_units,
-        bytes_sent: cur.bytes_sent - prev.bytes_sent,
-        bytes_received: cur.bytes_received - prev.bytes_received,
-        disk_read: cur.disk_read - prev.disk_read,
-        disk_written: cur.disk_written - prev.disk_written,
-        punctuations: cur.punctuations - prev.punctuations,
-    }
-}
-
 /// Max-over-workers simulated time for the stratum that just completed.
 fn max_sim_time(
     executors: &[Executor],
@@ -769,7 +753,7 @@ fn max_sim_time(
     cost: &CostModel,
 ) -> f64 {
     live.iter()
-        .map(|&w| diff(&executors[w].metrics, &prev[w]).simulated_time(cost))
+        .map(|&w| executors[w].metrics.since(&prev[w]).simulated_time(cost))
         .fold(0.0, f64::max)
 }
 

@@ -41,7 +41,7 @@ pub enum ColumnData {
     /// All values are `Value::Bool` (or NULL).
     Bool(Vec<bool>),
     /// All values are `Value::Str` (or NULL).
-    Str(Vec<Arc<str>>),
+    Str(Vec<Arc<String>>),
     /// Mixed variants, lists, or an all-NULL column: original values.
     Generic(Vec<Value>),
 }
@@ -54,21 +54,40 @@ pub struct Column {
     validity: Option<Vec<bool>>,
 }
 
+/// The variant a typed column stores.
+#[derive(PartialEq, Clone, Copy)]
+enum Kind {
+    Int,
+    Double,
+    Bool,
+    Str,
+}
+
 impl Column {
     /// Build a column from owned values, choosing typed storage when the
     /// column is variant-homogeneous (NULLs allowed) and falling back to
     /// [`ColumnData::Generic`] otherwise.
     pub fn from_values(values: Vec<Value>) -> Column {
-        #[derive(PartialEq, Clone, Copy)]
-        enum Kind {
-            Int,
-            Double,
-            Bool,
-            Str,
-        }
+        Column::typed(values.iter())
+            .unwrap_or(Column { data: ColumnData::Generic(values), validity: None })
+    }
+
+    /// Column `c` of `rows`, under the same typing rules as
+    /// [`from_values`](Column::from_values), read in place: no tuple is
+    /// cloned.
+    fn of_rows(rows: &[Tuple], c: usize) -> Column {
+        Column::typed(rows.iter().map(move |t| t.get(c))).unwrap_or_else(|| Column {
+            data: ColumnData::Generic(rows.iter().map(|t| t.get(c).clone()).collect()),
+            validity: None,
+        })
+    }
+
+    /// Typed storage for `values`, or `None` when they need
+    /// [`ColumnData::Generic`]: mixed variants, lists, empty or all NULL.
+    fn typed<'a>(values: impl Iterator<Item = &'a Value> + Clone) -> Option<Column> {
         let mut kind: Option<Kind> = None;
         let mut any_null = false;
-        for v in &values {
+        for v in values.clone() {
             let k = match v {
                 Value::Null => {
                     any_null = true;
@@ -78,42 +97,35 @@ impl Column {
                 Value::Double(_) => Kind::Double,
                 Value::Bool(_) => Kind::Bool,
                 Value::Str(_) => Kind::Str,
-                Value::List(_) => {
-                    return Column { data: ColumnData::Generic(values), validity: None }
-                }
+                Value::List(_) => return None,
             };
             match kind {
                 None => kind = Some(k),
                 Some(prev) if prev == k => {}
-                Some(_) => return Column { data: ColumnData::Generic(values), validity: None },
+                Some(_) => return None,
             }
         }
-        let Some(kind) = kind else {
-            // Empty or all-NULL: keep the originals.
-            return Column { data: ColumnData::Generic(values), validity: None };
-        };
-        let validity = any_null.then(|| values.iter().map(|v| !v.is_null()).collect());
-        let data = match kind {
+        let validity = any_null.then(|| values.clone().map(|v| !v.is_null()).collect());
+        let data = match kind? {
             Kind::Int => ColumnData::Int(
-                values.iter().map(|v| if let Value::Int(i) = v { *i } else { 0 }).collect(),
+                values.map(|v| if let Value::Int(i) = v { *i } else { 0 }).collect(),
             ),
             Kind::Double => ColumnData::Double(
-                values.iter().map(|v| if let Value::Double(d) = v { *d } else { 0.0 }).collect(),
+                values.map(|v| if let Value::Double(d) = v { *d } else { 0.0 }).collect(),
             ),
             Kind::Bool => ColumnData::Bool(
-                values.iter().map(|v| if let Value::Bool(b) = v { *b } else { false }).collect(),
+                values.map(|v| if let Value::Bool(b) = v { *b } else { false }).collect(),
             ),
             Kind::Str => {
-                let empty: Arc<str> = Arc::from("");
+                let empty = Arc::new(String::new());
                 ColumnData::Str(
                     values
-                        .into_iter()
-                        .map(|v| if let Value::Str(s) = v { s } else { empty.clone() })
+                        .map(|v| if let Value::Str(s) = v { s.clone() } else { empty.clone() })
                         .collect(),
                 )
             }
         };
-        Column { data, validity }
+        Some(Column { data, validity })
     }
 
     /// Physical length.
@@ -220,24 +232,19 @@ impl ColumnBatch {
     /// back (`Err`) when they cannot be columnarized — a ragged batch
     /// (mixed arities) stays on the row lane.
     pub fn try_from_rows(rows: Vec<Tuple>) -> std::result::Result<ColumnBatch, Vec<Tuple>> {
-        let Some(first) = rows.first() else {
-            return Ok(ColumnBatch { cols: Vec::new(), rows: 0, sel: None });
-        };
-        let width = first.arity();
+        ColumnBatch::from_row_slice(&rows).ok_or(rows)
+    }
+
+    /// [`try_from_rows`](ColumnBatch::try_from_rows) over borrowed rows
+    /// (a scan's stored slice): each column is read straight out of the
+    /// tuples, with no per-row `Arc` bump. `None` for a ragged slice.
+    pub fn from_row_slice(rows: &[Tuple]) -> Option<ColumnBatch> {
+        let width = rows.first().map_or(0, Tuple::arity);
         if rows.iter().any(|t| t.arity() != width) {
-            return Err(rows);
+            return None;
         }
-        let n = rows.len();
-        let cols = (0..width)
-            .map(|c| {
-                let mut vals = Vec::with_capacity(n);
-                for t in &rows {
-                    vals.push(t.get(c).clone());
-                }
-                Column::from_values(vals)
-            })
-            .collect();
-        Ok(ColumnBatch { cols, rows: n, sel: None })
+        let cols = (0..width).map(|c| Column::of_rows(rows, c)).collect();
+        Some(ColumnBatch { cols, rows: rows.len(), sel: None })
     }
 
     /// Build directly from compacted columns (projection output). All

@@ -2,12 +2,15 @@
 //!
 //! A [`PlanGraph`] wires operators into a dataflow; the [`Executor`]
 //! delivers events along edges, depth-first, until quiescence. Recursion is
-//! driven by an outer runtime ([`LocalRuntime`] here, the cluster runtime
-//! in `rex-cluster`) that plays the query-requestor role of §4.2: it starts
-//! stratum 0 once the initial drain is quiescent, and after each stratum it
-//! collects the fixpoint operators' new-tuple counts and decides whether to
-//! advance to another stratum or terminate the query.
+//! driven by a requestor (§4.2) that starts the first stratum once the
+//! drain is quiescent, and after each stratum collects the fixpoint
+//! operators' new-tuple counts and decides whether to advance to another
+//! stratum or converge. On one node that loop is
+//! [`Executor::run_strata`], which serves both queries ([`LocalRuntime`])
+//! and the batches of a long-lived view dataflow; the cluster runtime in
+//! `rex-cluster` plays the same role across workers.
 
+use crate::delta::Punctuation;
 use crate::error::{Result, RexError};
 use crate::metrics::{CostModel, ExecMetrics, QueryReport, StratumReport};
 use crate::operators::{Event, FixpointOp, OpCtx, Operator};
@@ -161,6 +164,11 @@ pub struct Executor {
     queue: VecDeque<(NodeId, usize, Event)>,
     /// Worker-local metrics.
     pub metrics: ExecMetrics,
+    /// `metrics` as of the last stratum [`run_strata`](Executor::run_strata)
+    /// reported.
+    reported: ExecMetrics,
+    /// The stratum clock: operators see it as [`OpCtx::stratum`], and every
+    /// `EndOfStratum` this executor's runtime injects carries it.
     stratum: u64,
     worker: usize,
     distributed: bool,
@@ -179,6 +187,7 @@ impl Executor {
             edges: graph.edges,
             queue: VecDeque::new(),
             metrics: ExecMetrics::default(),
+            reported: ExecMetrics::default(),
             stratum: 0,
             worker,
             distributed,
@@ -473,6 +482,101 @@ impl Executor {
         Ok(())
     }
 
+    /// Punctuate stratum `s` on the output of every node in `open` — the
+    /// sources a caller feeds by hand, which no scan's end of stream closes.
+    fn close_stratum(&mut self, open: &[NodeId]) {
+        let s = self.stratum;
+        for &node in open {
+            self.inject_downstream(node, 0, Event::Punct(Punctuation::EndOfStratum(s)));
+        }
+    }
+
+    /// Run what is queued to quiescence, stratum by stratum, on this
+    /// node's one clock — the requestor loop of §4.2. `open` lists the fed
+    /// sources (a view's scans; none for a query, whose scans end their
+    /// streams): each stratum is punctuated on their outputs with the same
+    /// number the fixpoints' feedback carries, so every join of a
+    /// recursive step aligns its stored input with the feedback.
+    ///
+    /// The first stratum drains the queued batch. Without fixpoints that
+    /// is all; otherwise every fixpoint then [starts](FixpointOp::start)
+    /// with whatever reached it, strata [advance](FixpointOp::advance)
+    /// while any fixpoint's termination condition wants another over the
+    /// summed Δ count, and convergence emits each fixpoint's net change.
+    /// Returns one report per stratum of recursion (none without
+    /// fixpoints); network emissions go to `outbox`.
+    pub fn run_strata(
+        &mut self,
+        open: &[NodeId],
+        reg: &Registry,
+        cost: &CostModel,
+        outbox: &mut Vec<NetEmission>,
+    ) -> Result<Vec<StratumReport>> {
+        let mut clock = Instant::now();
+        self.close_stratum(open);
+        self.drain(reg, cost, outbox)?;
+        let fixpoints = self.fixpoint_ids();
+        let mut reports = Vec::new();
+        if fixpoints.is_empty() {
+            self.stratum += 1;
+            return Ok(reports);
+        }
+        for &id in &fixpoints {
+            self.start_fixpoint(id, reg, cost, outbox)?;
+        }
+        self.drain(reg, cost, outbox)?;
+        loop {
+            // Every fixpoint must be ready for a vote; otherwise the plan
+            // is miswired (recursive edge missing).
+            let mut pending = 0usize;
+            for &id in &fixpoints {
+                let (ready, n) =
+                    self.with_fixpoint(id, |fp| (fp.ready_for_vote(), fp.pending_count()))?;
+                if !ready {
+                    return Err(RexError::Exec(format!(
+                        "fixpoint node {id} never punctuated stratum {}: \
+                         is the recursive edge connected?",
+                        self.stratum
+                    )));
+                }
+                pending += n;
+            }
+            // The requestor's global view: a fixpoint whose own Δ is empty
+            // continues while any other produced deltas.
+            let mut cont = false;
+            for &id in &fixpoints {
+                cont |= self.with_fixpoint(id, |fp| fp.wants_continue(pending))?;
+            }
+            let m = self.metrics.since(&self.reported);
+            self.reported = self.metrics;
+            reports.push(StratumReport {
+                stratum: self.stratum,
+                delta_set_size: pending as u64,
+                simulated_time: m.simulated_time(cost),
+                wall_seconds: clock.elapsed().as_secs_f64(),
+                bytes_shipped: m.bytes_sent,
+                metrics: m,
+            });
+            clock = Instant::now();
+            self.stratum += 1;
+            for &id in &fixpoints {
+                self.advance_fixpoint(id, cont, reg, cost, outbox)?;
+            }
+            if cont {
+                self.close_stratum(open);
+            }
+            self.drain(reg, cost, outbox)?;
+            if !cont {
+                return Ok(reports);
+            }
+            if reports.len() as u64 > MAX_STRATA {
+                return Err(RexError::Exec(format!(
+                    "recursion exceeded {MAX_STRATA} strata without converging"
+                )));
+            }
+        }
+    }
+
     /// Collect results from the first sink node (cloning; the sink keeps
     /// its state).
     pub fn sink_results(&mut self) -> Result<Vec<Tuple>> {
@@ -530,6 +634,7 @@ impl Executor {
             edges: self.edges.clone(),
             queue: self.queue.clone(),
             metrics: self.metrics,
+            reported: self.reported,
             stratum: self.stratum,
             worker: self.worker,
             distributed: self.distributed,
@@ -725,21 +830,16 @@ impl LocalRuntime {
     ) -> Result<(Vec<Tuple>, QueryReport, Option<ExecTrace>)> {
         let mut ex = Executor::new(graph, 0, false);
         ex.set_telemetry(self.telemetry);
-        let mut report = QueryReport::default();
         let t0 = Instant::now();
         let mut outbox = Vec::new(); // never used in local mode
-
-        let mut prev_metrics = ExecMetrics::default();
-        let mut stratum_start = Instant::now();
-
         ex.start(&self.reg, &self.cost)?;
-        ex.drain(&self.reg, &self.cost, &mut outbox)?;
-
-        let fixpoints = ex.fixpoint_ids();
-        if fixpoints.is_empty() {
+        let strata = ex.run_strata(&[], &self.reg, &self.cost, &mut outbox)?;
+        let wall = t0.elapsed().as_secs_f64();
+        let m = ex.metrics;
+        let recursive = !strata.is_empty();
+        let mut report = QueryReport { totals: m, wall_seconds: wall, ..QueryReport::default() };
+        if !recursive {
             // Non-recursive query: one pass to quiescence.
-            let wall = t0.elapsed().as_secs_f64();
-            let m = ex.metrics;
             report.strata.push(StratumReport {
                 stratum: 0,
                 delta_set_size: m.deltas_emitted,
@@ -748,102 +848,17 @@ impl LocalRuntime {
                 bytes_shipped: m.bytes_sent,
                 metrics: m,
             });
-            report.totals = m;
             report.simulated_time = m.simulated_time(&self.cost);
-            report.wall_seconds = wall;
-            let mut trace = ex.take_trace();
-            if let Some(tr) = trace.as_mut() {
-                tr.wall_seconds = wall;
-            }
-            return Ok((ex.take_sink_results()?, report, trace));
+        } else {
+            report.strata = strata;
+            report.simulated_time = report.strata.iter().map(|s| s.simulated_time).sum();
         }
-
-        // Recursive query: start stratum 0 now that every scan batch has
-        // been delivered, then run the stratum loop.
-        for &id in &fixpoints {
-            ex.start_fixpoint(id, &self.reg, &self.cost, &mut outbox)?;
-        }
-        ex.drain(&self.reg, &self.cost, &mut outbox)?;
-        let mut completed = 0u64;
-        loop {
-            // All fixpoints must be ready for a vote; otherwise the plan is
-            // miswired (recursive edge missing).
-            let mut total_pending = 0usize;
-            let mut any_continue = false;
-            for &id in &fixpoints {
-                let (ready, pending, stratum, term) = ex.with_fixpoint(id, |fp| {
-                    (fp.ready_for_vote(), fp.pending_count(), fp.stratum(), fp.termination())
-                })?;
-                if !ready {
-                    return Err(RexError::Exec(format!(
-                        "fixpoint node {id} never punctuated stratum {completed}: \
-                         is the recursive edge connected?"
-                    )));
-                }
-                total_pending += pending;
-                if term.wants_continue(pending, stratum) {
-                    any_continue = true;
-                }
-            }
-            // Re-evaluate with the *summed* pending count (the requestor's
-            // global view): a fixpoint whose local Δ is empty continues if
-            // any other partition produced deltas.
-            if !any_continue {
-                for &id in &fixpoints {
-                    let (stratum, term) =
-                        ex.with_fixpoint(id, |fp| (fp.stratum(), fp.termination()))?;
-                    if term.wants_continue(total_pending, stratum) {
-                        any_continue = true;
-                    }
-                }
-            }
-
-            // Record the completed stratum.
-            let mut m = ex.metrics;
-            let snap = m;
-            m.tuples_processed -= prev_metrics.tuples_processed;
-            m.deltas_emitted -= prev_metrics.deltas_emitted;
-            m.udf_calls -= prev_metrics.udf_calls;
-            m.cpu_units -= prev_metrics.cpu_units;
-            m.bytes_sent -= prev_metrics.bytes_sent;
-            m.bytes_received -= prev_metrics.bytes_received;
-            m.disk_read -= prev_metrics.disk_read;
-            m.disk_written -= prev_metrics.disk_written;
-            m.punctuations -= prev_metrics.punctuations;
-            prev_metrics = snap;
-            report.strata.push(StratumReport {
-                stratum: completed,
-                delta_set_size: total_pending as u64,
-                simulated_time: m.simulated_time(&self.cost),
-                wall_seconds: stratum_start.elapsed().as_secs_f64(),
-                bytes_shipped: m.bytes_sent,
-                metrics: m,
-            });
-            stratum_start = Instant::now();
-
-            for &id in &fixpoints {
-                ex.advance_fixpoint(id, any_continue, &self.reg, &self.cost, &mut outbox)?;
-            }
-            ex.set_stratum(completed + 1);
-            ex.drain(&self.reg, &self.cost, &mut outbox)?;
-            if !any_continue {
-                break;
-            }
-            completed += 1;
-            if completed > MAX_STRATA {
-                return Err(RexError::Exec(format!(
-                    "recursion exceeded {MAX_STRATA} strata without converging"
-                )));
-            }
-        }
-
-        report.totals = ex.metrics;
-        report.simulated_time = report.strata.iter().map(|s| s.simulated_time).sum();
-        report.wall_seconds = t0.elapsed().as_secs_f64();
         let mut trace = ex.take_trace();
         if let Some(tr) = trace.as_mut() {
-            tr.iteration_deltas = report.strata.iter().map(|s| s.delta_set_size).collect();
-            tr.wall_seconds = report.wall_seconds;
+            if recursive {
+                tr.iteration_deltas = report.strata.iter().map(|s| s.delta_set_size).collect();
+            }
+            tr.wall_seconds = wall;
         }
         Ok((ex.take_sink_results()?, report, trace))
     }

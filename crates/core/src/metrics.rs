@@ -109,6 +109,22 @@ impl ExecMetrics {
         self.punctuations += other.punctuations;
     }
 
+    /// The counters accumulated since the `earlier` snapshot of this
+    /// record (one stratum's share of a running total).
+    pub fn since(&self, earlier: &ExecMetrics) -> ExecMetrics {
+        ExecMetrics {
+            tuples_processed: self.tuples_processed - earlier.tuples_processed,
+            deltas_emitted: self.deltas_emitted - earlier.deltas_emitted,
+            udf_calls: self.udf_calls - earlier.udf_calls,
+            cpu_units: self.cpu_units - earlier.cpu_units,
+            bytes_sent: self.bytes_sent - earlier.bytes_sent,
+            bytes_received: self.bytes_received - earlier.bytes_received,
+            disk_read: self.disk_read - earlier.disk_read,
+            disk_written: self.disk_written - earlier.disk_written,
+            punctuations: self.punctuations - earlier.punctuations,
+        }
+    }
+
     /// Simulated completion time for this worker's share of a stratum.
     pub fn simulated_time(&self, model: &CostModel) -> f64 {
         let io = model.net_time(self.bytes_sent + self.bytes_received)

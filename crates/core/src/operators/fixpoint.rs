@@ -7,8 +7,9 @@
 //!
 //! Ports:
 //! * input 0 — the base case; input 1 — the recursive case's output;
-//! * output 0 — feedback into the recursive subplan; output 1 — final
-//!   query results, emitted once the termination condition holds.
+//! * output 0 — feedback into the recursive subplan; output 1 — the net
+//!   change of the mutable set at each convergence (a query's final
+//!   results).
 //!
 //! The operator keeps the *mutable set* keyed by `FIXPOINT BY` columns.
 //! In delta mode only the tuples changed in the current stratum (the Δᵢ
@@ -19,12 +20,29 @@
 //! columns in place, and an owned key is allocated only on first insert.
 //!
 //! Every stratum is started by the runtime, never by the data. The base
-//! case's end of stream only marks the operator startable; once the
-//! initial drain is quiescent the runtime calls [`FixpointOp::start`] to
-//! feed stratum 0 back, and after each vote [`FixpointOp::advance`] to feed
-//! the next. The executor runs depth-first, so an emission made from
+//! case's punctuation only marks the operator startable; once the drain
+//! is quiescent the runtime calls [`FixpointOp::start`] to feed the first
+//! stratum back, and after each vote [`FixpointOp::advance`] to feed the
+//! next. The executor runs depth-first, so an emission made from
 //! `on_punct` could overtake scan batches still queued for the recursive
-//! subplan (a handler join's build side, say); quiescence cannot.
+//! subplan (a handler join's build side, say); quiescence cannot. Strata
+//! carry the executor's clock ([`OpCtx::stratum`] at `start`), so the
+//! feedback's `EndOfStratum(s)` meets the same `s` from every other input
+//! of the step's joins.
+//!
+//! **Re-entry.** Convergence ends a query only when the base case has
+//! ended for good (`EndOfStream` on port 0): the operator then emits its
+//! final results and shuts the recursive subplan down. A fed dataflow (a
+//! materialized view) only ever punctuates strata, so its fixpoint stays
+//! open: the mutable set and every operator of the step keep their state,
+//! and a later batch's deltas — from the base case on port 0, or from the
+//! step's joins probing new rows against their stored side on port 1 —
+//! become the next start's Δ. Port 1 always carries the *net change* of
+//! the mutable set since the previous convergence; from an empty start
+//! (every query) that is the whole set, in tuple order. For monotone
+//! recursion under inserts this continuation is semi-naive evaluation
+//! resumed from the converged state, which reaches the same fixpoint as a
+//! cold run.
 
 use crate::delta::{Annotation, Delta, Punctuation};
 use crate::error::{Result, RexError};
@@ -47,9 +65,9 @@ pub enum Termination {
 }
 
 impl Termination {
-    /// Whether another stratum should run, given this operator's pending
-    /// delta count and the stratum just completed. Cluster execution sums
-    /// pending counts across workers before deciding.
+    /// Whether another stratum should run, given the pending delta count
+    /// and the index of the stratum just completed, counting the run's
+    /// first stratum as 0 ([`FixpointOp::wants_continue`] supplies both).
     pub fn wants_continue(&self, pending_total: usize, completed_stratum: u64) -> bool {
         match self {
             Termination::Fixpoint => pending_total > 0,
@@ -60,6 +78,7 @@ impl Termination {
 }
 
 /// The fixpoint (while) operator.
+#[derive(Clone)]
 pub struct FixpointOp {
     key_cols: Vec<usize>,
     handler: Option<Arc<dyn WhileHandler>>,
@@ -68,11 +87,20 @@ pub struct FixpointOp {
     state: KeyedTable<Tuple>,
     /// Δᵢ: deltas produced in the current stratum, fed back on advance.
     pending: Vec<Delta>,
+    /// Every key changed since the last convergence, with its tuple at
+    /// that convergence. `None` until the first convergence: the set then
+    /// started empty, so the whole set is the change.
+    since: Option<KeyedTable<Option<Tuple>>>,
     /// In no-delta mode the full mutable set is re-emitted each stratum.
     delta_mode: bool,
     stratum: u64,
-    /// The base case has ended: the runtime may [`start`](Self::start).
-    base_ended: bool,
+    /// The stratum [`start`](Self::start) began at; termination counts
+    /// strata from here.
+    first: u64,
+    /// The base case's last punctuation: `None` until the runtime may
+    /// [`start`](Self::start), `EndOfStream` once it can produce nothing
+    /// more.
+    base: Option<Punctuation>,
     ready_for_vote: bool,
     finished: bool,
 }
@@ -86,9 +114,11 @@ impl FixpointOp {
             term,
             state: KeyedTable::new(),
             pending: Vec::new(),
+            since: None,
             delta_mode: true,
             stratum: 0,
-            base_ended: false,
+            first: 0,
+            base: None,
             ready_for_vote: false,
             finished: false,
         }
@@ -107,11 +137,6 @@ impl FixpointOp {
         self
     }
 
-    /// The termination condition.
-    pub fn termination(&self) -> Termination {
-        self.term
-    }
-
     /// The `FIXPOINT BY` key columns.
     pub fn key_cols(&self) -> &[usize] {
         &self.key_cols
@@ -125,6 +150,13 @@ impl FixpointOp {
     /// The stratum currently being executed.
     pub fn stratum(&self) -> u64 {
         self.stratum
+    }
+
+    /// Whether another stratum should run, given the Δ count summed over
+    /// every fixpoint (and, on a cluster, every worker): the termination
+    /// condition applied to the strata run since [`start`](Self::start).
+    pub fn wants_continue(&self, pending_total: usize) -> bool {
+        self.term.wants_continue(pending_total, self.stratum.saturating_sub(self.first))
     }
 
     /// Whether the recursive input has punctuated the current stratum and
@@ -156,6 +188,14 @@ impl FixpointOp {
     fn apply(&mut self, d: Delta, ctx: &mut OpCtx<'_>) -> Result<()> {
         let cols = &self.key_cols;
         let hash = d.tuple.hash_key(cols);
+        if let Some(since) = &mut self.since {
+            // First change to this key since the last convergence: keep
+            // its tuple as of then, for the net change.
+            let state = &self.state;
+            since.probe_or_insert_hashed(hash, &d.tuple, cols, || {
+                state.probe_hashed(hash, &d.tuple, cols).cloned()
+            });
+        }
         if let Some(h) = &self.handler {
             ctx.charge_udf_call();
             // Present the key's current tuple to the handler as a TupleSet.
@@ -205,39 +245,72 @@ impl FixpointOp {
         ctx.punct(0, Punctuation::EndOfStratum(self.stratum));
     }
 
-    /// Start stratum 0: feed the base case back into the recursive
-    /// subplan. The runtime calls this once the initial drain is
-    /// quiescent, exactly as it calls [`advance`](Self::advance) for every
-    /// later stratum. By then every scan batch has been delivered,
-    /// including the recursive subplan's immutable inputs (a handler
-    /// join's build side), whatever order the executor ran them in. The
-    /// base case's end only makes the fixpoint startable.
+    /// Emit the net change of the mutable set since the previous
+    /// convergence on port 1, in tuple order, and start tracking the next.
+    fn emit_changes(&mut self, ctx: &mut OpCtx<'_>) {
+        let out: Vec<Delta> = match self.since.replace(KeyedTable::new()) {
+            None => {
+                let mut tuples: Vec<&Tuple> = self.state.values().collect();
+                tuples.sort_unstable();
+                tuples.into_iter().map(|t| Delta::insert(t.clone())).collect()
+            }
+            Some(since) => {
+                let mut out: Vec<Delta> = since
+                    .iter()
+                    .filter_map(|(key, old)| match (old, self.state.get(key)) {
+                        (Some(o), Some(n)) if o == n => None,
+                        (Some(o), Some(n)) => Some(Delta::replace(o.clone(), n.clone())),
+                        (Some(o), None) => Some(Delta::delete(o.clone())),
+                        (None, Some(n)) => Some(Delta::insert(n.clone())),
+                        (None, None) => None,
+                    })
+                    .collect();
+                out.sort_unstable_by(|a, b| a.tuple.cmp(&b.tuple));
+                out
+            }
+        };
+        ctx.emit(1, out);
+    }
+
+    /// Start a run of strata at the executor's clock: feed the pending Δ —
+    /// the base case, and on re-entry whatever reached either port since
+    /// the last convergence — back into the recursive subplan. The runtime
+    /// calls this once the drain is quiescent, exactly as it calls
+    /// [`advance`](Self::advance) for every later stratum. By then every
+    /// scan batch has been delivered, including the recursive subplan's
+    /// immutable inputs (a handler join's build side), whatever order the
+    /// executor ran them in. The base case's punctuation only makes the
+    /// fixpoint startable.
     pub fn start(&mut self, ctx: &mut OpCtx<'_>) -> Result<()> {
-        if !self.base_ended {
+        if self.base.is_none() {
             return Err(RexError::Exec("fixpoint started before its base case ended".into()));
         }
+        self.stratum = ctx.stratum;
+        self.first = ctx.stratum;
         self.emit_feedback(ctx);
         Ok(())
     }
 
-    /// Coordinator decision: continue with another stratum or finish.
+    /// Coordinator decision: continue with another stratum or converge.
     /// Called by the runtime after all fixpoints have become
-    /// [`ready_for_vote`](Self::ready_for_vote).
+    /// [`ready_for_vote`](Self::ready_for_vote). Convergence emits the net
+    /// change on port 1; it finishes the operator only once the base case
+    /// has ended for good, and otherwise leaves it ready to re-enter.
     pub fn advance(&mut self, cont: bool, ctx: &mut OpCtx<'_>) -> Result<()> {
         self.ready_for_vote = false;
         if cont {
             self.stratum += 1;
             self.emit_feedback(ctx);
-        } else {
+            return Ok(());
+        }
+        self.emit_changes(ctx);
+        if self.base == Some(Punctuation::EndOfStream) {
             self.finished = true;
-            // Final results: the mutable set, in deterministic order.
-            let mut tuples: Vec<&Tuple> = self.state.values().collect();
-            tuples.sort_unstable();
-            let out: Vec<Delta> = tuples.into_iter().map(|t| Delta::insert(t.clone())).collect();
-            ctx.emit(1, out);
             ctx.punct(1, Punctuation::EndOfStream);
             // Let the recursive subplan shut down.
             ctx.punct(0, Punctuation::EndOfStream);
+        } else {
+            ctx.punct(1, Punctuation::EndOfStratum(self.stratum));
         }
         Ok(())
     }
@@ -248,6 +321,7 @@ impl FixpointOp {
     pub fn restore_and_resume(&mut self, ckpt: OperatorState, stratum: u64) {
         self.state.clear();
         self.pending.clear();
+        self.since = None;
         for t in ckpt.tuples {
             let key = t.key(&self.key_cols);
             self.pending.push(Delta::insert(t.clone()));
@@ -294,14 +368,19 @@ impl Operator for FixpointOp {
 
     fn on_punct(&mut self, port: usize, p: Punctuation, _ctx: &mut OpCtx<'_>) -> Result<()> {
         match (port, p) {
-            // Base case complete (a stratified base case punctuates a
-            // stratum instead): the runtime starts stratum 0 once the
-            // initial drain is quiescent.
-            (0, _) => self.base_ended = true,
+            // Base case punctuated — ended for good in a query, closed for
+            // this batch in a fed dataflow: the runtime starts the next
+            // stratum once the drain is quiescent.
+            (0, _) => self.base = Some(p),
             // Recursive case punctuated: ready for the coordinator's vote.
+            // The step's joins align on one clock, so a different stratum
+            // means the plan is miswired.
+            (1, Punctuation::EndOfStratum(s)) if s == self.stratum => self.ready_for_vote = true,
             (1, Punctuation::EndOfStratum(s)) => {
-                debug_assert_eq!(s, self.stratum, "stratum punctuation mismatch");
-                self.ready_for_vote = true;
+                return Err(RexError::Exec(format!(
+                    "fixpoint in stratum {} received the recursive case's end of stratum {s}",
+                    self.stratum
+                )))
             }
             // EndOfStream echoes back after we broadcast it; ignore.
             (1, Punctuation::EndOfStream) => {}
@@ -327,10 +406,21 @@ impl Operator for FixpointOp {
     fn reset(&mut self) {
         self.state.clear();
         self.pending.clear();
+        self.since = None;
         self.stratum = 0;
-        self.base_ended = false;
+        self.first = 0;
+        self.base = None;
         self.ready_for_vote = false;
         self.finished = false;
+    }
+
+    fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
+        Some(Box::new(self.clone()))
+    }
+
+    /// Approximate bytes of the mutable set.
+    fn state_bytes(&self) -> usize {
+        self.state.values().map(Tuple::byte_size).sum()
     }
 }
 
@@ -384,6 +474,96 @@ mod tests {
         assert!(matches!(out.last(), Some((0, Event::Punct(Punctuation::EndOfStratum(0))))));
         assert_eq!(fp.pending_count(), 0);
         assert_eq!(fp.stratum(), 0);
+    }
+
+    /// A recursive-case punctuation for another stratum is a miswired
+    /// plan, in release builds too: the operator errors instead of voting.
+    #[test]
+    fn mismatched_stratum_punctuation_is_an_error() {
+        let mut fp = FixpointOp::new(vec![0], Termination::Fixpoint);
+        ctx_run(&mut fp, |op, ctx| {
+            op.on_punct(0, Punctuation::EndOfStream, ctx).unwrap();
+            op.start(ctx).unwrap();
+            let err = op.on_punct(1, Punctuation::EndOfStratum(5), ctx).unwrap_err();
+            assert!(matches!(err, RexError::Exec(_)), "{err}");
+            assert!(err.to_string().contains("end of stratum 5"), "{err}");
+        });
+        assert!(!fp.ready_for_vote(), "a mismatched punctuation must not count as a vote");
+        ctx_run(&mut fp, |op, ctx| op.on_punct(1, Punctuation::EndOfStratum(0), ctx).unwrap());
+        assert!(fp.ready_for_vote());
+    }
+
+    /// Drive one run of strata on `fp` at clock `at`, as the executor
+    /// would, with `step` answering each stratum's feedback; returns the
+    /// port-1 emission and whether the operator finished.
+    fn converge(
+        fp: &mut FixpointOp,
+        at: u64,
+        step: impl Fn(&[Delta]) -> Vec<Delta>,
+    ) -> (Vec<(usize, Event)>, bool) {
+        let reg = Registry::new();
+        let cost = CostModel::default();
+        let mut m = ExecMetrics::default();
+        let mut ctx = OpCtx::new(at, 0, &reg, &cost, &mut m);
+        fp.start(&mut ctx).unwrap();
+        loop {
+            let fed = data_on(&ctx.take_output(), 0);
+            fp.on_deltas(1, step(&fed), &mut ctx).unwrap();
+            fp.on_punct(1, Punctuation::EndOfStratum(fp.stratum()), &mut ctx).unwrap();
+            let cont = fp.wants_continue(fp.pending_count());
+            fp.advance(cont, &mut ctx).unwrap();
+            if !cont {
+                return (ctx.take_output(), fp.finished());
+            }
+        }
+    }
+
+    /// An open base case (a fed dataflow punctuates strata, never the
+    /// stream) converges without finishing: port 1 carries the net change
+    /// since the previous convergence and a later batch re-enters from the
+    /// converged state at the executor's clock.
+    #[test]
+    fn open_base_converges_to_net_changes_and_re_enters() {
+        // Step: x → x + 1 while x < 3.
+        let succ = |fed: &[Delta]| -> Vec<Delta> {
+            fed.iter()
+                .filter_map(|d| d.tuple.get(0).as_int().filter(|x| *x < 3))
+                .map(|x| Delta::insert(tuple![x + 1]))
+                .collect()
+        };
+        let mut fp = FixpointOp::new(vec![0], Termination::Fixpoint);
+        ctx_run(&mut fp, |op, ctx| {
+            op.on_deltas(0, vec![Delta::insert(tuple![0i64])], ctx).unwrap();
+            op.on_punct(0, Punctuation::EndOfStratum(4), ctx).unwrap();
+        });
+        let (out, finished) = converge(&mut fp, 4, succ);
+        assert!(!finished, "an open base case never finishes");
+        assert_eq!(
+            data_on(&out, 1),
+            (0..=3i64).map(|x| Delta::insert(tuple![x])).collect::<Vec<_>>()
+        );
+        assert!(matches!(out.last(), Some((1, Event::Punct(Punctuation::EndOfStratum(7))))));
+        assert!(!out.iter().any(|(_, e)| matches!(e, Event::Punct(Punctuation::EndOfStream))));
+        // A derived tuple reaches port 1 between runs (a step join probing
+        // a new row): it is the next start's Δ, and port 1 carries only it
+        // and what it derives.
+        ctx_run(&mut fp, |op, ctx| {
+            op.on_deltas(1, vec![Delta::insert(tuple![-2i64]), Delta::insert(tuple![2i64])], ctx)
+                .unwrap();
+            op.on_punct(0, Punctuation::EndOfStratum(9), ctx).unwrap();
+        });
+        assert_eq!(fp.pending_count(), 1, "the known tuple 2 is no change");
+        let (out, _) = converge(&mut fp, 9, succ);
+        assert_eq!(
+            data_on(&out, 1),
+            vec![Delta::insert(tuple![-2i64]), Delta::insert(tuple![-1i64])]
+        );
+        assert_eq!(fp.state_size(), 6);
+        // The same base, ended for good, finishes as a query does.
+        ctx_run(&mut fp, |op, ctx| op.on_punct(0, Punctuation::EndOfStream, ctx).unwrap());
+        let (out, finished) = converge(&mut fp, 12, succ);
+        assert!(finished);
+        assert!(data_on(&out, 1).is_empty(), "nothing changed since the last convergence");
     }
 
     #[test]

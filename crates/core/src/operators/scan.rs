@@ -142,6 +142,28 @@ impl ScanOp {
         }
         bytes
     }
+
+    /// Emit stored rows batch by batch, like [`emit_all`](Self::emit_all).
+    /// A columnar batch is transposed straight out of the stored slice, so
+    /// no row is cloned (an `Arc` bump and drop each) on that lane.
+    fn emit_shared(&self, rows: &[Tuple], ctx: &mut OpCtx<'_>) -> u64 {
+        if !self.columnar {
+            return self.emit_all(rows.iter().cloned(), ctx);
+        }
+        let mut bytes = 0u64;
+        for batch in rows.chunks(SCAN_BATCH) {
+            if self.known_bytes.is_none() {
+                bytes += batch.iter().map(|t| t.byte_size() as u64).sum::<u64>();
+            }
+            ctx.charge_input(batch.len());
+            match ColumnBatch::from_row_slice(batch) {
+                Some(cols) => ctx.emit_cols(0, cols),
+                // Ragged batch: stay on rows for this batch.
+                None => ctx.emit_rows(0, batch.to_vec()),
+            }
+        }
+        bytes
+    }
 }
 
 impl Operator for ScanOp {
@@ -181,7 +203,7 @@ impl Operator for ScanOp {
                         let end = (start + size).min(rows.len());
                         self.morsels_pulled += 1;
                         emitted += end - start;
-                        counted += self.emit_all(rows[start..end].iter().cloned(), ctx);
+                        counted += self.emit_shared(&rows[start..end], ctx);
                     }
                     // Each thread charges disk for the slice it actually
                     // read; with a known total, proportionally.
@@ -192,7 +214,7 @@ impl Operator for ScanOp {
                     };
                     ctx.charge_disk_read(bytes);
                 } else {
-                    let counted = self.emit_all(rows.iter().cloned(), ctx);
+                    let counted = self.emit_shared(rows, ctx);
                     ctx.charge_disk_read(self.known_bytes.unwrap_or(counted));
                 }
             }

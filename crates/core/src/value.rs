@@ -97,8 +97,9 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Double(f64),
-    /// Shared immutable string.
-    Str(Arc<str>),
+    /// Shared immutable string. `Arc<String>` rather than `Arc<str>`: a
+    /// thin pointer keeps every `Value` at 16 bytes.
+    Str(Arc<String>),
     /// Shared immutable list (collection-valued attribute).
     List(Arc<Vec<Value>>),
 }
@@ -106,7 +107,7 @@ pub enum Value {
 impl Value {
     /// Construct a string value.
     pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Arc::from(s.into().into_boxed_str()))
+        Value::Str(Arc::new(s.into()))
     }
 
     /// Construct a list value.
@@ -159,7 +160,7 @@ impl Value {
     /// Interpret as a string slice, if possible.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -421,6 +422,13 @@ impl From<String> for Value {
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+
+    /// Every stored row is a slice of values: the thin string pointer
+    /// keeps each one at two words.
+    #[test]
+    fn values_are_two_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
 
     fn hash_of(v: &Value) -> u64 {
         let mut h = DefaultHasher::new();

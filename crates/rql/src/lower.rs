@@ -217,7 +217,9 @@ pub struct Dataflow {
 /// Lower `plan` locally as a [`Dataflow`]: the same operators [`lower`]
 /// builds, with empty scans and the result left on an open port. Batches
 /// fed to the scans may carry deletes, so no join is promised
-/// insert-only inputs.
+/// insert-only inputs. A fixpoint's step feeds back into it directly, with
+/// no rehash, so the recursion loops inside the graph whatever executor
+/// drives it.
 pub fn lower_dataflow(plan: &LogicalPlan, reg: &Registry) -> Result<Dataflow> {
     /// Every table is empty: the rows arrive later, as batches.
     struct NoRows;
@@ -801,10 +803,18 @@ impl Lowering<'_> {
                 let prev = self.fixpoint.replace((fp, key_cols.clone()));
                 let (s, sport, _, _) = self.node(step)?;
                 self.fixpoint = prev;
-                // Step results re-enter the fixpoint keyed on its key.
-                let rehash = self.g.add_rehash(key_cols.clone());
-                self.g.connect(s, sport, rehash, 0);
-                self.g.connect(rehash, 0, fp, 1);
+                // Step results re-enter the fixpoint keyed on its key. A fed
+                // dataflow runs on one node behind a distributed executor
+                // (its root gather is the view boundary), where a network
+                // rehash would divert the feedback into the caller's outbox
+                // instead of looping it back: wire the step straight in.
+                if self.fed_scans.is_some() {
+                    self.g.connect(s, sport, fp, 1);
+                } else {
+                    let rehash = self.g.add_rehash(key_cols.clone());
+                    self.g.connect(s, sport, rehash, 0);
+                    self.g.connect(rehash, 0, fp, 1);
+                }
                 Ok((fp, 1, Some(key_cols.clone()), false))
             }
         }

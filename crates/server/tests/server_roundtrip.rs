@@ -291,3 +291,59 @@ fn shutdown_command_unwinds_other_connections() {
     assert!(!server.running());
     server.shutdown().unwrap(); // joins every thread, including `other`'s
 }
+
+/// The real daemon, started with telemetry and two threads, serves
+/// well-formed Prometheus exposition carrying every metric name
+/// docs/OBSERVABILITY.md promises.
+#[test]
+fn daemon_metrics_expose_every_documented_name() {
+    use std::process::{Child, Command, Stdio};
+    /// Reaps the daemon even when an assertion fails first.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_rex-serverd"))
+            .args(["--addr", "127.0.0.1:0", "--telemetry", "--threads", "2"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let mut out = BufReader::new(daemon.0.stdout.take().unwrap());
+    let mut line = String::new();
+    let addr = loop {
+        line.clear();
+        assert!(out.read_line(&mut line).unwrap() > 0, "daemon exited before LISTENING");
+        if let Some(addr) = line.trim().strip_prefix("LISTENING ") {
+            break addr.to_string();
+        }
+    };
+    let (mut c, _) = Client::connect(addr.as_str()).unwrap();
+    let metrics = c.metrics().unwrap();
+    for name in [
+        "rex_connections_total",
+        "rex_queries_total",
+        "rex_cache_hits_total",
+        "rex_cache_misses_total",
+        "rex_cache_evictions_total",
+        "rex_rows_inserted_total",
+        "rex_write_ops_total",
+        "rex_publishes_total",
+        "rex_open_connections",
+        "rex_snapshot_version",
+        "rex_thread_budget_available",
+        "# TYPE rex_publish_latency_us histogram",
+        "rex_publish_latency_us_bucket{le=\"+Inf\"}",
+        "rex_publish_latency_us_sum",
+        "rex_publish_latency_us_count",
+    ] {
+        assert!(metrics.contains(name), "missing {name:?} in METRICS:\n{metrics}");
+    }
+    c.shutdown_server().unwrap();
+    assert!(daemon.0.wait().unwrap().success(), "daemon must exit cleanly after SHUTDOWN");
+}

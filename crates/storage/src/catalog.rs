@@ -21,12 +21,14 @@ impl Catalog {
 
     /// An isolated point-in-time snapshot of the catalog: a *new* catalog
     /// whose map holds the same `Arc<StoredTable>`s — O(tables) `Arc`
-    /// bumps, no row is copied. Because every mutation path goes through
-    /// [`Arc::make_mut`], a later `append`/`remove`/`apply_delta`/
-    /// `replace_rows` on either catalog copies the affected table first
-    /// (copy-on-write), so the snapshot keeps serving exactly the rows it
-    /// captured: readers never block writers, writers never disturb
-    /// readers. This is the storage half of MVCC-lite snapshot serving.
+    /// bumps, no row is copied. Every mutation path is copy-on-write: a
+    /// later `append`/`remove`/`apply_delta`/`replace_rows` on either
+    /// catalog changes a table in place only while nothing else holds it,
+    /// and otherwise builds the changed table as a new copy (sized exactly,
+    /// except `remove`'s clone), so the snapshot keeps serving exactly the
+    /// rows it captured: readers never block writers, writers never
+    /// disturb readers. This is the storage half of MVCC-lite snapshot
+    /// serving.
     pub fn snapshot(&self) -> Catalog {
         Catalog { inner: Arc::new(RwLock::new(self.inner.read().unwrap().clone())) }
     }
@@ -51,7 +53,8 @@ impl Catalog {
     /// table untouched. Returns the number of rows appended.
     ///
     /// The stored table is copy-on-write: if no query currently holds a
-    /// snapshot of it, the append mutates in place (no full-table copy).
+    /// snapshot of it, the append mutates in place (no full-table copy);
+    /// otherwise it builds the appended copy at its exact size.
     pub fn append(&self, name: &str, rows: Vec<Tuple>) -> Result<usize> {
         let mut map = self.inner.write().unwrap();
         let entry = map
@@ -61,7 +64,10 @@ impl Catalog {
             entry.schema().check(r)?;
         }
         let n = rows.len();
-        Arc::make_mut(entry).load_unchecked(rows);
+        match Arc::get_mut(entry) {
+            Some(table) => table.load_unchecked(rows),
+            None => *entry = Arc::new(entry.with_delta(HashMap::new(), rows).0),
+        }
         Ok(n)
     }
 
@@ -160,7 +166,14 @@ impl Catalog {
                 )));
             }
         }
-        let removed = Arc::make_mut(entry).apply_delta(need, inserts);
+        let removed = match Arc::get_mut(entry) {
+            Some(table) => table.apply_delta(need, inserts),
+            None => {
+                let (copy, removed) = entry.with_delta(need, inserts);
+                *entry = Arc::new(copy);
+                removed
+            }
+        };
         debug_assert_eq!(removed, want);
         Ok((inserted, removed))
     }
@@ -172,7 +185,14 @@ impl Catalog {
         let entry = map
             .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| RexError::Storage(format!("unknown table: {name}")))?;
-        Arc::make_mut(entry).replace_rows(rows);
+        match Arc::get_mut(entry) {
+            Some(table) => table.replace_rows(rows),
+            None => {
+                let mut fresh = entry.empty_like();
+                fresh.replace_rows(rows);
+                *entry = Arc::new(fresh);
+            }
+        }
         Ok(())
     }
 

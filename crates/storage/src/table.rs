@@ -129,6 +129,43 @@ impl StoredTable {
         removed
     }
 
+    /// [`apply_delta`](Self::apply_delta) on a copy, built at its exact
+    /// size in one pass: the copy-on-write path for a table a snapshot
+    /// still shares, which would otherwise clone every row and then regrow
+    /// the clone to append. Returns the copy and the rows removed.
+    pub fn with_delta(
+        &self,
+        mut removes: HashMap<&Tuple, usize>,
+        inserts: Vec<Tuple>,
+    ) -> (StoredTable, usize) {
+        let want: usize = removes.values().sum();
+        let len = self.rows.len() - want.min(self.rows.len()) + inserts.len();
+        let mut rows = Vec::with_capacity(len);
+        let mut removed_bytes = 0u64;
+        if removes.is_empty() {
+            rows.extend_from_slice(&self.rows);
+        } else {
+            for r in &self.rows {
+                match removes.get_mut(r) {
+                    Some(n) if *n > 0 => {
+                        *n -= 1;
+                        removed_bytes += r.byte_size() as u64;
+                    }
+                    _ => rows.push(r.clone()),
+                }
+            }
+        }
+        let removed = self.rows.len() - rows.len();
+        let mut copy = StoredTable { rows, bytes: self.bytes - removed_bytes, ..self.empty_like() };
+        copy.load_unchecked(inserts);
+        (copy, removed)
+    }
+
+    /// This table's name, schema and partitioning, with no rows.
+    pub fn empty_like(&self) -> StoredTable {
+        StoredTable::new(self.name.clone(), self.schema.clone(), self.partition_cols.clone())
+    }
+
     /// The partition key of a row.
     pub fn partition_key(&self, row: &Tuple) -> Vec<Value> {
         row.key(&self.partition_cols)
@@ -234,6 +271,22 @@ mod tests {
         let snap = PartitionSnapshot::new(4, 2);
         let total: usize = (0..4).map(|n| t.replica_partition_for(&snap, n).len()).sum();
         assert_eq!(total, 200, "each row stored at 2 nodes");
+    }
+
+    /// The copy-on-write path builds exactly what the in-place path
+    /// leaves behind: same rows in the same order, same byte count.
+    #[test]
+    fn with_delta_matches_apply_delta() {
+        let mut t = table();
+        t.load((0..6i64).map(|i| tuple![i % 3, i]).collect()).unwrap();
+        t.insert(tuple![1i64, 1i64]).unwrap();
+        let (gone, inserts) = (tuple![1i64, 1i64], vec![tuple![9i64, 9i64]]);
+        let removes = || HashMap::from([(&gone, 1usize)]);
+        let (copy, removed) = t.with_delta(removes(), inserts.clone());
+        let mut in_place = t.clone();
+        assert_eq!(in_place.apply_delta(removes(), inserts), removed);
+        assert_eq!((copy.rows(), copy.byte_size()), (in_place.rows(), in_place.byte_size()));
+        assert_eq!(copy.rows().len(), copy.rows.capacity(), "sized exactly");
     }
 
     #[test]

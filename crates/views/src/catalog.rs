@@ -249,9 +249,10 @@ impl ViewCatalog {
             if batches.is_empty() {
                 continue;
             }
-            // A recompute re-runs the defining query against the store, so
-            // stale upstream copies (all final by now) are flushed first.
-            if matches!(view.strategy(), MaintenanceStrategy::FullRecompute { .. }) {
+            // A recompute, or a recursive flow's rebuild after a delete,
+            // reads the store, so stale upstream copies (all final by now)
+            // are flushed first.
+            if view.rereads_store(&batches) {
                 self.sync(store)?;
             }
             let view = self.views.get_mut(&name).expect("view exists");
@@ -461,15 +462,16 @@ mod tests {
 
     #[test]
     fn recompute_view_counts_every_changed_source() {
-        // A recursive (recompute) view reading `edges` and an incremental
-        // view over `edges`: one pass hands it both sources' deltas.
+        // A recursive view whose step aggregates (a recompute fallback)
+        // reading `edges` and an incremental view over `edges`: one pass
+        // hands it both sources' deltas.
         let (store, mut schemas, reg) = setup();
         let mut views = ViewCatalog::new();
         let v1 = define("fanout", "SELECT src, count(*) FROM edges GROUP BY src", &schemas, &reg);
         views.create(v1, &store, &reg).unwrap();
         schemas.register("fanout", views.get("fanout").unwrap().schema().clone());
         let sql = "WITH R (id) AS (SELECT src FROM fanout) UNION UNTIL FIXPOINT BY id ( \
-                   SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
+                   SELECT DISTINCT edges.dst FROM edges, R WHERE edges.src = R.id)";
         views.create(define("reach", sql, &schemas, &reg), &store, &reg).unwrap();
         store.append("edges", vec![tuple![1i64, 9i64]]).unwrap();
         views.on_base_change("edges", &[Delta::insert(tuple![1i64, 9i64])], &store, &reg).unwrap();

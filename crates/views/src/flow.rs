@@ -19,7 +19,18 @@
 //!   every aggregate's handler updates its own state under `+()`/`-()`
 //!   (O(1) for `sum`/`count`/`avg`, an O(log n) ordered multiset for
 //!   `min`/`max`, a user UDA's AGGSTATE for anything else), only dirty
-//!   groups emit, and a group whose last row is deleted retracts its row.
+//!   groups emit, and a group whose last row is deleted retracts its row;
+//! * **Recursion** — a `FixpointOp` that never sees its base case end:
+//!   at convergence it emits the net change of its mutable set and stays
+//!   open, so the next batch's deltas — new base rows on port 0, new step
+//!   rows probed against the step joins' stored side on port 1 — are the
+//!   next stratum's Δ, and semi-naive evaluation resumes from the converged
+//!   state. Admitted for set-semantics recursion (`FIXPOINT BY` covers
+//!   every column) whose base and step are built only of scan, filter,
+//!   project and plain join: under inserts that continuation is
+//!   bit-identical to a cold run. Such a flow takes inserts only; a batch
+//!   that deletes from its sources rebuilds it from the store (the
+//!   delete-and-rederive of Olteanu's survey is future work).
 //!
 //! Two RQL clauses ride on these rules for free: `SELECT DISTINCT` plans
 //! as a group-by over every output column with *no* aggregate calls — a
@@ -28,20 +39,20 @@
 //! incrementally, never by recompute fallback.
 //!
 //! A batch for table `t` enters at `t`'s scan nodes, as [`Event::Rows`]
-//! when it only inserts and as [`Event::Data`] otherwise; an
-//! end-of-stratum on every scan closes it, and one drain pushes it
-//! through. The root's output crosses a gather boundary into the drain's
-//! outbox, and that emission *is* the view delta, folded into a
-//! [`DeltaSet`] once, at the view boundary. The graph holds no copy of
-//! the view's contents.
+//! when it only inserts and as [`Event::Data`] otherwise, and
+//! [`Executor::run_strata`] runs it to quiescence — the same stratum loop
+//! a query runs, with every scan punctuated on each stratum of the
+//! executor's one clock so the step joins align with the fixpoint's
+//! feedback. The root's output crosses a gather boundary into the outbox,
+//! and that emission *is* the view delta, folded into a [`DeltaSet`] once,
+//! at the view boundary. The graph holds no copy of the view's contents.
 //!
-//! Shapes the rules don't cover — recursive fixpoints, ORDER BY/LIMIT,
-//! user join delta handlers, table-valued UDAs — fail [`ViewFlow::new`]
-//! with a descriptive error; the view layer then falls back to full
+//! Shapes the rules don't cover — other recursion, ORDER BY/LIMIT, user
+//! join delta handlers, table-valued UDAs — fail [`ViewFlow::new`] with a
+//! descriptive error; the view layer then falls back to full
 //! recomputation.
 
 use crate::delta_set::DeltaSet;
-use rex_core::delta::Punctuation;
 use rex_core::error::{Result, RexError};
 use rex_core::exec::{Executor, NodeId};
 use rex_core::handlers::AggOutputKind;
@@ -55,8 +66,20 @@ use rex_rql::lower::{lower_dataflow, Dataflow};
 fn maintainable(plan: &LogicalPlan, reg: &Registry) -> Result<()> {
     match plan {
         LogicalPlan::Scan { .. } => Ok(()),
-        LogicalPlan::FixpointRef { .. } | LogicalPlan::Fixpoint { .. } => Err(RexError::Plan(
-            "recursive fixpoint: delta rules do not cover WITH ... UNTIL FIXPOINT".into(),
+        LogicalPlan::Fixpoint { key_cols, base, step, schema, .. } => {
+            if !(0..schema.arity()).all(|c| key_cols.contains(&c)) {
+                return Err(RexError::Plan(
+                    "recursive fixpoint: FIXPOINT BY does not cover every column, so a \
+                     stratum may replace rows; only set-semantics recursion continues from \
+                     its converged state"
+                        .into(),
+                ));
+            }
+            monotone(base)?;
+            monotone(step)
+        }
+        LogicalPlan::FixpointRef { .. } => Err(RexError::Plan(
+            "recursive relation read outside its WITH ... UNTIL FIXPOINT".into(),
         )),
         // The session rejects ORDER BY/LIMIT view definitions outright
         // (a materialized view is an unordered relation); this arm keeps
@@ -91,6 +114,30 @@ fn maintainable(plan: &LogicalPlan, reg: &Registry) -> Result<()> {
     }
 }
 
+/// Explain why `plan`, the base case or step of a recursive fixpoint, is
+/// not built only of scan, filter, project and plain join — the operators
+/// whose insert deltas stay exact when a converged fixpoint re-enters.
+fn monotone(plan: &LogicalPlan) -> Result<()> {
+    let kind = match plan {
+        LogicalPlan::Scan { .. } | LogicalPlan::FixpointRef { .. } => return Ok(()),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            return monotone(input)
+        }
+        LogicalPlan::Join { left, right, handler: None, .. } => {
+            monotone(left)?;
+            return monotone(right);
+        }
+        LogicalPlan::Join { handler: Some(h), .. } => format!("user join delta handler {h}"),
+        LogicalPlan::Aggregate { .. } => "aggregate (GROUP BY or DISTINCT)".into(),
+        LogicalPlan::Fixpoint { .. } => "nested fixpoint".into(),
+        LogicalPlan::Sort { .. } | LogicalPlan::Limit { .. } => "ORDER BY/LIMIT".into(),
+    };
+    Err(RexError::Plan(format!(
+        "recursive fixpoint: {kind} in WITH ... UNTIL FIXPOINT; only scan, filter, project and \
+         plain join continue from the converged state"
+    )))
+}
+
 /// One long-lived maintenance dataflow. `Clone` copies every operator's
 /// state — sharded maintenance ([`crate::sharded`]) clones a shard's flow
 /// as its replica after each round.
@@ -99,8 +146,6 @@ pub struct ViewFlow {
     /// Scan nodes with their (lowercase) table names.
     scans: Vec<(String, NodeId)>,
     cost: CostModel,
-    /// Batches applied so far; batch `k` ends with `EndOfStratum(k)`.
-    batches: u64,
 }
 
 impl Clone for ViewFlow {
@@ -109,7 +154,6 @@ impl Clone for ViewFlow {
             exec: self.exec.try_clone().expect("every operator of a view dataflow clones"),
             scans: self.scans.clone(),
             cost: self.cost,
-            batches: self.batches,
         }
     }
 }
@@ -125,17 +169,14 @@ impl ViewFlow {
         // boundary.
         let out = graph.add_gather();
         graph.connect(root, port, out, 0);
-        Ok(ViewFlow {
-            exec: Executor::new(graph, 0, true),
-            scans,
-            cost: CostModel::default(),
-            batches: 0,
-        })
+        Ok(ViewFlow { exec: Executor::new(graph, 0, true), scans, cost: CostModel::default() })
     }
 
     /// Propagate a batch of changes to `table` (lowercase) and return the
     /// delta of the view's output; operator state carries over to the
-    /// next batch.
+    /// next batch. A recursive flow takes inserts only (a delete is the
+    /// caller's to handle by rebuilding; see
+    /// [`MaterializedView::on_change`](crate::view::MaterializedView::on_change)).
     pub fn apply(&mut self, table: &str, batch: &DeltaSet, reg: &Registry) -> Result<DeltaSet> {
         let mut out = DeltaSet::new();
         let mut targets: Vec<NodeId> =
@@ -150,13 +191,9 @@ impl ViewFlow {
             self.exec.inject_downstream(scan, 0, event.clone());
         }
         self.exec.inject_downstream(last, 0, event);
-        self.batches += 1;
-        for &(_, scan) in &self.scans {
-            let end = Event::Punct(Punctuation::EndOfStratum(self.batches));
-            self.exec.inject_downstream(scan, 0, end);
-        }
+        let open: Vec<NodeId> = self.scans.iter().map(|&(_, id)| id).collect();
         let mut emitted = Vec::new();
-        self.exec.drain(reg, &self.cost, &mut emitted)?;
+        self.exec.run_strata(&open, reg, &self.cost, &mut emitted)?;
         for e in emitted {
             match e.event {
                 Event::Data(deltas) => {
@@ -354,14 +391,49 @@ mod tests {
     #[test]
     fn unsupported_shapes_name_their_reason() {
         let reg = Registry::with_builtins();
-        let rec = plan_text(
-            "WITH R (a) AS (SELECT src FROM edges)
+        for (sql, reason) in [
+            (
+                "WITH R (a) AS (SELECT src FROM edges)
+                 UNION UNTIL FIXPOINT BY a (
+                   SELECT DISTINCT edges.dst FROM edges, R WHERE edges.src = R.a)",
+                "aggregate",
+            ),
+            (
+                "WITH R (a, b) AS (SELECT src, dst FROM edges)
+                 UNION UNTIL FIXPOINT BY a (
+                   SELECT edges.dst, R.b FROM edges, R WHERE edges.src = R.a)",
+                "does not cover every column",
+            ),
+        ] {
+            let plan = plan_text(sql, &catalog(), &reg).unwrap();
+            let err = ViewFlow::new(&plan, &reg).err().expect("not maintainable");
+            assert!(err.to_string().contains("recursive fixpoint"), "{err}");
+            assert!(err.to_string().contains(reason), "{err}");
+        }
+    }
+
+    /// Set-semantics reachability continues from its converged fixpoint:
+    /// a batch emits only the rows it makes reachable, whether it reaches
+    /// the base case or only the step's join.
+    #[test]
+    fn recursive_flow_continues_from_its_converged_state() {
+        let reg = Registry::with_builtins();
+        let mut n = node(
+            "WITH R (a) AS (SELECT node FROM weights)
              UNION UNTIL FIXPOINT BY a (SELECT edges.dst FROM edges, R WHERE edges.src = R.a)",
-            &catalog(),
-            &reg,
-        )
-        .unwrap();
-        let err = ViewFlow::new(&rec, &reg).err().expect("not maintainable");
-        assert!(err.to_string().contains("recursive fixpoint"));
+        );
+        let out = n.apply("edges", &inserts(vec![tuple![0i64, 1i64], tuple![1i64, 2i64]]), &reg);
+        assert!(out.unwrap().is_empty(), "nothing is reachable without a base case");
+        let out = n.apply("weights", &inserts(vec![tuple![0i64, 0.5f64]]), &reg).unwrap();
+        assert_eq!(out.rows(), vec![tuple![0i64], tuple![1i64], tuple![2i64]]);
+        // A step-table insert probes the stored recursive relation.
+        let out = n.apply("edges", &inserts(vec![tuple![2i64, 3i64], tuple![9i64, 4i64]]), &reg);
+        assert_eq!(out.unwrap().to_deltas(), vec![Delta::insert(tuple![3i64])]);
+        // A base-table insert recurses through the stored edges.
+        let out = n.apply("weights", &inserts(vec![tuple![9i64, 1.0f64]]), &reg).unwrap();
+        assert_eq!(out.rows(), vec![tuple![4i64], tuple![9i64]]);
+        // Re-deriving known rows changes nothing.
+        let out = n.apply("edges", &inserts(vec![tuple![0i64, 2i64]]), &reg).unwrap();
+        assert!(out.is_empty());
     }
 }

@@ -12,11 +12,14 @@
 //!   own lowering, into a long-lived [`ViewFlow`]; each base-table
 //!   insert/delete batch enters at that table's scans and is driven
 //!   through the select/project/join/group-by operators by rex-core's
-//!   `Executor`, touching state proportional to the *change*;
-//! * **full recompute** — recursive (`WITH … UNTIL FIXPOINT`) and
-//!   handler-defined shapes (join handlers, table-valued aggregates)
-//!   re-run the defining query, diffing old vs new output so cascades
-//!   still see deltas.
+//!   `Executor`, touching state proportional to the *change*. Set-semantics
+//!   recursion over scans, filters, projections and plain joins is
+//!   incremental too: inserts re-enter the converged fixpoint, and a
+//!   deleting pass rebuilds the flow from the store;
+//! * **full recompute** — other recursion (`WITH … UNTIL FIXPOINT` with an
+//!   aggregating step or a partial key) and handler-defined shapes (join
+//!   handlers, table-valued aggregates) re-run the defining query, diffing
+//!   old vs new output so cascades still see deltas.
 //!
 //! ## The maintenance hot path
 //!

@@ -25,7 +25,9 @@
 //! * stacked stateful operators must agree (a group-by over a join must
 //!   group by the join key), because there is no mid-plan exchange;
 //! * global aggregates, computed shard keys, cross joins, and a table
-//!   scanned twice under conflicting keys are not shardable.
+//!   scanned twice under conflicting keys are not shardable;
+//! * a recursive view is not shardable either: its fixpoint's feedback
+//!   would cross shards every stratum.
 //!
 //! Unshardable views run as one shard on the session node, and
 //! [`ShardedMaint::fallback`] records the reason.
@@ -68,6 +70,10 @@ use rex_storage::catalog::Catalog;
 use std::time::Instant;
 
 pub use rex_cluster::failure::RecoveryStrategy;
+
+/// Why a recursive view keeps one shard on the session node.
+const RECURSIVE_ON_SESSION_NODE: &str = "recursive view is maintained on the session node: \
+     a fixpoint's strata would need an exchange between shards";
 
 /// Per-table routing columns: tuple `t` of table `T` belongs to shard
 /// `shard_of(hash_key_cols(t, routes[T]), n)`.
@@ -202,6 +208,7 @@ fn descend(
             }
             descend(input, group_cols, routes)
         }
+        LogicalPlan::Fixpoint { .. } => Err(RECURSIVE_ON_SESSION_NODE.into()),
         other => Err(format!("{} does not maintain incrementally", plan_kind(other))),
     }
 }
@@ -213,7 +220,6 @@ fn plan_kind(p: &LogicalPlan) -> &'static str {
         LogicalPlan::Project { .. } => "project",
         LogicalPlan::Join { .. } => "join",
         LogicalPlan::Aggregate { .. } => "group-by",
-        LogicalPlan::Fixpoint { .. } => "fixpoint",
         _ => "operator",
     }
 }

@@ -1,4 +1,13 @@
 //! A single materialized view: definition, strategy, and maintained state.
+//!
+//! A view the delta rules cover is maintained by its [`ViewFlow`]s
+//! (through [`ShardedMaint`]); any other re-runs its defining query on
+//! every maintenance pass. A recursive view sits in between: its flow
+//! continues the converged fixpoint under inserts, and a pass that deletes
+//! from its sources resets the flow and primes it from the store again —
+//! one recompute, emitting the old→new diff like the fallback does.
+//!
+//! [`ViewFlow`]: crate::flow::ViewFlow
 
 use crate::delta_set::DeltaSet;
 use crate::sharded::{RecoveryStrategy, ShardStats, ShardedMaint};
@@ -251,10 +260,11 @@ impl MaterializedView {
         }
     }
 
-    /// How many times the recompute fallback re-ran the defining query.
-    /// Incremental views never recompute, so this stays 0 for them; for
-    /// fallback views it counts one per maintenance pass that touched the
-    /// view — the creation-order pass in
+    /// How many maintenance passes re-read the store
+    /// ([`rereads_store`](Self::rereads_store)). Delta-maintained views
+    /// stay at 0, except that a recursive one counts each pass that deletes
+    /// from its sources; fallback views count one per maintenance pass
+    /// that touched the view — the creation-order pass in
     /// [`ViewCatalog::on_base_change`](crate::catalog::ViewCatalog::on_base_change)
     /// hands the view every changed source at once, so it re-runs exactly
     /// once per pass however many of its sources changed.
@@ -299,16 +309,10 @@ impl MaterializedView {
     /// the dataflow — the same code path later changes take — so priming
     /// exercises exactly the machinery maintenance relies on.
     pub fn prime(&mut self, store: &Catalog, reg: &Registry) -> Result<()> {
-        match &mut self.maint {
-            Some(m) => {
-                for table in &self.base_tables {
-                    let batch = DeltaSet::from_rows(store.get(table)?.rows().iter().cloned());
-                    let out = m.apply(table, &batch, store, reg)?;
-                    self.output.merge_scaled(&out, 1);
-                }
-            }
-            None => self.output = DeltaSet::from_rows(evaluate(&self.plan, store, reg)?),
-        }
+        self.output = match &mut self.maint {
+            Some(m) => replay(m, &self.base_tables, store, reg)?,
+            None => DeltaSet::from_rows(evaluate(&self.plan, store, reg)?),
+        };
         // Priming is followed by a full publish of the contents, so no
         // deltas are owed to the stored copy.
         self.pending = DeltaSet::new();
@@ -329,11 +333,26 @@ impl MaterializedView {
         self.prime(store, reg)
     }
 
+    /// Whether a maintenance pass over `changes` re-reads the store
+    /// instead of propagating deltas: every pass of a recompute fallback,
+    /// and a pass that deletes from a recursive view's sources — its flow
+    /// continues a converged fixpoint exactly under inserts only, so a
+    /// delete rebuilds it. The caller syncs stale upstream view copies
+    /// first.
+    pub fn rereads_store(&self, changes: &[(&str, &DeltaSet)]) -> bool {
+        self.maint.is_none()
+            || (self.plan.is_recursive()
+                && changes.iter().any(|(_, batch)| batch.iter().any(|(_, n)| n < 0)))
+    }
+
     /// Apply one maintenance pass: a batch of changes to each listed
     /// `(relation, batch)` the view reads. Returns the delta of the view's
     /// own output (for cascading to views that read this view). `store`
-    /// must already reflect every change; a recompute fallback re-runs
-    /// its defining query once, however many relations changed.
+    /// must already reflect every change. A pass that
+    /// [re-reads the store](Self::rereads_store) runs once however many
+    /// relations changed — a recompute fallback re-runs its defining
+    /// query, a recursive flow is reset and primed again — and emits the
+    /// old→new diff.
     pub fn on_change(
         &mut self,
         changes: &[(&str, &DeltaSet)],
@@ -342,21 +361,31 @@ impl MaterializedView {
     ) -> Result<DeltaSet> {
         let start = Instant::now();
         self.deltas_in += changes.iter().map(|(_, batch)| delta_rows(batch)).sum::<u64>();
-        let Some(maint) = &mut self.maint else {
+        if self.rereads_store(changes) {
             self.recomputes += 1;
-            let fresh = DeltaSet::from_rows(evaluate(&self.plan, store, reg)?);
+            let fresh = match &mut self.maint {
+                Some(m) => {
+                    m.reset(reg)?;
+                    replay(m, &self.base_tables, store, reg)?
+                }
+                None => DeltaSet::from_rows(evaluate(&self.plan, store, reg)?),
+            };
             let mut diff = fresh.clone();
             diff.merge_scaled(&self.output, -1);
             self.deltas_out += delta_rows(&diff);
             self.maint_ns += start.elapsed().as_nanos() as u64;
             self.output = fresh;
-            // Recompute-fallback views republish whole contents on sync;
-            // no per-delta ledger (or merge-maintained sorted cache) is
-            // kept for them.
+            // A rebuilt flow stays incremental and syncs by delta;
+            // recompute-fallback views republish whole contents on sync
+            // and keep no per-delta ledger. Neither keeps the sorted cache.
+            if self.maint.is_some() {
+                self.pending.merge_scaled(&diff, 1);
+            }
             self.sorted_cache = None;
             self.cache_hot = false;
             return Ok(diff);
-        };
+        }
+        let maint = self.maint.as_mut().expect("recompute fallbacks re-read the store");
         let mut out = DeltaSet::new();
         for (table, batch) in changes {
             out.merge_scaled(&maint.apply(&table.to_ascii_lowercase(), batch, store, reg)?, 1);
@@ -431,6 +460,30 @@ fn merge_sorted(cache: &mut Vec<Tuple>, delta: &DeltaSet) {
     *cache = out;
 }
 
+/// Rows per insert batch when a view replays its base tables.
+const REPLAY_BATCH_ROWS: usize = 8192;
+
+/// Replay every base table's stored rows through `m` as insert batches —
+/// the same code path later changes take — and return the output. Bounded
+/// batches keep the transient of priming (a join's output, say) to a
+/// batch's worth instead of the whole table's; the flow ends in the same
+/// state and the summed output is the same.
+fn replay(
+    m: &mut ShardedMaint,
+    tables: &[String],
+    store: &Catalog,
+    reg: &Registry,
+) -> Result<DeltaSet> {
+    let mut out = DeltaSet::new();
+    for table in tables {
+        for rows in store.get(table)?.rows().chunks(REPLAY_BATCH_ROWS) {
+            let batch = DeltaSet::from_rows(rows.iter().cloned());
+            out.merge_scaled(&m.apply(table, &batch, store, reg)?, 1);
+        }
+    }
+    Ok(out)
+}
+
 /// Evaluate a plan against the store on the single-node runtime — the
 /// recompute fallback (and the oracle incremental maintenance must match).
 pub fn evaluate(plan: &LogicalPlan, store: &Catalog, reg: &Registry) -> Result<Vec<Tuple>> {
@@ -444,6 +497,7 @@ pub fn evaluate(plan: &LogicalPlan, store: &Catalog, reg: &Registry) -> Result<V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rex_core::delta::Delta;
     use rex_core::tuple;
     use rex_core::value::DataType;
     use rex_rql::logical::plan_text;
@@ -481,25 +535,49 @@ mod tests {
         assert!(v.state_bytes() > 0);
     }
 
+    /// Reachability is maintained, not recomputed: inserts continue the
+    /// converged fixpoint, and only a delete rebuilds the flow from the
+    /// store, emitting the old→new diff as that pass's delta.
     #[test]
-    fn recursive_view_falls_back_to_recompute() {
+    fn recursive_view_maintains_inserts_and_rebuilds_on_delete() {
         let (store, schemas, reg) = setup();
         let sql = "WITH R (id) AS (SELECT src FROM edges WHERE src = 0)
                    UNION UNTIL FIXPOINT BY id (
                      SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
         let plan = plan_text(sql, &schemas, &reg).unwrap();
         let mut v = MaterializedView::define("reach", sql, plan, &reg);
-        assert!(matches!(v.strategy(), MaintenanceStrategy::FullRecompute { .. }));
-        assert!(v.strategy().to_string().contains("recursive fixpoint"));
+        assert_eq!(*v.strategy(), MaintenanceStrategy::Incremental);
         v.prime(&store, &reg).unwrap();
         assert_eq!(v.rows(), vec![tuple![0i64], tuple![1i64], tuple![2i64]]);
-        // A new edge extends reachability; recompute picks it up and the
-        // emitted diff carries exactly the new row.
+        assert!(v.state_bytes() > 0);
+        // A new edge extends reachability; the emitted delta carries
+        // exactly the new row.
+        let edge = DeltaSet::from_rows(vec![tuple![2i64, 7i64]]);
         store.append("edges", vec![tuple![2i64, 7i64]]).unwrap();
-        let out = v
-            .on_change(&[("edges", &DeltaSet::from_rows(vec![tuple![2i64, 7i64]]))], &store, &reg)
-            .unwrap();
-        assert_eq!(out.rows(), vec![tuple![7i64]]);
-        assert_eq!(v.len(), 4);
+        let out = v.on_change(&[("edges", &edge)], &store, &reg).unwrap();
+        assert_eq!(out.to_deltas(), vec![Delta::insert(tuple![7i64])]);
+        assert_eq!((v.len(), v.recomputes(), v.incremental_passes()), (4, 0, 1));
+        // Deleting 1→2 keeps 2 reachable through 0→2; deleting 0→2 then
+        // cuts 2 and 7. Each delete is one rebuild.
+        let mut del = DeltaSet::new();
+        del.add(tuple![1i64, 2i64], -1);
+        assert!(v.rereads_store(&[("edges", &del)]));
+        store.remove("edges", &[tuple![1i64, 2i64]]).unwrap();
+        assert!(v.on_change(&[("edges", &del)], &store, &reg).unwrap().is_empty());
+        let mut del = DeltaSet::new();
+        del.add(tuple![0i64, 2i64], -1);
+        store.remove("edges", &[tuple![0i64, 2i64]]).unwrap();
+        let mut out = v.on_change(&[("edges", &del)], &store, &reg).unwrap().to_deltas();
+        out.sort_by(|a, b| a.tuple.cmp(&b.tuple));
+        assert_eq!(out, vec![Delta::delete(tuple![2i64]), Delta::delete(tuple![7i64])]);
+        assert_eq!(v.rows(), vec![tuple![0i64], tuple![1i64]]);
+        assert_eq!(v.recomputes(), 2);
+        assert_eq!(v.pending().iter().map(|(_, n)| n).sum::<i64>(), -1, "+7 then -2, -7");
+        // The rebuilt flow keeps maintaining inserts.
+        let edge = DeltaSet::from_rows(vec![tuple![1i64, 5i64]]);
+        store.append("edges", vec![tuple![1i64, 5i64]]).unwrap();
+        let out = v.on_change(&[("edges", &edge)], &store, &reg).unwrap();
+        assert_eq!(out.to_deltas(), vec![Delta::insert(tuple![5i64])]);
+        assert_eq!(v.recomputes(), 2);
     }
 }

@@ -56,7 +56,8 @@ fn main() {
 
     // ---- 2. CREATE MATERIALIZED VIEW: join + aggregate -------------------
     // EXPLAIN first: the session reports the maintenance strategy it will
-    // pick (incremental here; recursive views would say "full recompute").
+    // pick (incremental here; a recursion whose step aggregates would say
+    // "full recompute").
     let ddl = "CREATE MATERIALIZED VIEW spend AS
         SELECT customer, count(*), sum(taxed) FROM
           (SELECT o.customer AS customer, o.amount * r.rate AS taxed

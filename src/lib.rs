@@ -78,9 +78,11 @@
 //! running scalars, `min`/`max` an O(log n) count-annotated multiset
 //! (deleting the current extreme included), a user UDA's AGGSTATE
 //! receives `-()` deltas too, and all keyed state lives in hash maps
-//! keyed by the deterministic in-tree [`core::hash::FxHasher`]. Recursive (`WITH … UNTIL FIXPOINT`)
-//! definitions fall back to full recomputation automatically; `explain`
-//! on the DDL shows which strategy a view gets. A bare `SELECT * FROM v`
+//! keyed by the deterministic in-tree [`core::hash::FxHasher`]. Set-semantics
+//! scan/filter/project/join recursion (`WITH … UNTIL FIXPOINT`) continues
+//! from its converged fixpoint under inserts; other recursive definitions
+//! fall back to full recomputation automatically; `explain` on the DDL
+//! shows which strategy a view gets. A bare `SELECT * FROM v`
 //! is served directly from authoritative view state (no engine pass);
 //! composed queries read the stored copy, which syncs *delta-granularly*
 //! — O(change), not O(view). Views can be defined over other views

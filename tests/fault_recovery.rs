@@ -13,8 +13,8 @@
 //! * **views** — sharded view maintenance (`rex_views::sharded`) with
 //!   workers killed between write batches via `Session::inject_failure`,
 //!   across seeds × kill-points × workers × strategies × view shapes
-//!   (group-by, co-partitioned join, cascade), checking view contents
-//!   after every batch.
+//!   (group-by, co-partitioned join, cascade, and a recursive view kept on
+//!   the session node), checking view contents after every batch.
 //!
 //! Everything is exact arithmetic (integers and dyadic floats), so even
 //! restart's re-accumulation reproduces identical float bits — plain
@@ -42,6 +42,15 @@ const VIEWS: [(&str, &str); 3] = [
     ("hot", "SELECT src FROM by_src WHERE count > 3"),
 ];
 
+/// A recursive view beside the sharded ones: it keeps one shard on the
+/// session node, continues its fixpoint under inserts and rebuilds on
+/// deletes, and worker kills must not disturb it.
+const RECURSIVE: (&str, &str) = (
+    "reach",
+    "WITH R (id) AS (SELECT node FROM weights) UNION UNTIL FIXPOINT BY id \
+     (SELECT edges.dst FROM edges, R WHERE edges.src = R.id)",
+);
+
 /// Run the random mutation stream, optionally killing workers mid-way,
 /// and record every view's contents after every batch.
 fn view_stream(seed: u64, kills: &[(usize, usize, RecoveryStrategy)]) -> Vec<Vec<Tuple>> {
@@ -54,6 +63,8 @@ fn view_stream(seed: u64, kills: &[(usize, usize, RecoveryStrategy)]) -> Vec<Vec
         let v = s.views().get(name).unwrap();
         assert_eq!(v.shards(), 3, "{name} must shard (fallback: {:?})", v.shard_fallback());
     }
+    s.create_materialized_view(RECURSIVE.0, RECURSIVE.1).unwrap();
+    assert_eq!(s.views().get(RECURSIVE.0).unwrap().shards(), 1);
     let mut states = Vec::new();
     for step in 0..6 {
         for &(worker, at, strategy) in kills {
@@ -73,9 +84,10 @@ fn view_stream(seed: u64, kills: &[(usize, usize, RecoveryStrategy)]) -> Vec<Vec
                 (0..rng.gen_range(1..=4i64)).map(|_| random_row(&mut rng, table)).collect();
             s.insert(table, rows).unwrap();
         }
-        for (name, _) in VIEWS {
+        for (name, _) in VIEWS.iter().chain([&RECURSIVE]) {
             states.push(s.query(&format!("SELECT * FROM {name}")).unwrap().rows);
         }
+        assert_eq!(states.last(), Some(&s.query(RECURSIVE.1).unwrap().rows), "seed {seed}");
     }
     states
 }

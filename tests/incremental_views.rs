@@ -8,10 +8,10 @@
 //! group-by) and the oracle (re-running the defining query from scratch)
 //! must agree bit-for-bit on integers and to float tolerance on sums.
 
-use rex::core::tuple::Tuple;
-use rex::core::value::Value;
+use rex::core::tuple::{Schema, Tuple};
+use rex::core::value::{DataType, Value};
 use rex_data::rng::StdRng;
-use rex_testkit::{assert_rows_close, edges_session as make_session, random_row};
+use rex_testkit::{assert_rows_close, edges_session as make_session, random_row, SEEDS};
 
 const VIEW_SQL: &str = "SELECT e.src, count(*), sum(w.weight) \
      FROM edges e, weights w WHERE e.dst = w.node GROUP BY e.src";
@@ -107,11 +107,12 @@ fn recompute_fallback_runs_once_per_pass_in_deep_cascades() {
     // Depth 1 and 2: incremental views.
     s.create_materialized_view("fanout", "SELECT src, count(*) FROM edges GROUP BY src").unwrap();
     s.create_materialized_view("hot", "SELECT src FROM fanout WHERE count > 1").unwrap();
-    // Depth 3: recursive (forced full recompute), reading BOTH `edges`
-    // (depth 0 source) and `hot` (depth 2 source).
+    // Depth 3: recursive with an aggregating (DISTINCT) step, so a full
+    // recompute, reading BOTH `edges` (depth 0 source) and `hot` (depth 2
+    // source).
     let best_sql = "WITH R (id) AS (SELECT src FROM hot) \
                     UNION UNTIL FIXPOINT BY id ( \
-                      SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
+                      SELECT DISTINCT edges.dst FROM edges, R WHERE edges.src = R.id)";
     s.create_materialized_view("best", best_sql).unwrap();
     assert!(s.view_strategy("best").unwrap().contains("full recompute"));
     assert_eq!(s.views().get("best").unwrap().recomputes(), 0, "priming is not a recompute pass");
@@ -135,13 +136,16 @@ fn recompute_fallback_runs_once_per_pass_in_deep_cascades() {
     assert_eq!(s.query("SELECT * FROM best").unwrap().rows, s.query(best_sql).unwrap().rows);
 }
 
+/// Reachability through an aggregating (DISTINCT) step: a recursion the
+/// insert-only continuation does not cover, so it recomputes.
 const REACH_SQL: &str = "WITH R (id) AS (SELECT src FROM edges WHERE src < 2) \
-     UNION UNTIL FIXPOINT BY id (SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
+     UNION UNTIL FIXPOINT BY id (SELECT DISTINCT edges.dst FROM edges, R WHERE edges.src = R.id)";
 const REACH_WEIGHT_SQL: &str = "SELECT w.node, count(*), sum(w.weight) \
      FROM r, weights w WHERE r.id = w.node GROUP BY w.node";
 
 /// An *incremental* view downstream of a *recompute* view: the recursive
-/// `r`'s output delta must cascade into the join+group-by over
+/// (aggregating-step) `r`'s output delta must cascade into the
+/// join+group-by over
 /// `r ⋈ weights`, which keeps maintaining by deltas while `r` re-runs once
 /// per pass that changes `edges`.
 fn recompute_feeds_incremental_sweep(engine: &str, seed: u64) {
@@ -292,4 +296,135 @@ fn ordered_view_definition_is_rejected_not_degraded() {
     s.create_materialized_view("fanout", "SELECT src, count(*) FROM edges GROUP BY src").unwrap();
     let rows = s.query("SELECT src, count FROM fanout ORDER BY count DESC LIMIT 1").unwrap().rows;
     assert_eq!(rows.len(), 1);
+}
+
+// ---- recursive views -----------------------------------------------------
+
+/// Reachability from the `weights` nodes along `edges`: the base case
+/// reads one table and the step another, with set semantics — a view the
+/// converged fixpoint maintains under inserts.
+const REACH_VIEW_SQL: &str = "WITH R (id) AS (SELECT node FROM weights) \
+     UNION UNTIL FIXPOINT BY id (SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
+
+/// Reachability from the nodes of the incremental view `heavy`.
+const HEAVY_REACH_SQL: &str = "WITH R (id) AS (SELECT node FROM heavy) \
+     UNION UNTIL FIXPOINT BY id (SELECT edges.dst FROM edges, R WHERE edges.src = R.id)";
+
+/// A row over a wider key range than [`random_row`], so reachability runs
+/// several strata deep and keeps growing across batches.
+fn wide_row(rng: &mut StdRng, table: &str) -> Tuple {
+    let mut node = || Value::Int(rng.gen_range(0..=24i64));
+    match table {
+        "edges" => Tuple::new(vec![node(), node()]),
+        _ => Tuple::new(vec![node(), Value::Double(rng.gen_range(1..=19i64) as f64 * 0.25)]),
+    }
+}
+
+/// Insert batches into both the base-case table (`weights`) and the step
+/// table (`edges`): after every batch the view equals its defining query,
+/// and no pass recomputes.
+fn recursive_insert_sweep(engine: &str, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut s = make_session(engine);
+    s.insert("edges", (0..12).map(|_| wide_row(&mut rng, "edges")).collect()).unwrap();
+    s.insert("weights", vec![wide_row(&mut rng, "weights")]).unwrap();
+    s.create_materialized_view("reach", REACH_VIEW_SQL).unwrap();
+    let strategy = s.view_strategy("reach").unwrap();
+    assert!(strategy.contains("incremental"), "{strategy}");
+    for step in 0..12 {
+        let table = if rng.gen_range(0..=2i64) == 0 { "weights" } else { "edges" };
+        let rows: Vec<Tuple> =
+            (0..rng.gen_range(1..=4i64)).map(|_| wide_row(&mut rng, table)).collect();
+        s.insert(table, rows).unwrap();
+        let ctx = format!("{engine} seed {seed} step {step} ({table})");
+        let got = s.query("SELECT * FROM reach").unwrap().rows;
+        assert_eq!(got, s.query(REACH_VIEW_SQL).unwrap().rows, "{ctx}");
+        assert_eq!(s.views().get("reach").unwrap().recomputes(), 0, "{ctx}: inserts recompute");
+    }
+}
+
+#[test]
+fn recursive_view_maintains_inserts_without_recompute() {
+    for seed in SEEDS {
+        recursive_insert_sweep("local", seed);
+        recursive_insert_sweep("cluster", seed);
+    }
+}
+
+/// Mixed insert/delete batches. Each pass that deletes from a recursive
+/// view's sources rebuilds it exactly once — also when the delete reaches
+/// it only through an upstream view (`heavy`, whose stored copy the
+/// rebuild must read synced) — and the views always equal their queries.
+fn recursive_mixed_sweep(engine: &str, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut s = make_session(engine);
+    s.insert("edges", (0..14).map(|_| wide_row(&mut rng, "edges")).collect()).unwrap();
+    s.insert("weights", (0..4).map(|_| wide_row(&mut rng, "weights")).collect()).unwrap();
+    s.create_materialized_view("reach", REACH_VIEW_SQL).unwrap();
+    s.create_materialized_view("heavy", "SELECT node FROM weights WHERE weight > 2.0").unwrap();
+    s.create_materialized_view("heavy_reach", HEAVY_REACH_SQL).unwrap();
+    let (mut reach_rebuilds, mut heavy_rebuilds) = (0, 0);
+    for step in 0..14 {
+        let table = if rng.gen_range(0..=1i64) == 0 { "edges" } else { "weights" };
+        let stored = s.store().get(table).unwrap().rows().to_vec();
+        if rng.gen_range(0..=2i64) == 0 && !stored.is_empty() {
+            let victim = stored[rng.gen_range(0..stored.len())].clone();
+            // `heavy` changes, and so passes the delete on, only when the
+            // victim passes its filter.
+            let via_heavy = table == "weights" && victim.get(1).as_double() > Some(2.0);
+            s.delete(table, vec![victim]).unwrap();
+            reach_rebuilds += 1;
+            heavy_rebuilds += usize::from(table == "edges" || via_heavy);
+        } else {
+            let rows: Vec<Tuple> =
+                (0..rng.gen_range(1..=3i64)).map(|_| wide_row(&mut rng, table)).collect();
+            s.insert(table, rows).unwrap();
+        }
+        let ctx = format!("{engine} seed {seed} step {step} ({table})");
+        for (view, sql, rebuilds) in [
+            ("reach", REACH_VIEW_SQL, reach_rebuilds),
+            ("heavy_reach", HEAVY_REACH_SQL, heavy_rebuilds),
+        ] {
+            let got = s.query(&format!("SELECT * FROM {view}")).unwrap().rows;
+            assert_eq!(got, s.query(sql).unwrap().rows, "{ctx}: {view}");
+            let v = s.views().get(view).unwrap();
+            assert_eq!(v.recomputes(), rebuilds, "{ctx}: {view} rebuilds once per deleting pass");
+        }
+    }
+}
+
+#[test]
+fn recursive_view_rebuilds_once_per_deleting_pass() {
+    for seed in SEEDS {
+        recursive_mixed_sweep("local", seed);
+        recursive_mixed_sweep("cluster", seed);
+    }
+}
+
+/// Under a sharded session a recursive view keeps one shard on the session
+/// node, says so, and still maintains its inserts without recomputing.
+#[test]
+fn recursive_view_is_maintained_on_the_session_node_of_a_cluster() {
+    let mut s = rex::Session::cluster(4);
+    s.create_table("edges", Schema::of(&[("src", DataType::Int), ("dst", DataType::Int)])).unwrap();
+    s.create_table("weights", Schema::of(&[("node", DataType::Int), ("weight", DataType::Double)]))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(SEEDS[0]);
+    s.insert("edges", (0..10).map(|_| wide_row(&mut rng, "edges")).collect()).unwrap();
+    s.insert("weights", vec![wide_row(&mut rng, "weights")]).unwrap();
+    s.create_materialized_view("reach", REACH_VIEW_SQL).unwrap();
+    for _ in 0..4 {
+        s.insert("edges", (0..3).map(|_| wide_row(&mut rng, "edges")).collect()).unwrap();
+    }
+    assert_eq!(s.query("SELECT * FROM reach").unwrap().rows, s.query(REACH_VIEW_SQL).unwrap().rows);
+    let v = s.views().get("reach").unwrap();
+    assert_eq!(v.shards(), 1);
+    assert_eq!(
+        v.shard_fallback(),
+        Some(
+            "recursive view is maintained on the session node: \
+             a fixpoint's strata would need an exchange between shards"
+        )
+    );
+    assert_eq!(v.recomputes(), 0);
 }
