@@ -24,8 +24,8 @@ impl Catalog {
     /// bumps, no row is copied. Every mutation path is copy-on-write: a
     /// later `append`/`remove`/`apply_delta`/`replace_rows` on either
     /// catalog changes a table in place only while nothing else holds it,
-    /// and otherwise builds the changed table as a new copy (sized exactly,
-    /// except `remove`'s clone), so the snapshot keeps serving exactly the
+    /// and otherwise builds the changed table as a new copy (`remove` and
+    /// `apply_delta` clone it first), so the snapshot keeps serving exactly the
     /// rows it captured: readers never block writers, writers never
     /// disturb readers. This is the storage half of MVCC-lite snapshot
     /// serving.
@@ -66,7 +66,7 @@ impl Catalog {
         let n = rows.len();
         match Arc::get_mut(entry) {
             Some(table) => table.load_unchecked(rows),
-            None => *entry = Arc::new(entry.with_delta(HashMap::new(), rows).0),
+            None => *entry = Arc::new(entry.with_appended(rows)),
         }
         Ok(n)
     }
@@ -112,13 +112,13 @@ impl Catalog {
     /// Apply a signed-multiplicity delta to a table: each `(tuple, n)`
     /// change inserts `n` copies when positive and removes `-n` copies
     /// when negative (trusted caller: rows are assumed schema-valid, as
-    /// with [`replace_rows`](Self::replace_rows)). This is how
-    /// materialized-view synchronization stays proportional to the
-    /// *change* instead of republishing the whole view. Returns
-    /// `(inserted, removed)` row counts. A delta that asks to remove rows
-    /// the table does not hold is an error naming the divergence, raised
-    /// *before* any mutation — the table is untouched, so the caller can
-    /// repair by republishing the authoritative contents.
+    /// with [`replace_rows`](Self::replace_rows)). The table must be in
+    /// tuple order, as a materialized view's is, and stays so
+    /// ([`StoredTable::apply_delta`]): this is how a view's maintenance
+    /// pass writes its output delta. Returns `(inserted, removed)` row
+    /// counts. A delta that asks to remove rows the table does not hold is
+    /// an error naming the divergence, and the table's rows are left
+    /// untouched.
     pub fn apply_delta<I>(&self, name: &str, changes: I) -> Result<(usize, usize)>
     where
         I: IntoIterator<Item = (Tuple, i64)>,
@@ -143,43 +143,17 @@ impl Catalog {
             .ok_or_else(|| RexError::Storage(format!("unknown table: {name}")))?;
         let want: usize = removes.iter().map(|(_, n)| n).sum();
         let inserted = inserts.len();
-        let mut need: HashMap<&Tuple, usize> = HashMap::new();
-        for (t, n) in &removes {
-            *need.entry(t).or_insert(0) += *n;
-        }
-        // Pre-validate removals so a diverged delta fails atomically: one
-        // counting pass over the stored rows, no mutation on error. An
-        // insert-only delta (the common streaming batch) skips the pass
-        // entirely so sync stays O(change), not O(table).
-        if want > 0 {
-            let mut have: HashMap<&Tuple, usize> = need.keys().map(|t| (*t, 0)).collect();
-            for r in entry.rows() {
-                if let Some(c) = have.get_mut(r) {
-                    *c += 1;
-                }
-            }
-            let stored: usize = need.iter().map(|(t, n)| (*n).min(have[t])).sum();
-            if stored != want {
-                return Err(RexError::Storage(format!(
-                    "table {name}: delta asked to remove {want} rows but only {stored} are \
-                     stored; stored copy has diverged"
-                )));
-            }
-        }
-        let removed = match Arc::get_mut(entry) {
-            Some(table) => table.apply_delta(need, inserts),
-            None => {
-                let (copy, removed) = entry.with_delta(need, inserts);
-                *entry = Arc::new(copy);
-                removed
-            }
-        };
-        debug_assert_eq!(removed, want);
-        Ok((inserted, removed))
+        Arc::make_mut(entry).apply_delta(removes, inserts).map_err(|stored| {
+            RexError::Storage(format!(
+                "table {name}: delta asked to remove {want} rows but only {stored} are \
+                 stored; stored copy has diverged"
+            ))
+        })?;
+        Ok((inserted, want))
     }
 
     /// Replace a table's entire contents (trusted caller: rows are assumed
-    /// schema-valid). Used by materialized-view synchronization.
+    /// schema-valid).
     pub fn replace_rows(&self, name: &str, rows: Vec<Tuple>) -> Result<()> {
         let mut map = self.inner.write().unwrap();
         let entry = map

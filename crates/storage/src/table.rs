@@ -80,21 +80,11 @@ impl StoredTable {
         self.rows.append(&mut rows);
     }
 
-    /// Remove one occurrence of each given row without validating presence
-    /// (the catalog validates the whole batch first). Rows not found are
-    /// ignored; returns the number actually removed. One pass over the
-    /// table: O(stored + batch), not O(stored × batch).
-    pub fn remove_unchecked(&mut self, rows: &[Tuple]) -> usize {
-        let mut pending: HashMap<&Tuple, usize> = HashMap::new();
-        for r in rows {
-            *pending.entry(r).or_insert(0) += 1;
-        }
-        self.remove_counted(pending)
-    }
-
-    /// Remove tuples by pre-counted multiplicity (a caller that already
-    /// built the count map — the catalog's validated delete — hands it
-    /// over instead of recounting the batch).
+    /// Remove one occurrence per count in `pending` without validating
+    /// presence (the catalog's delete validates the whole batch first and
+    /// hands its count map over). Rows not found are ignored; returns the
+    /// number actually removed. One pass over the table: O(stored + batch),
+    /// not O(stored × batch).
     pub fn remove_counted(&mut self, mut pending: HashMap<&Tuple, usize>) -> usize {
         let before = self.rows.len();
         let mut removed_bytes = 0u64;
@@ -110,55 +100,83 @@ impl StoredTable {
         before - self.rows.len()
     }
 
-    /// Replace the table's entire contents (used when a materialized view
-    /// syncs its maintained state into the catalog).
+    /// Replace the table's entire contents (trusted rows, not validated).
     pub fn replace_rows(&mut self, rows: Vec<Tuple>) {
         self.bytes = rows.iter().map(|t| t.byte_size() as u64).sum();
         self.rows = rows;
     }
 
-    /// Apply a signed-multiplicity delta: remove `removes` (pre-counted,
-    /// like [`remove_counted`](Self::remove_counted)) and append
-    /// `inserts`, in one pass each — the table-level half of
-    /// delta-granular view synchronization. Returns the number of rows
-    /// actually removed so the caller can detect divergence between the
-    /// delta and the stored contents.
-    pub fn apply_delta(&mut self, removes: HashMap<&Tuple, usize>, inserts: Vec<Tuple>) -> usize {
-        let removed = if removes.is_empty() { 0 } else { self.remove_counted(removes) };
-        self.load_unchecked(inserts);
-        removed
+    /// A copy with `rows` appended, built at its exact size in one pass:
+    /// the copy-on-write append for a table a snapshot still shares, which
+    /// would otherwise clone every row and then regrow the clone.
+    pub fn with_appended(&self, rows: Vec<Tuple>) -> StoredTable {
+        let mut all = Vec::with_capacity(self.rows.len() + rows.len());
+        all.extend_from_slice(&self.rows);
+        let mut copy = StoredTable { rows: all, bytes: self.bytes, ..self.empty_like() };
+        copy.load_unchecked(rows);
+        copy
     }
 
-    /// [`apply_delta`](Self::apply_delta) on a copy, built at its exact
-    /// size in one pass: the copy-on-write path for a table a snapshot
-    /// still shares, which would otherwise clone every row and then regrow
-    /// the clone to append. Returns the copy and the rows removed.
-    pub fn with_delta(
-        &self,
-        mut removes: HashMap<&Tuple, usize>,
-        inserts: Vec<Tuple>,
-    ) -> (StoredTable, usize) {
-        let want: usize = removes.values().sum();
-        let len = self.rows.len() - want.min(self.rows.len()) + inserts.len();
-        let mut rows = Vec::with_capacity(len);
-        let mut removed_bytes = 0u64;
-        if removes.is_empty() {
-            rows.extend_from_slice(&self.rows);
-        } else {
-            for r in &self.rows {
-                match removes.get_mut(r) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        removed_bytes += r.byte_size() as u64;
-                    }
-                    _ => rows.push(r.clone()),
+    /// Apply a signed-multiplicity delta to this table, which must be in
+    /// tuple order (a materialized view's) and stays so: each `(tuple, n)`
+    /// in `removes` drops `n` occurrences and every insert lands at its
+    /// sorted position. Both are found by binary search, so a pass costs
+    /// O(delta · log rows) comparisons plus one move of every row, with no
+    /// row hashed or cloned. A removal the table does not hold refuses the
+    /// whole delta before anything changes: `Err` carries how many of the
+    /// asked rows are stored.
+    pub fn apply_delta(
+        &mut self,
+        mut removes: Vec<(Tuple, usize)>,
+        mut inserts: Vec<Tuple>,
+    ) -> std::result::Result<(), usize> {
+        debug_assert!(self.rows.is_sorted(), "table {} is not in tuple order", self.name);
+        inserts.sort_unstable();
+        removes.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        removes.dedup_by(|later, kept| {
+            later.0 == kept.0 && {
+                kept.1 += later.1;
+                true
+            }
+        });
+        // Every edit at the row index it applies to, in order. Inserts go
+        // first so that at an index both touch, the insert lands before the
+        // dropped rows.
+        let inserted = inserts.len();
+        let mut edits: Vec<(usize, Edit)> = inserts
+            .into_iter()
+            .map(|t| (self.rows.partition_point(|r| *r < t), Edit::Insert(t)))
+            .collect();
+        let (mut want, mut stored) = (0, 0);
+        for (t, n) in removes {
+            let at = self.rows.partition_point(|r| *r < t);
+            want += n;
+            stored += self.rows[at..].iter().take(n).take_while(|r| **r == t).count();
+            edits.push((at, Edit::Drop(n)));
+        }
+        if stored < want {
+            return Err(stored);
+        }
+        edits.sort_by_key(|(at, _)| *at);
+        let mut old = std::mem::take(&mut self.rows).into_iter();
+        self.rows.reserve_exact(old.len() - want + inserted);
+        let mut next = 0;
+        for (at, edit) in edits {
+            self.rows.extend(old.by_ref().take(at - next));
+            next = at;
+            match edit {
+                Edit::Insert(t) => {
+                    self.bytes += t.byte_size() as u64;
+                    self.rows.push(t);
+                }
+                Edit::Drop(n) => {
+                    self.bytes -= old.by_ref().take(n).map(|r| r.byte_size() as u64).sum::<u64>();
+                    next += n;
                 }
             }
         }
-        let removed = self.rows.len() - rows.len();
-        let mut copy = StoredTable { rows, bytes: self.bytes - removed_bytes, ..self.empty_like() };
-        copy.load_unchecked(inserts);
-        (copy, removed)
+        self.rows.extend(old);
+        Ok(())
     }
 
     /// This table's name, schema and partitioning, with no rows.
@@ -222,6 +240,13 @@ impl StoredTable {
     }
 }
 
+/// One change of [`StoredTable::apply_delta`], at a row index.
+enum Edit {
+    Insert(Tuple),
+    /// Drop the `n` rows starting at the index.
+    Drop(usize),
+}
+
 impl AsRef<[Tuple]> for StoredTable {
     fn as_ref(&self) -> &[Tuple] {
         &self.rows
@@ -273,19 +298,36 @@ mod tests {
         assert_eq!(total, 200, "each row stored at 2 nodes");
     }
 
-    /// The copy-on-write path builds exactly what the in-place path
-    /// leaves behind: same rows in the same order, same byte count.
+    /// A delta keeps a sorted table sorted: removals drop their
+    /// occurrences, inserts land at their sorted position (one equal to a
+    /// removed row too), and the byte count follows.
     #[test]
-    fn with_delta_matches_apply_delta() {
+    fn apply_delta_keeps_a_sorted_table_sorted() {
         let mut t = table();
-        t.load((0..6i64).map(|i| tuple![i % 3, i]).collect()).unwrap();
-        t.insert(tuple![1i64, 1i64]).unwrap();
-        let (gone, inserts) = (tuple![1i64, 1i64], vec![tuple![9i64, 9i64]]);
-        let removes = || HashMap::from([(&gone, 1usize)]);
-        let (copy, removed) = t.with_delta(removes(), inserts.clone());
-        let mut in_place = t.clone();
-        assert_eq!(in_place.apply_delta(removes(), inserts), removed);
-        assert_eq!((copy.rows(), copy.byte_size()), (in_place.rows(), in_place.byte_size()));
+        t.load((0..6i64).map(|i| tuple![i / 2, i % 2]).collect()).unwrap();
+        let mut want = t.rows().to_vec();
+        let removes = vec![(tuple![1i64, 0i64], 1), (tuple![2i64, 1i64], 1)];
+        let inserts = vec![tuple![9i64, 9i64], tuple![0i64, 5i64], tuple![1i64, 0i64]];
+        t.apply_delta(removes, inserts).unwrap();
+        want.retain(|r| *r != tuple![2i64, 1i64]);
+        want.extend([tuple![9i64, 9i64], tuple![0i64, 5i64]]);
+        want.sort_unstable();
+        assert_eq!(t.rows(), want);
+        let bytes: u64 = want.iter().map(|r| r.byte_size() as u64).sum();
+        assert_eq!(t.byte_size(), bytes);
+        // Asking for more copies than stored refuses the whole delta and
+        // names how many are there.
+        let removes = vec![(tuple![0i64, 0i64], 1), (tuple![0i64, 5i64], 2)];
+        assert_eq!(t.apply_delta(removes, vec![tuple![4i64, 4i64]]), Err(2));
+        assert_eq!(t.rows(), want, "untouched");
+    }
+
+    #[test]
+    fn with_appended_keeps_insertion_order() {
+        let mut t = table();
+        t.load(vec![tuple![5i64, 0i64], tuple![1i64, 0i64]]).unwrap();
+        let copy = t.with_appended(vec![tuple![3i64, 0i64]]);
+        assert_eq!(copy.rows(), &[tuple![5i64, 0i64], tuple![1i64, 0i64], tuple![3i64, 0i64]]);
         assert_eq!(copy.rows().len(), copy.rows.capacity(), "sized exactly");
     }
 

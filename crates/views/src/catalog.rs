@@ -1,22 +1,20 @@
-//! The view catalog: dependency tracking, cascading maintenance, and
-//! lazy synchronization of view contents into the stored-table catalog.
+//! The view catalog: dependency tracking and cascading maintenance.
 //!
-//! Views are *also* registered as stored tables in the session's
-//! [`Catalog`], which is what lets every engine — single-node or simulated
-//! cluster — answer scans of a view name from materialized state with no
-//! special casing, and what gives the optimizer cardinalities for views
-//! for free. The authoritative state lives here; the stored copy is
-//! refreshed lazily ([`ViewCatalog::sync`]) before queries run.
+//! A view's rows live in one place: the stored table of the view's name in
+//! the session's [`Catalog`], kept in tuple order. Every maintenance pass
+//! writes its output delta into that table before it returns, so every
+//! engine — single-node or simulated cluster — scans current rows with no
+//! special casing, and the optimizer reads view cardinalities for free.
+//! This catalog holds the views' definitions and maintenance state only.
 
 use crate::delta_set::DeltaSet;
 use crate::sharded::RecoveryStrategy;
-use crate::view::{MaintenanceStrategy, MaterializedView};
+use crate::view::MaterializedView;
 use rex_core::delta::Delta;
 use rex_core::error::{Result, RexError};
 use rex_core::udf::Registry;
 use rex_storage::catalog::Catalog;
-use rex_storage::table::StoredTable;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// One view's maintenance counters, snapshotted by
 /// [`ViewCatalog::metrics`]. Everything here is cumulative since the view
@@ -59,12 +57,6 @@ pub struct ViewCatalog {
     /// Creation order — a topological order, which is the order
     /// [`on_base_change`](ViewCatalog::on_base_change) maintains views in.
     order: Vec<String>,
-    /// Views whose stored-table copy is stale.
-    dirty: BTreeSet<String>,
-    /// Bytes written into stored-table copies by [`sync`](ViewCatalog::sync)
-    /// since the catalog was created (delta bytes for incremental flushes,
-    /// whole-contents bytes for republishes).
-    sync_bytes: u64,
     /// Worker count views defined under this catalog shard across (1 =
     /// single-node maintenance; cluster sessions set their worker count).
     partitions: usize,
@@ -122,11 +114,9 @@ impl ViewCatalog {
     /// replicas are dropped, survivors adopt the shard ranges, and each
     /// view recovers immediately — while the store still equals the
     /// applied history, which is what makes a restart rebuild (replay the
-    /// store) equivalent to the lost state. Stale upstream view copies
-    /// are synced first so cascaded views replay current data. Returns
-    /// the number of shards that lost their primary dataflow.
+    /// store) equivalent to the lost state. Returns the number of shards
+    /// that lost their primary dataflow.
     pub fn kill_worker(&mut self, w: usize, store: &Catalog, reg: &Registry) -> Result<usize> {
-        self.sync(store)?;
         let mut lost = 0;
         for v in self.views.values_mut() {
             lost += v.kill_worker(w);
@@ -138,14 +128,6 @@ impl ViewCatalog {
     /// Look up a view.
     pub fn get(&self, name: &str) -> Option<&MaterializedView> {
         self.views.get(&name.to_ascii_lowercase())
-    }
-
-    /// Serve a bare scan of `name` from authoritative view state (the
-    /// session's fast path for `SELECT * FROM <view>`): sorted rows from
-    /// the view's merge-maintained cache, with no store synchronization
-    /// and no engine pass. `None` if no such view exists.
-    pub fn serve_rows(&mut self, name: &str) -> Option<Vec<rex_core::tuple::Tuple>> {
-        self.views.get_mut(&name.to_ascii_lowercase()).map(MaterializedView::rows_cached)
     }
 
     /// View names in creation order.
@@ -163,11 +145,11 @@ impl ViewCatalog {
         self.views.values().any(|v| v.depends_on(table))
     }
 
-    /// Register and prime a view, and publish its contents as a stored
-    /// table so engines can scan it. Fails if the name is taken.
+    /// Register and prime a view; priming publishes its rows as the stored
+    /// table engines scan. Fails if the name is taken.
     pub fn create(
         &mut self,
-        view: MaterializedView,
+        mut view: MaterializedView,
         store: &Catalog,
         reg: &Registry,
     ) -> Result<()> {
@@ -175,17 +157,7 @@ impl ViewCatalog {
         if store.contains(&key) {
             return Err(RexError::Storage(format!("table or view {} already exists", view.name())));
         }
-        // Priming (and any recompute fallback) reads the store, so stale
-        // upstream view copies must be flushed first.
-        self.sync(store)?;
-        let mut view = view;
         view.prime(store, reg)?;
-        let pcols = if view.schema().arity() > 0 { vec![0] } else { Vec::new() };
-        let mut t = StoredTable::new(view.name(), view.schema().clone(), pcols);
-        // The stored copy is a bag: publish via the borrowing walk, no
-        // sort or intermediate Vec of clones.
-        t.load_unchecked(view.iter_rows().cloned().collect());
-        store.register(t);
         self.order.push(key.clone());
         self.views.insert(key, view);
         Ok(())
@@ -207,7 +179,6 @@ impl ViewCatalog {
         }
         self.views.remove(&key);
         self.order.retain(|n| *n != key);
-        self.dirty.remove(&key);
         store.drop_table(&key)
     }
 
@@ -238,8 +209,8 @@ impl ViewCatalog {
         let mut changed: BTreeMap<String, DeltaSet> = BTreeMap::new();
         changed.insert(table.to_ascii_lowercase(), initial);
         let mut touched = Vec::new();
-        for name in self.order.clone() {
-            let view = &self.views[&name];
+        for name in &self.order {
+            let view = self.views.get_mut(name).expect("view exists");
             let batches: Vec<(&str, &DeltaSet)> = view
                 .base_tables()
                 .iter()
@@ -249,86 +220,39 @@ impl ViewCatalog {
             if batches.is_empty() {
                 continue;
             }
-            // A recompute, or a recursive flow's rebuild after a delete,
-            // reads the store, so stale upstream copies (all final by now)
-            // are flushed first.
-            if view.rereads_store(&batches) {
-                self.sync(store)?;
-            }
-            let view = self.views.get_mut(&name).expect("view exists");
             let out = view.on_change(&batches, store, reg)?;
-            // An empty output delta proves the stored copy is still
-            // valid — don't force a needless republish on sync.
             if !out.is_empty() {
-                self.dirty.insert(name.clone());
                 touched.push(name.clone());
-                changed.insert(name, out);
+                changed.insert(name.clone(), out);
             }
         }
         Ok(touched)
     }
 
-    /// Rebuild every view's state and contents from the current store, in
-    /// creation order (so views-on-views prime over fresh upstream copies).
-    /// This is the consistency repair for a maintenance pass that failed
+    /// Rebuild every view's state and stored rows from the current store,
+    /// in creation order (so views-on-views prime over rebuilt upstream
+    /// rows). This is the consistency repair for a maintenance pass that failed
     /// after updating some views: afterwards every view again equals a
     /// full recompute of its defining query.
     pub fn rebuild_all(&mut self, store: &Catalog, reg: &Registry) -> Result<()> {
-        for name in self.order.clone() {
-            let view = self.views.get_mut(&name).expect("view exists");
-            view.rebuild(store, reg)?;
-            store.replace_rows(&name, view.rows())?;
-            self.dirty.remove(&name);
+        for name in &self.order {
+            self.views.get_mut(name).expect("view exists").rebuild(store, reg)?;
         }
         Ok(())
     }
 
-    /// Flush maintained contents of stale views into their stored-table
-    /// copies. Sessions call this before running queries.
-    ///
-    /// Incremental views apply their retained output delta through
-    /// [`Catalog::apply_delta`], so a sync costs O(changed rows), not
-    /// O(view). Recompute-fallback views keep the pre-existing full
-    /// republish (their change tracking is a whole-output diff anyway).
-    pub fn sync(&mut self, store: &Catalog) -> Result<()> {
-        // Clear each flag only after its flush succeeds: a failed flush
-        // must leave the remaining views marked dirty, not silently stale
-        // forever.
-        while let Some(name) = self.dirty.iter().next().cloned() {
-            if let Some(v) = self.views.get_mut(&name) {
-                match v.strategy() {
-                    MaintenanceStrategy::Incremental => {
-                        let delta_bytes: u64 =
-                            v.pending().iter().map(|(t, _)| t.byte_size() as u64).sum();
-                        let applied = store
-                            .apply_delta(&name, v.pending().iter().map(|(t, n)| (t.clone(), n)));
-                        // A delta that doesn't match the stored copy means
-                        // the copy diverged (e.g. an earlier half-failed
-                        // pass). apply_delta fails atomically, so repair
-                        // is a republish of the authoritative contents.
-                        if applied.is_err() {
-                            store.replace_rows(&name, v.rows())?;
-                            self.sync_bytes += contents_bytes(v);
-                        } else {
-                            self.sync_bytes += delta_bytes;
-                        }
-                    }
-                    MaintenanceStrategy::FullRecompute { .. } => {
-                        store.replace_rows(&name, v.rows())?;
-                        self.sync_bytes += contents_bytes(v);
-                    }
-                }
-                v.clear_pending();
-            }
-            self.dirty.remove(&name);
-        }
+    /// A no-op, kept for callers written when stored view copies were
+    /// synced lazily: every maintenance pass now writes its output into
+    /// the view's stored table before it returns, so there is nothing
+    /// left to flush.
+    pub fn sync(&self, _store: &Catalog) -> Result<()> {
         Ok(())
     }
 
-    /// Bytes written into stored-table copies by [`sync`](ViewCatalog::sync)
-    /// since the catalog was created.
+    /// Bytes maintenance passes wrote into the stored tables of the
+    /// current views (see [`MaterializedView::written_bytes`]).
     pub fn sync_bytes(&self) -> u64 {
-        self.sync_bytes
+        self.views.values().map(MaterializedView::written_bytes).sum()
     }
 
     /// Per-view maintenance counters, in creation order.
@@ -357,11 +281,6 @@ impl ViewCatalog {
     }
 }
 
-/// Whole-contents byte size of a view (the cost of a republish).
-fn contents_bytes(v: &MaterializedView) -> u64 {
-    v.iter_rows().map(|t| t.byte_size() as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,6 +289,7 @@ mod tests {
     use rex_core::value::DataType;
     use rex_rql::logical::plan_text;
     use rex_rql::SchemaCatalog;
+    use rex_storage::table::StoredTable;
 
     fn setup() -> (Catalog, SchemaCatalog, Registry) {
         let store = Catalog::new();
@@ -416,24 +336,27 @@ mod tests {
     }
 
     #[test]
-    fn sync_repairs_a_diverged_stored_copy() {
+    fn a_diverged_stored_copy_is_refused_then_rebuilt() {
         let (store, schemas, reg) = setup();
         let mut views = ViewCatalog::new();
         let v = define("fanout", "SELECT src, count(*) FROM edges GROUP BY src", &schemas, &reg);
         views.create(v, &store, &reg).unwrap();
-        // Corrupt the stored copy behind the catalog's back (as after a
-        // half-failed earlier pass).
-        store.replace_rows("fanout", vec![tuple![99i64, 99i64]]).unwrap();
-        // The next maintenance pass produces a delta that cannot apply to
-        // the corrupted copy; sync must repair by republishing instead of
-        // erroring (or compounding) forever.
+        // Corrupt the stored copy behind the catalog's back.
+        let corrupt = vec![tuple![99i64, 99i64]];
+        store.replace_rows("fanout", corrupt.clone()).unwrap();
+        // The next pass retracts (0, 2), which the corrupted copy does not
+        // hold: storage refuses the delta and leaves the table untouched.
         store.append("edges", vec![tuple![0i64, 9i64]]).unwrap();
-        views.on_base_change("edges", &[Delta::insert(tuple![0i64, 9i64])], &store, &reg).unwrap();
-        views.sync(&store).unwrap();
-        let mut stored = store.get("fanout").unwrap().rows().to_vec();
-        stored.sort_unstable();
-        assert_eq!(stored, views.get("fanout").unwrap().rows());
-        assert_eq!(stored, vec![tuple![0i64, 3i64], tuple![1i64, 1i64]]);
+        let err = views
+            .on_base_change("edges", &[Delta::insert(tuple![0i64, 9i64])], &store, &reg)
+            .unwrap_err();
+        assert!(err.to_string().contains("diverged"), "{err}");
+        assert_eq!(store.get("fanout").unwrap().rows(), corrupt);
+        // The session's repair restores recompute equivalence.
+        views.rebuild_all(&store, &reg).unwrap();
+        let want = vec![tuple![0i64, 3i64], tuple![1i64, 1i64]];
+        assert_eq!(store.get("fanout").unwrap().rows(), want);
+        assert_eq!(views.get("fanout").unwrap().len(), 2);
     }
 
     #[test]
@@ -442,11 +365,11 @@ mod tests {
         let mut views = ViewCatalog::new();
         let v = define("fanout", "SELECT src, count(*) FROM edges GROUP BY src", &schemas, &reg);
         views.create(v, &store, &reg).unwrap();
-        assert_eq!(views.sync_bytes(), 0, "creation publishes directly, not via sync");
+        assert_eq!(views.sync_bytes(), 0, "priming is not a maintenance write");
         store.append("edges", vec![tuple![1i64, 9i64]]).unwrap();
         views.on_base_change("edges", &[Delta::insert(tuple![1i64, 9i64])], &store, &reg).unwrap();
-        views.sync(&store).unwrap();
-        assert!(views.sync_bytes() > 0, "incremental flush moved delta bytes");
+        let delta_bytes = 2 * tuple![1i64, 1i64].byte_size() as u64;
+        assert_eq!(views.sync_bytes(), delta_bytes, "the pass wrote its two-row delta");
         let m = &views.metrics()[0];
         assert_eq!(m.name, "fanout");
         assert!(m.strategy.contains("incremental"));
@@ -501,9 +424,8 @@ mod tests {
             .on_base_change("edges", &[Delta::insert(tuple![1i64, 9i64])], &store, &reg)
             .unwrap();
         assert_eq!(touched, vec!["fanout".to_string(), "hot".to_string()]);
-        // Stored copies are stale until sync.
-        assert_eq!(store.get("hot").unwrap().len(), 1);
-        views.sync(&store).unwrap();
+        // The stored rows are current, and sorted, as soon as the pass
+        // returns.
         assert_eq!(store.get("hot").unwrap().rows(), &[tuple![0i64], tuple![1i64]]);
         // Dropping the upstream view is refused while `hot` reads it.
         let err = views.drop_view("fanout", &store).unwrap_err();

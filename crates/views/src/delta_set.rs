@@ -2,10 +2,11 @@
 //!
 //! A [`DeltaSet`] maps each tuple to a signed multiplicity: `+n` means the
 //! tuple gained `n` occurrences, `-n` that it lost `n`. Base-table batches,
-//! intermediate operator states, and view contents are all `DeltaSet`s;
-//! propagation is multiplication of multiplicities (joins) and addition
-//! (unions of delta streams), exactly the count algebra the Gupta/Mumick
-//! view-maintenance rules reduce to for `+()` / `-()` annotations.
+//! the output delta of each maintenance pass, and the cascades between
+//! views are all `DeltaSet`s; propagation is multiplication of
+//! multiplicities (joins) and addition (unions of delta streams), exactly
+//! the count algebra the Gupta/Mumick view-maintenance rules reduce to for
+//! `+()` / `-()` annotations.
 
 use rex_core::delta::{Annotation, Delta};
 use rex_core::error::{Result, RexError};
@@ -104,17 +105,6 @@ impl DeltaSet {
         self.counts.is_empty()
     }
 
-    /// Number of distinct tuples with nonzero multiplicity.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total positive multiplicity — the bag cardinality when all counts
-    /// are non-negative (view contents).
-    pub fn cardinality(&self) -> usize {
-        self.counts.values().filter(|&&n| n > 0).map(|&n| n as usize).sum()
-    }
-
     /// Iterate `(tuple, signed multiplicity)` in *unspecified* (but, for a
     /// given program, deterministic) order. Use only where the consumer is
     /// order-insensitive — count algebra, state folding; sort at the
@@ -126,8 +116,8 @@ impl DeltaSet {
     /// Iterate the bag's rows by reference, each tuple yielded once per
     /// unit of positive multiplicity, in *unspecified* order. This is the
     /// allocation-free sibling of [`rows`](DeltaSet::rows) for callers that
-    /// only need to walk the bag (state priming, delta application,
-    /// byte accounting) and would otherwise clone every tuple.
+    /// only need to walk the bag (feeding a batch to a dataflow) and would
+    /// otherwise clone every tuple.
     pub fn iter_rows(&self) -> impl Iterator<Item = &Tuple> {
         self.counts
             .iter()
@@ -138,13 +128,12 @@ impl DeltaSet {
     /// Expand to rows (each tuple repeated by its positive multiplicity),
     /// in sorted order — the bag a query over the view observes.
     pub fn rows(&self) -> Vec<Tuple> {
-        let mut distinct: Vec<(&Tuple, i64)> = self.counts.iter().map(|(t, &n)| (t, n)).collect();
+        let mut distinct: Vec<(&Tuple, usize)> =
+            self.counts.iter().filter(|(_, &n)| n > 0).map(|(t, &n)| (t, n as usize)).collect();
         distinct.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut out = Vec::with_capacity(self.cardinality());
+        let mut out = Vec::with_capacity(distinct.iter().map(|(_, n)| n).sum());
         for (t, n) in distinct {
-            for _ in 0..n.max(0) {
-                out.push(t.clone());
-            }
+            out.extend(std::iter::repeat_n(t, n).cloned());
         }
         out
     }
@@ -174,8 +163,8 @@ mod tests {
         s.add(tuple![1i64], -2);
         assert!(s.is_empty());
         s.add(tuple![2i64], -1);
-        assert_eq!(s.distinct(), 1);
-        assert_eq!(s.cardinality(), 0, "negative counts carry no rows");
+        assert_eq!(s.iter().count(), 1);
+        assert!(s.rows().is_empty(), "negative counts carry no rows");
     }
 
     #[test]

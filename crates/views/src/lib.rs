@@ -36,15 +36,17 @@
 //!   row is deleted retracts. Operator state persists across batches;
 //!   this crate holds no operator state of its own.
 //! * **Signed multisets only at the boundary** — a [`DeltaSet`] is what
-//!   a view's contents, its pending sync, cascades between views and the
-//!   routing of an input batch to shards are made of. Inside the
-//!   dataflow a batch is an executor event; the root's emissions fold
-//!   into a `DeltaSet` once per batch.
-//! * **Delta-granular sync** — each view retains its output delta since
-//!   the last sync; [`ViewCatalog::sync`] applies it to the stored copy
-//!   through `Catalog::apply_delta` (insert/remove by signed
-//!   multiplicity), so sync costs O(change), not O(view). Recompute
-//!   fallbacks keep the full republish.
+//!   a pass's output delta, cascades between views and the routing of an
+//!   input batch to shards are made of. Inside the dataflow a batch is an
+//!   executor event; the root's emissions fold into a `DeltaSet` once per
+//!   batch.
+//! * **One copy of a view's rows** — the stored table of the view's name,
+//!   kept in tuple order. Priming publishes the sorted rows; each pass
+//!   writes its output delta into that table through
+//!   `Catalog::apply_delta` before it returns, merging inserts in at their
+//!   sorted position, so nothing is left to sync. A pass that re-reads
+//!   the store (a recompute fallback, a recursive view's rebuild)
+//!   republishes the sorted contents.
 //!
 //! The [`ViewCatalog`] tracks which views read which tables (so dropping
 //! a base table can be refused) and cascades deltas through views defined
@@ -52,12 +54,10 @@
 //! can only be created over relations that exist, so every source a view
 //! reads is final before the view runs, which also lets a recompute
 //! fallback reading several changed sources re-run exactly once per pass.
-//! View contents are still published lazily into the session's
-//! stored-table catalog — which is how views compose into larger queries
-//! unchanged on every engine and how the optimizer sees view
-//! cardinalities — while a *bare* `SELECT * FROM v` is served straight
-//! from authoritative view state (a merge-maintained sorted cache), with
-//! no sync and no engine pass at all.
+//! Because the view's rows are a stored table, views compose into larger
+//! queries unchanged on every engine and the optimizer sees view
+//! cardinalities, while the session serves a *bare* `SELECT * FROM v` as
+//! one clone of the already-sorted stored rows, with no engine pass.
 //!
 //! The session facade (`rex::Session`) wires this crate to RQL DDL and to
 //! `insert`/`delete`; see the root crate's "Materialized views" docs for

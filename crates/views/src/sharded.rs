@@ -593,7 +593,7 @@ mod tests {
                 outs.push(m.apply("t", &b, &c, &reg).unwrap());
                 // Keep the store in lockstep with applied history so a later
                 // restart rebuild replays exactly what the flows saw.
-                c.apply_delta("t", b.iter().map(|(t, m)| (t.clone(), m))).unwrap();
+                c.append("t", b.rows()).unwrap();
             }
             outs
         };
@@ -623,7 +623,7 @@ mod tests {
         let b0 = batch(0, 50);
         let want0 = single.apply("t", &b0, &reg).unwrap();
         assert_eq!(m.apply("t", &b0, &c, &reg).unwrap(), want0);
-        c.apply_delta("t", b0.iter().map(|(t, n)| (t.clone(), n))).unwrap();
+        c.append("t", b0.rows()).unwrap();
         // Kill worker 0 and worker 1 (which hosted shard 0's replica)
         // before the next round: shard 0 must rebuild from base data.
         assert!(m.kill_worker(0) > 0);

@@ -13,7 +13,6 @@ use crate::delta_set::DeltaSet;
 use crate::sharded::{RecoveryStrategy, ShardStats, ShardedMaint};
 use rex_core::error::Result;
 use rex_core::exec::LocalRuntime;
-use rex_core::hash::FxHashMap;
 use rex_core::tuple::{Schema, Tuple};
 use rex_core::udf::Registry;
 use rex_rql::logical::LogicalPlan;
@@ -21,6 +20,7 @@ use rex_rql::lower::lower;
 use rex_rql::provider::CatalogProvider;
 use rex_rql::{RqlError, RqlStage};
 use rex_storage::catalog::Catalog;
+use rex_storage::table::StoredTable;
 use std::fmt;
 use std::time::Instant;
 
@@ -61,20 +61,8 @@ pub struct MaterializedView {
     /// The maintenance dataflows — one shard on the session node, or one
     /// per cluster worker; `None` for recompute fallbacks.
     maint: Option<ShardedMaint>,
-    output: DeltaSet,
-    /// Output deltas accumulated since the stored copy was last synced —
-    /// what [`ViewCatalog::sync`](crate::catalog::ViewCatalog::sync)
-    /// applies so sync cost is proportional to the change.
-    pending: DeltaSet,
-    /// Sorted expansion of `output`, kept fresh by *merging* each output
-    /// delta (O(view + change), no re-sort) — what bare view scans are
-    /// served from.
-    sorted_cache: Option<Vec<Tuple>>,
-    /// Whether the cache was read since the last maintenance batch. A
-    /// cache nobody reads between writes is dropped rather than merged,
-    /// so write-only streams keep maintenance O(batch) — the next reader
-    /// pays one sort to rebuild it.
-    cache_hot: bool,
+    /// Current cardinality of the view's stored table.
+    len: usize,
     /// How many times the recompute fallback re-ran the defining query
     /// (diagnostics; incremental views stay at 0).
     recomputes: usize,
@@ -87,6 +75,8 @@ pub struct MaterializedView {
     deltas_out: u64,
     /// Wall time spent in maintenance passes, nanoseconds.
     maint_ns: u64,
+    /// Bytes maintenance passes wrote into the view's stored table.
+    written_bytes: u64,
 }
 
 impl MaterializedView {
@@ -126,15 +116,13 @@ impl MaterializedView {
             plan,
             strategy,
             maint,
-            output: DeltaSet::new(),
-            pending: DeltaSet::new(),
-            sorted_cache: None,
-            cache_hot: false,
+            len: 0,
             recomputes: 0,
             incremental_passes: 0,
             deltas_in: 0,
             deltas_out: 0,
             maint_ns: 0,
+            written_bytes: 0,
         }
     }
 
@@ -173,44 +161,14 @@ impl MaterializedView {
         self.base_tables.contains(&table.to_ascii_lowercase())
     }
 
-    /// Current contents, sorted (the bag a scan of the view observes).
-    pub fn rows(&self) -> Vec<Tuple> {
-        self.output.rows()
-    }
-
-    /// Borrowing walk over the current contents in unspecified order —
-    /// for callers that only iterate (publishing, accounting) and don't
-    /// need the sorted, cloned expansion of [`rows`](Self::rows).
-    pub fn iter_rows(&self) -> impl Iterator<Item = &Tuple> {
-        self.output.iter_rows()
-    }
-
-    /// Current contents, sorted, served from the maintained sorted cache:
-    /// the first call after a structural reset sorts once, every later
-    /// call costs one clone because
-    /// [`on_change`](Self::on_change) *merges* output deltas into the
-    /// cache instead of invalidating it. This is what the session's bare
-    /// view-scan fast path serves from.
-    pub fn rows_cached(&mut self) -> Vec<Tuple> {
-        self.cache_hot = true;
-        match &self.sorted_cache {
-            Some(c) => c.clone(),
-            None => {
-                let rows = self.output.rows();
-                self.sorted_cache = Some(rows.clone());
-                rows
-            }
-        }
-    }
-
     /// Current cardinality.
     pub fn len(&self) -> usize {
-        self.output.cardinality()
+        self.len
     }
 
     /// Whether the view is currently empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Approximate bytes of maintenance state (diagnostics).
@@ -293,40 +251,40 @@ impl MaterializedView {
         self.maint_ns
     }
 
-    /// The output deltas not yet applied to the stored-table copy.
-    pub fn pending(&self) -> &DeltaSet {
-        &self.pending
+    /// Bytes maintenance passes wrote into the view's stored table: each
+    /// incremental pass's output delta, each re-read's whole contents.
+    pub fn written_bytes(&self) -> u64 {
+        self.written_bytes
     }
 
-    /// Forget the pending deltas (the caller just applied or republished
-    /// them).
-    pub fn clear_pending(&mut self) {
-        self.pending = DeltaSet::new();
-    }
-
-    /// Populate the view from the current store contents. Incremental
-    /// views prime by replaying each base table as one insert batch through
-    /// the dataflow — the same code path later changes take — so priming
-    /// exercises exactly the machinery maintenance relies on.
+    /// Populate the view from the current store contents and register its
+    /// rows, sorted, as the stored table of the view's name: the one copy
+    /// every engine scans and every later pass writes its delta into.
+    /// Incremental views prime by replaying each base table as insert
+    /// batches through the dataflow — the same code path later changes
+    /// take — so priming exercises exactly the machinery maintenance
+    /// relies on.
     pub fn prime(&mut self, store: &Catalog, reg: &Registry) -> Result<()> {
-        self.output = match &mut self.maint {
-            Some(m) => replay(m, &self.base_tables, store, reg)?,
-            None => DeltaSet::from_rows(evaluate(&self.plan, store, reg)?),
+        let rows = match &mut self.maint {
+            Some(m) => replay(m, &self.base_tables, store, reg)?.rows(),
+            None => {
+                let mut rows = evaluate(&self.plan, store, reg)?;
+                rows.sort_unstable();
+                rows
+            }
         };
-        // Priming is followed by a full publish of the contents, so no
-        // deltas are owed to the stored copy.
-        self.pending = DeltaSet::new();
-        self.sorted_cache = None;
-        self.cache_hot = false;
+        self.len = rows.len();
+        let pcols = if self.schema.arity() > 0 { vec![0] } else { Vec::new() };
+        let mut table = StoredTable::new(&self.name, self.schema.clone(), pcols);
+        table.load_unchecked(rows);
+        store.register(table);
         Ok(())
     }
 
-    /// Discard all maintained state and contents and re-populate from the
-    /// current store — the consistency repair a session runs when a
-    /// maintenance pass fails partway through.
+    /// Discard all maintained state and re-populate the view and its
+    /// stored table from the current store — the consistency repair a
+    /// session runs when a maintenance pass fails partway through.
     pub fn rebuild(&mut self, store: &Catalog, reg: &Registry) -> Result<()> {
-        self.output = DeltaSet::new();
-        self.pending = DeltaSet::new();
         if let Some(m) = &mut self.maint {
             m.reset(reg)?;
         }
@@ -337,8 +295,7 @@ impl MaterializedView {
     /// instead of propagating deltas: every pass of a recompute fallback,
     /// and a pass that deletes from a recursive view's sources — its flow
     /// continues a converged fixpoint exactly under inserts only, so a
-    /// delete rebuilds it. The caller syncs stale upstream view copies
-    /// first.
+    /// delete rebuilds it.
     pub fn rereads_store(&self, changes: &[(&str, &DeltaSet)]) -> bool {
         self.maint.is_none()
             || (self.plan.is_recursive()
@@ -346,13 +303,16 @@ impl MaterializedView {
     }
 
     /// Apply one maintenance pass: a batch of changes to each listed
-    /// `(relation, batch)` the view reads. Returns the delta of the view's
-    /// own output (for cascading to views that read this view). `store`
-    /// must already reflect every change. A pass that
+    /// `(relation, batch)` the view reads. The view's output delta is
+    /// written into its stored table before this returns, and returned
+    /// too (for cascading to views that read this view). `store` must
+    /// already reflect every change. A pass that
     /// [re-reads the store](Self::rereads_store) runs once however many
     /// relations changed — a recompute fallback re-runs its defining
-    /// query, a recursive flow is reset and primed again — and emits the
-    /// old→new diff.
+    /// query, a recursive flow is reset and primed again — republishes
+    /// the sorted contents and returns the old→new diff. A delta the
+    /// stored table cannot absorb (it lost rows the view emitted) is
+    /// storage's "diverged" error, and the table is left untouched.
     pub fn on_change(
         &mut self,
         changes: &[(&str, &DeltaSet)],
@@ -361,51 +321,33 @@ impl MaterializedView {
     ) -> Result<DeltaSet> {
         let start = Instant::now();
         self.deltas_in += changes.iter().map(|(_, batch)| delta_rows(batch)).sum::<u64>();
-        if self.rereads_store(changes) {
+        let out = if self.rereads_store(changes) {
             self.recomputes += 1;
-            let fresh = match &mut self.maint {
-                Some(m) => {
-                    m.reset(reg)?;
-                    replay(m, &self.base_tables, store, reg)?
-                }
-                None => DeltaSet::from_rows(evaluate(&self.plan, store, reg)?),
-            };
-            let mut diff = fresh.clone();
-            diff.merge_scaled(&self.output, -1);
-            self.deltas_out += delta_rows(&diff);
-            self.maint_ns += start.elapsed().as_nanos() as u64;
-            self.output = fresh;
-            // A rebuilt flow stays incremental and syncs by delta;
-            // recompute-fallback views republish whole contents on sync
-            // and keep no per-delta ledger. Neither keeps the sorted cache.
-            if self.maint.is_some() {
-                self.pending.merge_scaled(&diff, 1);
+            let old = store.get(&self.name)?;
+            self.rebuild(store, reg)?;
+            let fresh = store.get(&self.name)?;
+            self.written_bytes += fresh.byte_size();
+            let mut diff = DeltaSet::from_rows(fresh.rows().iter().cloned());
+            for t in old.rows() {
+                diff.add(t.clone(), -1);
             }
-            self.sorted_cache = None;
-            self.cache_hot = false;
-            return Ok(diff);
-        }
-        let maint = self.maint.as_mut().expect("recompute fallbacks re-read the store");
-        let mut out = DeltaSet::new();
-        for (table, batch) in changes {
-            out.merge_scaled(&maint.apply(&table.to_ascii_lowercase(), batch, store, reg)?, 1);
-        }
-        self.incremental_passes += 1;
+            diff
+        } else {
+            let maint = self.maint.as_mut().expect("recompute fallbacks re-read the store");
+            let mut out = DeltaSet::new();
+            for (table, batch) in changes {
+                out.merge_scaled(&maint.apply(&table.to_ascii_lowercase(), batch, store, reg)?, 1);
+            }
+            self.incremental_passes += 1;
+            let (inserted, removed) =
+                store.apply_delta(&self.name, out.iter().map(|(t, n)| (t.clone(), n)))?;
+            self.len = self.len + inserted - removed;
+            self.written_bytes +=
+                out.iter().map(|(t, n)| t.byte_size() as u64 * n.unsigned_abs()).sum::<u64>();
+            out
+        };
         self.deltas_out += delta_rows(&out);
         self.maint_ns += start.elapsed().as_nanos() as u64;
-        self.output.merge_scaled(&out, 1);
-        self.pending.merge_scaled(&out, 1);
-        // Merge the delta into the sorted cache only while it is being
-        // read between batches; a write-only stream drops the cache
-        // instead of paying O(view) merges nobody uses.
-        if self.cache_hot {
-            if let Some(cache) = &mut self.sorted_cache {
-                merge_sorted(cache, &out);
-            }
-            self.cache_hot = false;
-        } else {
-            self.sorted_cache = None;
-        }
         Ok(out)
     }
 }
@@ -414,50 +356,6 @@ impl MaterializedView {
 /// (an insert and a retraction both count as one row of change).
 fn delta_rows(d: &DeltaSet) -> u64 {
     d.iter().map(|(_, n)| n.unsigned_abs()).sum()
-}
-
-/// Merge a signed output delta into a sorted row vector in one pass:
-/// `O(view + change·log(change))`, no re-sort of the whole bag. Negative
-/// multiplicities drop that many copies of the tuple; positive ones are
-/// merge-inserted at their sorted position.
-fn merge_sorted(cache: &mut Vec<Tuple>, delta: &DeltaSet) {
-    if delta.is_empty() {
-        return;
-    }
-    let mut inserts: Vec<(&Tuple, i64)> = Vec::new();
-    let mut removes: FxHashMap<&Tuple, i64> = FxHashMap::default();
-    let mut net = 0i64;
-    for (t, n) in delta.iter() {
-        net += n;
-        if n > 0 {
-            inserts.push((t, n));
-        } else {
-            removes.insert(t, -n);
-        }
-    }
-    inserts.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    let mut out = Vec::with_capacity((cache.len() as i64 + net).max(0) as usize);
-    let mut ins = inserts.iter().flat_map(|(t, n)| std::iter::repeat_n(*t, *n as usize));
-    let mut next_ins = ins.next();
-    for t in cache.drain(..) {
-        while let Some(i) = next_ins {
-            if *i <= t {
-                out.push(i.clone());
-                next_ins = ins.next();
-            } else {
-                break;
-            }
-        }
-        match removes.get_mut(&t) {
-            Some(c) if *c > 0 => *c -= 1,
-            _ => out.push(t),
-        }
-    }
-    while let Some(i) = next_ins {
-        out.push(i.clone());
-        next_ins = ins.next();
-    }
-    *cache = out;
 }
 
 /// Rows per insert batch when a view replays its base tables.
@@ -502,7 +400,6 @@ mod tests {
     use rex_core::value::DataType;
     use rex_rql::logical::plan_text;
     use rex_rql::SchemaCatalog;
-    use rex_storage::table::StoredTable;
 
     fn setup() -> (Catalog, SchemaCatalog, Registry) {
         let store = Catalog::new();
@@ -515,6 +412,11 @@ mod tests {
         (store, schemas, Registry::with_builtins())
     }
 
+    /// The view's rows as engines scan them: its stored table.
+    fn stored(store: &Catalog, view: &str) -> Vec<Tuple> {
+        store.get(view).unwrap().rows().to_vec()
+    }
+
     #[test]
     fn incremental_view_primes_and_tracks_changes() {
         let (store, schemas, reg) = setup();
@@ -524,14 +426,14 @@ mod tests {
         assert_eq!(*v.strategy(), MaintenanceStrategy::Incremental);
         assert_eq!(v.base_tables(), &["edges".to_string()]);
         v.prime(&store, &reg).unwrap();
-        assert_eq!(v.rows(), vec![tuple![0i64, 2i64], tuple![1i64, 1i64]]);
+        assert_eq!(stored(&store, "fanout"), vec![tuple![0i64, 2i64], tuple![1i64, 1i64]]);
         // An insert batch shifts only the touched group.
         store.append("edges", vec![tuple![1i64, 3i64]]).unwrap();
         let out = v
             .on_change(&[("edges", &DeltaSet::from_rows(vec![tuple![1i64, 3i64]]))], &store, &reg)
             .unwrap();
         assert_eq!(out.iter().count(), 2);
-        assert_eq!(v.rows(), vec![tuple![0i64, 2i64], tuple![1i64, 2i64]]);
+        assert_eq!(stored(&store, "fanout"), vec![tuple![0i64, 2i64], tuple![1i64, 2i64]]);
         assert!(v.state_bytes() > 0);
     }
 
@@ -548,7 +450,7 @@ mod tests {
         let mut v = MaterializedView::define("reach", sql, plan, &reg);
         assert_eq!(*v.strategy(), MaintenanceStrategy::Incremental);
         v.prime(&store, &reg).unwrap();
-        assert_eq!(v.rows(), vec![tuple![0i64], tuple![1i64], tuple![2i64]]);
+        assert_eq!(stored(&store, "reach"), vec![tuple![0i64], tuple![1i64], tuple![2i64]]);
         assert!(v.state_bytes() > 0);
         // A new edge extends reachability; the emitted delta carries
         // exactly the new row.
@@ -564,20 +466,22 @@ mod tests {
         assert!(v.rereads_store(&[("edges", &del)]));
         store.remove("edges", &[tuple![1i64, 2i64]]).unwrap();
         assert!(v.on_change(&[("edges", &del)], &store, &reg).unwrap().is_empty());
+        let all = vec![tuple![0i64], tuple![1i64], tuple![2i64], tuple![7i64]];
+        assert_eq!(stored(&store, "reach"), all, "the rebuild republished the same rows");
         let mut del = DeltaSet::new();
         del.add(tuple![0i64, 2i64], -1);
         store.remove("edges", &[tuple![0i64, 2i64]]).unwrap();
         let mut out = v.on_change(&[("edges", &del)], &store, &reg).unwrap().to_deltas();
         out.sort_by(|a, b| a.tuple.cmp(&b.tuple));
         assert_eq!(out, vec![Delta::delete(tuple![2i64]), Delta::delete(tuple![7i64])]);
-        assert_eq!(v.rows(), vec![tuple![0i64], tuple![1i64]]);
-        assert_eq!(v.recomputes(), 2);
-        assert_eq!(v.pending().iter().map(|(_, n)| n).sum::<i64>(), -1, "+7 then -2, -7");
+        assert_eq!(stored(&store, "reach"), vec![tuple![0i64], tuple![1i64]]);
+        assert_eq!((v.len(), v.recomputes()), (2, 2));
         // The rebuilt flow keeps maintaining inserts.
         let edge = DeltaSet::from_rows(vec![tuple![1i64, 5i64]]);
         store.append("edges", vec![tuple![1i64, 5i64]]).unwrap();
         let out = v.on_change(&[("edges", &edge)], &store, &reg).unwrap();
         assert_eq!(out.to_deltas(), vec![Delta::insert(tuple![5i64])]);
+        assert_eq!(stored(&store, "reach"), vec![tuple![0i64], tuple![1i64], tuple![5i64]]);
         assert_eq!(v.recomputes(), 2);
     }
 }

@@ -134,7 +134,7 @@ fn deleting_every_row_of_a_group_retracts_its_output() {
     let mut del = DeltaSet::new();
     del.add(row(1, 2.0), -1);
     let out = node.apply("vals", &del, &reg).unwrap();
-    assert_eq!(out.distinct(), 2, "old row out, new row in");
+    assert_eq!(out.iter().count(), 2, "old row out, new row in");
     let new_row = &out.rows()[0];
     assert_eq!(new_row.get(4), &Value::Double(2.0), "duplicated min survives one delete");
     // Remove the rest: the group's output row disappears entirely.
@@ -142,8 +142,8 @@ fn deleting_every_row_of_a_group_retracts_its_output() {
     del.add(row(1, 2.0), -1);
     del.add(row(1, 5.0), -1);
     let out = node.apply("vals", &del, &reg).unwrap();
-    assert_eq!(out.cardinality(), 0, "only a retraction remains");
-    assert_eq!(out.distinct(), 1);
+    assert!(out.rows().is_empty(), "only a retraction remains");
+    assert_eq!(out.iter().count(), 1);
     assert_eq!(node.state_bytes(), 0, "empty groups are pruned");
 }
 
@@ -207,7 +207,7 @@ fn user_aggregate_views_receive_deletes_and_stay_incremental() {
         view.on_change(&[("vals", &batch)], &store, &reg).unwrap();
         let mut want = evaluate(&plan, &store, &reg).unwrap();
         want.sort_unstable();
-        assert_eq!(view.rows(), want, "step {step}");
+        assert_eq!(store.get("u").unwrap().rows(), want, "step {step}");
     }
     assert!(base.iter().any(|(_, n)| n > 0), "the sweep left rows behind");
     assert_eq!(view.recomputes(), 0, "a user aggregate maintains incrementally");

@@ -82,10 +82,11 @@
 //! scan/filter/project/join recursion (`WITH … UNTIL FIXPOINT`) continues
 //! from its converged fixpoint under inserts; other recursive definitions
 //! fall back to full recomputation automatically; `explain` on the DDL
-//! shows which strategy a view gets. A bare `SELECT * FROM v`
-//! is served directly from authoritative view state (no engine pass);
-//! composed queries read the stored copy, which syncs *delta-granularly*
-//! — O(change), not O(view). Views can be defined over other views
+//! shows which strategy a view gets. A view's rows live in one place, a
+//! stored table kept in tuple order that each maintenance pass updates by
+//! its output delta before the write returns: composed queries scan it on
+//! any engine, and a bare `SELECT * FROM v` is served as a clone of its
+//! rows (no engine pass). Views can be defined over other views
 //! (deltas cascade in creation order), and `drop_table` refuses
 //! while a view still reads the table.
 //!

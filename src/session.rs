@@ -266,15 +266,14 @@ impl Session {
     }
 
     /// Publish an immutable, versioned snapshot of the database — the
-    /// concurrent read path (see [`crate::snapshot`]). Stale view copies
-    /// are synced first (via the delta path), optimizer statistics are
-    /// frozen at current cardinalities, and the stored tables are
-    /// captured copy-on-write in O(tables) `Arc` bumps. The returned
+    /// concurrent read path (see [`crate::snapshot`]). Optimizer
+    /// statistics are frozen at current cardinalities, and the stored
+    /// tables — materialized views' rows included — are captured
+    /// copy-on-write in O(tables) `Arc` bumps. The returned
     /// `Arc<SnapshotView>` can be queried from any number of threads and
     /// keeps serving this exact version no matter what the session does
     /// next.
     pub fn snapshot(&mut self) -> Result<Arc<SnapshotView>> {
-        self.views.sync(&self.store)?;
         self.refresh_stats();
         let views = self
             .views
@@ -448,12 +447,8 @@ impl Session {
     }
 
     /// Number of rows currently stored in `table` (or materialized in a
-    /// view of that name — answered from the authoritative view state, so
-    /// no mutation is needed).
+    /// view of that name).
     pub fn table_rows(&self, table: &str) -> Result<usize> {
-        if let Some(v) = self.views.get(table) {
-            return Ok(v.len());
-        }
         Ok(self.store.get(table)?.len())
     }
 
@@ -538,11 +533,12 @@ impl Session {
                 let logical = rex_rql::logical::plan(&stmt, &self.schemas, &self.registry)
                     .map_err(|e| RqlError::at(RqlStage::Plan, e))?;
                 // Fast path: a bare scan of a materialized view is served
-                // straight from authoritative view state — no store sync,
-                // no optimizer pass, no engine execution. Serving cost is
-                // one clone of the merge-maintained sorted cache.
+                // straight from the view's stored rows, which maintenance
+                // keeps sorted — no optimizer pass, no engine execution.
+                // Serving cost is one clone of those rows.
                 if let Some(table) = bare_scan_target(&logical) {
-                    if let Some(rows) = self.views.serve_rows(table) {
+                    if self.views.contains(table) {
+                        let rows = self.store.get(table)?.rows().to_vec();
                         return Ok(QueryResult {
                             cost: PlanCost {
                                 rows: rows.len() as u64,
@@ -556,7 +552,6 @@ impl Session {
                         });
                     }
                 }
-                self.views.sync(&self.store)?;
                 self.refresh_stats();
                 // The same read pipeline every published SnapshotView
                 // runs: optimize → execute → presentation order.
@@ -607,7 +602,6 @@ impl Session {
                 }
                 let logical = rex_rql::logical::plan(&inner, &self.schemas, &self.registry)
                     .map_err(|e| RqlError::at(RqlStage::Plan, e))?;
-                self.views.sync(&self.store)?;
                 self.refresh_stats();
                 if analyze {
                     let t0 = Instant::now();
@@ -687,7 +681,6 @@ impl Session {
                 None,
             ),
         };
-        self.views.sync(&self.store)?;
         self.refresh_stats();
         let before = logical.explain();
         let (optimized, cost) = self.optimizer.optimize(logical)?;
@@ -703,7 +696,8 @@ impl Session {
 
     /// The `== view metrics ==` section of EXPLAIN output: one line per
     /// materialized view with its cumulative maintenance counters, plus
-    /// the catalog's total sync volume. Empty when no views exist.
+    /// the bytes maintenance wrote into the views' stored tables. Empty
+    /// when no views exist.
     fn render_view_metrics(&self) -> String {
         if self.views.is_empty() {
             return String::new();
@@ -1032,8 +1026,8 @@ mod tests {
         assert_eq!(r.engine, "view-state", "bare scans skip the engine");
         assert_eq!(r.rows, vec![tuple![0i64, 2i64], tuple![1i64, 1i64], tuple![2i64, 1i64]]);
         assert_eq!(r.cost.rows as usize, r.rows.len());
-        // Maintenance keeps the served rows (and the merge-maintained
-        // sorted cache) fresh.
+        // Maintenance keeps the served rows, the view's sorted stored
+        // table, fresh.
         s.insert("edges", vec![tuple![1i64, 9i64], tuple![5i64, 0i64]]).unwrap();
         s.delete("edges", vec![tuple![0i64, 1i64]]).unwrap();
         let fast = s.query("SELECT * FROM fanout").unwrap();

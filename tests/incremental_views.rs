@@ -49,9 +49,15 @@ fn seed_sweep(engine: &str, seed: u64) {
                 (0..rng.gen_range(1..=4i64)).map(|_| random_row(&mut rng, table)).collect();
             s.insert(table, rows).unwrap();
         }
+        // The stored table engines scan is current, and sorted, as soon as
+        // the write returns: no read has run in between to refresh it.
+        let ctx = format!("{engine} seed {seed} step {step}");
+        let stored = s.store().get("by_src").unwrap().rows().to_vec();
+        assert!(stored.is_sorted(), "{ctx}: stored view rows are sorted");
         let got = s.query("SELECT * FROM by_src").unwrap().rows;
         let want = s.query(VIEW_SQL).unwrap().rows;
-        assert_rows_close(&got, &want, &format!("{engine} seed {seed} step {step}"));
+        assert_rows_close(&stored, &want, &format!("{ctx}: stored"));
+        assert_rows_close(&got, &want, &ctx);
     }
 }
 
