@@ -136,8 +136,9 @@ impl ChaosSweep {
         }
     }
 
-    /// Thread ceiling for every run in the sweep (results are
-    /// schedule-invariant, so this only changes wall time).
+    /// Thread ceiling for every run in the sweep (default 1: the
+    /// requestor drains every worker itself). Results are bit-identical at
+    /// every thread count; sweeping more than one proves it under faults.
     pub fn threads(mut self, t: usize) -> Self {
         self.threads = t.max(1);
         self
@@ -259,11 +260,14 @@ mod tests {
               SELECT edges.dst FROM edges, reach WHERE edges.src = reach.id
             )";
         let plan = rex_rql::plan_rql(src, &sc, &reg).unwrap();
-        let report = ChaosSweep::new(3).run(&cat, &plan, &reg).unwrap();
-        assert_eq!(report.baseline.len(), 12);
-        assert!(report.baseline_strata > 3, "want a real fixpoint, got {}", report.baseline_strata);
-        assert!(report.injected() > 0);
-        report.assert_clean();
+        for threads in [1, 4] {
+            let report = ChaosSweep::new(3).threads(threads).run(&cat, &plan, &reg).unwrap();
+            assert_eq!(report.baseline.len(), 12);
+            let strata = report.baseline_strata;
+            assert!(strata > 3, "want a real fixpoint, got {strata} at {threads} threads");
+            assert!(report.injected() > 0);
+            report.assert_clean();
+        }
     }
 
     #[test]
@@ -274,9 +278,12 @@ mod tests {
         let reg = Registry::with_builtins();
         let plan =
             rex_rql::plan_rql("SELECT src, count(*) FROM edges GROUP BY src", &sc, &reg).unwrap();
-        let report = ChaosSweep::new(2).kill_strata(&[999]).run(&cat, &plan, &reg).unwrap();
-        assert_eq!(report.injected(), 0);
-        let r = std::panic::catch_unwind(|| report.assert_clean());
-        assert!(r.is_err(), "vacuous sweep must not pass");
+        for threads in [1, 4] {
+            let sweep = ChaosSweep::new(2).threads(threads).kill_strata(&[999]);
+            let report = sweep.run(&cat, &plan, &reg).unwrap();
+            assert_eq!(report.injected(), 0);
+            let r = std::panic::catch_unwind(|| report.assert_clean());
+            assert!(r.is_err(), "vacuous sweep must not pass");
+        }
     }
 }

@@ -14,7 +14,6 @@
 use crate::report::ClusterReport;
 use crate::runtime::{ClusterRuntime, PlanBuilder};
 use rex_core::error::RexError;
-use rex_core::metrics::{ExecMetrics, ReportSummary, StratumReport};
 use rex_core::tuple::Tuple;
 use rex_core::udf::Registry;
 use rex_rql::logical::LogicalPlan;
@@ -93,24 +92,6 @@ impl ClusterRuntime {
         reg: &Registry,
     ) -> std::result::Result<(Vec<Tuple>, ClusterReport), ClusterError> {
         Ok(self.run(logical_plan_builder(plan, reg))?)
-    }
-}
-
-impl ReportSummary for ClusterReport {
-    fn iterations(&self) -> usize {
-        self.query.iterations()
-    }
-    fn simulated_time(&self) -> f64 {
-        self.query.simulated_time
-    }
-    fn wall_seconds(&self) -> f64 {
-        self.query.wall_seconds
-    }
-    fn totals(&self) -> &ExecMetrics {
-        &self.query.totals
-    }
-    fn strata(&self) -> &[StratumReport] {
-        &self.query.strata
     }
 }
 

@@ -9,14 +9,14 @@
 //! instance has punctuated that stratum.
 
 use rex_core::delta::{Annotation, Delta, Punctuation};
-use rex_core::exec::{Executor, NetEmission, NetKey, NodeId};
+use rex_core::exec::{NetEmission, NetKey, NodeId};
 use rex_core::operators::{hash_key, hash_key_cols, Event};
 use rex_storage::partition::PartitionSnapshot;
 use std::collections::{HashMap, HashSet};
 
 /// One routed batch: everything needed to deliver an event into a worker
 /// without touching that worker's executor from the routing thread — the
-/// unit the threaded cluster scheduler sends over worker-thread channels.
+/// unit the cluster scheduler hands to the share that owns the target.
 #[derive(Debug)]
 pub struct Delivery {
     /// Receiving worker.
@@ -49,8 +49,6 @@ pub struct Router {
     punct_counts: HashMap<(NodeId, usize, Punctuation), HashSet<usize>>,
     /// Total bytes that crossed worker boundaries.
     pub bytes_crossed: u64,
-    /// Messages delivered across worker boundaries.
-    pub messages_crossed: u64,
     /// Boundary-crossing bytes by routing mode: key-partitioned rehash.
     pub rehash_bytes: u64,
     /// Boundary-crossing bytes replicated by broadcast boundaries.
@@ -78,45 +76,11 @@ impl Router {
         self.rows_routed[worker] += rows;
     }
 
-    /// Deliver an outbox of rehash emissions from `from_worker` into the
-    /// executors of all live workers. Returns the number of injections made
-    /// (used by the scheduler's quiescence check).
-    pub fn route(
-        &mut self,
-        from_worker: usize,
-        outbox: Vec<NetEmission>,
-        executors: &mut [Executor],
-        live: &[usize],
-        snap: &PartitionSnapshot,
-    ) -> usize {
-        let n_workers = executors.len();
-        let (deliveries, sent) = {
-            let ex: &[Executor] = executors;
-            let net_key = move |node: NodeId| {
-                ex[from_worker]
-                    .network_key(node)
-                    .expect("outbox emission from a non-network node")
-                    .clone()
-            };
-            self.route_batches(from_worker, outbox, &net_key, live, snap, n_workers)
-        };
-        executors[from_worker].metrics.bytes_sent += sent;
-        let injected = deliveries.len();
-        for d in deliveries {
-            executors[d.target].metrics.bytes_received += d.bytes;
-            executors[d.target].inject_downstream(d.node, d.port, d.event);
-        }
-        injected
-    }
-
-    /// The routing decision itself, with no executor access: partition an
-    /// outbox into per-target [`Delivery`]s (in deterministic emission
-    /// order) and account every router-side counter. Returns the
-    /// deliveries plus the sender's total `bytes_sent` credit. [`Router::route`]
-    /// is exactly this plus local injection, and the threaded cluster
-    /// scheduler sends the same deliveries over worker-thread channels —
-    /// so inline and threaded execution route identically by
-    /// construction.
+    /// Route one worker's outbox, with no executor access: partition it
+    /// into per-target [`Delivery`]s (in deterministic emission order) and
+    /// account every router-side counter. Returns the deliveries plus the
+    /// sender's total `bytes_sent` credit; the cluster scheduler hands both
+    /// to the share that owns each worker.
     pub fn route_batches(
         &mut self,
         from_worker: usize,
@@ -189,7 +153,6 @@ impl Router {
                         *sent += bytes;
                         self.bytes_crossed += bytes;
                         self.broadcast_bytes += bytes;
-                        self.messages_crossed += 1;
                     }
                     self.tally_rows(target, n_rows);
                     out.push(Delivery {
@@ -214,7 +177,6 @@ impl Router {
                     *sent += bytes;
                     self.bytes_crossed += bytes;
                     self.gather_bytes += bytes;
-                    self.messages_crossed += 1;
                 }
                 self.tally_rows(target, n_rows);
                 out.push(Delivery { target, node, port, event, bytes });
@@ -249,7 +211,6 @@ impl Router {
                 *sent += bytes;
                 self.bytes_crossed += bytes;
                 self.rehash_bytes += bytes;
-                self.messages_crossed += 1;
             }
             self.tally_rows(target, n_rows);
             out.push(Delivery { target, node, port, event, bytes });
@@ -288,153 +249,113 @@ impl Router {
             heard.remove(&worker);
         }
     }
-
-    /// Drop all routing state.
-    pub fn clear(&mut self) {
-        self.punct_counts.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rex_core::exec::PlanGraph;
-    use rex_core::operators::{SinkOp, UnionOp};
     use rex_core::tuple;
+    use rex_core::tuple::Tuple;
+    use rex_core::value::Value;
 
-    /// Build a minimal 2-worker setup: rehash(0) -> union -> sink.
-    fn setup(n: usize) -> (Vec<Executor>, PartitionSnapshot) {
-        let mut executors = Vec::new();
-        for w in 0..n {
-            let mut g = PlanGraph::new();
-            let rh = g.add_rehash(vec![0]);
-            let un = g.add(Box::new(UnionOp::new(1)));
-            let sink = g.add(Box::new(SinkOp::new()));
-            g.pipe(rh, un);
-            g.pipe(un, sink);
-            executors.push(Executor::new(g, w, true));
+    /// The first key in 0..100 each of `n` workers owns.
+    fn key_per_owner(snap: &PartitionSnapshot, n: usize) -> Vec<i64> {
+        (0..n)
+            .map(|w| (0..100i64).find(|&i| snap.owner_of_key(&[Value::Int(i)]) == w).unwrap())
+            .collect()
+    }
+
+    fn data(deltas: Vec<Delta>) -> Vec<NetEmission> {
+        vec![NetEmission { node: 0, port: 0, event: Event::Data(deltas) }]
+    }
+
+    /// Route `outbox` from `from` through a boundary keyed by `key`.
+    fn route_via(
+        router: &mut Router,
+        from: usize,
+        outbox: Vec<NetEmission>,
+        key: NetKey,
+        snap: &PartitionSnapshot,
+    ) -> (Vec<Delivery>, u64) {
+        let live: Vec<usize> = (0..snap.n_nodes()).collect();
+        router.route_batches(from, outbox, &|_| key.clone(), &live, snap, live.len())
+    }
+
+    fn rows(d: &Delivery) -> Vec<Delta> {
+        match &d.event {
+            Event::Data(deltas) => deltas.clone(),
+            other => panic!("expected data, got {other:?}"),
         }
-        (executors, PartitionSnapshot::new(n, 1))
     }
 
     #[test]
     fn data_routes_by_key_owner() {
-        let (mut ex, snap) = setup(2);
-        let live = vec![0, 1];
+        let snap = PartitionSnapshot::new(2, 1);
+        let k = key_per_owner(&snap, 2);
         let mut router = Router::new();
-        // Find keys owned by each worker.
-        let mut k0 = None;
-        let mut k1 = None;
-        for i in 0..100i64 {
-            match snap.owner_of_key(&[rex_core::value::Value::Int(i)]) {
-                0 if k0.is_none() => k0 = Some(i),
-                1 if k1.is_none() => k1 = Some(i),
-                _ => {}
-            }
-        }
-        let (k0, k1) = (k0.unwrap(), k1.unwrap());
-        let out = vec![NetEmission {
-            node: 0,
-            port: 0,
-            event: Event::Data(vec![Delta::insert(tuple![k0]), Delta::insert(tuple![k1])]),
-        }];
-        router.route(0, out, &mut ex, &live, &snap);
+        let out = data(vec![Delta::insert(tuple![k[0]]), Delta::insert(tuple![k[1]])]);
+        let (ds, sent) = route_via(&mut router, 0, out, NetKey::Hash(vec![0]), &snap);
         // Worker 0 self-delivered k0 (no bytes), shipped k1 to worker 1.
-        assert!(router.bytes_crossed > 0);
-        assert_eq!(ex[1].metrics.bytes_received, router.bytes_crossed);
+        assert_eq!(ds.iter().map(|d| d.target).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(rows(&ds[0]), vec![Delta::insert(tuple![k[0]])]);
+        assert_eq!(rows(&ds[1]), vec![Delta::insert(tuple![k[1]])]);
+        assert_eq!(ds[0].bytes, 0);
+        assert!(ds[1].bytes > 0);
+        assert_eq!(sent, ds[1].bytes);
+        assert_eq!(router.bytes_crossed, sent);
         assert_eq!(router.rehash_bytes, router.bytes_crossed);
         assert_eq!(router.broadcast_bytes + router.gather_bytes, 0);
         assert_eq!(router.rows_routed, vec![1, 1]);
-        let reg = rex_core::udf::Registry::new();
-        let cost = rex_core::metrics::CostModel::default();
-        let mut outbox = Vec::new();
-        ex[0].drain(&reg, &cost, &mut outbox).unwrap();
-        ex[1].drain(&reg, &cost, &mut outbox).unwrap();
-        assert_eq!(ex[0].sink_results().unwrap(), vec![tuple![k0]]);
-        assert_eq!(ex[1].sink_results().unwrap(), vec![tuple![k1]]);
     }
 
     #[test]
     fn punct_waits_for_all_workers() {
-        let (mut ex, snap) = setup(3);
-        let live = vec![0, 1, 2];
+        let snap = PartitionSnapshot::new(3, 1);
         let mut router = Router::new();
-        let punct_em = |_w: usize| {
-            vec![NetEmission {
-                node: 0,
-                port: 0,
-                event: Event::Punct(Punctuation::EndOfStratum(0)),
-            }]
-        };
-        assert_eq!(router.route(0, punct_em(0), &mut ex, &live, &snap), 0);
-        assert_eq!(router.route(1, punct_em(1), &mut ex, &live, &snap), 0);
+        let p = Punctuation::EndOfStratum(0);
+        let punct = || vec![NetEmission { node: 0, port: 0, event: Event::Punct(p) }];
+        let key = NetKey::Hash(vec![0]);
+        let bcast = Event::Punct(p).byte_size() as u64 * 2;
+        for from in 0..2 {
+            let (ds, sent) = route_via(&mut router, from, punct(), key.clone(), &snap);
+            assert!(ds.is_empty(), "released before worker 2 punctuated");
+            assert_eq!(sent, bcast);
+        }
         // Third arrival releases the punct to all three workers.
-        assert_eq!(router.route(2, punct_em(2), &mut ex, &live, &snap), 3);
+        let (ds, sent) = route_via(&mut router, 2, punct(), key, &snap);
+        assert_eq!(sent, bcast);
+        assert_eq!(ds.iter().map(|d| d.target).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(ds.iter().all(|d| matches!(d.event, Event::Punct(q) if q == p) && d.bytes == 0));
     }
 
     #[test]
-    fn empty_key_rehash_broadcasts_to_all_workers() {
-        let mut executors = Vec::new();
-        for w in 0..3 {
-            let mut g = PlanGraph::new();
-            let rh = g.add_rehash(vec![]); // broadcast
-            let sink = g.add(Box::new(SinkOp::new()));
-            g.pipe(rh, sink);
-            executors.push(Executor::new(g, w, true));
-        }
+    fn broadcast_boundary_replicates_to_all_workers() {
         let snap = PartitionSnapshot::new(3, 1);
-        let live = vec![0, 1, 2];
         let mut router = Router::new();
-        let out = vec![NetEmission {
-            node: 0,
-            port: 0,
-            event: Event::Data(vec![Delta::insert(tuple![42i64])]),
-        }];
-        router.route(1, out, &mut executors, &live, &snap);
-        let reg = rex_core::udf::Registry::new();
-        let cost = rex_core::metrics::CostModel::default();
-        for ex in &mut executors {
-            ex.drain(&reg, &cost, &mut Vec::new()).unwrap();
-        }
-        for ex in &mut executors {
-            assert_eq!(ex.sink_results().unwrap(), vec![tuple![42i64]]);
-        }
+        let out = data(vec![Delta::insert(tuple![42i64])]);
+        let (ds, sent) = route_via(&mut router, 1, out, NetKey::Broadcast, &snap);
+        assert_eq!(ds.iter().map(|d| d.target).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(ds.iter().all(|d| rows(d) == vec![Delta::insert(tuple![42i64])]));
         // Two cross-worker copies (self-delivery is free).
-        assert_eq!(router.messages_crossed, 2);
-        assert_eq!(executors[1].metrics.bytes_sent, router.bytes_crossed);
+        assert_eq!(ds.iter().filter(|d| d.bytes > 0).count(), 2);
+        assert_eq!(ds[1].bytes, 0);
+        assert_eq!(sent, router.bytes_crossed);
         assert_eq!(router.broadcast_bytes, router.bytes_crossed);
         assert_eq!(router.rows_routed, vec![1, 1, 1]);
     }
 
     #[test]
     fn cross_partition_replace_splits() {
-        let (mut ex, snap) = setup(2);
-        let live = vec![0, 1];
+        let snap = PartitionSnapshot::new(2, 1);
+        let k = key_per_owner(&snap, 2);
+        let (a, b): (Tuple, Tuple) = (tuple![k[0]], tuple![k[1]]);
         let mut router = Router::new();
-        // Find a pair of keys with different owners.
-        let mut a = None;
-        let mut b = None;
-        for i in 0..100i64 {
-            match snap.owner_of_key(&[rex_core::value::Value::Int(i)]) {
-                0 if a.is_none() => a = Some(i),
-                1 if b.is_none() => b = Some(i),
-                _ => {}
-            }
-        }
-        let (a, b) = (a.unwrap(), b.unwrap());
-        let out = vec![NetEmission {
-            node: 0,
-            port: 0,
-            event: Event::Data(vec![Delta::replace(tuple![a], tuple![b])]),
-        }];
-        router.route(0, out, &mut ex, &live, &snap);
-        let reg = rex_core::udf::Registry::new();
-        let cost = rex_core::metrics::CostModel::default();
-        let mut outbox = Vec::new();
-        ex[0].drain(&reg, &cost, &mut outbox).unwrap();
-        ex[1].drain(&reg, &cost, &mut outbox).unwrap();
-        // Worker 0 saw a delete (nothing in sink), worker 1 the insert.
-        assert!(ex[0].sink_results().unwrap().is_empty());
-        assert_eq!(ex[1].sink_results().unwrap(), vec![tuple![b]]);
+        let out = data(vec![Delta::replace(a.clone(), b.clone())]);
+        let (ds, sent) = route_via(&mut router, 0, out, NetKey::Hash(vec![0]), &snap);
+        // Worker 0 gets the delete of the old tuple, worker 1 the insert.
+        assert_eq!(ds.iter().map(|d| d.target).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(rows(&ds[0]), vec![Delta::delete(a)]);
+        assert_eq!(rows(&ds[1]), vec![Delta::insert(b)]);
+        assert_eq!(sent, ds[1].bytes);
     }
 }

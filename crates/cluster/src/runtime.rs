@@ -12,7 +12,7 @@ use crate::failure::{FailureEvent, FailurePlan, RecoveryStrategy};
 use crate::report::ClusterReport;
 use crate::router::{Delivery, Router};
 use rex_core::error::{Result, RexError};
-use rex_core::exec::{Executor, NetEmission, NetKey, NodeId, PlanGraph, MAX_STRATA};
+use rex_core::exec::{stratum_vote, Executor, NetEmission, NetKey, NodeId, PlanGraph, MAX_STRATA};
 use rex_core::metrics::{CostModel, ExecMetrics, StratumReport};
 use rex_core::operators::{hash_key_cols, OperatorState};
 use rex_core::telemetry::ExecTrace;
@@ -32,45 +32,40 @@ use std::time::Instant;
 pub type PlanBuilder =
     Arc<dyn Fn(usize, &PartitionSnapshot, &Catalog) -> Result<PlanGraph> + Send + Sync>;
 
+/// Replication factor for storage and checkpoints: every partition and
+/// every stratum checkpoint lives on this many workers (the paper uses 3).
+const REPLICATION: usize = 3;
+
 /// Cluster configuration.
 #[derive(Clone)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub n_workers: usize,
-    /// Replication factor for storage and checkpoints (the paper uses 3).
-    pub replication: usize,
-    /// Cost constants.
-    pub cost: CostModel,
     /// UDF/UDA registry distributed with the query.
     pub registry: Registry,
-    /// Replicate per-stratum fixpoint checkpoints (needed for incremental
-    /// recovery; REX-delta runs with this on).
-    pub checkpointing: bool,
     /// Optional injected failure.
     pub failure: Option<FailurePlan>,
-    /// Recovery strategy when a failure occurs.
+    /// Recovery strategy when a failure occurs. Per-stratum fixpoint
+    /// checkpoints are replicated exactly when it
+    /// [replicates state](RecoveryStrategy::replicates_state).
     pub recovery: RecoveryStrategy,
     /// Collect per-operator execution traces on every worker and merge
     /// them into [`ClusterReport::trace`].
     pub telemetry: bool,
-    /// OS threads the drain scheduler may use for worker execution
-    /// (1 = the historical inline loop). Workers are spread round-robin
-    /// over at most this many threads; the process-wide
-    /// [`thread_budget`] may cap what is
-    /// actually spawned. Either way results are bit-identical to the
-    /// single-threaded schedule.
+    /// OS threads that drain workers, the requestor's own included (1 =
+    /// the requestor drains every worker itself). Workers are spread
+    /// round-robin over at most this many threads; the process-wide
+    /// [`thread_budget`] may lease fewer extra threads than asked. Either
+    /// way results are bit-identical at every thread count.
     pub threads: usize,
 }
 
 impl ClusterConfig {
-    /// A cluster of `n` workers with replication 3 and default costs.
+    /// A cluster of `n` workers recovering incrementally, one thread.
     pub fn new(n: usize) -> ClusterConfig {
         ClusterConfig {
             n_workers: n.max(1),
-            replication: 3,
-            cost: CostModel::default(),
             registry: Registry::with_builtins(),
-            checkpointing: true,
             failure: None,
             recovery: RecoveryStrategy::Incremental,
             telemetry: false,
@@ -94,13 +89,6 @@ impl ClusterConfig {
     pub fn with_failure(mut self, f: FailurePlan, strategy: RecoveryStrategy) -> Self {
         self.failure = Some(f);
         self.recovery = strategy;
-        self.checkpointing = strategy.replicates_state();
-        self
-    }
-
-    /// Override the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -132,13 +120,13 @@ impl ClusterRuntime {
     pub fn run(&self, build: PlanBuilder) -> Result<(Vec<Tuple>, ClusterReport)> {
         let n = self.config.n_workers;
         let reg = &self.config.registry;
-        let cost = &self.config.cost;
+        let cost = &CostModel::default();
         let threads = self.config.threads;
         let t0 = Instant::now();
 
         let mut report = ClusterReport { n_workers: n, ..Default::default() };
         let ckpts = CheckpointStore::new();
-        let mut snapshot = PartitionSnapshot::new(n, self.config.replication);
+        let mut snapshot = PartitionSnapshot::new(n, REPLICATION);
         let mut live: Vec<usize> = (0..n).collect();
         let mut pending_failure = self.config.failure;
         // Incremental recovery: resume from this stratum with checkpointed
@@ -208,9 +196,9 @@ impl ClusterRuntime {
 
             // ---- non-recursive query ------------------------------------
             if fixpoints.is_empty() {
-                let results = collect_results(&mut executors, &live, cost)?;
+                let results = collect_results(&mut executors, &live)?;
                 merge_traces(&mut carried_trace, &mut executors, &live);
-                let stratum_metrics = merged_diff(&executors, &carried, &prev, &live);
+                let stratum_metrics = merged_diff(&executors, &prev, &live);
                 let max_time = max_sim_time(&executors, &prev, &live, cost);
                 report.query.strata.push(StratumReport {
                     stratum: 0,
@@ -220,7 +208,7 @@ impl ClusterRuntime {
                     bytes_shipped: router.bytes_crossed,
                     metrics: stratum_metrics,
                 });
-                finalize(&mut report, &executors, &carried, cost, t0);
+                finalize(&mut report, &executors, &carried, t0);
                 absorb_router(&mut report, &router);
                 if let Some(mut tr) = carried_trace.take() {
                     tr.wall_seconds = report.query.wall_seconds;
@@ -280,29 +268,11 @@ impl ClusterRuntime {
 
             // ---- stratum loop -------------------------------------------
             loop {
-                // Collect votes (the requestor's global view, §4.2).
-                let mut total_pending = 0usize;
-                for &w in &live {
-                    for &f in &fixpoints {
-                        let (ready, pending) = executors[w]
-                            .with_fixpoint(f, |fp| (fp.ready_for_vote(), fp.pending_count()))?;
-                        if !ready {
-                            return Err(RexError::Exec(format!(
-                                "worker {w} fixpoint {f} missed stratum punctuation"
-                            )));
-                        }
-                        total_pending += pending;
-                    }
-                }
-                let mut any_continue = false;
-                for &f in &fixpoints {
-                    if executors[live[0]].with_fixpoint(f, |fp| fp.wants_continue(total_pending))? {
-                        any_continue = true;
-                    }
-                }
+                let (total_pending, any_continue) =
+                    stratum_vote(&mut executors, &live, &fixpoints)?;
 
                 // Record the completed stratum.
-                let stratum_metrics = merged_diff(&executors, &carried, &prev, &live);
+                let stratum_metrics = merged_diff(&executors, &prev, &live);
                 let max_time = max_sim_time(&executors, &prev, &live, cost);
                 for &w in &live {
                     prev[w] = executors[w].metrics;
@@ -320,11 +290,11 @@ impl ClusterRuntime {
 
                 // Incremental checkpointing (§4.3): replicate each live
                 // worker's fixpoint state to its replicas.
-                if self.config.checkpointing && any_continue {
+                if self.config.recovery.replicates_state() && any_continue {
                     for &w in &live {
                         for &f in &fixpoints {
                             if let Some(state) = executors[w].checkpoint_node(f) {
-                                let replicas = next_workers(&live, w, self.config.replication - 1);
+                                let replicas = next_workers(&live, w, REPLICATION - 1);
                                 // Incremental checkpointing ships only the
                                 // stratum's Δᵢ set; replicas maintain their
                                 // accumulated copy of the mutable state
@@ -421,9 +391,9 @@ impl ClusterRuntime {
                 drain_all(&mut executors, &mut router, &live, &snapshot, reg, cost, threads)?;
                 completed += 1;
                 if !any_continue {
-                    let results = collect_results(&mut executors, &live, cost)?;
+                    let results = collect_results(&mut executors, &live)?;
                     merge_traces(&mut carried_trace, &mut executors, &live);
-                    finalize(&mut report, &executors, &carried, cost, t0);
+                    finalize(&mut report, &executors, &carried, t0);
                     absorb_router(&mut report, &router);
                     if let Some(mut tr) = carried_trace.take() {
                         tr.wall_seconds = report.query.wall_seconds;
@@ -441,15 +411,21 @@ impl ClusterRuntime {
 /// Round-based scheduler: drain every live worker, route its rehash
 /// traffic, repeat until global quiescence.
 ///
-/// One round = (1) every worker with queued work drains fully, then
-/// (2) the collected outboxes are routed in worker-id order. Because
-/// routing is deferred to the end of the round, the delivery order on
-/// every channel is a pure function of the round schedule — so the
-/// threaded variant, which runs step (1) on worker threads, produces
-/// bit-identical results (and byte-identical router accounting) to the
-/// serial one. FIFO per channel is the only ordering the paper's TCP
+/// The live workers are dealt round-robin into shares, one per thread:
+/// share 0 belongs to the requestor (the calling thread), and a thread is
+/// spawned only for each extra share leased from the process-wide
+/// [`thread_budget`]. One round = (1) every share applies its inbound
+/// routing and drains each owned worker with queued work (see
+/// [`share_round`]), then (2) the requestor routes the collected outboxes
+/// in worker-id order through [`Router::route_batches`] into the next
+/// round's inbounds. Because routing waits for the round barrier, the
+/// delivery order on every channel is a pure function of the round
+/// schedule, so results and router accounting are bit-identical however
+/// many shares there are — with none leased, the requestor drains every
+/// worker itself. FIFO per channel is the only ordering the paper's TCP
 /// transport guarantees (§4.1); the round barrier gives us that plus
-/// determinism.
+/// determinism. Dropping the inbound senders (global quiescence or an
+/// error) ends the threads.
 fn drain_all(
     executors: &mut [Executor],
     router: &mut Router,
@@ -459,188 +435,80 @@ fn drain_all(
     cost: &CostModel,
     threads: usize,
 ) -> Result<()> {
-    // One thread per live worker is the useful ceiling; extra threads are
-    // leased from the process-wide budget so concurrent queries cannot
-    // oversubscribe the host.
-    let want = threads.max(1).min(live.len());
-    let extra = if want > 1 { thread_budget::try_acquire(want - 1) } else { 0 };
-    let res = if extra == 0 {
-        drain_all_serial(executors, router, live, snap, reg, cost)
-    } else {
-        drain_all_threaded(executors, router, live, snap, reg, cost, 1 + extra)
-    };
-    thread_budget::release(extra);
-    res
-}
-
-/// The inline schedule: drain phase, then route phase, repeat.
-fn drain_all_serial(
-    executors: &mut [Executor],
-    router: &mut Router,
-    live: &[usize],
-    snap: &PartitionSnapshot,
-    reg: &Registry,
-    cost: &CostModel,
-) -> Result<()> {
-    loop {
-        let mut round: Vec<(usize, Vec<NetEmission>)> = Vec::new();
-        for &w in live {
-            if executors[w].has_work() {
-                let mut outbox = Vec::new();
-                executors[w].drain(reg, cost, &mut outbox)?;
-                round.push((w, outbox));
-            }
-        }
-        if round.is_empty() {
-            return Ok(());
-        }
-        for (w, outbox) in round {
-            if !outbox.is_empty() {
-                router.route(w, outbox, executors, live, snap);
-            }
-        }
-    }
-}
-
-/// One worker thread's share of a round's routing: what it applies to its
-/// executors before it drains them. The coordinator sends exactly one per
-/// thread per round, so a thread wakes once per round however many batches
-/// were routed to it.
-#[derive(Default)]
-struct Inbound {
-    /// Routed-output bytes to credit to `(worker, bytes)`'s `bytes_sent`.
-    sent: Vec<(usize, u64)>,
-    /// Routed batches for this thread's workers, in routing order.
-    deliveries: Vec<Delivery>,
-}
-
-/// The threaded schedule: each of `threads` persistent worker threads
-/// owns a disjoint round-robin slice of the live executors. Per round it
-/// receives one [`Inbound`], applies it, drains every owned worker with
-/// queued work and reports the outboxes; the coordinator keeps the router
-/// and turns the outboxes into the next round's inbounds. Same rounds,
-/// same worker-order routing, same per-channel FIFO as the serial path —
-/// only the drain phase actually runs in parallel. Dropping the inbound
-/// senders (global quiescence or an error) ends the threads.
-fn drain_all_threaded(
-    executors: &mut [Executor],
-    router: &mut Router,
-    live: &[usize],
-    snap: &PartitionSnapshot,
-    reg: &Registry,
-    cost: &CostModel,
-    threads: usize,
-) -> Result<()> {
     let n_workers = executors.len();
-    // Routing needs each boundary node's key after the executors have
-    // moved into their threads; every live worker runs the same plan, so
-    // snapshot the keys from the first one.
+    // Routing runs on the requestor without executor access; every live
+    // worker runs the same plan, so take the boundary keys from the first.
     let reference = &executors[live[0]];
     let net_keys: HashMap<NodeId, NetKey> = reference
         .network_nodes()
         .into_iter()
-        .map(|node| {
-            let key = reference.network_key(node).expect("network node has a key").clone();
-            (node, key)
-        })
+        .map(|node| (node, reference.network_key(node).expect("network node has a key").clone()))
         .collect();
-    // Round-robin ownership: worker w belongs to thread owner[w].
+    let lookup = |node: NodeId| net_keys[&node].clone();
+    // One share per live worker is the useful ceiling; extra shares are
+    // leased from the process-wide budget so concurrent queries cannot
+    // oversubscribe the host.
+    let want = threads.max(1).min(live.len());
+    let extra = if want > 1 { thread_budget::try_acquire(want - 1) } else { 0 };
+    let shares = 1 + extra;
+    // Round-robin ownership: worker w belongs to share owner[w].
     let mut owner = vec![usize::MAX; n_workers];
     for (i, &w) in live.iter().enumerate() {
-        owner[w] = i % threads;
+        owner[w] = i % shares;
     }
-    let mut slots: Vec<Vec<(usize, &mut Executor)>> = (0..threads).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<(usize, &mut Executor)>> = (0..shares).map(|_| Vec::new()).collect();
     for (w, ex) in executors.iter_mut().enumerate() {
         if owner[w] != usize::MAX {
-            slots[owner[w]].push((w, ex));
+            groups[owner[w]].push((w, ex));
         }
     }
 
-    std::thread::scope(|s| {
+    let res = std::thread::scope(|s| {
+        let mut groups = groups.into_iter();
+        let mut own = groups.next().expect("share 0 is the requestor's");
         let (res_tx, res_rx) = mpsc::channel::<Result<Vec<(usize, Vec<NetEmission>)>>>();
-        let mut inboxes = Vec::with_capacity(threads);
-        for group in slots {
-            let (tx, rx) = mpsc::channel::<Inbound>();
-            let res_tx = res_tx.clone();
-            s.spawn(move || {
-                let mut group = group;
-                fn find<'a>(
-                    group: &'a mut [(usize, &mut Executor)],
-                    worker: usize,
-                ) -> &'a mut Executor {
-                    let slot = group
-                        .iter_mut()
-                        .find(|(w, _)| *w == worker)
-                        .expect("delivery to a worker this thread does not own");
-                    slot.1
-                }
-                while let Ok(inbound) = rx.recv() {
-                    for (worker, bytes) in inbound.sent {
-                        find(&mut group, worker).metrics.bytes_sent += bytes;
-                    }
-                    for d in inbound.deliveries {
-                        let ex = find(&mut group, d.target);
-                        ex.metrics.bytes_received += d.bytes;
-                        ex.inject_downstream(d.node, d.port, d.event);
-                    }
-                    let mut drained = Vec::new();
-                    let mut err = None;
-                    for (w, ex) in group.iter_mut() {
-                        if ex.has_work() {
-                            let mut outbox = Vec::new();
-                            match ex.drain(reg, cost, &mut outbox) {
-                                Ok(()) => drained.push((*w, outbox)),
-                                Err(e) => {
-                                    err = Some(e);
-                                    break;
-                                }
-                            }
+        let inboxes: Vec<mpsc::Sender<Inbound>> = groups
+            .map(|mut group| {
+                let (tx, rx) = mpsc::channel::<Inbound>();
+                let res_tx = res_tx.clone();
+                s.spawn(move || {
+                    for inbound in rx {
+                        if res_tx.send(share_round(&mut group, inbound, reg, cost)).is_err() {
+                            return;
                         }
                     }
-                    let reply = match err {
-                        Some(e) => Err(e),
-                        None => Ok(drained),
-                    };
-                    if res_tx.send(reply).is_err() {
-                        return;
-                    }
-                }
-            });
-            inboxes.push(tx);
-        }
+                });
+                tx
+            })
+            .collect();
         drop(res_tx);
 
-        let mut failure: Option<RexError> = None;
-        let fresh = || (0..threads).map(|_| Inbound::default()).collect::<Vec<_>>();
+        let fresh = || (0..shares).map(|_| Inbound::default()).collect::<Vec<_>>();
         let mut inbound = fresh();
         loop {
-            for (tx, msg) in inboxes.iter().zip(std::mem::replace(&mut inbound, fresh())) {
+            let mut msgs = std::mem::replace(&mut inbound, fresh()).into_iter();
+            let mine = msgs.next().expect("share 0 is the requestor's");
+            for (tx, msg) in inboxes.iter().zip(msgs) {
                 let _ = tx.send(msg);
             }
-            let mut round: Vec<(usize, Vec<NetEmission>)> = Vec::new();
-            for _ in 0..threads {
-                match res_rx.recv() {
-                    Ok(Ok(drained)) => round.extend(drained),
-                    Ok(Err(e)) => {
-                        failure.get_or_insert(e);
-                    }
-                    Err(_) => {
-                        failure.get_or_insert(RexError::Exec(
-                            "cluster drain thread exited unexpectedly".into(),
-                        ));
-                    }
-                }
+            let mut replies = vec![share_round(&mut own, mine, reg, cost)];
+            for _ in 1..shares {
+                replies.push(res_rx.recv().unwrap_or_else(|_| {
+                    Err(RexError::Exec("cluster drain thread exited unexpectedly".into()))
+                }));
             }
-            if failure.is_some() || round.is_empty() {
-                break;
+            let mut round = Vec::new();
+            for reply in replies {
+                round.extend(reply?);
             }
-            // Route in worker-id order — the serial schedule.
+            if round.is_empty() {
+                return Ok(());
+            }
             round.sort_by_key(|(w, _)| *w);
             for (w, outbox) in round {
                 if outbox.is_empty() {
                     continue;
                 }
-                let lookup = |node: NodeId| net_keys[&node].clone();
                 let (deliveries, sent) =
                     router.route_batches(w, outbox, &lookup, live, snap, n_workers);
                 if sent > 0 {
@@ -651,12 +519,57 @@ fn drain_all_threaded(
                 }
             }
         }
-        drop(inboxes);
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
+    });
+    thread_budget::release(extra);
+    res
+}
+
+/// One share's routing for a round: what it applies to its executors
+/// before it drains them. The requestor builds exactly one per share per
+/// round, so a thread wakes once per round however many batches were
+/// routed to it.
+#[derive(Default)]
+struct Inbound {
+    /// Routed-output bytes to credit to `(worker, bytes)`'s `bytes_sent`.
+    sent: Vec<(usize, u64)>,
+    /// Routed batches for this share's workers, in routing order.
+    deliveries: Vec<Delivery>,
+}
+
+/// One share's part of a round: apply its inbound `bytes_sent` credits and
+/// deliveries, then drain every owned worker with queued work (in
+/// worker-id order) and return the outboxes.
+fn share_round(
+    group: &mut [(usize, &mut Executor)],
+    inbound: Inbound,
+    reg: &Registry,
+    cost: &CostModel,
+) -> Result<Vec<(usize, Vec<NetEmission>)>> {
+    // Groups are dealt in worker-id order, so a worker's slot is found by
+    // binary search.
+    fn find<'a>(group: &'a mut [(usize, &mut Executor)], worker: usize) -> &'a mut Executor {
+        let i = group
+            .binary_search_by_key(&worker, |(w, _)| *w)
+            .expect("delivery to a worker this share does not own");
+        group[i].1
+    }
+    for (worker, bytes) in inbound.sent {
+        find(group, worker).metrics.bytes_sent += bytes;
+    }
+    for d in inbound.deliveries {
+        let ex = find(group, d.target);
+        ex.metrics.bytes_received += d.bytes;
+        ex.inject_downstream(d.node, d.port, d.event);
+    }
+    let mut drained = Vec::new();
+    for (w, ex) in group.iter_mut() {
+        if ex.has_work() {
+            let mut outbox = Vec::new();
+            ex.drain(reg, cost, &mut outbox)?;
+            drained.push((*w, outbox));
         }
-    })
+    }
+    Ok(drained)
 }
 
 /// Take and fold each live worker's execution trace into the accumulator
@@ -696,11 +609,7 @@ fn next_workers(live: &[usize], w: usize, k: usize) -> Vec<usize> {
 
 /// Union the sinks of all live workers at the requestor, accounting the
 /// result-forwarding bytes (workers other than the requestor ship results).
-fn collect_results(
-    executors: &mut [Executor],
-    live: &[usize],
-    _cost: &CostModel,
-) -> Result<Vec<Tuple>> {
+fn collect_results(executors: &mut [Executor], live: &[usize]) -> Result<Vec<Tuple>> {
     let requestor = live[0];
     let mut all = Vec::new();
     for &w in live {
@@ -718,12 +627,7 @@ fn collect_results(
 }
 
 /// Merged per-stratum metric diff across live workers.
-fn merged_diff(
-    executors: &[Executor],
-    _carried: &[ExecMetrics],
-    prev: &[ExecMetrics],
-    live: &[usize],
-) -> ExecMetrics {
+fn merged_diff(executors: &[Executor], prev: &[ExecMetrics], live: &[usize]) -> ExecMetrics {
     let mut m = ExecMetrics::default();
     for &w in live {
         m.merge(&executors[w].metrics.since(&prev[w]));
@@ -762,7 +666,6 @@ fn finalize(
     report: &mut ClusterReport,
     executors: &[Executor],
     carried: &[ExecMetrics],
-    _cost: &CostModel,
     t0: Instant,
 ) {
     let n = executors.len();
@@ -797,7 +700,8 @@ mod tests {
     use rex_core::value::DataType;
     use rex_storage::table::StoredTable;
 
-    fn catalog_with_numbers(n_rows: i64) -> Catalog {
+    /// `nums(k, v)` partitioned on `k`, with `v = value(k)`.
+    fn catalog_of(n_rows: i64, value: impl Fn(i64) -> f64) -> Catalog {
         let cat = Catalog::new();
         let mut t = StoredTable::new(
             "nums",
@@ -805,10 +709,14 @@ mod tests {
             vec![0],
         );
         for i in 0..n_rows {
-            t.insert(tuple![i, (i % 5) as f64]).unwrap();
+            t.insert(tuple![i, value(i)]).unwrap();
         }
         cat.register(t);
         cat
+    }
+
+    fn catalog_with_numbers(n_rows: i64) -> Catalog {
+        catalog_of(n_rows, |i| (i % 5) as f64)
     }
 
     /// Distributed filter: every worker scans its partition and filters.
@@ -838,11 +746,24 @@ mod tests {
     fn distributed_aggregation_with_rehash() {
         let cat = catalog_with_numbers(90);
         let rt = ClusterRuntime::new(ClusterConfig::new(3), cat);
-        let build: PlanBuilder = Arc::new(|w, snap, cat| {
+        let (results, report) = rt.run(mod3_sum_build()).unwrap();
+        assert_eq!(results.len(), 3);
+        // Σ v over 90 rows with v = i%5 → 18 cycles of 0+1+2+3+4 = 180.
+        let total: f64 = results.iter().map(|t| t.get(1).as_double().unwrap()).sum();
+        assert!((total - 180.0).abs() < 1e-9);
+        // Rehash moved data across workers, and the router attributed it.
+        assert!(report.query.totals.bytes_sent > 0);
+        assert!(report.rehash_bytes > 0);
+        assert_eq!(report.rows_routed.iter().sum::<u64>(), 90);
+    }
+
+    /// sum(v) grouped by k % 3: project (k%3, v), then rehash on the new
+    /// key — off the partition key, so rows cross workers — and aggregate.
+    fn mod3_sum_build() -> PlanBuilder {
+        Arc::new(|w, snap, cat| {
             let table = cat.get("nums")?;
             let mut g = PlanGraph::new();
             let scan = g.add(Box::new(ScanOp::new("nums", table.partition_for(snap, w))));
-            // project (k%3, v) then rehash on the new key and aggregate.
             let proj =
                 g.add(Box::new(ApplyFunctionOp::new(Arc::new(FnMapper::new("mod3", |d, _| {
                     let k = d.tuple.get(0).as_int().unwrap();
@@ -863,16 +784,7 @@ mod tests {
             g.pipe(rh, gb);
             g.pipe(gb, sink);
             Ok(g)
-        });
-        let (results, report) = rt.run(build).unwrap();
-        assert_eq!(results.len(), 3);
-        // Σ v over 90 rows with v = i%5 → 18 cycles of 0+1+2+3+4 = 180.
-        let total: f64 = results.iter().map(|t| t.get(1).as_double().unwrap()).sum();
-        assert!((total - 180.0).abs() < 1e-9);
-        // Rehash moved data across workers, and the router attributed it.
-        assert!(report.query.totals.bytes_sent > 0);
-        assert!(report.rehash_bytes > 0);
-        assert_eq!(report.rows_routed.iter().sum::<u64>(), 90);
+        })
     }
 
     /// Distributed recursion: per-key counters race to 5 via rehash.
@@ -950,60 +862,68 @@ mod tests {
         assert!(results.iter().all(|t| t.get(1).as_double().unwrap() == 5.0));
     }
 
-    /// The threaded drain scheduler shares the serial path's round
-    /// schedule, so recursion results, per-worker metrics, and router
-    /// accounting must all be bit-identical at any thread count.
+    /// Every deterministic field of a report (everything but wall time),
+    /// with the rows, for comparing runs across thread counts.
+    fn deterministic(rows: &[Tuple], r: &ClusterReport) -> impl PartialEq + std::fmt::Debug {
+        let strata: Vec<_> = r
+            .query
+            .strata
+            .iter()
+            .map(|s| (s.stratum, s.delta_set_size, s.bytes_shipped, s.metrics))
+            .collect();
+        let trace = r.trace.as_ref().map(|t| (t.sink_rows(), t.iteration_deltas.clone()));
+        (
+            rows.to_vec(),
+            strata,
+            (r.per_worker.clone(), r.rows_routed.clone(), r.query.totals),
+            (r.rehash_bytes, r.broadcast_bytes, r.gather_bytes, r.checkpoint_bytes),
+            r.failures.clone(),
+            trace,
+        )
+    }
+
+    /// The requestor drains its own share and leases threads for the
+    /// rest, over the same round schedule whatever the share count: rows,
+    /// per-stratum reports, per-worker metrics and router accounting must
+    /// be bit-identical at every thread count — including more threads
+    /// than workers, and across an incremental recovery.
     #[test]
-    fn threaded_drain_matches_serial_bit_for_bit() {
-        let serial = {
-            let cat = catalog_with_numbers(30);
-            let rt = ClusterRuntime::new(ClusterConfig::new(3).with_telemetry(true), cat);
-            rt.run(recursive_build()).unwrap()
+    fn drain_is_bit_identical_at_every_thread_count() {
+        let run = |threads: usize, failure: Option<FailurePlan>| {
+            let mut cfg = ClusterConfig::new(3).with_telemetry(true).with_threads(threads);
+            if let Some(f) = failure {
+                cfg = cfg.with_failure(f, RecoveryStrategy::Incremental);
+            }
+            ClusterRuntime::new(cfg, catalog_with_numbers(30)).run(recursive_build()).unwrap()
         };
-        for threads in [2, 4] {
-            let cat = catalog_with_numbers(30);
-            let cfg = ClusterConfig::new(3).with_telemetry(true).with_threads(threads);
-            let rt = ClusterRuntime::new(cfg, cat);
-            let (rows, report) = rt.run(recursive_build()).unwrap();
-            assert_eq!(rows, serial.0, "rows diverge at {threads} threads");
-            assert_eq!(report.per_worker, serial.1.per_worker);
-            assert_eq!(report.rows_routed, serial.1.rows_routed);
-            assert_eq!(report.rehash_bytes, serial.1.rehash_bytes);
-            assert_eq!(report.broadcast_bytes, serial.1.broadcast_bytes);
-            assert_eq!(report.query.totals, serial.1.query.totals);
-            let (t, s) = (report.trace.as_ref().unwrap(), serial.1.trace.as_ref().unwrap());
-            assert_eq!(t.sink_rows(), s.sink_rows());
-            assert_eq!(t.iteration_deltas, s.iteration_deltas);
+        for failure in [None, Some(FailurePlan::kill_at(1, 2))] {
+            let (rows, report) = run(1, failure);
+            // The failure case really recovered incrementally.
+            assert_eq!(report.failures.len(), usize::from(failure.is_some()));
+            assert!(report.failures.iter().all(|f| f.resumed_from > 0));
+            let one = deterministic(&rows, &report);
+            for threads in 2..=4 {
+                let (rows, report) = run(threads, failure);
+                let got = deterministic(&rows, &report);
+                assert_eq!(got, one, "{threads} threads, failure {failure:?}");
+            }
         }
     }
 
-    /// Threaded aggregation with a rehash boundary: the float sum is
-    /// order-sensitive, so equality here proves delivery order matches.
+    /// Aggregation behind a rehash boundary that moves rows between
+    /// workers: the sum of 1/(k+1) is order-sensitive in its low bits, so
+    /// equality here proves every worker receives its batches in the same
+    /// order at every thread count.
     #[test]
-    fn threaded_aggregation_matches_serial() {
+    fn rehash_aggregation_is_bit_identical_at_every_thread_count() {
         let run = |threads: usize| {
-            let cat = catalog_with_numbers(90);
+            let cat = catalog_of(90, |i| 1.0 / (i + 1) as f64);
             let cfg = ClusterConfig::new(3).with_threads(threads);
-            let rt = ClusterRuntime::new(cfg, cat);
-            let build: PlanBuilder = Arc::new(|w, snap, cat| {
-                let table = cat.get("nums")?;
-                let mut g = PlanGraph::new();
-                let scan = g.add(Box::new(ScanOp::new("nums", table.partition_for(snap, w))));
-                let rh = g.add_rehash(vec![0]);
-                let gb = g.add(Box::new(GroupByOp::new(
-                    vec![0],
-                    vec![AggSpec::new(Arc::new(SumAgg), vec![1])],
-                )));
-                let sink = g.add(Box::new(SinkOp::new()));
-                g.pipe(scan, rh);
-                g.pipe(rh, gb);
-                g.pipe(gb, sink);
-                Ok(g)
-            });
-            rt.run(build).unwrap()
+            ClusterRuntime::new(cfg, cat).run(mod3_sum_build()).unwrap()
         };
         let (rows1, rep1) = run(1);
-        for threads in [2, 3] {
+        assert!(rep1.rehash_bytes > 0, "rows must cross workers");
+        for threads in 2..=4 {
             let (rows, rep) = run(threads);
             assert_eq!(rows, rows1);
             assert_eq!(rep.per_worker, rep1.per_worker);

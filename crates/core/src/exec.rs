@@ -8,7 +8,8 @@
 //! stratum or converge. On one node that loop is
 //! [`Executor::run_strata`], which serves both queries ([`LocalRuntime`])
 //! and the batches of a long-lived view dataflow; the cluster runtime in
-//! `rex-cluster` plays the same role across workers.
+//! `rex-cluster` plays the same role across workers. Both take the vote
+//! itself from one function, [`stratum_vote`].
 
 use crate::delta::Punctuation;
 use crate::error::{Result, RexError};
@@ -526,27 +527,7 @@ impl Executor {
         }
         self.drain(reg, cost, outbox)?;
         loop {
-            // Every fixpoint must be ready for a vote; otherwise the plan
-            // is miswired (recursive edge missing).
-            let mut pending = 0usize;
-            for &id in &fixpoints {
-                let (ready, n) =
-                    self.with_fixpoint(id, |fp| (fp.ready_for_vote(), fp.pending_count()))?;
-                if !ready {
-                    return Err(RexError::Exec(format!(
-                        "fixpoint node {id} never punctuated stratum {}: \
-                         is the recursive edge connected?",
-                        self.stratum
-                    )));
-                }
-                pending += n;
-            }
-            // The requestor's global view: a fixpoint whose own Δ is empty
-            // continues while any other produced deltas.
-            let mut cont = false;
-            for &id in &fixpoints {
-                cont |= self.with_fixpoint(id, |fp| fp.wants_continue(pending))?;
-            }
+            let (pending, cont) = stratum_vote(std::slice::from_mut(self), &[0], &fixpoints)?;
             let m = self.metrics.since(&self.reported);
             self.reported = self.metrics;
             reports.push(StratumReport {
@@ -684,6 +665,42 @@ fn enqueue(
     } else {
         fan_out(queue, &edges[node][port], event);
     }
+}
+
+/// The requestor's vote at a stratum boundary (§4.2) over the `live`
+/// executors of one plan, whose `fixpoints` it names: every fixpoint of
+/// every live worker must be ready (otherwise the plan is miswired), Δ is
+/// summed over all of them, and the first live worker's fixpoints decide
+/// over that global count whether another stratum runs — a fixpoint whose
+/// own Δ is empty continues while any other produced deltas. Returns the
+/// summed Δ and the decision. [`Executor::run_strata`] votes with its own
+/// executor as the only worker; the cluster runtime votes over its live
+/// workers.
+pub fn stratum_vote(
+    executors: &mut [Executor],
+    live: &[usize],
+    fixpoints: &[NodeId],
+) -> Result<(usize, bool)> {
+    let mut pending = 0usize;
+    for &w in live {
+        let stratum = executors[w].stratum;
+        for &id in fixpoints {
+            let (ready, n) =
+                executors[w].with_fixpoint(id, |fp| (fp.ready_for_vote(), fp.pending_count()))?;
+            if !ready {
+                return Err(RexError::Exec(format!(
+                    "worker {w}: fixpoint node {id} never punctuated stratum {stratum}: \
+                     is the recursive edge connected?"
+                )));
+            }
+            pending += n;
+        }
+    }
+    let mut cont = false;
+    for &id in fixpoints {
+        cont |= executors[live[0]].with_fixpoint(id, |fp| fp.wants_continue(pending))?;
+    }
+    Ok((pending, cont))
 }
 
 /// Hard cap on strata, protecting against diverging recursions.

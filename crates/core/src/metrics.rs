@@ -193,41 +193,6 @@ impl QueryReport {
     }
 }
 
-/// The common read surface of an execution report, implemented by both the
-/// single-node [`QueryReport`] and the cluster's `ClusterReport`, so that
-/// callers (the `rex::Session` facade in particular) can consume results
-/// from any engine through one interface.
-pub trait ReportSummary {
-    /// Number of strata executed (including the base case).
-    fn iterations(&self) -> usize;
-    /// Total simulated time in cost-model units.
-    fn simulated_time(&self) -> f64;
-    /// Total wall-clock seconds.
-    fn wall_seconds(&self) -> f64;
-    /// Aggregate metrics over the whole query (all workers).
-    fn totals(&self) -> &ExecMetrics;
-    /// The per-stratum trace.
-    fn strata(&self) -> &[StratumReport];
-}
-
-impl ReportSummary for QueryReport {
-    fn iterations(&self) -> usize {
-        self.strata.len()
-    }
-    fn simulated_time(&self) -> f64 {
-        self.simulated_time
-    }
-    fn wall_seconds(&self) -> f64 {
-        self.wall_seconds
-    }
-    fn totals(&self) -> &ExecMetrics {
-        &self.totals
-    }
-    fn strata(&self) -> &[StratumReport] {
-        &self.strata
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

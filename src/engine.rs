@@ -29,6 +29,7 @@
 //! user queries do not change.
 
 use rex_cluster::failure::FailureEvent;
+use rex_cluster::report::ClusterReport;
 use rex_cluster::runtime::{ClusterConfig, ClusterRuntime};
 use rex_core::error::Result;
 use rex_core::exec::LocalRuntime;
@@ -180,13 +181,13 @@ pub struct ClusterEngine {
 }
 
 impl ClusterEngine {
-    /// An engine over `n` workers with default replication and costs.
+    /// An engine over `n` workers recovering incrementally.
     pub fn new(n_workers: usize) -> ClusterEngine {
         ClusterEngine { config: ClusterConfig::new(n_workers) }
     }
 
     /// An engine with an explicit cluster configuration (failure plans,
-    /// recovery strategy, cost model). The configured registry is
+    /// recovery strategy, threads). The configured registry is
     /// replaced by the session's at query time.
     pub fn with_config(config: ClusterConfig) -> ClusterEngine {
         ClusterEngine { config }
@@ -210,12 +211,20 @@ impl Engine for ClusterEngine {
             .with_registry(ctx.registry.clone())
             .with_telemetry(ctx.telemetry)
             .with_threads(ctx.threads);
-        let n_workers = config.n_workers;
         let rt = ClusterRuntime::new(config, ctx.store.clone());
         let (rows, report) = rt.run_logical(plan, ctx.registry)?;
-        let ClusterReportParts { query, per_worker, failures, checkpoint_bytes, traffic, trace } =
-            ClusterReportParts::from(report);
-        let (rehash_bytes, broadcast_bytes, gather_bytes, rows_routed) = traffic;
+        let ClusterReport {
+            query,
+            per_worker,
+            n_workers,
+            failures,
+            checkpoint_bytes,
+            rehash_bytes,
+            broadcast_bytes,
+            gather_bytes,
+            rows_routed,
+            trace,
+        } = report;
         Ok(EngineOutput {
             rows,
             report: query,
@@ -231,29 +240,5 @@ impl Engine for ClusterEngine {
             }),
             trace,
         })
-    }
-}
-
-/// Destructuring helper keeping `execute` readable.
-struct ClusterReportParts {
-    query: QueryReport,
-    per_worker: Vec<ExecMetrics>,
-    failures: Vec<FailureEvent>,
-    checkpoint_bytes: u64,
-    /// (rehash, broadcast, gather, rows-per-worker) router traffic.
-    traffic: (u64, u64, u64, Vec<u64>),
-    trace: Option<ExecTrace>,
-}
-
-impl From<rex_cluster::report::ClusterReport> for ClusterReportParts {
-    fn from(r: rex_cluster::report::ClusterReport) -> ClusterReportParts {
-        ClusterReportParts {
-            query: r.query,
-            per_worker: r.per_worker,
-            failures: r.failures,
-            checkpoint_bytes: r.checkpoint_bytes,
-            traffic: (r.rehash_bytes, r.broadcast_bytes, r.gather_bytes, r.rows_routed),
-            trace: r.trace,
-        }
     }
 }

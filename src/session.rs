@@ -36,7 +36,7 @@ use crate::snapshot::{run_explain_analyze, run_read_query, text_rows, SnapshotVi
 use rex_core::delta::Delta;
 use rex_core::error::{Result, RexError};
 use rex_core::handlers::{AggHandler, JoinHandler, WhileHandler};
-use rex_core::metrics::{QueryReport, ReportSummary};
+use rex_core::metrics::QueryReport;
 use rex_core::telemetry::ExecTrace;
 use rex_core::tuple::{Field, Schema, Tuple};
 use rex_core::udf::{Registry, ScalarUdf};
@@ -79,7 +79,7 @@ impl QueryResult {
 
     /// Total simulated time in cost-model units.
     pub fn simulated_time(&self) -> f64 {
-        ReportSummary::simulated_time(&self.report)
+        self.report.simulated_time
     }
 
     /// Δ set sizes per stratum — the convergence trace.

@@ -9,7 +9,8 @@
 //!   recursive-fixpoint and aggregate plans with a worker killed at every
 //!   stratum boundary (the paper's iteration-`k` case), comparing each
 //!   recovered result against the unkilled baseline — which itself must
-//!   match the single-node engine on the same data;
+//!   match the single-node engine on the same data — with the drain on
+//!   one thread and on four;
 //! * **views** — sharded view maintenance (`rex_views::sharded`) with
 //!   workers killed between write batches via `Session::inject_failure`,
 //!   across seeds × kill-points × workers × strategies × view shapes
@@ -199,6 +200,11 @@ const REACH: &str = "
       SELECT edges.dst FROM edges, reach WHERE edges.src = reach.id
     )";
 
+/// Sweep thread ceilings: 1 (the requestor drains every worker itself)
+/// and 4 (it leases threads for the other shares, as many as the budget
+/// grants). Recovery must be bit-identical under both schedules.
+const SWEEP_THREADS: [usize; 2] = [1, 4];
+
 /// The paper's iteration-`k` case: a worker dies mid-fixpoint. Every
 /// (worker × stratum boundary × strategy) case must reproduce the
 /// baseline bit-for-bit, and the baseline must match the local engine.
@@ -208,15 +214,18 @@ fn recursive_fixpoint_chaos_sweep_is_bit_identical() {
     for seed in [SEEDS[0], SEEDS[1]] {
         let (cat, sc, rows) = graph_catalog(seed, 10);
         let plan = rex_rql::plan_rql(REACH, &sc, &reg).unwrap();
-        let report = ChaosSweep::new(3).run(&cat, &plan, &reg).unwrap();
-        assert!(report.baseline_strata > 3, "seed {seed}: want a real fixpoint");
-        assert!(report.injected() > 0, "seed {seed}: no kill fired");
-        report.assert_clean();
-        assert_eq!(
-            canon(report.baseline.clone()),
-            canon(local_rows(&rows, REACH)),
-            "seed {seed}: engines disagree before any fault"
-        );
+        let local = canon(local_rows(&rows, REACH));
+        for threads in SWEEP_THREADS {
+            let report = ChaosSweep::new(3).threads(threads).run(&cat, &plan, &reg).unwrap();
+            assert!(report.baseline_strata > 3, "seed {seed}: want a real fixpoint");
+            assert!(report.injected() > 0, "seed {seed}: no kill fired");
+            report.assert_clean();
+            assert_eq!(
+                canon(report.baseline.clone()),
+                local,
+                "seed {seed}, {threads} threads: engines disagree before any fault"
+            );
+        }
     }
 }
 
@@ -238,19 +247,22 @@ fn joined_recursion_sweeps_clean_and_flat_plans_have_no_kill_points() {
     let reg = rex::core::udf::Registry::with_builtins();
     let (cat, sc, rows) = graph_catalog(SEEDS[2], 12);
     let plan = rex_rql::plan_rql(HOPS, &sc, &reg).unwrap();
-    let report = ChaosSweep::new(4).run(&cat, &plan, &reg).unwrap();
-    assert!(report.injected() > 0, "no kill fired");
-    report.assert_clean();
-    assert_eq!(
-        canon(report.baseline.clone()),
-        canon(local_rows(&rows, HOPS)),
-        "engines disagree before any fault"
-    );
-
     let flat = "SELECT src, count(*), sum(dst) FROM edges GROUP BY src";
-    let plan = rex_rql::plan_rql(flat, &sc, &reg).unwrap();
-    let report = ChaosSweep::new(4).kill_strata(&[0]).run(&cat, &plan, &reg).unwrap();
-    assert_eq!(report.injected(), 0, "flat plans must have no stratum boundaries");
-    assert!(report.divergent().is_empty(), "un-killed runs must still match");
-    assert_eq!(canon(report.baseline.clone()), canon(local_rows(&rows, flat)));
+    let flat_plan = rex_rql::plan_rql(flat, &sc, &reg).unwrap();
+    for threads in SWEEP_THREADS {
+        let report = ChaosSweep::new(4).threads(threads).run(&cat, &plan, &reg).unwrap();
+        assert!(report.injected() > 0, "{threads} threads: no kill fired");
+        report.assert_clean();
+        assert_eq!(
+            canon(report.baseline.clone()),
+            canon(local_rows(&rows, HOPS)),
+            "{threads} threads: engines disagree before any fault"
+        );
+
+        let sweep = ChaosSweep::new(4).threads(threads).kill_strata(&[0]);
+        let report = sweep.run(&cat, &flat_plan, &reg).unwrap();
+        assert_eq!(report.injected(), 0, "flat plans must have no stratum boundaries");
+        assert!(report.divergent().is_empty(), "un-killed runs must still match");
+        assert_eq!(canon(report.baseline.clone()), canon(local_rows(&rows, flat)));
+    }
 }

@@ -7,8 +7,8 @@
 //!
 //! * the morsel/shard-parallel local engine (`lower_parallel` + shared
 //!   scan cursors + shard-by-key gates),
-//! * the threaded cluster drain scheduler (BSP rounds over worker
-//!   threads),
+//! * the cluster drain scheduler (BSP rounds; the requestor drains one
+//!   share of the workers and leased threads drain the rest),
 //! * materialized-view maintenance, which runs in one creation-order
 //!   pass on the writer's thread whatever the session's thread count —
 //!   the thread setting must not reach view state.
