@@ -19,8 +19,15 @@
 //! (parse → optimize → lower → execute → sorted rows, the same path users
 //! pay) and the best pass is reported as rows/sec and ns/row — the number
 //! the ROADMAP's "~240 ns/row in delta wrapping and cloning" claim turns
-//! into. Results land in `BENCH_exec.json`; CI enforces the per-config
-//! `floor` multiples over the pre-PR baselines recorded below.
+//! into. Results land in `BENCH_exec.json`. With `--baseline <path>`,
+//! naming the `BENCH_exec.json` this same file wrote when built inside an
+//! older tree on the same machine, the binary also prints each config's
+//! `baseline ns/row ÷ current ns/row` against its `floor` and exits 1
+//! below any floor:
+//!
+//! ```text
+//! cargo run --release -p rex-bench --bin exec_throughput -- --baseline BENCH_exec_baseline.json
+//! ```
 //!
 //! The same passes run with per-operator tracing off and on
 //! (`Session::set_telemetry`), in interleaved rounds on one session, and
@@ -57,10 +64,11 @@ const TELEMETRY_CAP: f64 = 1.03;
 /// build on the same dev machine; the *minimum* observed ns/row was
 /// recorded. They make local runs self-describing — CI does **not**
 /// compare against them: the bench-smoke job re-runs this binary at the
-/// pre-rework commit *on the same runner* and enforces each `floor` on
-/// that machine-independent ratio. Floors leave headroom for run-to-run
-/// noise: the gating scan→filter→project configs hold ≥2x with 25–40%
-/// margin. The join floors were regression guards (0.9 / 1.25) while
+/// pre-rework commit *on the same runner* and passes that run's output as
+/// `--baseline`, so each `floor` applies to a machine-independent ratio.
+/// Floors leave headroom for run-to-run noise: the gating
+/// scan→filter→project configs hold ≥2x with 25–40% margin. The join
+/// floors were regression guards (0.9 / 1.25) while
 /// the probe loop was cache-miss bound; the columnar-batch PR's
 /// integer-hash entropy fix, byte-estimated build-side selection, and
 /// hash-all-then-prefetch batched probes lifted local `join_group` to
@@ -239,7 +247,49 @@ fn measure(
     m
 }
 
+/// `ns_per_row` of `workload`/`engine` in a `BENCH_exec.json` this binary
+/// wrote.
+fn baseline_ns_per_row(json: &str, workload: &str, engine: &str) -> Option<f64> {
+    const KEY: &str = "\"ns_per_row\": ";
+    let block = &json[json.find(&format!("\"{workload}\": {{"))?..];
+    let entry = &block[block.find(&format!("\"{engine}\": {{"))?..];
+    let value = &entry[entry.find(KEY)? + KEY.len()..];
+    value[..value.find([',', ' ', '}'])?].parse().ok()
+}
+
+/// Print every config's speedup over the baseline run at `path` against
+/// its floor; return the configs below their floor.
+fn floor_misses(measurements: &[Measurement], path: &str) -> Vec<String> {
+    let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    println!("\nspeedup over the baseline run in {path}:");
+    let mut misses = Vec::new();
+    for m in measurements {
+        let old = baseline_ns_per_row(&json, m.workload, m.engine)
+            .unwrap_or_else(|| panic!("{path}: no ns_per_row for {}/{}", m.workload, m.engine));
+        let (got, floor) = (old / m.ns_per_row(), config(m.workload, m.engine).1);
+        let ok = got >= floor;
+        let verdict = if ok { "ok" } else { "BELOW FLOOR" };
+        println!("{}/{}: {got:.2}x (floor {floor}x) {verdict}", m.workload, m.engine);
+        if !ok {
+            misses.push(format!(
+                "{}/{}: {got:.2}x < required {floor}x over the baseline ({old} ns/row)",
+                m.workload, m.engine
+            ));
+        }
+    }
+    misses
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let baseline = match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--baseline" => Some(path.clone()),
+        _ => {
+            eprintln!("usage: exec_throughput [--baseline <BENCH_exec.json of the baseline tree>]");
+            std::process::exit(2);
+        }
+    };
     println!(
         "executor throughput, {ROWS} base rows, best of {ROUNDS} rounds x {PASSES} passes \
          per telemetry arm\n"
@@ -280,8 +330,14 @@ fn main() {
             Some(format!("{}/{} {:+.1}%", m.workload, m.engine, (r - 1.0) * 100.0))
         })
         .collect();
+    let misses = baseline.map_or(Vec::new(), |path| floor_misses(&measurements, &path));
     if !over.is_empty() {
         eprintln!("telemetry costs more than {TELEMETRY_CAP}x: {}", over.join("; "));
+    }
+    for miss in &misses {
+        eprintln!("{miss}");
+    }
+    if !over.is_empty() || !misses.is_empty() {
         std::process::exit(1);
     }
 }

@@ -15,8 +15,11 @@
 //! view-maintenance rules of Gupta/Mumick/Subrahmanian for the first three
 //! forms and dispatch `Update` to user code.
 
-use crate::tuple::Tuple;
+use crate::error::{Result, RexError};
+use crate::hash::FxHashMap;
+use crate::tuple::{sort_rows, Tuple};
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// The operation part of a delta (Definition 1).
@@ -101,21 +104,138 @@ impl Delta {
     pub fn byte_size(&self) -> usize {
         self.ann.byte_size() + self.tuple.byte_size()
     }
-
-    /// The net multiplicity effect of this delta on a bag: +1 for insert,
-    /// -1 for delete, 0 for replace/update (which modify in place).
-    pub fn multiplicity(&self) -> i64 {
-        match self.ann {
-            Annotation::Insert => 1,
-            Annotation::Delete => -1,
-            Annotation::Replace(_) | Annotation::Update(_) => 0,
-        }
-    }
 }
 
 impl fmt::Display for Delta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} {}", self.ann, self.tuple)
+    }
+}
+
+/// A Z-set: tuples with signed `i64` weights (DBSP's algebra, Budiu et al.,
+/// VLDB 2023). `+n` means the tuple gained `n` occurrences, `-n` that it
+/// lost `n`; adding two Z-sets adds weights, and joins multiply them —
+/// the count algebra the Gupta/Mumick rules reduce to for `+()` / `-()`.
+/// Zero weights are pruned eagerly, so `is_empty()` means "no net change".
+///
+/// Weights live in a hash map keyed by the deterministic
+/// [`FxHasher`](crate::hash::FxHasher), so every run of a program
+/// traverses in the same (arbitrary) order. [`rows`](ZSet::rows) is sorted;
+/// [`iter`](ZSet::iter), [`iter_rows`](ZSet::iter_rows) and
+/// [`to_deltas`](ZSet::to_deltas) are unordered, for consumers where order
+/// cannot matter (count algebra, feeding a dataflow).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ZSet {
+    weights: FxHashMap<Tuple, i64>,
+}
+
+impl ZSet {
+    /// The empty Z-set.
+    pub fn new() -> ZSet {
+        ZSet::default()
+    }
+
+    /// Whole rows, each with weight 1 (duplicates accumulate).
+    pub fn from_rows<I: IntoIterator<Item = Tuple>>(rows: I) -> ZSet {
+        let mut z = ZSet::new();
+        for r in rows {
+            z.add(r, 1);
+        }
+        z
+    }
+
+    /// Annotated deltas folded in order (see [`add_delta`](ZSet::add_delta)).
+    pub fn from_deltas(deltas: &[Delta]) -> Result<ZSet> {
+        let mut z = ZSet::new();
+        for d in deltas {
+            z.add_delta(d.clone())?;
+        }
+        Ok(z)
+    }
+
+    /// Fold in one annotated delta: `+()` is `+t`, `-()` is `-t`, and
+    /// `→(t')` is `-t' + t`. A programmable `δ(E)` has no set-level
+    /// meaning and is refused.
+    pub fn add_delta(&mut self, d: Delta) -> Result<()> {
+        match d.ann {
+            Annotation::Insert => self.add(d.tuple, 1),
+            Annotation::Delete => self.add(d.tuple, -1),
+            Annotation::Replace(old) => {
+                self.add(old, -1);
+                self.add(d.tuple, 1);
+            }
+            Annotation::Update(_) => {
+                return Err(RexError::Plan("a programmable δ(E) delta has no Z-set weight".into()))
+            }
+        }
+        Ok(())
+    }
+
+    /// Add `n` to `t`'s weight, pruning it at zero.
+    pub fn add(&mut self, t: Tuple, n: i64) {
+        if n == 0 {
+            return;
+        }
+        match self.weights.entry(t) {
+            Entry::Occupied(mut o) => {
+                *o.get_mut() += n;
+                if *o.get() == 0 {
+                    o.remove();
+                }
+            }
+            Entry::Vacant(v) => {
+                v.insert(n);
+            }
+        }
+    }
+
+    /// Add every weight of `other`, scaled by `factor` (`-1` subtracts).
+    pub fn merge_scaled(&mut self, other: &ZSet, factor: i64) {
+        for (t, n) in &other.weights {
+            self.add(t.clone(), n * factor);
+        }
+    }
+
+    /// `t`'s weight (0 when absent).
+    pub fn weight(&self, t: &Tuple) -> i64 {
+        self.weights.get(t).copied().unwrap_or(0)
+    }
+
+    /// Whether every weight is zero.
+    pub fn is_empty(&self) -> bool {
+        self.weights.is_empty()
+    }
+
+    /// `(tuple, weight)` pairs in unspecified (per program deterministic)
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, i64)> {
+        self.weights.iter().map(|(t, &n)| (t, n))
+    }
+
+    /// Each tuple by reference once per unit of positive weight, in
+    /// unspecified order: [`rows`](ZSet::rows) without the clones.
+    pub fn iter_rows(&self) -> impl Iterator<Item = &Tuple> {
+        self.weights
+            .iter()
+            .filter(|(_, &n)| n > 0)
+            .flat_map(|(t, &n)| std::iter::repeat_n(t, n as usize))
+    }
+
+    /// The bag of positive weights as sorted rows — what a query observes.
+    pub fn rows(&self) -> Vec<Tuple> {
+        let mut out: Vec<Tuple> = self.iter_rows().cloned().collect();
+        sort_rows(&mut out);
+        out
+    }
+
+    /// `|n|` copies of `+()` or `-()` per tuple, in unspecified order.
+    pub fn to_deltas(&self) -> Vec<Delta> {
+        let mut out = Vec::with_capacity(self.weights.len());
+        for (t, &n) in &self.weights {
+            let make = if n > 0 { Delta::insert } else { Delta::delete };
+            out.extend(std::iter::repeat_n(t, n.unsigned_abs() as usize).map(|t| make(t.clone())));
+        }
+        out
     }
 }
 
@@ -178,12 +298,53 @@ mod tests {
     }
 
     #[test]
-    fn multiplicity_rules() {
-        let t = tuple![1i64];
-        assert_eq!(Delta::insert(t.clone()).multiplicity(), 1);
-        assert_eq!(Delta::delete(t.clone()).multiplicity(), -1);
-        assert_eq!(Delta::replace(t.clone(), t.clone()).multiplicity(), 0);
-        assert_eq!(Delta::update(t, Value::Null).multiplicity(), 0);
+    fn zset_add_prunes_cancellations() {
+        let mut z = ZSet::new();
+        z.add(tuple![1i64], 2);
+        z.add(tuple![1i64], -2);
+        assert!(z.is_empty());
+        z.add(tuple![2i64], -1);
+        assert_eq!(z.iter().count(), 1);
+        assert_eq!(z.weight(&tuple![2i64]), -1);
+        assert_eq!(z.weight(&tuple![1i64]), 0);
+        assert!(z.rows().is_empty(), "negative weights carry no rows");
+    }
+
+    #[test]
+    fn zset_from_deltas_applies_annotation_algebra() {
+        let z = ZSet::from_deltas(&[
+            Delta::insert(tuple![1i64]),
+            Delta::insert(tuple![1i64]),
+            Delta::delete(tuple![2i64]),
+            Delta::replace(tuple![1i64], tuple![3i64]),
+        ])
+        .unwrap();
+        assert_eq!(z.rows(), vec![tuple![1i64], tuple![3i64]]);
+        assert_eq!(z.weight(&tuple![2i64]), -1);
+        assert!(ZSet::from_deltas(&[Delta::update(tuple![1i64], Value::Int(1))]).is_err());
+    }
+
+    #[test]
+    fn zset_rows_expand_weights_sorted() {
+        let mut z = ZSet::from_rows(vec![tuple![2i64], tuple![1i64], tuple![2i64]]);
+        assert_eq!(z.rows(), vec![tuple![1i64], tuple![2i64], tuple![2i64]]);
+        let mut d = ZSet::new();
+        d.add(tuple![2i64], -1);
+        z.merge_scaled(&d, 1);
+        assert_eq!(z.rows(), vec![tuple![1i64], tuple![2i64]]);
+        assert_eq!(d.to_deltas(), vec![Delta::delete(tuple![2i64])]);
+        // Scaling by −1 and adding back is the inverse.
+        z.merge_scaled(&z.clone(), -1);
+        assert!(z.is_empty());
+    }
+
+    #[test]
+    fn zset_iter_rows_borrows_positive_weights() {
+        let mut z = ZSet::from_rows(vec![tuple![1i64], tuple![2i64], tuple![2i64]]);
+        z.add(tuple![9i64], -3);
+        let mut seen: Vec<Tuple> = z.iter_rows().cloned().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, z.rows(), "negative entries yield no rows");
     }
 
     #[test]

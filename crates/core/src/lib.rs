@@ -14,7 +14,9 @@
 //! This crate provides:
 //!
 //! * the value/tuple/schema layer ([`value`], [`mod@tuple`]);
-//! * deltas, annotations and punctuation ([`delta`]);
+//! * deltas, annotations and punctuation ([`delta`]), and the Z-set
+//!   ([`delta::ZSet`]): tuples with signed weights, the one counted
+//!   multiset that views, the sink and top-k keep;
 //! * scalar expressions ([`expr`]) and user-defined code ([`udf`],
 //!   [`handlers`], [`aggregates`], [`builtins`]);
 //! * the physical operators ([`operators`]): scan, filter, project,

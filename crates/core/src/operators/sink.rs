@@ -1,8 +1,7 @@
 //! Result sink: materializes the delta stream into a final relation.
 
-use crate::delta::{Annotation, Delta, Punctuation};
+use crate::delta::{Annotation, Delta, Punctuation, ZSet};
 use crate::error::Result;
-use crate::hash::FxHashMap;
 use crate::operators::{OpCtx, Operator};
 use crate::tuple::{sort_rows, Tuple};
 
@@ -13,22 +12,9 @@ enum SinkState {
     /// data, so the sink finds out from the data — the first non-insert
     /// delta degrades it to [`SinkState::Counted`].
     Append(Vec<Tuple>),
-    /// General path: tuple → net multiplicity, so deletes and replacements
+    /// General path: the rows as a Z-set, so deletes and replacements
     /// apply in O(1) instead of scanning a bag.
-    Counted(FxHashMap<Tuple, i64>),
-}
-
-impl SinkState {
-    /// Remove one occurrence of `t` if any is stored (mirrors the old
-    /// bag's "remove one if present" semantics). Counted form only.
-    fn remove_one(counts: &mut FxHashMap<Tuple, i64>, t: &Tuple) {
-        if let Some(c) = counts.get_mut(t) {
-            *c -= 1;
-            if *c == 0 {
-                counts.remove(t);
-            }
-        }
-    }
+    Counted(ZSet),
 }
 
 /// Applies deltas to a result bag. At the query requestor this is where
@@ -56,27 +42,11 @@ impl SinkOp {
         self.eos
     }
 
-    /// Leave the append path: rebuild the counted multiset from whatever
-    /// was appended so far.
-    fn degrade(&mut self) -> &mut FxHashMap<Tuple, i64> {
-        if let SinkState::Append(v) = &mut self.state {
-            let mut counts: FxHashMap<Tuple, i64> = FxHashMap::default();
-            for t in v.drain(..) {
-                *counts.entry(t).or_insert(0) += 1;
-            }
-            self.state = SinkState::Counted(counts);
-        }
-        match &mut self.state {
-            SinkState::Counted(c) => c,
-            SinkState::Append(_) => unreachable!("just converted"),
-        }
-    }
-
     /// Current materialized results (sorted for determinism).
     pub fn results(&self) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = match &self.state {
+        let mut v = match &self.state {
             SinkState::Append(rows) => rows.clone(),
-            SinkState::Counted(counts) => expand(counts),
+            SinkState::Counted(z) => return z.rows(),
         };
         sort_rows(&mut v);
         v
@@ -86,22 +56,11 @@ impl SinkOp {
     pub fn take_results(&mut self) -> Vec<Tuple> {
         let mut v = match &mut self.state {
             SinkState::Append(rows) => std::mem::take(rows),
-            SinkState::Counted(counts) => expand(&std::mem::take(counts)),
+            SinkState::Counted(z) => return std::mem::take(z).rows(),
         };
         sort_rows(&mut v);
         v
     }
-}
-
-/// Expand a counted multiset into rows (positive counts only).
-fn expand(counts: &FxHashMap<Tuple, i64>) -> Vec<Tuple> {
-    let mut v = Vec::with_capacity(counts.len());
-    for (t, &n) in counts {
-        for _ in 0..n.max(0) {
-            v.push(t.clone());
-        }
-    }
-    v
 }
 
 impl Operator for SinkOp {
@@ -119,21 +78,23 @@ impl Operator for SinkOp {
                 }
                 return Ok(());
             }
+            // Leave the append path: the Z-set starts from what was appended.
+            self.state = SinkState::Counted(ZSet::from_rows(std::mem::take(rows)));
         }
-        let counts = match &mut self.state {
-            SinkState::Counted(c) => c,
-            SinkState::Append(_) => self.degrade(),
-        };
+        let SinkState::Counted(z) = &mut self.state else { unreachable!("just degraded") };
         for d in deltas {
-            match d.ann {
-                Annotation::Insert | Annotation::Update(_) => {
-                    *counts.entry(d.tuple).or_insert(0) += 1;
-                }
-                Annotation::Delete => SinkState::remove_one(counts, &d.tuple),
-                Annotation::Replace(old) => {
-                    SinkState::remove_one(counts, &old);
-                    *counts.entry(d.tuple).or_insert(0) += 1;
-                }
+            let (gone, new) = match d.ann {
+                Annotation::Insert | Annotation::Update(_) => (None, Some(d.tuple)),
+                Annotation::Delete => (Some(d.tuple), None),
+                Annotation::Replace(old) => (Some(old), Some(d.tuple)),
+            };
+            // A row leaves only if the sink holds it: a delete of an
+            // absent row is a no-op, as the bag-backed sink always had it.
+            if let Some(t) = gone.filter(|t| z.weight(t) > 0) {
+                z.add(t, -1);
+            }
+            if let Some(t) = new {
+                z.add(t, 1);
             }
         }
         Ok(())
@@ -144,11 +105,7 @@ impl Operator for SinkOp {
         ctx.charge_input(rows.len());
         match &mut self.state {
             SinkState::Append(v) => v.extend(rows),
-            SinkState::Counted(counts) => {
-                for t in rows {
-                    *counts.entry(t).or_insert(0) += 1;
-                }
-            }
+            SinkState::Counted(z) => rows.into_iter().for_each(|t| z.add(t, 1)),
         }
         Ok(())
     }
@@ -214,6 +171,14 @@ mod tests {
         // (upsert, as the bag-backed sink always did).
         drive(&mut s, vec![Delta::replace(tuple![7i64], tuple![8i64])]);
         assert_eq!(s.results(), vec![tuple![1i64], tuple![8i64]]);
+    }
+
+    #[test]
+    fn delete_before_insert_leaves_one_copy() {
+        let mut s = SinkOp::new();
+        drive(&mut s, vec![Delta::delete(tuple![4i64])]);
+        drive(&mut s, vec![Delta::insert(tuple![4i64])]);
+        assert_eq!(s.results(), vec![tuple![4i64]]);
     }
 
     #[test]

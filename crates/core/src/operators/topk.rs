@@ -1,6 +1,6 @@
 //! Top-k selection: the physical operator behind `ORDER BY … LIMIT`.
 //!
-//! The operator buffers its input as a counted multiset and, on every
+//! The operator buffers its input as a [`ZSet`] and, on every
 //! punctuation, re-derives the current *selection* — the rows that survive
 //! `OFFSET`/`LIMIT` under the sort order — and emits the **diff** against
 //! what it last emitted. Downstream sinks apply deltas, so repeated
@@ -18,10 +18,9 @@
 //! gather boundary, and a *final* top-k applying the true offset and
 //! limit at the gather owner — the classic scatter/gather top-k.
 
-use crate::delta::{Annotation, Delta, Punctuation};
+use crate::delta::{Annotation, Delta, Punctuation, ZSet};
 use crate::error::Result;
 use crate::expr::Expr;
-use crate::hash::FxHashMap;
 use crate::operators::{OpCtx, Operator};
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -76,24 +75,24 @@ pub struct TopKOp {
     keys: Vec<SortSpec>,
     fetch: Option<usize>,
     offset: usize,
-    /// Input multiset: tuple → net multiplicity.
-    buffer: FxHashMap<Tuple, i64>,
+    /// Input multiset.
+    buffer: ZSet,
     /// What the operator currently contributes downstream.
-    emitted: FxHashMap<Tuple, i64>,
+    emitted: ZSet,
 }
 
 impl TopKOp {
     /// Select `fetch` rows (all when `None`) after skipping `offset`, in
     /// the order given by `keys` (full-tuple tie-break).
     pub fn new(keys: Vec<SortSpec>, fetch: Option<usize>, offset: usize) -> TopKOp {
-        TopKOp { keys, fetch, offset, buffer: FxHashMap::default(), emitted: FxHashMap::default() }
+        TopKOp { keys, fetch, offset, buffer: ZSet::new(), emitted: ZSet::new() }
     }
 
-    /// Compute the current selection as a counted multiset.
-    fn selection(&self, ctx: &mut OpCtx<'_>) -> Result<Vec<(Tuple, i64)>> {
+    /// Compute the current selection.
+    fn selection(&self, ctx: &mut OpCtx<'_>) -> Result<ZSet> {
         // Evaluate the sort keys once per distinct tuple.
         let mut entries: Vec<(Vec<Value>, &Tuple, i64)> = Vec::new();
-        for (t, &n) in self.buffer.iter() {
+        for (t, n) in self.buffer.iter() {
             if n <= 0 {
                 continue; // cancelled rows contribute nothing
             }
@@ -107,7 +106,7 @@ impl TopKOp {
         entries.sort_unstable_by(|a, b| compare_by_keys(&self.keys, &a.0, a.1, &b.0, b.1));
         // Walk the sorted multiset, skipping `offset` rows and taking
         // `fetch`, splitting multiplicities at the boundaries.
-        let mut out = Vec::new();
+        let mut out = ZSet::new();
         let mut skip = self.offset as i64;
         let mut take = self.fetch.map(|f| f as i64);
         for (_, t, n) in entries {
@@ -121,14 +120,14 @@ impl TopKOp {
                 continue;
             }
             match &mut take {
-                None => out.push((t.clone(), n)),
+                None => out.add(t.clone(), n),
                 Some(rem) => {
                     if *rem == 0 {
                         break;
                     }
                     let took = n.min(*rem);
                     *rem -= took;
-                    out.push((t.clone(), took));
+                    out.add(t.clone(), took);
                 }
             }
         }
@@ -150,15 +149,11 @@ impl Operator for TopKOp {
         ctx.charge_input(deltas.len());
         for d in deltas {
             match d.ann {
-                Annotation::Insert | Annotation::Update(_) => {
-                    *self.buffer.entry(d.tuple).or_insert(0) += 1;
-                }
-                Annotation::Delete => {
-                    *self.buffer.entry(d.tuple).or_insert(0) -= 1;
-                }
+                Annotation::Insert | Annotation::Update(_) => self.buffer.add(d.tuple, 1),
+                Annotation::Delete => self.buffer.add(d.tuple, -1),
                 Annotation::Replace(old) => {
-                    *self.buffer.entry(old).or_insert(0) -= 1;
-                    *self.buffer.entry(d.tuple).or_insert(0) += 1;
+                    self.buffer.add(old, -1);
+                    self.buffer.add(d.tuple, 1);
                 }
             }
         }
@@ -167,28 +162,19 @@ impl Operator for TopKOp {
 
     fn on_punct(&mut self, _port: usize, p: Punctuation, ctx: &mut OpCtx<'_>) -> Result<()> {
         let selection = self.selection(ctx)?;
-        // Diff the new selection against what was last emitted.
-        let mut diff: FxHashMap<Tuple, i64> =
-            self.emitted.iter().map(|(t, n)| (t.clone(), -n)).collect();
-        for (t, n) in &selection {
-            *diff.entry(t.clone()).or_insert(0) += n;
-        }
-        let mut out = Vec::new();
-        for (t, n) in diff {
-            let d = if n > 0 { Delta::insert(t) } else { Delta::delete(t) };
-            for _ in 0..n.abs() {
-                out.push(d.clone());
-            }
-        }
-        self.emitted = selection.into_iter().collect();
-        ctx.emit(0, out);
+        // Emit the new selection minus what was last emitted.
+        let mut diff = ZSet::new();
+        diff.merge_scaled(&self.emitted, -1);
+        diff.merge_scaled(&selection, 1);
+        self.emitted = selection;
+        ctx.emit(0, diff.to_deltas());
         ctx.punct(0, p);
         Ok(())
     }
 
     fn reset(&mut self) {
-        self.buffer.clear();
-        self.emitted.clear();
+        self.buffer = ZSet::new();
+        self.emitted = ZSet::new();
     }
 }
 
@@ -296,6 +282,19 @@ mod tests {
                 Delta::insert(tuple![3i64]),
             ]
         );
+    }
+
+    #[test]
+    fn cancelled_tuples_leave_no_entries() {
+        let mut op = TopKOp::new(vec![SortSpec::asc(Expr::col(0))], Some(2), 0);
+        for round in 0..3i64 {
+            let rows: Vec<Tuple> = (0..4).map(|i| tuple![round * 10 + i]).collect();
+            drive(&mut op, rows.iter().cloned().map(Delta::insert).collect(), true);
+            let out = drive(&mut op, rows.into_iter().map(Delta::delete).collect(), true);
+            assert_eq!(out.len(), 2, "round {round}: the selection is retracted");
+        }
+        assert!(op.buffer.is_empty(), "cancelled tuples stay in the input multiset");
+        assert!(op.emitted.is_empty());
     }
 
     #[test]

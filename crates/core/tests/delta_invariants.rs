@@ -5,7 +5,7 @@
 //! every run exercises the same case set deterministically.
 
 use rex_core::aggregates::{CountAgg, MaxAgg, MinAgg, SumAgg};
-use rex_core::delta::Delta;
+use rex_core::delta::{Delta, ZSet};
 use rex_core::handlers::AggHandler;
 use rex_core::tuple::Tuple;
 use rex_core::value::Value;
@@ -169,15 +169,10 @@ mod join_props {
             let right = pairs(case * 13 + 7, 25);
             let interleave = splitmix(&mut (case + 17).clone());
             let mut op = HashJoinOp::new(vec![0], vec![0]);
-            let mut net: HashMap<Tuple, i64> = HashMap::new();
+            let mut out = Vec::new();
             let mut l = left.iter();
             let mut r = right.iter();
             let mut bits = interleave;
-            let acc = |out: Vec<Delta>, net: &mut HashMap<Tuple, i64>| {
-                for d in out {
-                    *net.entry(d.tuple.clone()).or_default() += d.multiplicity();
-                }
-            };
             loop {
                 let from_left = bits & 1 == 0;
                 bits = bits.rotate_right(1);
@@ -185,33 +180,19 @@ mod join_props {
                     if from_left { l.next().map(|x| (x, 0)) } else { r.next().map(|x| (x, 1)) };
                 let Some((&(k, v), port)) = next else {
                     // Drain whichever side remains.
-                    for &(k, v) in l.by_ref() {
-                        let out = drive(
-                            &mut op,
-                            0,
-                            vec![Delta::insert(Tuple::new(vec![Value::Int(k), Value::Int(v)]))],
-                        );
-                        acc(out, &mut net);
-                    }
-                    for &(k, v) in r.by_ref() {
-                        let out = drive(
-                            &mut op,
-                            1,
-                            vec![Delta::insert(Tuple::new(vec![Value::Int(k), Value::Int(v)]))],
-                        );
-                        acc(out, &mut net);
+                    for (port, rest) in [(0, l.by_ref()), (1, r.by_ref())] {
+                        for &(k, v) in rest {
+                            let t = Tuple::new(vec![Value::Int(k), Value::Int(v)]);
+                            out.extend(drive(&mut op, port, vec![Delta::insert(t)]));
+                        }
                     }
                     break;
                 };
-                let out = drive(
-                    &mut op,
-                    port,
-                    vec![Delta::insert(Tuple::new(vec![Value::Int(k), Value::Int(v)]))],
-                );
-                acc(out, &mut net);
+                let t = Tuple::new(vec![Value::Int(k), Value::Int(v)]);
+                out.extend(drive(&mut op, port, vec![Delta::insert(t)]));
             }
             // Batch join ground truth.
-            let mut want: HashMap<Tuple, i64> = HashMap::new();
+            let mut want = ZSet::new();
             for &(lk, lv) in &left {
                 for &(rk, rv) in &right {
                     if lk == rk {
@@ -221,12 +202,11 @@ mod join_props {
                             Value::Int(rk),
                             Value::Int(rv),
                         ]);
-                        *want.entry(t).or_default() += 1;
+                        want.add(t, 1);
                     }
                 }
             }
-            net.retain(|_, m| *m != 0);
-            assert_eq!(net, want, "case {case}");
+            assert_eq!(ZSet::from_deltas(&out).unwrap(), want, "case {case}");
         }
     }
 }

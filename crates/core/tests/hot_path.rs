@@ -6,7 +6,7 @@
 //! deletions, and replacements.
 
 use rex_core::col::ColumnBatch;
-use rex_core::delta::{Annotation, Delta, Punctuation};
+use rex_core::delta::{Annotation, Delta, Punctuation, ZSet};
 use rex_core::expr::{BinOp, Expr};
 use rex_core::hash::FxHashMap;
 use rex_core::metrics::{CostModel, ExecMetrics};
@@ -95,31 +95,11 @@ fn punct(op: &mut dyn Operator) -> Vec<Delta> {
         .collect()
 }
 
-/// Fold emitted deltas into a net counted multiset.
-fn accumulate(acc: &mut FxHashMap<Tuple, i64>, deltas: &[Delta]) {
-    for d in deltas {
-        match &d.ann {
-            Annotation::Insert => *acc.entry(d.tuple.clone()).or_insert(0) += 1,
-            Annotation::Delete => *acc.entry(d.tuple.clone()).or_insert(0) -= 1,
-            Annotation::Replace(old) => {
-                *acc.entry(old.clone()).or_insert(0) -= 1;
-                *acc.entry(d.tuple.clone()).or_insert(0) += 1;
-            }
-            Annotation::Update(_) => unreachable!("sweep emits no δ(E) deltas"),
-        }
-    }
-}
-
-fn bag_rows(bag: &FxHashMap<Tuple, i64>) -> Vec<Tuple> {
-    let mut out = Vec::new();
-    for (t, &n) in bag {
-        assert!(n >= 0, "negative net multiplicity for {t}");
-        for _ in 0..n {
-            out.push(t.clone());
-        }
-    }
-    out.sort_unstable();
-    out
+/// Emitted deltas as a Z-set, which must hold no negative weight.
+fn net(deltas: &[Delta]) -> ZSet {
+    let z = ZSet::from_deltas(deltas).expect("sweep emits no δ(E) deltas");
+    assert!(z.iter().all(|(_, n)| n >= 0), "negative net multiplicity in {z:?}");
+    z
 }
 
 /// A random delta against `bag` (the oracle's copy of one join side):
@@ -162,14 +142,13 @@ fn keyed_join_matches_bruteforce_oracle_under_random_deltas() {
         let mut rng = Rng(seed);
         let mut join = HashJoinOp::new(vec![0], vec![0]);
         let (mut left, mut right): (Vec<Tuple>, Vec<Tuple>) = (Vec::new(), Vec::new());
-        let mut net: FxHashMap<Tuple, i64> = FxHashMap::default();
+        let mut out = Vec::new();
         for _ in 0..60 {
             let from_left = rng.range(2) == 0;
             let bag = if from_left { &mut left } else { &mut right };
             let batch: Vec<Delta> =
                 (0..rng.range(6) + 1).map(|_| random_delta(&mut rng, bag)).collect();
-            let out = drive(&mut join, usize::from(!from_left), batch);
-            accumulate(&mut net, &out);
+            out.extend(drive(&mut join, usize::from(!from_left), batch));
         }
         // Brute-force join of the final bags.
         let mut expected: Vec<Tuple> = Vec::new();
@@ -180,8 +159,7 @@ fn keyed_join_matches_bruteforce_oracle_under_random_deltas() {
                 }
             }
         }
-        expected.sort_unstable();
-        assert_eq!(bag_rows(&net), expected, "seed {seed}");
+        assert_eq!(net(&out), ZSet::from_rows(expected), "seed {seed}");
     }
 }
 
@@ -202,7 +180,7 @@ fn keyed_group_by_matches_running_oracle_under_random_deltas() {
         // Oracle: per-group running (sum, count) under the same deltas.
         let mut oracle: FxHashMap<i64, (f64, i64)> = FxHashMap::default();
         let mut bag: Vec<Tuple> = Vec::new();
-        let mut emitted: FxHashMap<Tuple, i64> = FxHashMap::default();
+        let mut emitted = Vec::new();
         for _ in 0..40 {
             let batch: Vec<Delta> = (0..rng.range(5) + 1)
                 .map(|_| {
@@ -233,14 +211,11 @@ fn keyed_group_by_matches_running_oracle_under_random_deltas() {
                     _ => unreachable!(),
                 }
             }
-            let mut out = drive(&mut gb, 0, batch);
-            out.extend(punct(&mut gb));
-            accumulate(&mut emitted, &out);
+            emitted.extend(drive(&mut gb, 0, batch));
+            emitted.extend(punct(&mut gb));
         }
-        let mut expected: Vec<Tuple> =
-            oracle.iter().map(|(&k, &(sum, count))| tuple![k, sum, count]).collect();
-        expected.sort_unstable();
-        assert_eq!(bag_rows(&emitted), expected, "seed {seed}");
+        let expected = oracle.iter().map(|(&k, &(sum, count))| tuple![k, sum, count]);
+        assert_eq!(net(&emitted), ZSet::from_rows(expected), "seed {seed}");
     }
 }
 
@@ -354,8 +329,7 @@ fn join_group_row_lane_matches_delta_lane_across_batch_sizes() {
         };
         let mut gd = GroupByOp::new(vec![0], specs());
         let mut gr = GroupByOp::new(vec![0], specs());
-        let (mut net_d, mut net_r) = (FxHashMap::default(), FxHashMap::default());
-        let (mut grp_d, mut grp_r) = (FxHashMap::default(), FxHashMap::default());
+        let (mut net_d, mut net_r, mut grp_d, mut grp_r) = (vec![], vec![], vec![], vec![]);
         for _ in 0..40 {
             // 1..=16 rows: below and above the join's batch threshold.
             let rows: Vec<Tuple> = (0..rng.range(16) + 1)
@@ -363,15 +337,15 @@ fn join_group_row_lane_matches_delta_lane_across_batch_sizes() {
                 .collect();
             let deltas: Vec<Delta> = rows.iter().cloned().map(Delta::insert).collect();
             let port = rng.range(2) as usize;
-            accumulate(&mut net_d, &drive(&mut jd, port, deltas.clone()));
-            accumulate(&mut net_r, &drive_rows(&mut jr, port, rows.clone()));
-            accumulate(&mut grp_d, &drive(&mut gd, 0, deltas));
-            accumulate(&mut grp_r, &drive_rows(&mut gr, 0, rows));
+            net_d.extend(drive(&mut jd, port, deltas.clone()));
+            net_r.extend(drive_rows(&mut jr, port, rows.clone()));
+            grp_d.extend(drive(&mut gd, 0, deltas));
+            grp_r.extend(drive_rows(&mut gr, 0, rows));
         }
-        assert_eq!(bag_rows(&net_d), bag_rows(&net_r), "seed {seed}: join lanes diverge");
-        accumulate(&mut grp_d, &punct(&mut gd));
-        accumulate(&mut grp_r, &punct(&mut gr));
-        assert_eq!(bag_rows(&grp_d), bag_rows(&grp_r), "seed {seed}: group lanes diverge");
+        assert_eq!(net(&net_d), net(&net_r), "seed {seed}: join lanes diverge");
+        grp_d.extend(punct(&mut gd));
+        grp_r.extend(punct(&mut gr));
+        assert_eq!(net(&grp_d), net(&grp_r), "seed {seed}: group lanes diverge");
     }
 }
 

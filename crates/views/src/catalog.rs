@@ -7,10 +7,9 @@
 //! special casing, and the optimizer reads view cardinalities for free.
 //! This catalog holds the views' definitions and maintenance state only.
 
-use crate::delta_set::DeltaSet;
 use crate::sharded::RecoveryStrategy;
 use crate::view::MaterializedView;
-use rex_core::delta::Delta;
+use rex_core::delta::{Delta, ZSet};
 use rex_core::error::{Result, RexError};
 use rex_core::udf::Registry;
 use rex_storage::catalog::Catalog;
@@ -200,18 +199,18 @@ impl ViewCatalog {
         store: &Catalog,
         reg: &Registry,
     ) -> Result<Vec<String>> {
-        let initial = DeltaSet::from_deltas(deltas)?;
+        let initial = ZSet::from_deltas(deltas)?;
         if initial.is_empty() {
             return Ok(Vec::new());
         }
         // Final deltas of this pass, by relation: the base table plus the
         // output of every view that has run and changed.
-        let mut changed: BTreeMap<String, DeltaSet> = BTreeMap::new();
+        let mut changed: BTreeMap<String, ZSet> = BTreeMap::new();
         changed.insert(table.to_ascii_lowercase(), initial);
         let mut touched = Vec::new();
         for name in &self.order {
             let view = self.views.get_mut(name).expect("view exists");
-            let batches: Vec<(&str, &DeltaSet)> = view
+            let batches: Vec<(&str, &ZSet)> = view
                 .base_tables()
                 .iter()
                 .filter_map(|t| changed.get_key_value(t))

@@ -44,7 +44,7 @@
 //! a query runs, with every scan punctuated on each stratum of the
 //! executor's one clock so the step joins align with the fixpoint's
 //! feedback. The root's output crosses a gather boundary into the outbox,
-//! and that emission *is* the view delta, folded into a [`DeltaSet`] once,
+//! and that emission *is* the view delta, folded into a [`ZSet`] once,
 //! at the view boundary. The graph holds no copy of the view's contents.
 //!
 //! Shapes the rules don't cover — other recursion, ORDER BY/LIMIT, user
@@ -52,7 +52,7 @@
 //! descriptive error; the view layer then falls back to full
 //! recomputation.
 
-use crate::delta_set::DeltaSet;
+use rex_core::delta::ZSet;
 use rex_core::error::{Result, RexError};
 use rex_core::exec::{Executor, NodeId};
 use rex_core::handlers::AggOutputKind;
@@ -177,8 +177,8 @@ impl ViewFlow {
     /// next batch. A recursive flow takes inserts only (a delete is the
     /// caller's to handle by rebuilding; see
     /// [`MaterializedView::on_change`](crate::view::MaterializedView::on_change)).
-    pub fn apply(&mut self, table: &str, batch: &DeltaSet, reg: &Registry) -> Result<DeltaSet> {
-        let mut out = DeltaSet::new();
+    pub fn apply(&mut self, table: &str, batch: &ZSet, reg: &Registry) -> Result<ZSet> {
+        let mut out = ZSet::new();
         let mut targets: Vec<NodeId> =
             self.scans.iter().filter(|(t, _)| t == table).map(|&(_, id)| id).collect();
         let Some(last) = targets.pop().filter(|_| !batch.is_empty()) else { return Ok(out) };
@@ -223,6 +223,7 @@ mod tests {
     use rex_core::tuple;
     use rex_core::tuple::{Schema, Tuple};
     use rex_core::value::DataType;
+    use rex_data::rng::StdRng;
     use rex_rql::logical::plan_text;
     use rex_rql::SchemaCatalog;
 
@@ -238,8 +239,8 @@ mod tests {
         ViewFlow::new(&plan_text(sql, &catalog(), &reg).unwrap(), &reg).unwrap()
     }
 
-    fn inserts(rows: Vec<Tuple>) -> DeltaSet {
-        DeltaSet::from_rows(rows)
+    fn inserts(rows: Vec<Tuple>) -> ZSet {
+        ZSet::from_rows(rows)
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
             n.apply("edges", &inserts(vec![tuple![0i64, 1i64], tuple![5i64, 6i64]]), &reg).unwrap();
         assert_eq!(out.rows(), vec![tuple![1i64]]);
         // Deleting the matching row retracts its projection.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![0i64, 1i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
         assert_eq!(out.to_deltas(), vec![Delta::delete(tuple![1i64])]);
@@ -269,7 +270,7 @@ mod tests {
         let out = n.apply("edges", &inserts(vec![tuple![7i64, 1i64]]), &reg).unwrap();
         assert_eq!(out.rows(), vec![tuple![1i64, 0.5f64]]);
         // Deleting the right row retracts both join results.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![1i64, 0.5f64], -1);
         let out = n.apply("weights", &del, &reg).unwrap();
         assert_eq!(out.rows().len(), 0);
@@ -302,7 +303,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.rows(), vec![tuple![0i64, 2i64, 3.0f64], tuple![9i64, 1i64, 4.0f64]]);
         // Delete the only row of group 9: its output row disappears.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![9i64, 4i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
         assert_eq!(out.to_deltas(), vec![Delta::delete(tuple![9i64, 1i64, 4.0f64])]);
@@ -323,12 +324,12 @@ mod tests {
         .unwrap();
         // Delete the current minimum: the multiset recovers 5 without
         // revisiting the group's other rows.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![0i64, 3i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
         assert_eq!(out.rows(), vec![tuple![0i64, 5i64, 8i64]]);
         // Delete the maximum too.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![0i64, 8i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
         assert_eq!(out.rows(), vec![tuple![0i64, 5i64, 5i64]]);
@@ -343,12 +344,12 @@ mod tests {
             n.apply("edges", &inserts(vec![tuple![0i64, 1i64], tuple![0i64, 2i64]]), &reg).unwrap();
         assert_eq!(out.rows(), vec![tuple![0i64]]);
         // Deleting one of them keeps the distinct row (count 2 → 1)…
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![0i64, 1i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
         assert!(out.is_empty(), "distinct row survives while any source row remains");
         // …and deleting the last retracts it.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![0i64, 2i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
         assert_eq!(out.to_deltas(), vec![Delta::delete(tuple![0i64])]);
@@ -364,7 +365,7 @@ mod tests {
         let out = n.apply("edges", &inserts(vec![tuple![0i64, 2i64]]), &reg).unwrap();
         assert_eq!(out.rows(), vec![tuple![0i64, 2i64]]);
         // …and dropping back below retracts it.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![0i64, 2i64], -1);
         let out = n.apply("edges", &del, &reg).unwrap();
         assert_eq!(out.to_deltas(), vec![Delta::delete(tuple![0i64, 2i64])]);
@@ -409,6 +410,56 @@ mod tests {
             let err = ViewFlow::new(&plan, &reg).err().expect("not maintainable");
             assert!(err.to_string().contains("recursive fixpoint"), "{err}");
             assert!(err.to_string().contains(reason), "{err}");
+        }
+    }
+
+    /// Law L3 (inverse) over [`ZSet`]: from a seeded primed state, a batch
+    /// `b` and then `−b` sum to the empty Z-set and leave the operators'
+    /// state the size it was before `b`, on every non-recursive shape.
+    #[test]
+    fn a_batch_then_its_inverse_cancel() {
+        let reg = Registry::with_builtins();
+        let row = |table: &str, rng: &mut StdRng| match table {
+            "edges" => tuple![rng.gen_range(0..=15i64), rng.gen_range(0..=7i64)],
+            _ => tuple![rng.gen_range(0..=7i64), rng.gen_range(0..=3i64) as f64],
+        };
+        for sql in [
+            "SELECT dst FROM edges WHERE src < 4",
+            "SELECT edges.dst, weights.w FROM edges, weights WHERE edges.dst = weights.node",
+            "SELECT a.src, b.dst FROM edges a, edges b WHERE a.dst = b.src",
+            "SELECT src, min(dst), max(dst) FROM edges GROUP BY src",
+            "SELECT DISTINCT src FROM edges",
+            "SELECT src, count(*) FROM edges GROUP BY src HAVING count(*) > 1",
+        ] {
+            for seed in 0..8u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut n = node(sql);
+                let mut b: Vec<(&str, ZSet)> = Vec::new();
+                for table in ["edges", "weights"] {
+                    let primed = ZSet::from_rows((0..30).map(|_| row(table, &mut rng)));
+                    n.apply(table, &primed, &reg).unwrap();
+                    // Delete about a quarter of the primed rows, insert fresh ones.
+                    let mut batch = ZSet::new();
+                    for t in primed.iter_rows() {
+                        if rng.gen_range(0..4usize) == 0 {
+                            batch.add(t.clone(), -1);
+                        }
+                    }
+                    (0..8).for_each(|_| batch.add(row(table, &mut rng), 1));
+                    b.push((table, batch));
+                }
+                let before = n.state_bytes();
+                let mut sum = ZSet::new();
+                for factor in [1, -1] {
+                    for (table, batch) in &b {
+                        let mut scaled = ZSet::new();
+                        scaled.merge_scaled(batch, factor);
+                        sum.merge_scaled(&n.apply(table, &scaled, &reg).unwrap(), 1);
+                    }
+                }
+                assert!(sum.is_empty(), "{sql} seed {seed}: b + (−b) left {sum:?}");
+                assert_eq!(n.state_bytes(), before, "{sql} seed {seed}");
+            }
         }
     }
 

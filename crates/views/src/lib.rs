@@ -35,11 +35,11 @@
 //!   UDA's AGGSTATE sees every `+()` and `-()`, and a group whose last
 //!   row is deleted retracts. Operator state persists across batches;
 //!   this crate holds no operator state of its own.
-//! * **Signed multisets only at the boundary** — a [`DeltaSet`] is what
-//!   a pass's output delta, cascades between views and the routing of an
-//!   input batch to shards are made of. Inside the dataflow a batch is an
-//!   executor event; the root's emissions fold into a `DeltaSet` once per
-//!   batch.
+//! * **Signed multisets only at the boundary** — rex-core's Z-set,
+//!   [`ZSet`](rex_core::delta::ZSet), is what a pass's output delta,
+//!   cascades between views and the routing of an input batch to shards
+//!   are made of. Inside the dataflow a batch is an executor event; the
+//!   root's emissions fold into a `ZSet` once per batch.
 //! * **One copy of a view's rows** — the stored table of the view's name,
 //!   kept in tuple order. Priming publishes the sorted rows; each pass
 //!   writes its output delta into that table through
@@ -64,13 +64,11 @@
 //! the end-to-end story.
 
 pub mod catalog;
-pub mod delta_set;
 pub mod flow;
 pub mod sharded;
 pub mod view;
 
 pub use catalog::{ViewCatalog, ViewMetrics};
-pub use delta_set::DeltaSet;
 pub use flow::ViewFlow;
 pub use sharded::{RecoveryStrategy, ShardStats, ShardedMaint};
 pub use view::{evaluate, MaintenanceStrategy, MaterializedView};

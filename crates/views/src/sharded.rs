@@ -57,8 +57,8 @@
 //! whenever the accumulated arithmetic is exact (integers, dyadic
 //! floats); both paths record [`rex_core::faults`] telemetry.
 
-use crate::delta_set::DeltaSet;
 use crate::flow::ViewFlow;
+use rex_core::delta::ZSet;
 use rex_core::error::Result;
 use rex_core::expr::Expr;
 use rex_core::faults;
@@ -337,8 +337,8 @@ impl ShardedMaint {
     }
 
     /// Route `batch` into per-shard slices by `cols`.
-    fn route(&self, batch: &DeltaSet, cols: &[usize]) -> Vec<DeltaSet> {
-        let mut slices = vec![DeltaSet::new(); self.n];
+    fn route(&self, batch: &ZSet, cols: &[usize]) -> Vec<ZSet> {
+        let mut slices = vec![ZSet::new(); self.n];
         for (t, m) in batch.iter() {
             let s = shard_of(hash_key_cols(t, cols), self.n);
             slices[s].add(t.clone(), m);
@@ -377,8 +377,8 @@ impl ShardedMaint {
                     let mut flow = ViewFlow::new(&self.plan, reg)?;
                     let mut b = 0u64;
                     for (table, cols) in &self.routes {
-                        let all = DeltaSet::from_rows(store.get(table)?.rows().iter().cloned());
-                        let mut slice = DeltaSet::new();
+                        let all = ZSet::from_rows(store.get(table)?.rows().iter().cloned());
+                        let mut slice = ZSet::new();
                         for (t, m) in all.iter() {
                             if shard_of(hash_key_cols(t, cols), self.n) == s {
                                 b += t.byte_size() as u64;
@@ -420,19 +420,19 @@ impl ShardedMaint {
     pub fn apply(
         &mut self,
         table: &str,
-        batch: &DeltaSet,
+        batch: &ZSet,
         store: &Catalog,
         reg: &Registry,
-    ) -> Result<DeltaSet> {
+    ) -> Result<ZSet> {
         self.recover(store, reg)?;
         if self.n == 1 {
             return self.shards[0].as_mut().expect("recovered above").apply(table, batch, reg);
         }
         let Some(cols) = self.routes.get(table).cloned() else {
-            return Ok(DeltaSet::new());
+            return Ok(ZSet::new());
         };
         let slices = self.route(batch, &cols);
-        let mut out = DeltaSet::new();
+        let mut out = ZSet::new();
         for (s, slice) in slices.iter().enumerate() {
             if slice.is_empty() {
                 continue;
@@ -493,8 +493,8 @@ mod tests {
         c
     }
 
-    fn batch(lo: i64, hi: i64) -> DeltaSet {
-        DeltaSet::from_rows((lo..hi).map(|i| {
+    fn batch(lo: i64, hi: i64) -> ZSet {
+        ZSet::from_rows((lo..hi).map(|i| {
             Tuple::new(vec![
                 Value::Int(i % 8),
                 Value::Int(i % 5),
@@ -563,7 +563,7 @@ mod tests {
     /// makes restart's replay-from-base-data equivalent to the live state.
     fn prime(m: &mut ShardedMaint, c: &Catalog, reg: &Registry) {
         for table in ["d", "t"] {
-            let rows = DeltaSet::from_rows(c.get(table).unwrap().rows().iter().cloned());
+            let rows = ZSet::from_rows(c.get(table).unwrap().rows().iter().cloned());
             m.apply(table, &rows, c, reg).unwrap();
         }
     }
@@ -577,7 +577,7 @@ mod tests {
         let sql = "SELECT t.k, count(*), sum(d.w) FROM t, d WHERE t.k = d.k GROUP BY t.k";
         let p = plan(sql);
         let n = 3;
-        let run = |kill: Option<(usize, i64, RecoveryStrategy)>| -> Vec<DeltaSet> {
+        let run = |kill: Option<(usize, i64, RecoveryStrategy)>| -> Vec<ZSet> {
             let c = store();
             let strategy = kill.map(|(_, _, s)| s).unwrap_or_default();
             let mut m = ShardedMaint::build(&p, &reg, n, strategy).unwrap();
@@ -617,7 +617,7 @@ mod tests {
         let p = plan("SELECT a, count(*), sum(b) FROM t GROUP BY a");
         let mut m = ShardedMaint::build(&p, &reg, 3, RecoveryStrategy::Incremental).unwrap();
         let mut single = ViewFlow::new(&p, &reg).unwrap();
-        let seed = DeltaSet::from_rows(c.get("t").unwrap().rows().iter().cloned());
+        let seed = ZSet::from_rows(c.get("t").unwrap().rows().iter().cloned());
         single.apply("t", &seed, &reg).unwrap();
         prime(&mut m, &c, &reg);
         let b0 = batch(0, 50);

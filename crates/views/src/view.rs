@@ -9,8 +9,8 @@
 //!
 //! [`ViewFlow`]: crate::flow::ViewFlow
 
-use crate::delta_set::DeltaSet;
 use crate::sharded::{RecoveryStrategy, ShardStats, ShardedMaint};
+use rex_core::delta::ZSet;
 use rex_core::error::Result;
 use rex_core::exec::LocalRuntime;
 use rex_core::tuple::{Schema, Tuple};
@@ -296,7 +296,7 @@ impl MaterializedView {
     /// and a pass that deletes from a recursive view's sources — its flow
     /// continues a converged fixpoint exactly under inserts only, so a
     /// delete rebuilds it.
-    pub fn rereads_store(&self, changes: &[(&str, &DeltaSet)]) -> bool {
+    pub fn rereads_store(&self, changes: &[(&str, &ZSet)]) -> bool {
         self.maint.is_none()
             || (self.plan.is_recursive()
                 && changes.iter().any(|(_, batch)| batch.iter().any(|(_, n)| n < 0)))
@@ -315,10 +315,10 @@ impl MaterializedView {
     /// storage's "diverged" error, and the table is left untouched.
     pub fn on_change(
         &mut self,
-        changes: &[(&str, &DeltaSet)],
+        changes: &[(&str, &ZSet)],
         store: &Catalog,
         reg: &Registry,
-    ) -> Result<DeltaSet> {
+    ) -> Result<ZSet> {
         let start = Instant::now();
         self.deltas_in += changes.iter().map(|(_, batch)| delta_rows(batch)).sum::<u64>();
         let out = if self.rereads_store(changes) {
@@ -327,14 +327,14 @@ impl MaterializedView {
             self.rebuild(store, reg)?;
             let fresh = store.get(&self.name)?;
             self.written_bytes += fresh.byte_size();
-            let mut diff = DeltaSet::from_rows(fresh.rows().iter().cloned());
+            let mut diff = ZSet::from_rows(fresh.rows().iter().cloned());
             for t in old.rows() {
                 diff.add(t.clone(), -1);
             }
             diff
         } else {
             let maint = self.maint.as_mut().expect("recompute fallbacks re-read the store");
-            let mut out = DeltaSet::new();
+            let mut out = ZSet::new();
             for (table, batch) in changes {
                 out.merge_scaled(&maint.apply(&table.to_ascii_lowercase(), batch, store, reg)?, 1);
             }
@@ -354,7 +354,7 @@ impl MaterializedView {
 
 /// Total rows a signed delta touches: the sum of absolute multiplicities
 /// (an insert and a retraction both count as one row of change).
-fn delta_rows(d: &DeltaSet) -> u64 {
+fn delta_rows(d: &ZSet) -> u64 {
     d.iter().map(|(_, n)| n.unsigned_abs()).sum()
 }
 
@@ -371,11 +371,11 @@ fn replay(
     tables: &[String],
     store: &Catalog,
     reg: &Registry,
-) -> Result<DeltaSet> {
-    let mut out = DeltaSet::new();
+) -> Result<ZSet> {
+    let mut out = ZSet::new();
     for table in tables {
         for rows in store.get(table)?.rows().chunks(REPLAY_BATCH_ROWS) {
-            let batch = DeltaSet::from_rows(rows.iter().cloned());
+            let batch = ZSet::from_rows(rows.iter().cloned());
             out.merge_scaled(&m.apply(table, &batch, store, reg)?, 1);
         }
     }
@@ -430,7 +430,7 @@ mod tests {
         // An insert batch shifts only the touched group.
         store.append("edges", vec![tuple![1i64, 3i64]]).unwrap();
         let out = v
-            .on_change(&[("edges", &DeltaSet::from_rows(vec![tuple![1i64, 3i64]]))], &store, &reg)
+            .on_change(&[("edges", &ZSet::from_rows(vec![tuple![1i64, 3i64]]))], &store, &reg)
             .unwrap();
         assert_eq!(out.iter().count(), 2);
         assert_eq!(stored(&store, "fanout"), vec![tuple![0i64, 2i64], tuple![1i64, 2i64]]);
@@ -454,21 +454,21 @@ mod tests {
         assert!(v.state_bytes() > 0);
         // A new edge extends reachability; the emitted delta carries
         // exactly the new row.
-        let edge = DeltaSet::from_rows(vec![tuple![2i64, 7i64]]);
+        let edge = ZSet::from_rows(vec![tuple![2i64, 7i64]]);
         store.append("edges", vec![tuple![2i64, 7i64]]).unwrap();
         let out = v.on_change(&[("edges", &edge)], &store, &reg).unwrap();
         assert_eq!(out.to_deltas(), vec![Delta::insert(tuple![7i64])]);
         assert_eq!((v.len(), v.recomputes(), v.incremental_passes()), (4, 0, 1));
         // Deleting 1→2 keeps 2 reachable through 0→2; deleting 0→2 then
         // cuts 2 and 7. Each delete is one rebuild.
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![1i64, 2i64], -1);
         assert!(v.rereads_store(&[("edges", &del)]));
         store.remove("edges", &[tuple![1i64, 2i64]]).unwrap();
         assert!(v.on_change(&[("edges", &del)], &store, &reg).unwrap().is_empty());
         let all = vec![tuple![0i64], tuple![1i64], tuple![2i64], tuple![7i64]];
         assert_eq!(stored(&store, "reach"), all, "the rebuild republished the same rows");
-        let mut del = DeltaSet::new();
+        let mut del = ZSet::new();
         del.add(tuple![0i64, 2i64], -1);
         store.remove("edges", &[tuple![0i64, 2i64]]).unwrap();
         let mut out = v.on_change(&[("edges", &del)], &store, &reg).unwrap().to_deltas();
@@ -477,7 +477,7 @@ mod tests {
         assert_eq!(stored(&store, "reach"), vec![tuple![0i64], tuple![1i64]]);
         assert_eq!((v.len(), v.recomputes()), (2, 2));
         // The rebuilt flow keeps maintaining inserts.
-        let edge = DeltaSet::from_rows(vec![tuple![1i64, 5i64]]);
+        let edge = ZSet::from_rows(vec![tuple![1i64, 5i64]]);
         store.append("edges", vec![tuple![1i64, 5i64]]).unwrap();
         let out = v.on_change(&[("edges", &edge)], &store, &reg).unwrap();
         assert_eq!(out.to_deltas(), vec![Delta::insert(tuple![5i64])]);

@@ -11,6 +11,7 @@
 //! recover the next-best value from the multiset — is exercised on every
 //! seed.
 
+use rex_core::delta::ZSet;
 use rex_core::delta::{Annotation, Delta};
 use rex_core::error::Result;
 use rex_core::handlers::{AggHandler, AggState};
@@ -23,7 +24,6 @@ use rex_rql::SchemaCatalog;
 use rex_storage::catalog::Catalog;
 use rex_storage::table::StoredTable;
 use rex_testkit::reference;
-use rex_views::delta_set::DeltaSet;
 use rex_views::{evaluate, MaintenanceStrategy, MaterializedView, ViewFlow};
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ fn random_row(rng: &mut StdRng) -> Tuple {
 }
 
 /// The extreme row (by `v`) currently present for a random group, if any.
-fn current_extreme(base: &DeltaSet, rng: &mut StdRng, smallest: bool) -> Option<Tuple> {
+fn current_extreme(base: &ZSet, rng: &mut StdRng, smallest: bool) -> Option<Tuple> {
     let g = Value::Int(rng.gen_range(0..=3i64));
     let rows = base.iter_rows().filter(|t| t.get(0) == &g);
     if smallest {
@@ -68,8 +68,8 @@ fn current_extreme(base: &DeltaSet, rng: &mut StdRng, smallest: bool) -> Option<
 
 /// One random step: a few inserts, a random delete, or a delete of a
 /// random group's current minimum or maximum.
-fn random_batch(base: &DeltaSet, rng: &mut StdRng) -> DeltaSet {
-    let mut batch = DeltaSet::new();
+fn random_batch(base: &ZSet, rng: &mut StdRng) -> ZSet {
+    let mut batch = ZSet::new();
     match rng.gen_range(0..=3i64) {
         0 | 1 => {
             for _ in 0..rng.gen_range(1..=3i64) {
@@ -99,8 +99,8 @@ fn seed_sweep(seed: u64) {
     let store = empty_store();
     let mut rng = StdRng::seed_from_u64(seed);
     // The accumulated base relation and the flow's accumulated output.
-    let mut base = DeltaSet::new();
-    let mut out = DeltaSet::new();
+    let mut base = ZSet::new();
+    let mut out = ZSet::new();
     for step in 0..24 {
         let batch = random_batch(&base, &mut rng);
         if batch.is_empty() {
@@ -126,19 +126,19 @@ fn deleting_every_row_of_a_group_retracts_its_output() {
     let reg = Registry::with_builtins();
     let plan = plan_text(SQL, &schema_catalog(), &reg).unwrap();
     let mut node = ViewFlow::new(&plan, &reg).unwrap();
-    let mut ins = DeltaSet::new();
+    let mut ins = ZSet::new();
     ins.add(row(1, 2.0), 2); // duplicate values: multiset multiplicity 2
     ins.add(row(1, 5.0), 1);
     node.apply("vals", &ins, &reg).unwrap();
     // Remove one copy of the duplicated minimum: min stays 2.0.
-    let mut del = DeltaSet::new();
+    let mut del = ZSet::new();
     del.add(row(1, 2.0), -1);
     let out = node.apply("vals", &del, &reg).unwrap();
     assert_eq!(out.iter().count(), 2, "old row out, new row in");
     let new_row = &out.rows()[0];
     assert_eq!(new_row.get(4), &Value::Double(2.0), "duplicated min survives one delete");
     // Remove the rest: the group's output row disappears entirely.
-    let mut del = DeltaSet::new();
+    let mut del = ZSet::new();
     del.add(row(1, 2.0), -1);
     del.add(row(1, 5.0), -1);
     let out = node.apply("vals", &del, &reg).unwrap();
@@ -152,7 +152,7 @@ fn deleting_a_row_never_inserted_is_an_error() {
     let reg = Registry::with_builtins();
     let plan = plan_text(SQL, &schema_catalog(), &reg).unwrap();
     let mut node = ViewFlow::new(&plan, &reg).unwrap();
-    let mut del = DeltaSet::new();
+    let mut del = ZSet::new();
     del.add(row(3, 1.0), -1);
     let err = node.apply("vals", &del, &reg).unwrap_err();
     assert!(err.to_string().contains("negative"), "{err}");
@@ -196,7 +196,7 @@ fn user_aggregate_views_receive_deletes_and_stay_incremental() {
     let store = empty_store();
     view.prime(&store, &reg).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
-    let mut base = DeltaSet::new();
+    let mut base = ZSet::new();
     for step in 0..40 {
         let batch = random_batch(&base, &mut rng);
         if batch.is_empty() {

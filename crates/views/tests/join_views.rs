@@ -8,6 +8,7 @@
 //! batches, then mixed ones must each leave the view equal to the naive
 //! reference evaluator (`rex_testkit::reference`) over the base tables.
 
+use rex_core::delta::ZSet;
 use rex_core::tuple::{Schema, Tuple};
 use rex_core::udf::Registry;
 use rex_core::value::{DataType, Value};
@@ -17,7 +18,7 @@ use rex_rql::SchemaCatalog;
 use rex_storage::catalog::Catalog;
 use rex_storage::table::StoredTable;
 use rex_testkit::reference;
-use rex_views::{DeltaSet, MaintenanceStrategy, MaterializedView};
+use rex_views::{MaintenanceStrategy, MaterializedView};
 
 const SQL: &str = "SELECT a.k, a.x, b.y FROM a, b WHERE a.k = b.k";
 
@@ -31,8 +32,8 @@ fn row(k: i64, v: i64) -> Tuple {
 
 /// One batch for `table`: `inserts` fresh random rows and `deletes`
 /// distinct stored rows.
-fn batch(store: &Catalog, table: &str, inserts: i64, deletes: i64, rng: &mut StdRng) -> DeltaSet {
-    let mut b = DeltaSet::new();
+fn batch(store: &Catalog, table: &str, inserts: i64, deletes: i64, rng: &mut StdRng) -> ZSet {
+    let mut b = ZSet::new();
     for _ in 0..inserts {
         b.add(row(rng.gen_range(0..=4i64), rng.gen_range(0..=20i64)), 1);
     }
