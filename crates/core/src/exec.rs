@@ -759,10 +759,11 @@ impl LocalRuntime {
     /// plan: either morsel mode (sibling scans share an atomic cursor over
     /// one snapshot) or shard mode (shard gates keep each thread's keyed
     /// state disjoint). Both constructions make the union of the threads'
-    /// sink outputs exactly the single-threaded bag of results, so the
-    /// merge is concatenation plus one final
-    /// [`sort_rows`](crate::tuple::sort_rows) — bit-identical to a
-    /// single-threaded run, which sorts at the same boundary.
+    /// sink outputs exactly the single-threaded bag of results. Each
+    /// thread's sink hands back its rows already sorted, so the merge is a
+    /// k-way [`merge_sorted_runs`](crate::tuple::merge_sorted_runs) —
+    /// bit-identical to a single-threaded run, which sorts at the same
+    /// boundary.
     ///
     /// Only non-recursive plans are supported (parallel lowering rejects
     /// fixpoints); a graph containing a fixpoint is an error.
@@ -806,12 +807,12 @@ impl LocalRuntime {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("executor thread panicked")).collect()
         });
-        let mut rows = Vec::new();
+        let mut runs = Vec::with_capacity(outcomes.len());
         let mut metrics = ExecMetrics::default();
         let mut trace: Option<ExecTrace> = None;
         for outcome in outcomes {
-            let (mut part, m, tr) = outcome?;
-            rows.append(&mut part);
+            let (part, m, tr) = outcome?;
+            runs.push(part);
             metrics.merge(&m);
             match (trace.as_mut(), tr) {
                 (Some(mine), Some(theirs)) => mine.merge(&theirs),
@@ -819,7 +820,7 @@ impl LocalRuntime {
                 _ => {}
             }
         }
-        crate::tuple::sort_rows(&mut rows);
+        let rows = crate::tuple::merge_sorted_runs(runs);
         let wall = t0.elapsed().as_secs_f64();
         let mut report = QueryReport::default();
         report.strata.push(StratumReport {

@@ -54,12 +54,14 @@ impl Optimizer {
 
     /// Optimize a logical plan: apply the rewrite rules — HAVING pushdown
     /// below aggregates, redundant-DISTINCT elimination, LIMIT-into-Sort
-    /// top-k fusion, rank-ordered filters — then cost the result. Returns
+    /// top-k fusion, filter pushdown below joins, rank-ordered filters —
+    /// then cost the result. Returns
     /// the rewritten plan and its estimate.
     pub fn optimize(&self, plan: LogicalPlan) -> Result<(LogicalPlan, PlanCost)> {
         let rewritten = rules::push_having_below_aggregate(plan);
         let rewritten = rules::eliminate_redundant_distinct(rewritten);
         let rewritten = rules::fuse_limit_into_sort(rewritten);
+        let rewritten = rules::push_filters_below_joins(rewritten);
         let rewritten = rules::order_filters_by_rank(rewritten, &self.stats);
         let coster = Coster { stats: &self.stats, units: self.units, calib: &self.calib };
         let cost = coster.cost(&rewritten)?;

@@ -175,28 +175,6 @@ pub fn fuse_limit_into_sort(plan: LogicalPlan) -> LogicalPlan {
     })
 }
 
-/// Remap column references through `map` (index in the aggregate output →
-/// index in the aggregate input).
-fn remap_cols(e: &Expr, map: &[usize]) -> Expr {
-    match e {
-        Expr::Col(i) => Expr::Col(map[*i]),
-        Expr::Bin(op, a, b) => {
-            Expr::Bin(*op, Box::new(remap_cols(a, map)), Box::new(remap_cols(b, map)))
-        }
-        Expr::Not(a) => Expr::Not(Box::new(remap_cols(a, map))),
-        Expr::Neg(a) => Expr::Neg(Box::new(remap_cols(a, map))),
-        Expr::IsNull(a) => Expr::IsNull(Box::new(remap_cols(a, map))),
-        Expr::Udf(n, args) => {
-            Expr::Udf(n.clone(), args.iter().map(|a| remap_cols(a, map)).collect())
-        }
-        Expr::Case(arms, default) => Expr::Case(
-            arms.iter().map(|(c, t)| (remap_cols(c, map), remap_cols(t, map))).collect(),
-            Box::new(remap_cols(default, map)),
-        ),
-        other => other.clone(),
-    }
-}
-
 /// Push a HAVING filter below its aggregate when the predicate references
 /// only group-key columns: filtering the groups is then equivalent to
 /// filtering the input rows (a group disappears exactly when all its rows
@@ -213,7 +191,8 @@ pub fn push_having_below_aggregate(plan: LogicalPlan) -> LogicalPlan {
                     cols.iter().all(|c| *c < group_cols.len())
                 } =>
             {
-                let pushed = remap_cols(&predicate, &group_cols);
+                // Output position i is the input's group column group_cols[i].
+                let pushed = predicate.remap_columns(&|i| group_cols[i]);
                 LogicalPlan::Aggregate {
                     input: Box::new(LogicalPlan::Filter { input: agg_in, predicate: pushed }),
                     group_cols,
@@ -226,6 +205,81 @@ pub fn push_having_below_aggregate(plan: LogicalPlan) -> LogicalPlan {
         },
         other => other,
     })
+}
+
+/// Move filters below the joins they sit on (predicate pushdown): a
+/// conjunct whose columns all come from one side of a plain join filters
+/// that side's rows before the join hashes and probes them, instead of
+/// filtering joined rows after. A pushed predicate keeps sinking through
+/// further joins below it; on the right side its columns are renumbered
+/// from the join's output to the right input. Filters that stay put keep
+/// their order.
+///
+/// Left where they are: predicates that call a UDF, whose placement is
+/// §5.1's rank ordering's call ([`order_filters_by_rank`] runs after this
+/// rule), predicates over both sides, and every filter over a handler
+/// join, whose output is whatever the handler emits rather than left ++
+/// right. Applied everywhere, fixpoint steps included: a filter commutes
+/// with a join on deltas as it does on relations.
+pub fn push_filters_below_joins(plan: LogicalPlan) -> LogicalPlan {
+    rewrite_bottom_up(plan, &|p| match p {
+        LogicalPlan::Filter { input, predicate } => sink_filter(*input, predicate),
+        other => other,
+    })
+}
+
+/// `Filter(input, pred)`, with `pred` moved as far below the joins in
+/// `input` as [`push_filters_below_joins`] allows.
+fn sink_filter(input: LogicalPlan, pred: Expr) -> LogicalPlan {
+    match try_sink(input, pred) {
+        Ok(plan) => plan,
+        Err(kept) => {
+            let (input, predicate) = *kept;
+            LogicalPlan::Filter { input: Box::new(input), predicate }
+        }
+    }
+}
+
+/// A plan with a predicate that could not move into it.
+type Unmoved = Box<(LogicalPlan, Expr)>;
+
+/// Put `pred` below the first plain join under `input`, looking through
+/// the filters above that join; hand both back when it cannot move.
+fn try_sink(input: LogicalPlan, pred: Expr) -> std::result::Result<LogicalPlan, Unmoved> {
+    match input {
+        LogicalPlan::Filter { input, predicate } => match try_sink(*input, pred) {
+            Ok(inner) => Ok(LogicalPlan::Filter { input: Box::new(inner), predicate }),
+            Err(kept) => {
+                let (inner, pred) = *kept;
+                Err(Box::new((LogicalPlan::Filter { input: Box::new(inner), predicate }, pred)))
+            }
+        },
+        LogicalPlan::Join { left, right, left_key, right_key, handler: None, schema }
+            if !pred.contains_udf() =>
+        {
+            let split = left.schema().arity();
+            let mut cols = Vec::new();
+            pred.referenced_columns(&mut cols);
+            let (left, right) = if cols.iter().all(|&c| c < split) {
+                (sink_filter(*left, pred), *right)
+            } else if cols.iter().all(|&c| c >= split) {
+                (*left, sink_filter(*right, pred.remap_columns(&|c| c - split)))
+            } else {
+                let join =
+                    LogicalPlan::Join { left, right, left_key, right_key, handler: None, schema };
+                return Err(Box::new((join, pred)));
+            };
+            Ok(LogicalPlan::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                left_key,
+                right_key,
+                handler: None,
+                schema,
+            })
+        }
+        other => Err(Box::new((other, pred))),
+    }
 }
 
 /// Whether every row of the plan's output is provably distinct: aggregate
@@ -508,6 +562,81 @@ mod tests {
         };
         assert_eq!(run(&p), run(&rewritten));
         assert_eq!(run(&p), vec![tuple![2i64, 5.0f64], tuple![3i64, 4.0f64]]);
+    }
+
+    /// The filters directly above the first join under `plan` (through
+    /// projections and filters), and that join.
+    fn filters_above_join(plan: &LogicalPlan) -> (Vec<String>, &LogicalPlan) {
+        let (mut above, mut cur) = (Vec::new(), plan);
+        loop {
+            match cur {
+                LogicalPlan::Filter { input, predicate } => {
+                    above.push(format!("{predicate:?}"));
+                    cur = input;
+                }
+                LogicalPlan::Project { input, .. } => cur = input,
+                join => return (above, join),
+            }
+        }
+    }
+
+    #[test]
+    fn one_sided_filters_sink_below_plain_joins_only() {
+        let reg = Registry::with_builtins();
+        let mut c = catalog();
+        c.register("u", Schema::of(&[("k", DataType::Int), ("d", DataType::Double)]));
+        let q = "SELECT t.a FROM t, u WHERE t.a = u.k AND t.b > 1 AND u.d < 2.0 \
+                 AND t.c < u.d AND sqrt(u.d) > 1.0";
+        let p = plan_text(q, &c, &reg).unwrap();
+        let (above, _) = filters_above_join(&p);
+        assert_eq!(above.len(), 4, "{p:?}");
+
+        let pushed = push_filters_below_joins(p.clone());
+        let (above, join) = filters_above_join(&pushed);
+        // The two-sided comparison and the UDF predicate stay.
+        assert_eq!(above.len(), 2, "{pushed:?}");
+        assert!(above.iter().any(|f| f.contains("sqrt")), "{above:?}");
+        let LogicalPlan::Join { left, right, .. } = join else { panic!("{join:?}") };
+        let LogicalPlan::Filter { input, predicate } = left.as_ref() else { panic!("{left:?}") };
+        assert!(matches!(input.as_ref(), LogicalPlan::Scan { .. }));
+        assert_eq!(format!("{predicate:?}"), "Bin(Gt, Col(1), Lit(Int(1)))");
+        // u.d is column 4 of the join's output and column 1 of u.
+        let LogicalPlan::Filter { predicate, .. } = right.as_ref() else { panic!("{right:?}") };
+        assert_eq!(format!("{predicate:?}"), "Bin(Lt, Col(1), Lit(Double(2.0)))");
+
+        // A handler join's output is not left ++ right: nothing moves.
+        fn mark_handler(p: &mut LogicalPlan) {
+            match p {
+                LogicalPlan::Join { handler, .. } => *handler = Some("h".into()),
+                LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+                    mark_handler(input)
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        let mut handled = p;
+        mark_handler(&mut handled);
+        let kept = push_filters_below_joins(handled.clone());
+        assert_eq!(format!("{kept:?}"), format!("{handled:?}"));
+    }
+
+    #[test]
+    fn pushed_filters_sink_through_nested_joins() {
+        let reg = Registry::with_builtins();
+        let mut c = catalog();
+        c.register("u", Schema::of(&[("k", DataType::Int), ("d", DataType::Double)]));
+        c.register("v", Schema::of(&[("k", DataType::Int)]));
+        let q = "SELECT t.a FROM t, u, v WHERE t.a = u.k AND u.k = v.k AND t.b > 1 AND v.k > 2";
+        let pushed = push_filters_below_joins(plan_text(q, &c, &reg).unwrap());
+        let (_, outer) = filters_above_join(&pushed);
+        let LogicalPlan::Join { left, right, .. } = outer else { panic!("{outer:?}") };
+        // v.k > 2 (column 5 of the outer join) filters v as its column 0.
+        let LogicalPlan::Filter { predicate, .. } = right.as_ref() else { panic!("{right:?}") };
+        assert_eq!(format!("{predicate:?}"), "Bin(Gt, Col(0), Lit(Int(2)))");
+        // t.b > 1 passes the outer join and the inner one's key filter.
+        let (_, inner) = filters_above_join(left);
+        let LogicalPlan::Join { left, .. } = inner else { panic!("{inner:?}") };
+        assert!(matches!(left.as_ref(), LogicalPlan::Filter { .. }), "{pushed:?}");
     }
 
     #[test]

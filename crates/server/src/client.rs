@@ -171,17 +171,26 @@ impl Client {
         if rows.is_empty() {
             return Err(RexError::Exec("client: INSERT needs at least one row".into()));
         }
-        let body = rows.iter().map(protocol::encode_row).collect::<Vec<_>>().join(";");
-        self.send_line(&format!("INSERT {table} {body}"))?;
+        let mut line = format!("INSERT {table} ");
+        for (i, row) in rows.iter().enumerate() {
+            if i > 0 {
+                line.push(';');
+            }
+            protocol::encode_row_into(row, &mut line);
+        }
+        self.send_line(&line)?;
         self.read_write_ack()
     }
 
     /// Stream a bulk batch: `BATCH` header + one line per row.
     pub fn batch(&mut self, table: &str, rows: &[Tuple]) -> Result<WriteAck> {
         writeln!(self.writer, "BATCH {table} {}", rows.len()).map_err(|e| io_err("send", e))?;
+        let mut line = String::new();
         for row in rows {
-            writeln!(self.writer, "{}", protocol::encode_row(row))
-                .map_err(|e| io_err("send", e))?;
+            line.clear();
+            protocol::encode_row_into(row, &mut line);
+            line.push('\n');
+            self.writer.write_all(line.as_bytes()).map_err(|e| io_err("send", e))?;
         }
         self.writer.flush().map_err(|e| io_err("flush", e))?;
         self.read_write_ack()
@@ -281,14 +290,21 @@ impl Client {
 
     fn read_line(&mut self) -> Result<String> {
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line).map_err(|e| io_err("read", e))?;
+        self.read_line_into(&mut line)?;
+        Ok(line)
+    }
+
+    /// Read one line into `line` (cleared first), terminator stripped.
+    fn read_line_into(&mut self, line: &mut String) -> Result<()> {
+        line.clear();
+        let n = self.reader.read_line(line).map_err(|e| io_err("read", e))?;
         if n == 0 {
             return Err(RexError::Exec("client: server closed the connection".into()));
         }
         while line.ends_with('\n') || line.ends_with('\r') {
             line.pop();
         }
-        Ok(line)
+        Ok(())
     }
 
     /// Read a status line; `OK …` yields the text after `OK`, `ERR …`
@@ -319,9 +335,11 @@ impl Client {
             .unwrap_or("?")
             .to_string();
         let mut rows = Vec::with_capacity(count);
+        let mut line = String::new();
+        let mut scratch = Vec::new();
         for _ in 0..count {
-            let line = self.read_line()?;
-            rows.push(protocol::decode_row(&line)?);
+            self.read_line_into(&mut line)?;
+            rows.push(protocol::decode_row_with(&line, &mut scratch)?);
         }
         self.expect_terminator()?;
         Ok(QueryReply { rows, version, engine })

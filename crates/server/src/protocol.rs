@@ -63,23 +63,30 @@ pub enum Command {
 }
 
 /// Parse one request line (without its trailing newline).
+///
+/// Only the line terminator and the spaces after the verb (and after an
+/// `INSERT`'s table name) are stripped: an `INSERT` row is taken as it
+/// stands, so a string that ends in whitespace arrives whole, as it does
+/// through `BATCH`.
 pub fn parse_command(line: &str) -> Result<Command> {
     let line = line.trim_end_matches(['\r', '\n']);
-    let (verb, rest) = match line.split_once(' ') {
-        Some((v, r)) => (v, r.trim()),
-        None => (line.trim(), ""),
-    };
-    match verb.to_ascii_uppercase().as_str() {
+    let (verb, raw) = line.split_once(' ').unwrap_or((line, ""));
+    let raw = raw.trim_start_matches(' ');
+    let rest = raw.trim();
+    match verb.trim().to_ascii_uppercase().as_str() {
         "HELLO" => Ok(Command::Hello((!rest.is_empty()).then(|| rest.to_string()))),
         "QUERY" if !rest.is_empty() => Ok(Command::Query(rest.to_string())),
         "QUERY" => Err(proto("QUERY needs an RQL statement")),
         "INSERT" => {
-            let (table, body) = rest
+            let (table, body) = raw
                 .split_once(' ')
+                .map(|(t, b)| (t, b.trim_start_matches(' ')))
+                .filter(|(_, b)| !b.is_empty())
                 .ok_or_else(|| proto("INSERT needs a table name and at least one row"))?;
-            let rows = split_unescaped(body.trim(), ';')
+            let mut scratch = Vec::new();
+            let rows = split_unescaped(body, b';')
                 .into_iter()
-                .map(|r| decode_row(&r))
+                .map(|r| decode_row_with(r, &mut scratch))
                 .collect::<Result<Vec<_>>>()?;
             Ok(Command::Insert { table: table.to_string(), rows })
         }
@@ -112,25 +119,42 @@ fn proto(msg: &str) -> RexError {
 
 // ---- value & row codec ---------------------------------------------------
 
-/// Bytes that must be escaped inside an encoded string: the field, row,
-/// list, and line separators of the protocol, plus the escape itself.
-const ESCAPED: &[(char, char)] = &[
-    ('\\', '\\'),
-    ('\t', 't'),
-    ('\n', 'n'),
-    ('\r', 'r'),
-    (';', ';'),
-    (',', ','),
-    ('[', '['),
-    (']', ']'),
-];
+/// The escape letter of a character that must be escaped inside an
+/// encoded string: the field, row, list, and line separators of the
+/// protocol, plus the escape itself. All of them are ASCII.
+fn escape_of(c: char) -> Option<char> {
+    match c {
+        '\\' => Some('\\'),
+        '\t' => Some('t'),
+        '\n' => Some('n'),
+        '\r' => Some('r'),
+        ';' | ',' | '[' | ']' => Some(c),
+        _ => None,
+    }
+}
+
+/// The inverse of [`escape_of`].
+fn unescape_of(e: char) -> Option<char> {
+    match e {
+        '\\' => Some('\\'),
+        't' => Some('\t'),
+        'n' => Some('\n'),
+        'r' => Some('\r'),
+        ';' | ',' | '[' | ']' => Some(e),
+        _ => None,
+    }
+}
 
 fn escape_into(s: &str, out: &mut String) {
+    if !s.bytes().any(|b| escape_of(char::from(b)).is_some()) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
-        match ESCAPED.iter().find(|(raw, _)| *raw == c) {
-            Some((_, enc)) => {
+        match escape_of(c) {
+            Some(e) => {
                 out.push('\\');
-                out.push(*enc);
+                out.push(e);
             }
             None => out.push(c),
         }
@@ -138,6 +162,9 @@ fn escape_into(s: &str, out: &mut String) {
 }
 
 fn unescape(s: &str) -> Result<String> {
+    if !s.contains('\\') {
+        return Ok(s.to_string());
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -146,10 +173,7 @@ fn unescape(s: &str) -> Result<String> {
             continue;
         }
         let e = chars.next().ok_or_else(|| proto("dangling escape at end of string"))?;
-        match ESCAPED.iter().find(|(_, enc)| *enc == e) {
-            Some((raw, _)) => out.push(*raw),
-            None => return Err(proto(&format!("unknown escape \\{e}"))),
-        }
+        out.push(unescape_of(e).ok_or_else(|| proto(&format!("unknown escape \\{e}")))?);
     }
     Ok(out)
 }
@@ -158,16 +182,17 @@ fn unescape(s: &str) -> Result<String> {
 pub fn encode_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push('n'),
-        Value::Bool(b) => {
-            let _ = write!(out, "b:{b}");
-        }
+        Value::Bool(b) => out.push_str(if *b { "b:true" } else { "b:false" }),
         Value::Int(i) => {
-            let _ = write!(out, "i:{i}");
+            out.push_str("i:");
+            if *i < 0 {
+                out.push('-');
+            }
+            push_digits(i.unsigned_abs(), out);
         }
-        // Rust's `{}` for f64 prints the shortest string that parses back
-        // to the same bits, so doubles round-trip exactly.
         Value::Double(d) => {
-            let _ = write!(out, "d:{d}");
+            out.push_str("d:");
+            push_double(*d, out);
         }
         Value::Str(s) => {
             out.push_str("s:");
@@ -183,6 +208,42 @@ pub fn encode_value(v: &Value, out: &mut String) {
             }
             out.push(']');
         }
+    }
+}
+
+/// Append the decimal digits of `n`.
+fn push_digits(mut n: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// 2^53: below it every integral double is an integer whose digits are
+/// its shortest round-trip form.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Append `d` as Rust's `{}` prints it: the shortest decimal that parses
+/// back to the same bits, so doubles round-trip exactly. An integral
+/// value below 2^53 in magnitude is written digit by digit, since its
+/// digits are that shortest form; every other double, ±0.0, NaN and ±inf
+/// among them, goes through the formatter.
+fn push_double(d: f64, out: &mut String) {
+    let a = d.abs();
+    if a > 0.0 && a < EXACT_INT && a.fract() == 0.0 {
+        if d < 0.0 {
+            out.push('-');
+        }
+        push_digits(a as u64, out);
+    } else {
+        let _ = write!(out, "{d}");
     }
 }
 
@@ -216,9 +277,9 @@ pub fn decode_value(s: &str) -> Result<Value> {
             if inner.is_empty() {
                 return Ok(Value::list(Vec::new()));
             }
-            let items = split_unescaped(inner, ',')
+            let items = split_unescaped(inner, b',')
                 .into_iter()
-                .map(|e| decode_value(&e))
+                .map(decode_value)
                 .collect::<Result<Vec<_>>>()?;
             Ok(Value::list(items))
         }
@@ -229,57 +290,68 @@ pub fn decode_value(s: &str) -> Result<Value> {
 /// Encode a whole row: tab-separated typed values.
 pub fn encode_row(t: &Tuple) -> String {
     let mut out = String::new();
+    encode_row_into(t, &mut out);
+    out
+}
+
+/// Append a row's encoding to `out` (no line terminator): the reply
+/// path writes every row straight into one buffer.
+pub fn encode_row_into(t: &Tuple, out: &mut String) {
     for (i, v) in t.values().iter().enumerate() {
         if i > 0 {
             out.push('\t');
         }
-        encode_value(v, &mut out);
+        encode_value(v, out);
     }
-    out
 }
 
 /// Decode a row line into a [`Tuple`]. The empty string is the 0-ary row.
 pub fn decode_row(line: &str) -> Result<Tuple> {
+    decode_row_with(line, &mut Vec::new())
+}
+
+/// [`decode_row`] through a caller-owned scratch buffer, so a reader of
+/// many rows allocates one tuple per row and nothing else.
+pub fn decode_row_with(line: &str, scratch: &mut Vec<Value>) -> Result<Tuple> {
     let line = line.trim_end_matches(['\r', '\n']);
     if line.is_empty() {
         return Ok(Tuple::empty());
     }
-    let values = line.split('\t').map(decode_value).collect::<Result<Vec<_>>>()?;
-    Ok(Tuple::new(values))
+    scratch.clear();
+    for field in line.split('\t') {
+        scratch.push(decode_value(field)?);
+    }
+    let row = Tuple::from_slice(scratch);
+    scratch.clear();
+    Ok(row)
 }
 
 /// Split on a separator, honoring backslash escapes (a `\;` inside a
 /// string does not split). List nesting is flat because `[`/`]`/`,` are
-/// escaped inside strings, so bracket depth tracking suffices.
-fn split_unescaped(s: &str, sep: char) -> Vec<String> {
+/// escaped inside strings, so bracket depth tracking suffices. The parts
+/// borrow from `s`.
+fn split_unescaped(s: &str, sep: u8) -> Vec<&str> {
     let mut parts = Vec::new();
-    let mut cur = String::new();
+    let mut start = 0;
     let mut escaped = false;
     let mut depth = 0usize;
-    for c in s.chars() {
+    for (i, b) in s.bytes().enumerate() {
         if escaped {
-            cur.push(c);
             escaped = false;
             continue;
         }
-        match c {
-            '\\' => {
-                cur.push(c);
-                escaped = true;
+        match b {
+            b'\\' => escaped = true,
+            b'[' => depth += 1,
+            b']' => depth = depth.saturating_sub(1),
+            b if b == sep && depth == 0 => {
+                parts.push(&s[start..i]);
+                start = i + 1;
             }
-            '[' => {
-                cur.push(c);
-                depth += 1;
-            }
-            ']' => {
-                cur.push(c);
-                depth = depth.saturating_sub(1);
-            }
-            c if c == sep && depth == 0 => parts.push(std::mem::take(&mut cur)),
-            c => cur.push(c),
+            _ => {}
         }
     }
-    parts.push(cur);
+    parts.push(&s[start..]);
     parts
 }
 
@@ -354,8 +426,18 @@ mod tests {
         assert_eq!(parse_command("metrics"), Ok(Command::Metrics));
         assert_eq!(parse_command("QUIT"), Ok(Command::Quit));
         assert_eq!(parse_command("SHUTDOWN"), Ok(Command::Shutdown));
-        for bad in ["", "QUERY", "INSERT t", "BATCH t x", "SCRIPT many", "NOPE 1"] {
+        for bad in ["", "QUERY", "INSERT t", "INSERT t  ", "BATCH t x", "SCRIPT many", "NOPE 1"] {
             assert!(parse_command(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn insert_keeps_a_last_string_s_trailing_whitespace() {
+        for tail in [" ", "  ", "\u{3000}"] {
+            let cmd = parse_command(&format!("INSERT  t  i:1\ts:abc{tail}\r\n")).unwrap();
+            let Command::Insert { table, rows } = cmd else { panic!() };
+            assert_eq!(table, "t");
+            assert_eq!(rows, vec![tuple![1i64, format!("abc{tail}")]], "{tail:?}");
         }
     }
 

@@ -590,6 +590,7 @@ fn handle_command(
             let mut rows = Vec::with_capacity(count.min(65_536));
             let mut decode_err = None;
             let mut line = String::new();
+            let mut scratch = Vec::new();
             for _ in 0..count {
                 line.clear();
                 match read_line_interruptible(reader, &mut line, shared)? {
@@ -598,7 +599,7 @@ fn handle_command(
                         return Ok(true);
                     }
                     Line::Oversize => decode_err = Some(protocol::oversize_line()),
-                    Line::Read => match protocol::decode_row(&line) {
+                    Line::Read => match protocol::decode_row_with(&line, &mut scratch) {
                         Ok(t) => rows.push(t),
                         Err(e) => decode_err = Some(protocol::err_line(&e)),
                     },
@@ -700,7 +701,8 @@ fn handle_query(
     writer.write_all(response.as_bytes())
 }
 
-/// Execute a query on a snapshot and encode the full response.
+/// Execute a query on a snapshot and encode the full response: every
+/// row is appended straight to the one reply buffer.
 fn run_query(view: &SnapshotView, rql: &str) -> String {
     match view.query(rql) {
         Ok(r) => {
@@ -712,7 +714,7 @@ fn run_query(view: &SnapshotView, rql: &str) -> String {
                 r.engine
             ));
             for row in &r.rows {
-                out.push_str(&protocol::encode_row(row));
+                protocol::encode_row_into(row, &mut out);
                 out.push('\n');
             }
             out.push_str(".\n");

@@ -60,6 +60,32 @@ fn batch_streams_values_of_every_type() {
 use rex_core::tuple::Tuple;
 
 #[test]
+fn insert_and_batch_keep_trailing_whitespace_alike() {
+    let mut s = Session::local();
+    s.query("CREATE TABLE via_insert (id INT, label STRING)").unwrap();
+    s.query("CREATE TABLE via_batch (id INT, label STRING)").unwrap();
+    let server = Server::start(s, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let (mut c, _) = Client::connect(server.local_addr()).unwrap();
+
+    let rows = vec![
+        tuple![1i64, "abc  "],
+        tuple![2i64, "ideographic\u{3000}"],
+        tuple![3i64, " \u{3000} "],
+    ];
+    // One row per INSERT puts each string last on its line.
+    for row in &rows {
+        c.insert("via_insert", std::slice::from_ref(row)).unwrap();
+    }
+    c.batch("via_batch", &rows).unwrap();
+    let inserted = c.query("SELECT * FROM via_insert ORDER BY id").unwrap();
+    let batched = c.query("SELECT * FROM via_batch ORDER BY id").unwrap();
+    assert_eq!(inserted.rows, batched.rows);
+    assert_eq!(inserted.rows, rows);
+    c.quit().unwrap();
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn script_runs_ddl_and_reports_per_statement_errors() {
     let server = Server::start(Session::local(), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let (mut c, _) = Client::connect(server.local_addr()).unwrap();

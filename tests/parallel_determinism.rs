@@ -18,7 +18,8 @@
 //! parallel schedules preserve per-group accumulation order, not just
 //! set equality.
 
-use rex::core::tuple::Tuple;
+use rex::core::tuple::{Schema, Tuple};
+use rex::core::value::DataType;
 use rex::core::value::Value;
 use rex::Session;
 use rex_data::rng::StdRng;
@@ -117,5 +118,38 @@ fn view_maintenance_is_bit_identical_across_thread_counts() {
         for threads in THREADS {
             assert_eq!(run(threads), want, "seed {seed}/{threads} threads: view state diverges");
         }
+    }
+}
+
+/// A stateless scan that returns more than 50k rows, shaped like the
+/// served `sfp_half` query: every thread's sink hands back a sorted run,
+/// and the runs must merge into exactly the single-threaded order.
+#[test]
+fn large_scan_results_are_bit_identical() {
+    const ROWS: usize = 120_000;
+    let mut s = Session::local();
+    s.create_table(
+        "wide",
+        Schema::of(&[("k", DataType::Int), ("a", DataType::Int), ("b", DataType::Double)]),
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(SEEDS[0]);
+    let rows: Vec<Tuple> = (0..ROWS)
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Int((i % 20_000) as i64),
+                Value::Int(rng.gen_range(0..=99i64)),
+                Value::Double(rng.gen_range(0..=999i64) as f64 * 0.25),
+            ])
+        })
+        .collect();
+    s.insert("wide", rows).unwrap();
+    let q = "SELECT k, a + 1, b * 2.0 FROM wide WHERE a < 50 AND k >= 100";
+    s.set_threads(1);
+    let want = s.query(q).unwrap().rows;
+    assert!(want.len() >= 50_000, "{} rows", want.len());
+    for threads in [2, 4] {
+        s.set_threads(threads);
+        assert_eq!(s.query(q).unwrap().rows, want, "{threads} threads diverge on: {q}");
     }
 }
