@@ -4,9 +4,9 @@
 //! handle insertion, deletion, and replacement deltas" (§3.3). Each built-in
 //! here is an [`AggHandler`]; the delta rules follow the paper's discussion:
 //!
-//! * **sum** subtracts on deletion and adjusts on replacement; a `δ(E)`
-//!   update with a numeric payload is treated as an *adjustment* to the sum
-//!   (the generalized-delta behaviour PageRank relies on);
+//! * **sum** subtracts on deletion and adjusts on replacement, so an
+//!   inserted row can carry an *adjustment* to the sum (how PageRank's
+//!   handler join feeds rank changes into it);
 //! * **min/max** keep a count-annotated ordered multiset so that deleting
 //!   the current extremum finds the next-best value in O(log n);
 //! * **avg** is split into a composable sum+count pre-aggregate and a final
@@ -46,6 +46,26 @@ fn unary<'t>(t: &'t Tuple, cols: &[usize]) -> Result<&'t Value> {
     t.try_get(c)
 }
 
+/// Sum/avg shared delta rule: `+()` adds the value and one row, `-()`
+/// takes them away, and `→(t')` adjusts the sum by the difference.
+fn sum_count_state(state: &mut AggState, d: &Delta, name: &str) -> Result<()> {
+    let AggState::SumCount(sum, n) = state else {
+        return Err(RexError::Exec(format!("{name}: bad state shape")));
+    };
+    match &d.ann {
+        Annotation::Insert => {
+            *sum += numeric(arg(d))?;
+            *n += 1;
+        }
+        Annotation::Delete => {
+            *sum -= numeric(arg(d))?;
+            *n -= 1;
+        }
+        Annotation::Replace(old) => *sum += numeric(arg(d))? - numeric(old.get(0))?,
+    }
+    Ok(())
+}
+
 /// Sum/avg shared insert fold: `state += value, count += 1`.
 fn fold_sum_count(state: &mut AggState, v: &Value, name: &str) -> Result<bool> {
     match state {
@@ -75,27 +95,7 @@ impl AggHandler for SumAgg {
     }
 
     fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        let (sum, n) = match state {
-            AggState::SumCount(s, n) => (s, n),
-            _ => return Err(RexError::Exec("sum: bad state shape".into())),
-        };
-        match &d.ann {
-            Annotation::Insert => {
-                *sum += numeric(arg(d))?;
-                *n += 1;
-            }
-            Annotation::Delete => {
-                *sum -= numeric(arg(d))?;
-                *n -= 1;
-            }
-            Annotation::Replace(old) => {
-                *sum += numeric(arg(d))? - numeric(old.get(0))?;
-            }
-            // Generalized delta: the tuple's value is an *adjustment*.
-            Annotation::Update(_) => {
-                *sum += numeric(arg(d))?;
-            }
-        }
+        sum_count_state(state, d, "sum")?;
         Ok(vec![])
     }
 
@@ -159,7 +159,7 @@ impl AggHandler for CountAgg {
         match &d.ann {
             Annotation::Insert => *n += 1,
             Annotation::Delete => *n -= 1,
-            Annotation::Replace(_) | Annotation::Update(_) => {}
+            Annotation::Replace(_) => {}
         }
         Ok(vec![])
     }
@@ -247,7 +247,7 @@ fn fold_extremum(state: &mut AggState, v: &Value, name: &str) -> Result<bool> {
 fn extremum_state(state: &mut AggState, d: &Delta, name: &str) -> Result<()> {
     let m = multiset(state, name)?;
     match &d.ann {
-        Annotation::Insert | Annotation::Update(_) => {}
+        Annotation::Insert => {}
         Annotation::Delete => return remove_one(m, arg(d), name),
         // Upsert, like `TupleSet::replace`: an old value the group never
         // held leaves only the insertion.
@@ -364,26 +364,7 @@ impl AggHandler for AvgAgg {
     }
 
     fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        let (sum, n) = match state {
-            AggState::SumCount(s, n) => (s, n),
-            _ => return Err(RexError::Exec("avg: bad state shape".into())),
-        };
-        match &d.ann {
-            Annotation::Insert => {
-                *sum += numeric(arg(d))?;
-                *n += 1;
-            }
-            Annotation::Delete => {
-                *sum -= numeric(arg(d))?;
-                *n -= 1;
-            }
-            Annotation::Replace(old) => {
-                *sum += numeric(arg(d))? - numeric(old.get(0))?;
-            }
-            Annotation::Update(_) => {
-                *sum += numeric(arg(d))?;
-            }
-        }
+        sum_count_state(state, d, "avg")?;
         Ok(vec![])
     }
 
@@ -494,7 +475,7 @@ impl AggHandler for AvgFinalAgg {
             l.get(1).and_then(Value::as_int).unwrap_or(0),
         );
         match &d.ann {
-            Annotation::Insert | Annotation::Update(_) => {
+            Annotation::Insert => {
                 *sum += ds;
                 *n += dn;
             }
@@ -545,7 +526,7 @@ impl AggHandler for ArgMinAgg {
             _ => return Err(RexError::Exec("argmin: bad state shape".into())),
         };
         match &d.ann {
-            Annotation::Insert | Annotation::Update(_) => set.insert(d.tuple.clone()),
+            Annotation::Insert => set.insert(d.tuple.clone()),
             Annotation::Delete => {
                 set.remove(&d.tuple);
             }
@@ -606,20 +587,16 @@ mod tests {
         assert_eq!(result_value(&h, &s), Value::Double(5.0));
         h.agg_state(&mut s, &Delta::replace(tuple![5.0f64], tuple![7.0f64])).unwrap();
         assert_eq!(result_value(&h, &s), Value::Double(7.0));
-        // Generalized delta: adjustment semantics.
-        h.agg_state(&mut s, &Delta::update(tuple![0.5f64], Value::Null)).unwrap();
-        assert_eq!(result_value(&h, &s), Value::Double(7.5));
     }
 
     #[test]
-    fn count_ignores_replace_and_update() {
+    fn count_ignores_replace() {
         let h = CountAgg;
         let mut s = h.init();
         for _ in 0..3 {
             h.agg_state(&mut s, &Delta::insert(tuple![1i64])).unwrap();
         }
         h.agg_state(&mut s, &Delta::replace(tuple![1i64], tuple![2i64])).unwrap();
-        h.agg_state(&mut s, &Delta::update(tuple![1i64], Value::Null)).unwrap();
         assert_eq!(result_value(&h, &s), Value::Int(3));
         h.agg_state(&mut s, &Delta::delete(tuple![1i64])).unwrap();
         assert_eq!(result_value(&h, &s), Value::Int(2));

@@ -247,13 +247,6 @@ impl ColumnBatch {
         Some(ColumnBatch { cols, rows: rows.len(), sel: None })
     }
 
-    /// Build directly from compacted columns (projection output). All
-    /// columns must share one length.
-    pub fn from_columns(cols: Vec<Column>, rows: usize) -> ColumnBatch {
-        debug_assert!(cols.iter().all(|c| c.len() == rows));
-        ColumnBatch { cols, rows, sel: None }
-    }
-
     /// Number of columns.
     pub fn width(&self) -> usize {
         self.cols.len()

@@ -6,24 +6,25 @@
 //! * `+()`       — insert `t` into operator state ([`Annotation::Insert`])
 //! * `-()`       — delete `t` from operator state ([`Annotation::Delete`])
 //! * `→(t')`     — `t` replaces existing tuple `t'` ([`Annotation::Replace`])
-//! * `δ(E)`      — an arbitrary expression payload `E` interpreted by
-//!   downstream stateful operators via user delta handlers
-//!   ([`Annotation::Update`])
+//!
+//! That is the Z-set ring (DBSP, Budiu et al., VLDB 2023): `+()` and `-()`
+//! are weights `+1` and `-1`, and `→(t')` is the fused form of `-t' + t`.
+//! The paper's fourth form, the programmable `δ(E)`, is not a separate
+//! annotation here: a join handler owns every annotation it receives and
+//! emits ordinary adjustment rows into a composable aggregate instead
+//! (`PRAgg` → `sum`).
 //!
 //! Stateless operators propagate annotations untouched (the annotation
 //! behaves like a hidden attribute); stateful operators apply the standard
-//! view-maintenance rules of Gupta/Mumick/Subrahmanian for the first three
-//! forms and dispatch `Update` to user code.
+//! view-maintenance rules of Gupta/Mumick/Subrahmanian.
 
-use crate::error::{Result, RexError};
 use crate::hash::FxHashMap;
 use crate::tuple::{sort_rows, Tuple};
-use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// The operation part of a delta (Definition 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Annotation {
     /// `+()`: insert the tuple.
     Insert,
@@ -31,23 +32,14 @@ pub enum Annotation {
     Delete,
     /// `→(t')`: the tuple replaces `t'`.
     Replace(Tuple),
-    /// `δ(E)`: a programmable value-update; the payload is interpreted by a
-    /// user delta handler at the next stateful operator.
-    Update(Value),
 }
 
 impl Annotation {
-    /// Whether this annotation requires a user delta handler to interpret.
-    pub fn is_programmable(&self) -> bool {
-        matches!(self, Annotation::Update(_))
-    }
-
     /// Approximate serialized size of the annotation in bytes.
     pub fn byte_size(&self) -> usize {
         match self {
             Annotation::Insert | Annotation::Delete => 1,
             Annotation::Replace(t) => 1 + t.byte_size(),
-            Annotation::Update(v) => 1 + v.byte_size(),
         }
     }
 }
@@ -58,13 +50,12 @@ impl fmt::Display for Annotation {
             Annotation::Insert => f.write_str("+()"),
             Annotation::Delete => f.write_str("-()"),
             Annotation::Replace(t) => write!(f, "->{t}"),
-            Annotation::Update(v) => write!(f, "δ({v})"),
         }
     }
 }
 
 /// An annotated tuple.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Delta {
     /// The operation.
     pub ann: Annotation,
@@ -86,11 +77,6 @@ impl Delta {
     /// A replacement delta: `new_tuple` replaces `old`.
     pub fn replace(old: Tuple, new_tuple: Tuple) -> Delta {
         Delta { ann: Annotation::Replace(old), tuple: new_tuple }
-    }
-
-    /// A programmable value-update delta with payload `expr`.
-    pub fn update(tuple: Tuple, expr: Value) -> Delta {
-        Delta { ann: Annotation::Update(expr), tuple }
     }
 
     /// Keep the annotation, substitute the tuple. This is how stateless
@@ -145,18 +131,17 @@ impl ZSet {
     }
 
     /// Annotated deltas folded in order (see [`add_delta`](ZSet::add_delta)).
-    pub fn from_deltas(deltas: &[Delta]) -> Result<ZSet> {
+    pub fn from_deltas(deltas: &[Delta]) -> ZSet {
         let mut z = ZSet::new();
         for d in deltas {
-            z.add_delta(d.clone())?;
+            z.add_delta(d.clone());
         }
-        Ok(z)
+        z
     }
 
     /// Fold in one annotated delta: `+()` is `+t`, `-()` is `-t`, and
-    /// `→(t')` is `-t' + t`. A programmable `δ(E)` has no set-level
-    /// meaning and is refused.
-    pub fn add_delta(&mut self, d: Delta) -> Result<()> {
+    /// `→(t')` is `-t' + t`.
+    pub fn add_delta(&mut self, d: Delta) {
         match d.ann {
             Annotation::Insert => self.add(d.tuple, 1),
             Annotation::Delete => self.add(d.tuple, -1),
@@ -164,11 +149,7 @@ impl ZSet {
                 self.add(old, -1);
                 self.add(d.tuple, 1);
             }
-            Annotation::Update(_) => {
-                return Err(RexError::Plan("a programmable δ(E) delta has no Z-set weight".into()))
-            }
         }
-        Ok(())
     }
 
     /// Add `n` to `t`'s weight, pruning it at zero.
@@ -285,15 +266,13 @@ mod tests {
         assert_eq!(Delta::delete(t.clone()).ann, Annotation::Delete);
         let r = Delta::replace(tuple![0i64], t.clone());
         assert!(matches!(r.ann, Annotation::Replace(_)));
-        let u = Delta::update(t, Value::Double(0.25));
-        assert!(u.ann.is_programmable());
     }
 
     #[test]
     fn with_tuple_preserves_annotation() {
-        let d = Delta::update(tuple![1i64], Value::Int(9));
+        let d = Delta::replace(tuple![0i64], tuple![1i64]);
         let d2 = d.with_tuple(tuple![1i64, 2i64]);
-        assert_eq!(d2.ann, d.ann);
+        assert_eq!(d2.ann, Annotation::Replace(tuple![0i64]));
         assert_eq!(d2.tuple.arity(), 2);
     }
 
@@ -317,11 +296,9 @@ mod tests {
             Delta::insert(tuple![1i64]),
             Delta::delete(tuple![2i64]),
             Delta::replace(tuple![1i64], tuple![3i64]),
-        ])
-        .unwrap();
+        ]);
         assert_eq!(z.rows(), vec![tuple![1i64], tuple![3i64]]);
         assert_eq!(z.weight(&tuple![2i64]), -1);
-        assert!(ZSet::from_deltas(&[Delta::update(tuple![1i64], Value::Int(1))]).is_err());
     }
 
     #[test]
@@ -351,8 +328,7 @@ mod tests {
     fn byte_size_includes_annotation_payload() {
         let t = tuple![1i64]; // 2 + 8 = 10 bytes
         assert_eq!(Delta::insert(t.clone()).byte_size(), 11);
-        assert_eq!(Delta::replace(t.clone(), t.clone()).byte_size(), 1 + 10 + 10);
-        assert_eq!(Delta::update(t, Value::Double(1.0)).byte_size(), 1 + 8 + 10);
+        assert_eq!(Delta::replace(t.clone(), t).byte_size(), 1 + 10 + 10);
     }
 
     #[test]

@@ -219,11 +219,6 @@ impl Executor {
         }
     }
 
-    /// Whether telemetry is being collected.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Take the collected trace, harvesting each operator's detail
     /// counters and the plan topology. `None` when telemetry is off.
     /// Tracing stays enabled (with fresh counters) only if re-enabled via
@@ -558,17 +553,6 @@ impl Executor {
         }
     }
 
-    /// Collect results from the first sink node (cloning; the sink keeps
-    /// its state).
-    pub fn sink_results(&mut self) -> Result<Vec<Tuple>> {
-        for n in &mut self.nodes {
-            if let Some(s) = n.as_sink() {
-                return Ok(s.results());
-            }
-        }
-        Err(RexError::Exec("plan has no sink".into()))
-    }
-
     /// Drain results out of the first sink node — the end-of-query path,
     /// which avoids cloning the whole result set just to throw the sink's
     /// copy away.
@@ -703,8 +687,12 @@ pub fn stratum_vote(
     Ok((pending, cont))
 }
 
-/// Hard cap on strata, protecting against diverging recursions.
-pub const MAX_STRATA: u64 = 100_000;
+/// Hard cap on strata, protecting against diverging recursions: a run that
+/// has not converged after this many strata fails with an error rather
+/// than returning a truncated answer. Both runtimes and every view enforce
+/// it; a plan that wants fewer iterations asks for them with
+/// [`Termination::FixpointOrMax`](crate::operators::Termination).
+pub const MAX_STRATA: u64 = 10_000;
 
 /// Single-node query runtime: executes a plan graph to completion,
 /// coordinating strata exactly like the cluster requestor does.
@@ -895,7 +883,6 @@ mod tests {
         AggSpec, ApplyFunctionOp, FilterOp, FnMapper, GroupByOp, ScanOp, SinkOp, Termination,
     };
     use crate::tuple;
-    use crate::value::Value;
     use std::sync::{Arc, Mutex};
 
     #[test]
@@ -1071,22 +1058,6 @@ mod tests {
         let from_report: Vec<u64> = report.strata.iter().map(|s| s.delta_set_size).collect();
         assert_eq!(trace.iteration_deltas, from_report);
         assert_eq!(*trace.iteration_deltas.last().unwrap(), 0, "closing stratum is empty");
-    }
-
-    #[test]
-    fn update_annotation_via_apply_function_reaches_sink() {
-        let mut g = PlanGraph::new();
-        let scan = g.add(Box::new(ScanOp::new("t", vec![tuple![1i64]])));
-        let to_update = g
-            .add(Box::new(ApplyFunctionOp::new(Arc::new(FnMapper::new("tag", |d, _| {
-                Ok(vec![Delta::update(d.tuple.clone(), Value::Int(42))])
-            })))));
-        let sink = g.add(Box::new(SinkOp::new()));
-        g.pipe(scan, to_update);
-        g.pipe(to_update, sink);
-        let rt = LocalRuntime::new();
-        let (results, _) = rt.run(g).unwrap();
-        assert_eq!(results, vec![tuple![1i64]]);
     }
 
     /// A source emitting three one-row batches, `1`, `2`, `3`.

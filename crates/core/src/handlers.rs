@@ -33,11 +33,6 @@ impl TupleSet {
         TupleSet::default()
     }
 
-    /// Build from tuples.
-    pub fn from_tuples(tuples: Vec<Tuple>) -> TupleSet {
-        TupleSet { tuples }
-    }
-
     /// Number of tuples.
     pub fn len(&self) -> usize {
         self.tuples.len()

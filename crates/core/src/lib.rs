@@ -5,11 +5,11 @@
 //! Rust.
 //!
 //! REX is a shared-nothing, pipelined query engine in which **deltas**
-//! (annotated tuples: insertions, deletions, replacements, and programmable
-//! value-updates) are first-class citizens. Recursive queries execute in
-//! strata; stateful operators *refine* their state under deltas instead of
-//! accumulating it, so each iteration touches only the Δᵢ set — the tuples
-//! that actually changed.
+//! (annotated tuples: insertions, deletions and replacements) are
+//! first-class citizens. Recursive queries execute in strata; stateful
+//! operators *refine* their state under deltas instead of accumulating it,
+//! so each iteration touches only the Δᵢ set — the tuples that actually
+//! changed.
 //!
 //! This crate provides:
 //!
@@ -35,8 +35,8 @@
 //!
 //! ## Materialized views & incremental maintenance
 //!
-//! The [`delta`] vocabulary this crate defines — `+()`, `-()`, `→(t')`,
-//! `δ(E)` per Definition 1 of the paper — is also the substrate of the
+//! The [`delta`] vocabulary this crate defines — `+()`, `-()` and `→(t')`
+//! of Definition 1 of the paper — is also the substrate of the
 //! `rex-views` crate: `CREATE MATERIALIZED VIEW` (through the `rex`
 //! facade's `Session`) lowers the defining query once into a long-lived
 //! [`exec::Executor`] whose join and group-by nodes *are* this crate's

@@ -5,7 +5,7 @@
 //! (§3.3). The operator delegates to a [`DeltaMapper`], of which two
 //! implementations are provided: [`ExprMapper`] (projection that preserves
 //! annotations — the common case) and [`FnMapper`] (arbitrary user code that
-//! may rewrite annotations, e.g. turning plain tuples into `δ(E)` updates).
+//! may rewrite annotations, e.g. turning insertions into deletions).
 
 use crate::delta::{Delta, Punctuation};
 use crate::error::Result;
@@ -105,24 +105,6 @@ impl ApplyFunctionOp {
     }
 }
 
-impl std::hash::Hash for Delta {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.tuple.hash(state);
-        match &self.ann {
-            crate::delta::Annotation::Insert => 0u8.hash(state),
-            crate::delta::Annotation::Delete => 1u8.hash(state),
-            crate::delta::Annotation::Replace(t) => {
-                2u8.hash(state);
-                t.hash(state);
-            }
-            crate::delta::Annotation::Update(v) => {
-                3u8.hash(state);
-                v.hash(state);
-            }
-        }
-    }
-}
-
 impl Operator for ApplyFunctionOp {
     fn name(&self) -> String {
         format!("ApplyFn({})", self.mapper.name())
@@ -172,7 +154,6 @@ mod tests {
     use crate::metrics::{CostModel, ExecMetrics};
     use crate::operators::Event;
     use crate::tuple;
-    use crate::value::Value;
 
     fn run(op: &mut ApplyFunctionOp, deltas: Vec<Delta>) -> (Vec<Delta>, ExecMetrics) {
         let reg = Registry::with_builtins();
@@ -193,12 +174,10 @@ mod tests {
 
     #[test]
     fn fn_mapper_can_rewrite_annotations() {
-        let mapper = FnMapper::new("to-update", |d, _| {
-            Ok(vec![Delta::update(d.tuple.clone(), Value::Double(1.0))])
-        });
+        let mapper = FnMapper::new("negate", |d, _| Ok(vec![Delta::delete(d.tuple.clone())]));
         let mut op = ApplyFunctionOp::new(Arc::new(mapper));
         let (out, _) = run(&mut op, vec![Delta::insert(tuple![5i64])]);
-        assert!(out[0].ann.is_programmable());
+        assert_eq!(out, vec![Delta::delete(tuple![5i64])]);
     }
 
     #[test]

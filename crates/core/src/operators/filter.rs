@@ -182,7 +182,6 @@ mod tests {
     use crate::operators::Event;
     use crate::tuple;
     use crate::udf::Registry;
-    use crate::value::Value;
 
     fn run(op: &mut FilterOp, deltas: Vec<Delta>) -> Vec<Delta> {
         let reg = Registry::with_builtins();
@@ -221,14 +220,6 @@ mod tests {
         // both fail -> nothing
         let out = run(&mut op, vec![Delta::replace(tuple![1i64], tuple![2i64])]);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn update_annotation_rides_along() {
-        let mut op = FilterOp::new(Expr::col(0).gt(Expr::lit(0i64)));
-        let d = Delta::update(tuple![1i64], Value::Double(0.5));
-        let out = run(&mut op, vec![d.clone()]);
-        assert_eq!(out, vec![d]);
     }
 
     #[test]

@@ -60,7 +60,10 @@ pub enum Termination {
     /// Run exactly `n` recursive strata (the paper's no-delta/wrap runs,
     /// which "do not perform convergence testing").
     ExactStrata(u64),
-    /// Implicit fixpoint with a safety cap.
+    /// Implicit fixpoint, or stop after `n` strata if it comes first: a
+    /// *requested* stop (an algorithm's `max_iterations`) that ends the run
+    /// normally. The safety net against divergence is the runtimes'
+    /// [`MAX_STRATA`](crate::exec::MAX_STRATA) error, not this.
     FixpointOrMax(u64),
 }
 

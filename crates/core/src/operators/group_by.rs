@@ -45,11 +45,11 @@ impl AggSpec {
 #[derive(Clone)]
 struct GroupEntry {
     states: Vec<AggState>,
-    /// Net `+()`/`-()` rows folded into the group; replacements and
-    /// `δ(E)` updates leave it unchanged.
+    /// Net `+()`/`-()` rows folded into the group; replacements leave it
+    /// unchanged.
     rows: i64,
     /// A `-()` arrived since the last flush, so a zero `rows` means the
-    /// group's last row is gone (an update-only group also counts zero).
+    /// group's last row is gone (a replacement-only group also counts zero).
     deleted: bool,
     /// What this group last emitted (scalar mode), for replacement deltas.
     last_emitted: Option<Tuple>,
@@ -80,7 +80,7 @@ impl GroupEntry {
                 self.rows -= 1;
                 self.deleted = true;
             }
-            Annotation::Replace(_) | Annotation::Update(_) => {}
+            Annotation::Replace(_) => {}
         }
         if !self.changed {
             self.changed = true;
@@ -486,21 +486,6 @@ mod tests {
         );
         assert!(out.is_empty(), "{out:?}");
         assert_eq!(g.group_count(), 0);
-    }
-
-    #[test]
-    fn update_only_groups_count_zero_rows_but_stay() {
-        // δ(E) adjustments carry no row, so the group's count stays 0; only
-        // a delete of its last row may retract it.
-        let mut g = sum_group();
-        let adjust = |x: f64| Delta::update(tuple![1i64, x], Value::Null);
-        assert_eq!(
-            drive(&mut g, vec![adjust(2.0)], true),
-            vec![Delta::insert(tuple![1i64, 2.0f64])]
-        );
-        let out = drive(&mut g, vec![adjust(0.5)], true);
-        assert_eq!(out, vec![Delta::replace(tuple![1i64, 2.0f64], tuple![1i64, 2.5f64])]);
-        assert_eq!(g.group_count(), 1);
     }
 
     #[test]

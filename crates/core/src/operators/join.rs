@@ -6,9 +6,9 @@
 //! insertions and deletions are applied to the build state, probed, and
 //! propagated as insertions/deletions of joined tuples; replacements are
 //! treated as delete+insert pairs and re-fused into replacements where both
-//! sides produce output for the same opposite tuple. `δ(E)` updates are
-//! dispatched to a user [`JoinHandler`] when one is installed; otherwise
-//! the annotation is propagated as a hidden attribute (§3.3).
+//! sides produce output for the same opposite tuple. A user [`JoinHandler`],
+//! when one is installed, owns every delta instead: it maintains both
+//! buckets and emits whatever deltas it likes (§3.3's delta handlers).
 
 use crate::delta::{Annotation, Delta, Punctuation};
 use crate::error::Result;
@@ -76,7 +76,7 @@ impl HashJoinOp {
         self
     }
 
-    /// Install a user join delta handler for `δ(E)` updates.
+    /// Install a user join delta handler, which then receives every delta.
     pub fn with_handler(mut self, h: Arc<dyn JoinHandler>) -> Self {
         self.handler = Some(h);
         self
@@ -219,12 +219,11 @@ impl HashJoinOp {
         out: &mut Vec<Delta>,
         ctx: &mut OpCtx<'_>,
     ) -> Result<()> {
-        // Without a handler the standard view-maintenance rules apply and
-        // δ(E) degrades to a hidden attribute.
+        // Without a handler the standard view-maintenance rules apply.
         if self.handler.is_some() {
             return self.apply_handler(d, from_left, out, ctx);
         }
-        match d.ann.clone() {
+        match d.ann {
             Annotation::Insert => {
                 ctx.charge_cpu(ctx.cost.hash_cost);
                 // One key hash serves both the build-side upsert and the
@@ -276,25 +275,6 @@ impl HashJoinOp {
                     let new_hash = self.key_hash(&d.tuple, from_left);
                     self.probe_emit(new_hash, &d.tuple, from_left, Delta::insert, out, ctx);
                 }
-            }
-            Annotation::Update(_) => {
-                // No handler: "propagate the annotation as if it were
-                // another (hidden) attribute" — treat the tuple normally
-                // (store + probe) and tag outputs with the annotation.
-                let hash = self.key_hash(&d.tuple, from_left);
-                let (state, cols) = self.side_mut(from_left);
-                state
-                    .probe_or_insert_hashed(hash, &d.tuple, cols, TupleSet::new)
-                    .put_by_key(0, d.tuple.clone());
-                let ann = d.ann.clone();
-                self.probe_emit(
-                    hash,
-                    &d.tuple,
-                    from_left,
-                    |t| Delta { ann: ann.clone(), tuple: t },
-                    out,
-                    ctx,
-                );
             }
         }
         Ok(())
@@ -584,16 +564,6 @@ mod tests {
         assert_eq!(out, vec![Delta::insert(tuple![7i64, "l", 7i64, "r"])]);
     }
 
-    #[test]
-    fn update_without_handler_propagates_annotation() {
-        let mut j = HashJoinOp::new(vec![0], vec![0]);
-        drive(&mut j, 1, vec![Delta::insert(tuple![1i64, "r"])]);
-        let out = drive(&mut j, 0, vec![Delta::update(tuple![1i64, 5i64], Value::Double(0.5))]);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].ann, Annotation::Update(Value::Double(0.5)));
-        assert_eq!(out[0].tuple, tuple![1i64, 5i64, 1i64, "r"]);
-    }
-
     /// A PageRank-style handler: maintains the rank in the left bucket and
     /// emits per-neighbor diffs from the right bucket.
     struct DiffHandler;
@@ -619,7 +589,7 @@ mod tests {
             let diff = new - old;
             Ok(right
                 .iter()
-                .map(|e| Delta::update(tuple![e.get(1).as_int().unwrap(), diff], Value::Null))
+                .map(|e| Delta::insert(tuple![e.get(1).as_int().unwrap(), diff]))
                 .collect())
         }
     }
@@ -627,22 +597,19 @@ mod tests {
     #[test]
     fn update_with_handler_dispatches_buckets() {
         let mut j = HashJoinOp::new(vec![0], vec![0]).with_handler(Arc::new(DiffHandler));
-        // Edges 1->2, 1->3 arrive on the right with Update annotation so the
-        // handler owns bucket maintenance.
+        // Edges 1->2, 1->3 arrive on the right as plain insertions; the
+        // handler owns bucket maintenance for them too.
         drive(
             &mut j,
             1,
-            vec![
-                Delta::update(tuple![1i64, 2i64], Value::Null),
-                Delta::update(tuple![1i64, 3i64], Value::Null),
-            ],
+            vec![Delta::insert(tuple![1i64, 2i64]), Delta::insert(tuple![1i64, 3i64])],
         );
         // Rank update for node 1 from 0 to 1.0 → diffs of 1.0 to 2 and 3.
-        let out = drive(&mut j, 0, vec![Delta::update(tuple![1i64, 1.0f64], Value::Null)]);
+        let out = drive(&mut j, 0, vec![Delta::insert(tuple![1i64, 1.0f64])]);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|d| d.tuple.get(1) == &Value::Double(1.0)));
         // Second update 1.0 → 1.5 sends only the 0.5 diff.
-        let out = drive(&mut j, 0, vec![Delta::update(tuple![1i64, 1.5f64], Value::Null)]);
+        let out = drive(&mut j, 0, vec![Delta::insert(tuple![1i64, 1.5f64])]);
         assert!(out.iter().all(|d| d.tuple.get(1) == &Value::Double(0.5)));
     }
 

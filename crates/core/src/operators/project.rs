@@ -114,7 +114,6 @@ mod tests {
     use crate::operators::Event;
     use crate::tuple;
     use crate::udf::Registry;
-    use crate::value::Value;
 
     fn run(op: &mut ProjectOp, deltas: Vec<Delta>) -> Vec<Delta> {
         let reg = Registry::with_builtins();
@@ -148,13 +147,5 @@ mod tests {
             a => panic!("expected replace, got {a:?}"),
         }
         assert_eq!(out[0].tuple, tuple![10i64]);
-    }
-
-    #[test]
-    fn update_payload_preserved() {
-        let mut op = ProjectOp::new(vec![Expr::col(0)]);
-        let out = run(&mut op, vec![Delta::update(tuple![1i64, 2i64], Value::Double(0.1))]);
-        assert_eq!(out[0].ann, Annotation::Update(Value::Double(0.1)));
-        assert_eq!(out[0].tuple, tuple![1i64]);
     }
 }

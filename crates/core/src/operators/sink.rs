@@ -84,7 +84,7 @@ impl Operator for SinkOp {
         let SinkState::Counted(z) = &mut self.state else { unreachable!("just degraded") };
         for d in deltas {
             let (gone, new) = match d.ann {
-                Annotation::Insert | Annotation::Update(_) => (None, Some(d.tuple)),
+                Annotation::Insert => (None, Some(d.tuple)),
                 Annotation::Delete => (Some(d.tuple), None),
                 Annotation::Replace(old) => (Some(old), Some(d.tuple)),
             };

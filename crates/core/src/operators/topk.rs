@@ -149,7 +149,7 @@ impl Operator for TopKOp {
         ctx.charge_input(deltas.len());
         for d in deltas {
             match d.ann {
-                Annotation::Insert | Annotation::Update(_) => self.buffer.add(d.tuple, 1),
+                Annotation::Insert => self.buffer.add(d.tuple, 1),
                 Annotation::Delete => self.buffer.add(d.tuple, -1),
                 Annotation::Replace(old) => {
                     self.buffer.add(old, -1);

@@ -9,7 +9,7 @@
 //! [`CostModel`](crate::metrics::CostModel).
 
 use crate::error::{Result, RexError};
-use crate::handlers::{AggHandler, JoinHandler, WhileHandler};
+use crate::handlers::{AggHandler, JoinHandler};
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,12 +27,6 @@ pub struct CostHint {
 }
 
 impl CostHint {
-    /// A cheap, moderately-selective default used when calibration has not
-    /// yet run.
-    pub fn default_hint() -> CostHint {
-        CostHint { per_tuple_cost: 1.0, selectivity: 0.5 }
-    }
-
     /// The rank of a predicate per Hellerstein & Stonebraker's predicate
     /// migration: cost / (1 - selectivity). Cheaper and more selective
     /// predicates have lower rank and should be applied first (§5.1).
@@ -143,7 +137,6 @@ struct RegistryInner {
     scalars: HashMap<String, Arc<dyn ScalarUdf>>,
     aggs: HashMap<String, Arc<dyn AggHandler>>,
     joins: HashMap<String, Arc<dyn JoinHandler>>,
-    whiles: HashMap<String, Arc<dyn WhileHandler>>,
 }
 
 impl Registry {
@@ -175,11 +168,6 @@ impl Registry {
     /// Register a join delta handler.
     pub fn register_join(&self, name: impl Into<String>, h: Arc<dyn JoinHandler>) {
         self.inner.write().unwrap().joins.insert(name.into().to_ascii_lowercase(), h);
-    }
-
-    /// Register a while/fixpoint delta handler.
-    pub fn register_while(&self, name: impl Into<String>, h: Arc<dyn WhileHandler>) {
-        self.inner.write().unwrap().whiles.insert(name.into().to_ascii_lowercase(), h);
     }
 
     /// Resolve a scalar UDF.
@@ -215,17 +203,6 @@ impl Registry {
             .ok_or_else(|| RexError::Udf(format!("unknown join handler: {name}")))
     }
 
-    /// Resolve a while delta handler.
-    pub fn while_handler(&self, name: &str) -> Result<Arc<dyn WhileHandler>> {
-        self.inner
-            .read()
-            .unwrap()
-            .whiles
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| RexError::Udf(format!("unknown while handler: {name}")))
-    }
-
     /// Whether a scalar function of this name exists.
     pub fn has_scalar(&self, name: &str) -> bool {
         self.inner.read().unwrap().scalars.contains_key(&name.to_ascii_lowercase())
@@ -234,13 +211,6 @@ impl Registry {
     /// Whether an aggregate of this name exists.
     pub fn has_agg(&self, name: &str) -> bool {
         self.inner.read().unwrap().aggs.contains_key(&name.to_ascii_lowercase())
-    }
-
-    /// Names of all registered aggregates (for diagnostics).
-    pub fn agg_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.read().unwrap().aggs.keys().cloned().collect();
-        v.sort();
-        v
     }
 }
 

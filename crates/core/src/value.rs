@@ -24,7 +24,8 @@ pub enum DataType {
     Str,
     /// Collection-valued attribute.
     List,
-    /// Unknown/any; used for `Update` payloads interpreted by handlers.
+    /// Unknown/any: a value typed only at run time (a `min`/`max` result, a
+    /// handler join's output column).
     Any,
     /// The SQL NULL type, compatible with everything.
     Null,

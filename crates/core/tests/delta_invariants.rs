@@ -206,7 +206,7 @@ mod join_props {
                     }
                 }
             }
-            assert_eq!(ZSet::from_deltas(&out).unwrap(), want, "case {case}");
+            assert_eq!(ZSet::from_deltas(&out), want, "case {case}");
         }
     }
 }

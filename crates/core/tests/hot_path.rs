@@ -97,7 +97,7 @@ fn punct(op: &mut dyn Operator) -> Vec<Delta> {
 
 /// Emitted deltas as a Z-set, which must hold no negative weight.
 fn net(deltas: &[Delta]) -> ZSet {
-    let z = ZSet::from_deltas(deltas).expect("sweep emits no δ(E) deltas");
+    let z = ZSet::from_deltas(deltas);
     assert!(z.iter().all(|(_, n)| n >= 0), "negative net multiplicity in {z:?}");
     z
 }

@@ -134,7 +134,7 @@ impl AggHandler for ReduceWrap {
             return Err(RexError::Exec("ReduceWrap state must be a tuple bag".into()));
         };
         match &d.ann {
-            rex_core::delta::Annotation::Insert | rex_core::delta::Annotation::Update(_) => {
+            rex_core::delta::Annotation::Insert => {
                 set.insert(d.tuple.clone());
             }
             rex_core::delta::Annotation::Delete => {

@@ -104,10 +104,6 @@ impl TableProvider for MemTables {
     }
 }
 
-/// Iteration cap applied to RQL fixpoints (safety net against diverging
-/// user queries; the paper's optimizer applies a similar cap, §5.3).
-pub const DEFAULT_MAX_STRATA: u64 = 10_000;
-
 /// Options controlling physical lowering.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LowerOptions {
@@ -795,10 +791,11 @@ impl Lowering<'_> {
                 // The base case must arrive partitioned on the fixpoint key
                 // so each worker's mutable set holds exactly its keys.
                 let (b, bport, _) = self.ensure_partitioned(b, bport, &bpart, key_cols);
-                let fp = self.g.add(Box::new(FixpointOp::new(
-                    key_cols.clone(),
-                    Termination::FixpointOrMax(DEFAULT_MAX_STRATA),
-                )));
+                // Run to convergence: a recursion that never converges
+                // fails at the runtime's `MAX_STRATA` instead of returning
+                // a truncated answer.
+                let fp =
+                    self.g.add(Box::new(FixpointOp::new(key_cols.clone(), Termination::Fixpoint)));
                 self.g.connect(b, bport, fp, 0);
                 let prev = self.fixpoint.replace((fp, key_cols.clone()));
                 let (s, sport, _, _) = self.node(step)?;

@@ -135,12 +135,22 @@ fn malformed_commands_get_err_lines_on_the_raw_socket() {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut w = stream;
     let mut line = String::new();
+    // One edge, so the diverging recursion below has a counter to run.
+    w.write_all(b"INSERT edges i:1\ti:1\n").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("OK 1 "), "{line:?}");
 
     for (bad, expect) in [
         ("NOPE 1\n", "unknown command"),
         ("QUERY\n", "QUERY needs"),
         ("BATCH edges many\n", "row count"),
         ("INSERT edges q:wat\n", "unknown value tag"),
+        (
+            "QUERY WITH R (k, v) AS (SELECT src AS k, 0 AS v FROM edges) \
+             UNION UNTIL FIXPOINT BY k \
+             (SELECT R.k, R.v + 1 FROM R, edges WHERE R.k = edges.src)\n",
+            "10000 strata without converging",
+        ),
     ] {
         w.write_all(bad.as_bytes()).unwrap();
         line.clear();

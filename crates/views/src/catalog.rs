@@ -199,7 +199,7 @@ impl ViewCatalog {
         store: &Catalog,
         reg: &Registry,
     ) -> Result<Vec<String>> {
-        let initial = ZSet::from_deltas(deltas)?;
+        let initial = ZSet::from_deltas(deltas);
         if initial.is_empty() {
             return Ok(Vec::new());
         }

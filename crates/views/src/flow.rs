@@ -198,7 +198,7 @@ impl ViewFlow {
             match e.event {
                 Event::Data(deltas) => {
                     for d in deltas {
-                        out.add_delta(d)?;
+                        out.add_delta(d);
                     }
                 }
                 Event::Rows(rows) => rows.into_iter().for_each(|t| out.add(t, 1)),

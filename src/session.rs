@@ -35,7 +35,7 @@ use crate::engine::{ClusterEngine, ClusterStats, Engine, LocalEngine};
 use crate::snapshot::{run_explain_analyze, run_read_query, text_rows, SnapshotView, ViewStat};
 use rex_core::delta::Delta;
 use rex_core::error::{Result, RexError};
-use rex_core::handlers::{AggHandler, JoinHandler, WhileHandler};
+use rex_core::handlers::{AggHandler, JoinHandler};
 use rex_core::metrics::QueryReport;
 use rex_core::telemetry::ExecTrace;
 use rex_core::tuple::{Field, Schema, Tuple};
@@ -497,11 +497,6 @@ impl Session {
         self.registry.register_join(name, h);
     }
 
-    /// Register a while/fixpoint delta handler.
-    pub fn register_handler(&mut self, name: &str, h: Arc<dyn WhileHandler>) {
-        self.registry.register_while(name, h);
-    }
-
     /// The registry (for advanced registration paths).
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -939,6 +934,34 @@ mod tests {
         assert!(cluster.cluster.is_some(), "cluster run carries worker stats");
         assert!(local.cluster.is_none());
         assert_eq!(*local.delta_sizes().last().unwrap(), 0, "converged");
+    }
+
+    #[test]
+    fn diverging_recursion_is_an_error_on_both_engines() {
+        // Every step adds one to every counter, so the recursion never
+        // converges: it must fail at the runtime's strata cap rather than
+        // return the counters as they stood when some lower cap stopped it.
+        let diverging = "WITH R (k, v) AS (SELECT src AS k, 0 AS v FROM edges)
+             UNION UNTIL FIXPOINT BY k (
+               SELECT R.k, R.v + 1 FROM R, edges WHERE R.k = edges.src)";
+        for engine in ["local", "cluster"] {
+            let mut s = edge_session(engine);
+            for threads in [1, 4] {
+                s.set_threads(threads);
+                match s.query(diverging) {
+                    Err(RexError::Exec(m)) => {
+                        assert!(m.contains("10000 strata without converging"), "{engine}: {m}")
+                    }
+                    other => panic!(
+                        "{engine}/{threads} threads: expected an error, got {:?}",
+                        other.map(|r| r.rows)
+                    ),
+                }
+                // The session answers the next query.
+                let r = s.query("SELECT dst FROM edges WHERE src = 0").unwrap();
+                assert_eq!(r.rows, vec![tuple![1i64], tuple![2i64]], "{engine}/{threads}");
+            }
+        }
     }
 
     #[test]

@@ -40,11 +40,21 @@ const QUERIES: &[&str] = &[
 ];
 
 /// A recursive query: per-key counters race to a bound through the
-/// fixpoint operator (stratum-by-stratum on both engines).
+/// fixpoint operator (stratum-by-stratum on both engines). Known defect:
+/// it returns 0 rows, because a keyed fixpoint drops each key once its
+/// step stops producing a row, so the check below compares empty results.
+/// [`REACHABLE`] is the recursion whose rows are compared.
 const RECURSIVE: &str = "WITH R (k, v) AS (\
      SELECT k, 0 AS v FROM seed\
      ) UNION UNTIL FIXPOINT BY k (\
      SELECT k, v + 1 FROM R WHERE v < 4)";
+
+/// A set-semantics recursion with a join in its step: the keys reachable
+/// from three seeds along `t`'s `k → a` rows with `b < 10.0`. Its answer
+/// is non-empty on every seed, so the check compares real rows.
+const REACHABLE: &str = "WITH R (k) AS (SELECT k FROM seed WHERE k < 3) \
+     UNION UNTIL FIXPOINT BY k \
+     (SELECT t.a FROM R, t WHERE R.k = t.k AND t.b < 10.0)";
 
 fn make(engine: &str, seed: u64) -> Session {
     let mut s = session(engine);
@@ -55,9 +65,12 @@ fn make(engine: &str, seed: u64) -> Session {
 fn check_engine(engine: &str) {
     for seed in SEEDS {
         let mut s = make(engine, seed);
-        for q in QUERIES.iter().chain(&[RECURSIVE]) {
+        for q in QUERIES.iter().chain(&[RECURSIVE, REACHABLE]) {
             s.set_threads(1);
             let want = s.query(q).unwrap().rows;
+            if *q == REACHABLE {
+                assert!(!want.is_empty(), "{engine}/seed {seed}: {q} is empty");
+            }
             for threads in THREADS {
                 s.set_threads(threads);
                 let got = s.query(q).unwrap().rows;
