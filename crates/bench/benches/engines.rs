@@ -12,7 +12,8 @@ use rex_core::udf::Registry;
 use rex_dbms::engine::DbmsConfig;
 use rex_hadoop::cost::EmulationMode;
 use rex_hadoop::job::{HadoopCluster, JobInput, MapReduceJob};
-use rex_rql::lower::{compile, MemTables};
+use rex_rql::lower::{lower, MemTables};
+use rex_rql::plan_rql;
 use rex_rql::SchemaCatalog;
 use std::time::Instant;
 
@@ -43,9 +44,13 @@ fn fig04_olap() {
     let reg = Registry::with_builtins();
 
     bench("fig04_olap", "rex_builtin_rql", || {
-        let plan = compile(
-            "SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1",
-            &catalog,
+        let plan = lower(
+            &plan_rql(
+                "SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1",
+                &catalog,
+                &reg,
+            )
+            .unwrap(),
             &tables,
             &reg,
         )

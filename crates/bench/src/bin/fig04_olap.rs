@@ -24,7 +24,8 @@ use rex_data::lineitem::reference_fig4_answer;
 use rex_hadoop::api::{FnMapper, FnReducer};
 use rex_hadoop::job::{HadoopCluster, JobInput, MapReduceJob};
 use rex_hadoop::wrap::{reduce_output_projection, MapWrap, ReduceWrap};
-use rex_rql::lower::{compile, MemTables};
+use rex_rql::lower::{lower, MemTables};
+use rex_rql::plan_rql;
 use rex_rql::SchemaCatalog;
 use std::sync::Arc;
 
@@ -90,9 +91,9 @@ fn main() {
 
     // ---- REX built-in ----------------------------------------------------
     let reg = Registry::with_builtins();
-    let plan = compile(
-        "SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1",
-        &catalog,
+    let plan = lower(
+        &plan_rql("SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1", &catalog, &reg)
+            .unwrap(),
         &tables,
         &reg,
     )
@@ -112,9 +113,13 @@ fn main() {
     )));
     reg.register_agg("usum", Arc::new(UdaSum));
     reg.register_agg("ucount", Arc::new(UdaCount));
-    let plan = compile(
-        "SELECT usum(tax), ucount(tax) FROM lineitem WHERE gt_one(linenumber)",
-        &catalog,
+    let plan = lower(
+        &plan_rql(
+            "SELECT usum(tax), ucount(tax) FROM lineitem WHERE gt_one(linenumber)",
+            &catalog,
+            &reg,
+        )
+        .unwrap(),
         &tables,
         &reg,
     )

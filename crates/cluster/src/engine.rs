@@ -103,7 +103,7 @@ mod tests {
     use rex_core::tuple;
     use rex_core::tuple::Schema;
     use rex_core::value::DataType;
-    use rex_rql::lower::{compile, MemTables};
+    use rex_rql::lower::{lower, MemTables};
     use rex_rql::SchemaCatalog;
     use rex_storage::catalog::Catalog;
     use rex_storage::table::StoredTable;
@@ -139,7 +139,7 @@ mod tests {
         let (cat, sc, mem) = fixture(24);
         let reg = Registry::with_builtins();
         let plan = rex_rql::plan_rql(src, &sc, &reg).unwrap();
-        let local = compile(src, &sc, &mem, &reg).unwrap();
+        let local = lower(&plan, &mem, &reg).unwrap();
         let (mut local_rows, _) = LocalRuntime::new().run(local).unwrap();
         local_rows.sort();
         let rt = ClusterRuntime::new(ClusterConfig::new(workers), cat);

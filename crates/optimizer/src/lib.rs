@@ -6,12 +6,13 @@
 //! pre-aggregation pushdown with composability and multiplicative-join
 //! compensation ([`rules`]), and recursive-query costing by capped
 //! simulated iteration ([`plan_cost`]). Joins keep the order the query
-//! wrote them in: §5's join enumeration pays only on three-way and wider
-//! joins, and no served workload has one.
+//! wrote them in: the planner already keys every join of an n-way FROM
+//! left-deep, and §5's join enumeration has no workload to pay for it.
 //!
 //! The [`Optimizer`] facade takes an RQL [`LogicalPlan`], applies the
 //! semantics-preserving rewrites, and returns the rewritten plan with its
-//! estimated [`PlanCost`].
+//! estimated [`PlanCost`]. Queries and materialized views both run the
+//! rewritten plan.
 
 pub mod cost;
 pub mod error;
@@ -55,8 +56,11 @@ impl Optimizer {
     /// Optimize a logical plan: apply the rewrite rules — HAVING pushdown
     /// below aggregates, redundant-DISTINCT elimination, LIMIT-into-Sort
     /// top-k fusion, filter pushdown below joins, rank-ordered filters —
-    /// then cost the result. Returns
-    /// the rewritten plan and its estimate.
+    /// then cost the result. Returns the rewritten plan and its estimate.
+    ///
+    /// Every rule rewrites a relation into an equal relation, so each one
+    /// commutes with delta propagation too: a materialized view maintains
+    /// the rewritten plan and stays exact, with no rule switched off.
     pub fn optimize(&self, plan: LogicalPlan) -> Result<(LogicalPlan, PlanCost)> {
         let rewritten = rules::push_having_below_aggregate(plan);
         let rewritten = rules::eliminate_redundant_distinct(rewritten);
@@ -66,12 +70,6 @@ impl Optimizer {
         let coster = Coster { stats: &self.stats, units: self.units, calib: &self.calib };
         let cost = coster.cost(&rewritten)?;
         Ok((rewritten, cost))
-    }
-
-    /// Cost a plan without rewriting (for comparing alternatives).
-    pub fn cost(&self, plan: &LogicalPlan) -> Result<PlanCost> {
-        let coster = Coster { stats: &self.stats, units: self.units, calib: &self.calib };
-        Ok(coster.cost(plan)?)
     }
 }
 
@@ -120,8 +118,8 @@ mod tests {
         let fast = Optimizer::new(4);
         let mut slow = Optimizer::new(4);
         slow.calib.cpu_speed[2] = 0.25; // one straggler
-        let cf = fast.cost(&p).unwrap();
-        let cs = slow.cost(&p).unwrap();
+        let (_, cf) = fast.optimize(p.clone()).unwrap();
+        let (_, cs) = slow.optimize(p).unwrap();
         assert!(cs.runtime() > cf.runtime(), "straggler must dominate (worst-case est.)");
     }
 }

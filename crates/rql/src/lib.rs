@@ -32,7 +32,7 @@ pub mod resolve;
 pub use ast::{Query, Statement};
 pub use error::{RqlError, RqlStage};
 pub use logical::LogicalPlan;
-pub use lower::{compile, lower_parallel, lower_with, LowerOptions, TableProvider};
+pub use lower::{lower_parallel, lower_with, LowerOptions, TableProvider};
 pub use parser::parse;
 pub use provider::{CatalogProvider, PartitionProvider};
 pub use resolve::SchemaCatalog;

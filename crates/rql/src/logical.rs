@@ -1,8 +1,11 @@
 //! Logical query plans and the AST → logical planner.
 //!
 //! The planner resolves a parsed [`Query`] against a [`SchemaCatalog`] and
-//! the UDF/UDA [`Registry`] into a tree of [`LogicalPlan`] nodes. Two
-//! special shapes are recognized:
+//! the UDF/UDA [`Registry`] into a tree of [`LogicalPlan`] nodes. A FROM
+//! list of any length folds left-deep in written order: each item joins
+//! the items before it on the `col = col` conjuncts that straddle the two,
+//! and stays a cross join only where none does; the other conjuncts
+//! become filters above the joins. Two special shapes are recognized:
 //!
 //! * **handler joins** (Listing 1's inner block): a block whose single
 //!   projection is a destructured UDA call `H(args).{a, b}` over a
@@ -538,35 +541,19 @@ fn try_handler_join(
     if reg.join(name).is_err() {
         return Ok(None);
     }
-    if items.len() != 2 {
+    let [(_, left), (_, right)] = items else {
         return Err(RexError::Plan(format!("handler join {name} requires exactly two FROM items")));
-    }
-    // Find the equi-join conjunct.
+    };
     let mut conjuncts = Vec::new();
     if let Some(w) = &block.selection {
         split_conjuncts(w, &mut conjuncts);
     }
-    let (split_at, _) = scope
-        .bindings()
-        .get(1)
-        .map(|b| (b.offset, ()))
-        .ok_or_else(|| RexError::Plan("missing join input".into()))?;
-    let mut left_key = Vec::new();
-    let mut right_key = Vec::new();
-    for c in &conjuncts {
-        if let Some((l, r)) = as_equi_join(c, scope, split_at, reg)? {
-            left_key.push(l);
-            right_key.push(r - split_at);
-        }
-    }
     // A handler join with no key is a broadcast/cross handler join.
+    let (left_key, right_key) = join_keys(&conjuncts, scope, 1, reg, &mut Vec::new())?;
     let schema = Schema::new(fields.iter().map(|f| Field::new(f.clone(), DataType::Any)).collect());
-    let mut items = items.to_vec();
-    let (_, right) = items.pop().expect("two items");
-    let (_, left) = items.pop().expect("two items");
     Ok(Some(LogicalPlan::Join {
-        left: Box::new(left),
-        right: Box::new(right),
+        left: Box::new(left.clone()),
+        right: Box::new(right.clone()),
         left_key,
         right_key,
         handler: Some(name.clone()),
@@ -584,81 +571,62 @@ fn split_conjuncts(e: &AstExpr, out: &mut Vec<AstExpr>) {
     }
 }
 
-/// If `e` is `colA = colB` with the columns on opposite sides of
-/// `split_at`, return `(left_abs, right_abs)`.
-fn as_equi_join(
-    e: &AstExpr,
+/// The key of the join that adds FROM item `item` to the items before
+/// it: every `colA = colB` conjunct with one column in the items before
+/// (`[0, split_at)`) and the other in `item` itself (`[split_at, end)`).
+/// Keys come back relative to each side; the indices of the conjuncts
+/// used are appended to `consumed`.
+fn join_keys(
+    conjuncts: &[AstExpr],
     scope: &Scope,
-    split_at: usize,
+    item: usize,
     reg: &Registry,
-) -> Result<Option<(usize, usize)>> {
-    let AstExpr::Binary { op: crate::ast::AstBinOp::Eq, left, right } = e else {
-        return Ok(None);
-    };
-    let (Ok(Expr::Col(a)), Ok(Expr::Col(b))) =
-        (resolve_scalar(left, scope, reg), resolve_scalar(right, scope, reg))
-    else {
-        return Ok(None);
-    };
-    if a < split_at && b >= split_at {
-        Ok(Some((a, b)))
-    } else if b < split_at && a >= split_at {
-        Ok(Some((b, a)))
-    } else {
-        Ok(None)
+    consumed: &mut Vec<usize>,
+) -> Result<(Vec<usize>, Vec<usize>)> {
+    let binding = &scope.bindings()[item];
+    let (split_at, end) = (binding.offset, binding.offset + binding.schema.arity());
+    let (mut left_key, mut right_key) = (Vec::new(), Vec::new());
+    for (i, c) in conjuncts.iter().enumerate() {
+        let AstExpr::Binary { op: crate::ast::AstBinOp::Eq, left, right } = c else {
+            continue;
+        };
+        let (Ok(Expr::Col(a)), Ok(Expr::Col(b))) =
+            (resolve_scalar(left, scope, reg), resolve_scalar(right, scope, reg))
+        else {
+            continue;
+        };
+        let (l, r) = if a < b { (a, b) } else { (b, a) };
+        if l < split_at && (split_at..end).contains(&r) {
+            left_key.push(l);
+            right_key.push(r - split_at);
+            consumed.push(i);
+        }
     }
+    Ok((left_key, right_key))
 }
 
-/// Left-fold FROM items into binary joins, consuming equi-join conjuncts.
-/// Only two-item FROMs extract keys (n-way joins become cross joins with a
-/// residual filter, which stays correct if slower). Returns the plan and
-/// the set of consumed conjunct indices.
+/// Left-fold FROM items into binary joins in written order. Step *i*
+/// joins the items before it with item *i*, keyed on the equalities that
+/// straddle the two ([`join_keys`]); a step no equality straddles stays a
+/// cross join. Returns the plan and the indices of the conjuncts used as
+/// keys — the rest are the caller's residual filters.
 fn fold_joins(
-    mut items: Vec<(Option<String>, LogicalPlan)>,
+    items: Vec<(Option<String>, LogicalPlan)>,
     scope: &Scope,
     conjuncts: &[AstExpr],
     reg: &Registry,
 ) -> Result<(LogicalPlan, Vec<usize>)> {
     let mut consumed = Vec::new();
-    if items.len() == 1 {
-        return Ok((items.pop().expect("one item").1, consumed));
-    }
-    if items.len() == 2 {
-        let split_at = scope.bindings()[1].offset;
-        let mut left_key = Vec::new();
-        let mut right_key = Vec::new();
-        for (i, c) in conjuncts.iter().enumerate() {
-            if let Some((l, r)) = as_equi_join(c, scope, split_at, reg)? {
-                left_key.push(l);
-                right_key.push(r - split_at);
-                consumed.push(i);
-            }
-        }
-        let (_, right) = items.pop().expect("two items");
-        let (_, left) = items.pop().expect("two items");
-        let schema = left.schema().concat(right.schema());
-        return Ok((
-            LogicalPlan::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                left_key,
-                right_key,
-                handler: None,
-                schema,
-            },
-            consumed,
-        ));
-    }
-    // n-way: chain cross joins; all conjuncts become residual filters.
-    let (_, first) = items.remove(0);
-    let mut plan = first;
-    for (_, next) in items {
-        let schema = plan.schema().concat(next.schema());
+    let mut items = items.into_iter().map(|(_, p)| p);
+    let mut plan = items.next().expect("FROM is non-empty");
+    for (i, right) in items.enumerate() {
+        let (left_key, right_key) = join_keys(conjuncts, scope, i + 1, reg, &mut consumed)?;
+        let schema = plan.schema().concat(right.schema());
         plan = LogicalPlan::Join {
             left: Box::new(plan),
-            right: Box::new(next),
-            left_key: vec![],
-            right_key: vec![],
+            right: Box::new(right),
+            left_key,
+            right_key,
             handler: None,
             schema,
         };

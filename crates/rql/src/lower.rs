@@ -30,7 +30,6 @@
 //! are pass-throughs on a single node, so local plans stay minimal.
 
 use crate::logical::{AggCall, LogicalPlan, SortKey};
-use crate::resolve::SchemaCatalog;
 use rex_core::error::{Result, RexError};
 use rex_core::exec::{NodeId, PlanGraph};
 use rex_core::expr::Expr;
@@ -136,17 +135,6 @@ fn stateless_chain(plan: &LogicalPlan) -> bool {
         LogicalPlan::Sort { input, fetch: None, offset: 0, .. } => stateless_chain(input),
         _ => false,
     }
-}
-
-/// Compile RQL source text into an executable plan graph.
-pub fn compile(
-    src: &str,
-    catalog: &SchemaCatalog,
-    provider: &dyn TableProvider,
-    reg: &Registry,
-) -> Result<PlanGraph> {
-    let logical = crate::logical::plan_text(src, catalog, reg)?;
-    lower(&logical, provider, reg)
 }
 
 /// Lower a logical plan into a plan graph with a sink on the result.
@@ -851,6 +839,8 @@ fn contains_fixpoint_ref(plan: &LogicalPlan) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logical::plan_text;
+    use crate::resolve::SchemaCatalog;
     use rex_core::exec::LocalRuntime;
     use rex_core::tuple;
     use rex_core::tuple::Schema;
@@ -875,9 +865,12 @@ mod tests {
     #[test]
     fn filter_and_project_execute() {
         let reg = Registry::with_builtins();
-        let g =
-            compile("SELECT dst FROM edges WHERE src = 0", &edge_catalog(), &edge_tables(), &reg)
-                .unwrap();
+        let g = lower(
+            &plan_text("SELECT dst FROM edges WHERE src = 0", &edge_catalog(), &reg).unwrap(),
+            &edge_tables(),
+            &reg,
+        )
+        .unwrap();
         let (mut results, _) = LocalRuntime::new().run(g).unwrap();
         results.sort();
         assert_eq!(results, vec![tuple![1i64], tuple![2i64]]);
@@ -886,9 +879,9 @@ mod tests {
     #[test]
     fn aggregation_executes() {
         let reg = Registry::with_builtins();
-        let g = compile(
-            "SELECT src, count(*) FROM edges GROUP BY src",
-            &edge_catalog(),
+        let g = lower(
+            &plan_text("SELECT src, count(*) FROM edges GROUP BY src", &edge_catalog(), &reg)
+                .unwrap(),
             &edge_tables(),
             &reg,
         )
@@ -901,9 +894,9 @@ mod tests {
     #[test]
     fn global_aggregate_without_group_by() {
         let reg = Registry::with_builtins();
-        let g = compile(
-            "SELECT sum(dst), count(*) FROM edges WHERE src > 0",
-            &edge_catalog(),
+        let g = lower(
+            &plan_text("SELECT sum(dst), count(*) FROM edges WHERE src > 0", &edge_catalog(), &reg)
+                .unwrap(),
             &edge_tables(),
             &reg,
         )
@@ -922,9 +915,13 @@ mod tests {
         let mut m = edge_tables();
         m.insert("edges2", m.scan("edges").unwrap());
         // Two-hop pairs: e1.dst = e2.src.
-        let g =
-            compile("SELECT a.src, b.dst FROM edges a, edges2 b WHERE a.dst = b.src", &c, &m, &reg)
-                .unwrap();
+        let g = lower(
+            &plan_text("SELECT a.src, b.dst FROM edges a, edges2 b WHERE a.dst = b.src", &c, &reg)
+                .unwrap(),
+            &m,
+            &reg,
+        )
+        .unwrap();
         let (mut results, _) = LocalRuntime::new().run(g).unwrap();
         results.sort();
         assert_eq!(
@@ -952,7 +949,7 @@ mod tests {
             ) UNION UNTIL FIXPOINT BY id (
               SELECT edges.dst FROM edges, reach WHERE edges.src = reach.id
             )";
-        let g = compile(src, &c, &m, &reg).unwrap();
+        let g = lower(&plan_text(src, &c, &reg).unwrap(), &m, &reg).unwrap();
         let (mut results, report) = LocalRuntime::new().run(g).unwrap();
         results.sort();
         assert_eq!(results, vec![tuple![0i64], tuple![1i64], tuple![2i64], tuple![3i64]]);
@@ -966,9 +963,13 @@ mod tests {
         let reg = Registry::with_builtins();
         // Unoptimized Limit-above-Sort must still select in ORDER BY
         // order (the lowering fuses the pair itself).
-        let g = compile(
-            "SELECT src, dst FROM edges ORDER BY dst DESC LIMIT 2",
-            &edge_catalog(),
+        let g = lower(
+            &plan_text(
+                "SELECT src, dst FROM edges ORDER BY dst DESC LIMIT 2",
+                &edge_catalog(),
+                &reg,
+            )
+            .unwrap(),
             &edge_tables(),
             &reg,
         )
@@ -983,9 +984,8 @@ mod tests {
     #[test]
     fn limit_without_order_is_a_deterministic_prefix() {
         let reg = Registry::with_builtins();
-        let g = compile(
-            "SELECT src FROM edges LIMIT 2 OFFSET 1",
-            &edge_catalog(),
+        let g = lower(
+            &plan_text("SELECT src FROM edges LIMIT 2 OFFSET 1", &edge_catalog(), &reg).unwrap(),
             &edge_tables(),
             &reg,
         )
@@ -999,8 +999,12 @@ mod tests {
     #[test]
     fn distinct_executes_via_group_by() {
         let reg = Registry::with_builtins();
-        let g = compile("SELECT DISTINCT src FROM edges", &edge_catalog(), &edge_tables(), &reg)
-            .unwrap();
+        let g = lower(
+            &plan_text("SELECT DISTINCT src FROM edges", &edge_catalog(), &reg).unwrap(),
+            &edge_tables(),
+            &reg,
+        )
+        .unwrap();
         let (mut results, _) = LocalRuntime::new().run(g).unwrap();
         results.sort();
         assert_eq!(results, vec![tuple![0i64], tuple![1i64], tuple![2i64]]);
@@ -1009,9 +1013,13 @@ mod tests {
     #[test]
     fn having_filters_groups() {
         let reg = Registry::with_builtins();
-        let g = compile(
-            "SELECT src, count(*) FROM edges GROUP BY src HAVING count(*) > 1",
-            &edge_catalog(),
+        let g = lower(
+            &plan_text(
+                "SELECT src, count(*) FROM edges GROUP BY src HAVING count(*) > 1",
+                &edge_catalog(),
+                &reg,
+            )
+            .unwrap(),
             &edge_tables(),
             &reg,
         )
@@ -1023,9 +1031,9 @@ mod tests {
     #[test]
     fn expression_aggregates_execute() {
         let reg = Registry::with_builtins();
-        let g = compile(
-            "SELECT src, sum(dst * dst) FROM edges GROUP BY src",
-            &edge_catalog(),
+        let g = lower(
+            &plan_text("SELECT src, sum(dst * dst) FROM edges GROUP BY src", &edge_catalog(), &reg)
+                .unwrap(),
             &edge_tables(),
             &reg,
         )
@@ -1038,7 +1046,11 @@ mod tests {
     #[test]
     fn missing_table_data_is_reported() {
         let reg = Registry::with_builtins();
-        let err = match compile("SELECT dst FROM edges", &edge_catalog(), &MemTables::new(), &reg) {
+        let err = match lower(
+            &plan_text("SELECT dst FROM edges", &edge_catalog(), &reg).unwrap(),
+            &MemTables::new(),
+            &reg,
+        ) {
             Err(e) => e,
             Ok(_) => panic!("expected missing-data error"),
         };

@@ -30,10 +30,12 @@ fn hello_insert_query_quit() {
     let reply = c.query("SELECT * FROM deg").unwrap();
     assert!(reply.version >= ack.version);
     assert_eq!(reply.rows, vec![tuple![1i64, 2i64]]); // src 1, count 2
-    assert_eq!(reply.engine, "local");
+                                                      // A bare view scan is served from the view's stored rows.
+    assert_eq!(reply.engine, "view-state");
 
     let ordered = c.query("SELECT dst FROM edges ORDER BY dst DESC").unwrap();
     assert_eq!(ordered.rows, vec![tuple![3i64], tuple![2i64]]);
+    assert_eq!(ordered.engine, "local");
     c.quit().unwrap();
     server.shutdown().unwrap();
 }

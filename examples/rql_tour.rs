@@ -10,7 +10,8 @@
 //! (`SUM(price * (1 - discount) * qty)`) • `GROUP BY` + `HAVING` •
 //! `SELECT DISTINCT` • `ORDER BY … LIMIT/OFFSET` (deterministic ties,
 //! distributed top-k) • `CREATE MATERIALIZED VIEW` with incremental
-//! DISTINCT/HAVING maintenance • `EXPLAIN`.
+//! DISTINCT/HAVING maintenance • a three-table FROM keyed on every join •
+//! `EXPLAIN`.
 
 use rex::core::tuple::Tuple;
 use rex::core::value::Value;
@@ -118,6 +119,26 @@ fn main() {
         .query("CREATE MATERIALIZED VIEW top2 AS SELECT item FROM sales ORDER BY item LIMIT 2")
         .unwrap_err();
     println!("\nordered view refused as designed: {err}");
+
+    // ---- A three-table FROM: every item joins on its key -----------------
+    // Each FROM item joins the items before it on the equalities that
+    // straddle the two, so no step is a cross join.
+    for s in sessions.iter_mut() {
+        s.query("CREATE TABLE fruit (item string, color string)").expect("create table");
+        s.query("CREATE TABLE color (color string, warm int)").expect("create table");
+        let pair = |a: &str, b: &str| Tuple::new(vec![Value::str(a), Value::str(b)]);
+        s.insert("fruit", vec![pair("apple", "red"), pair("pear", "green"), pair("plum", "red")])
+            .expect("insert");
+        let shade = |c: &str, w: i64| Tuple::new(vec![Value::str(c), Value::Int(w)]);
+        s.insert("color", vec![shade("red", 1), shade("green", 0)]).expect("insert");
+    }
+    let three = "SELECT sales.item, sales.qty, color.warm FROM sales, fruit, color \
+                 WHERE sales.item = fruit.item AND fruit.color = color.color";
+    let joined = both(&mut sessions, three);
+    println!("\nsales joined through fruit to color: {joined:?}");
+    assert_eq!(joined.len(), 6, "two sales each of apple, pear and plum; fig has no color");
+    let plan = sessions[0].explain(three).expect("explain");
+    assert!(!plan.contains("Join on []=[]"), "no cross join in\n{plan}");
 
     // ---- EXPLAIN: plans, rewrites, estimates, maintenance strategies -----
     let plan = sessions[0]

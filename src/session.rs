@@ -32,7 +32,7 @@
 //! ```
 
 use crate::engine::{ClusterEngine, ClusterStats, Engine, LocalEngine};
-use crate::snapshot::{run_explain_analyze, run_read_query, text_rows, SnapshotView, ViewStat};
+use crate::snapshot::{explain_plan, text_rows, Reader, SnapshotView, ViewStat};
 use rex_core::delta::Delta;
 use rex_core::error::{Result, RexError};
 use rex_core::handlers::{AggHandler, JoinHandler};
@@ -524,43 +524,36 @@ impl Session {
     pub fn query(&mut self, rql: &str) -> Result<QueryResult> {
         let stmt = rex_rql::parse(rql).map_err(|e| RqlError::at(RqlStage::Parse, e))?;
         match stmt {
-            Statement::Query(_) => {
-                let logical = rex_rql::logical::plan(&stmt, &self.schemas, &self.registry)
-                    .map_err(|e| RqlError::at(RqlStage::Plan, e))?;
-                // Fast path: a bare scan of a materialized view is served
-                // straight from the view's stored rows, which maintenance
-                // keeps sorted — no optimizer pass, no engine execution.
-                // Serving cost is one clone of those rows.
-                if let Some(table) = bare_scan_target(&logical) {
-                    if self.views.contains(table) {
-                        let rows = self.store.get(table)?.rows().to_vec();
-                        return Ok(QueryResult {
-                            cost: PlanCost {
-                                rows: rows.len() as u64,
-                                resources: ResourceVector::default(),
-                            },
-                            rows,
-                            report: QueryReport::default(),
-                            cluster: None,
-                            engine: "view-state".to_string(),
-                            trace: None,
-                        });
-                    }
+            Statement::Explain { inner, analyze } if inner.is_ddl() => {
+                if analyze {
+                    return Err(RexError::Plan(
+                        "EXPLAIN ANALYZE requires a query (DDL has nothing to execute)".into(),
+                    ));
                 }
+                // Plain EXPLAIN of DDL: the catalog-action rendering
+                // `Session::explain` produces, as text rows.
+                let text = self.explain_stmt(&inner, rql)?;
+                let mut r = self.ddl_result(zero_cost());
+                r.rows = text_rows(&text);
+                Ok(r)
+            }
+            Statement::Query(_) | Statement::Explain { .. } => {
                 self.refresh_stats();
-                // The same read pipeline every published SnapshotView
-                // runs: optimize → execute → presentation order.
                 let t0 = Instant::now();
-                let r = run_read_query(
-                    logical,
-                    &self.optimizer,
-                    self.engine.as_ref(),
-                    &self.store,
-                    &self.registry,
-                    self.telemetry,
-                    self.threads,
-                )?;
-                self.note_query(rql, t0.elapsed(), r.rows.len());
+                let views = &self.views;
+                let r = Reader {
+                    schemas: &self.schemas,
+                    store: &self.store,
+                    registry: &self.registry,
+                    optimizer: &self.optimizer,
+                    engine: self.engine.as_ref(),
+                    is_view: &|t| views.contains(t),
+                    telemetry: self.telemetry,
+                    threads: self.threads,
+                }
+                .read(&stmt)?;
+                let rows = r.trace.as_ref().map_or(r.rows.len(), |t| t.sink_rows() as usize);
+                self.note_query(rql, t0.elapsed(), rows);
                 Ok(r)
             }
             Statement::CreateTable { name, columns } => {
@@ -580,42 +573,6 @@ impl Session {
             Statement::DropTable { name } => {
                 self.drop_table(&name)?;
                 Ok(self.ddl_result(zero_cost()))
-            }
-            Statement::Explain { analyze, inner } => {
-                if inner.is_ddl() {
-                    if analyze {
-                        return Err(RexError::Plan(
-                            "EXPLAIN ANALYZE requires a query (DDL has nothing to execute)".into(),
-                        ));
-                    }
-                    // Plain EXPLAIN of DDL: the catalog-action rendering
-                    // `Session::explain` produces, as text rows.
-                    let text = self.explain_stmt(&inner, rql)?;
-                    let mut r = self.ddl_result(zero_cost());
-                    r.rows = text_rows(&text);
-                    return Ok(r);
-                }
-                let logical = rex_rql::logical::plan(&inner, &self.schemas, &self.registry)
-                    .map_err(|e| RqlError::at(RqlStage::Plan, e))?;
-                self.refresh_stats();
-                if analyze {
-                    let t0 = Instant::now();
-                    let r = run_explain_analyze(
-                        logical,
-                        &self.optimizer,
-                        self.engine.as_ref(),
-                        &self.store,
-                        &self.registry,
-                        self.threads,
-                    )?;
-                    self.note_query(
-                        rql,
-                        t0.elapsed(),
-                        r.trace.as_ref().map_or(0, |t| t.sink_rows() as usize),
-                    );
-                    return Ok(r);
-                }
-                crate::snapshot::explain_result(logical, &self.optimizer, self.engine.name())
             }
         }
     }
@@ -662,14 +619,8 @@ impl Session {
             }
             _ => {}
         }
-        let (logical, maintenance) = match &stmt {
-            Statement::CreateView { name, query } => {
-                let plan = self.plan_view_query(query)?;
-                let probe =
-                    MaterializedView::define(name.as_str(), rql, plan.clone(), &self.registry);
-                let m = format!("== maintenance ==\n{}: {}\n", probe.name(), probe.strategy());
-                (plan, Some(m))
-            }
+        let (logical, view) = match &stmt {
+            Statement::CreateView { name, query } => (self.plan_view_query(query)?, Some(name)),
             _ => (
                 rex_rql::logical::plan(stmt, &self.schemas, &self.registry)
                     .map_err(|e| RqlError::at(RqlStage::Plan, e))?,
@@ -677,16 +628,13 @@ impl Session {
             ),
         };
         self.refresh_stats();
-        let before = logical.explain();
-        let (optimized, cost) = self.optimizer.optimize(logical)?;
-        Ok(format!(
-            "== logical ==\n{before}== optimized ==\n{}== estimate ==\nruntime {:.3} units, {} rows\n{}{}",
-            optimized.explain(),
-            cost.runtime(),
-            cost.rows,
-            maintenance.unwrap_or_default(),
-            self.render_view_metrics(),
-        ))
+        let (mut text, optimized, _) = explain_plan(logical, &self.optimizer)?;
+        if let Some(name) = view {
+            let probe = MaterializedView::define(name.as_str(), rql, optimized, &self.registry);
+            text.push_str(&format!("== maintenance ==\n{}: {}\n", probe.name(), probe.strategy()));
+        }
+        text.push_str(&self.render_view_metrics());
+        Ok(text)
     }
 
     /// The `== view metrics ==` section of EXPLAIN output: one line per
@@ -731,7 +679,8 @@ impl Session {
     /// [`insert`](Self::insert)/[`delete`](Self::delete) to its base
     /// tables; its maintenance strategy (incremental delta propagation vs
     /// full recompute for shapes the delta rules don't cover) is chosen
-    /// automatically.
+    /// automatically. Like a query, the view runs its optimized plan:
+    /// filters pushed below joins shrink the join state it maintains.
     pub fn create_materialized_view(&mut self, name: &str, query: &str) -> Result<()> {
         let stmt = rex_rql::parse(query).map_err(|e| RqlError::at(RqlStage::Parse, e))?;
         let Statement::Query(q) = stmt else {
@@ -793,7 +742,9 @@ impl Session {
         Ok(plan)
     }
 
-    /// Shared view-creation path for DDL and the programmatic API.
+    /// Shared view-creation path for DDL and the programmatic API: the
+    /// view maintains — and its recompute fallback evaluates — the
+    /// optimized plan, the one a query of the same text would run.
     /// Returns the optimizer's estimate for the initial materialization.
     fn define_view(&mut self, name: &str, sql: &str, query: &Query) -> Result<PlanCost> {
         if self.schemas.contains(name) || self.store.contains(name) {
@@ -801,7 +752,7 @@ impl Session {
         }
         let plan = self.plan_view_query(query)?;
         self.refresh_stats();
-        let (_, cost) = self.optimizer.optimize(plan.clone())?;
+        let (plan, cost) = self.optimizer.optimize(plan)?;
         let view = MaterializedView::define_partitioned(
             name,
             sql,
@@ -860,26 +811,6 @@ fn env_threads() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// If `plan` is a bare scan of one relation — `SELECT * FROM t`, i.e. a
-/// `Scan` or an identity projection over one — the scanned table's name.
-/// This is what the view-serving fast path keys on.
-fn bare_scan_target(plan: &LogicalPlan) -> Option<&str> {
-    match plan {
-        LogicalPlan::Scan { table, .. } => Some(table),
-        LogicalPlan::Project { input, exprs, .. } => match input.as_ref() {
-            LogicalPlan::Scan { table, schema } if exprs.len() == schema.arity() => {
-                let identity = exprs
-                    .iter()
-                    .enumerate()
-                    .all(|(i, e)| matches!(e, rex_core::expr::Expr::Col(j) if *j == i));
-                identity.then_some(table.as_str())
-            }
-            _ => None,
-        },
-        _ => None,
-    }
 }
 
 #[cfg(test)]

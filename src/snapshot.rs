@@ -42,7 +42,7 @@ use rex_core::telemetry::fmt_ns;
 use rex_core::tuple::Tuple;
 use rex_core::udf::Registry;
 use rex_core::value::Value;
-use rex_optimizer::Optimizer;
+use rex_optimizer::{Optimizer, PlanCost};
 use rex_rql::ast::Statement;
 use rex_rql::logical::{LogicalPlan, SortKey};
 use rex_rql::resolve::SchemaCatalog;
@@ -134,34 +134,17 @@ impl SnapshotView {
                     .into(),
             ));
         }
-        let (explain, analyze, stmt) = match stmt {
-            Statement::Explain { analyze, inner } => (true, analyze, *inner),
-            s => (false, false, s),
-        };
-        let logical = rex_rql::logical::plan(&stmt, &self.schemas, &self.registry)
-            .map_err(|e| RqlError::at(RqlStage::Plan, e))?;
-        if explain && analyze {
-            return run_explain_analyze(
-                logical,
-                &self.optimizer,
-                self.engine.as_ref(),
-                &self.store,
-                &self.registry,
-                self.threads,
-            );
+        Reader {
+            schemas: &self.schemas,
+            store: &self.store,
+            registry: &self.registry,
+            optimizer: &self.optimizer,
+            engine: self.engine.as_ref(),
+            is_view: &|t| self.views.iter().any(|v| v.name.eq_ignore_ascii_case(t)),
+            telemetry: self.telemetry,
+            threads: self.threads,
         }
-        if explain {
-            return explain_result(logical, &self.optimizer, self.engine.name());
-        }
-        run_read_query(
-            logical,
-            &self.optimizer,
-            self.engine.as_ref(),
-            &self.store,
-            &self.registry,
-            self.telemetry,
-            self.threads,
-        )
+        .read(&stmt)
     }
 
     /// Table (and synced view-copy) names, sorted.
@@ -207,37 +190,121 @@ impl SnapshotView {
     }
 }
 
-/// The shared read pipeline: optimize → execute → presentation-sort.
-/// Both the live session (`Session::query`) and every published
-/// [`SnapshotView`] funnel reads through here, so embedded and served
-/// queries cannot diverge in semantics.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_read_query(
-    logical: LogicalPlan,
-    optimizer: &Optimizer,
-    engine: &dyn Engine,
-    store: &Catalog,
-    registry: &Registry,
-    telemetry: bool,
-    threads: usize,
-) -> Result<QueryResult> {
-    let (optimized, cost) = optimizer.optimize(logical)?;
-    let ctx = EngineContext { store, registry, telemetry, threads };
-    let mut out = engine.execute(&optimized, &ctx)?;
-    // Engines return rows sorted (their agreement contract); a top-level
-    // ORDER BY re-orders the final — already limited — rows into
-    // presentation order.
-    if let Some(keys) = output_ordering(&optimized) {
-        presentation_sort(&mut out.rows, keys, registry)?;
+/// The one read dispatcher, borrowed from whatever holds the data: the
+/// live session ([`Session::query`](crate::session::Session::query)) and
+/// every published [`SnapshotView`] run reads through it, so embedded and
+/// served queries cannot diverge in semantics.
+pub(crate) struct Reader<'a> {
+    pub schemas: &'a SchemaCatalog,
+    pub store: &'a Catalog,
+    pub registry: &'a Registry,
+    pub optimizer: &'a Optimizer,
+    pub engine: &'a dyn Engine,
+    /// Whether a relation name is a materialized view.
+    pub is_view: &'a dyn Fn(&str) -> bool,
+    pub telemetry: bool,
+    pub threads: usize,
+}
+
+impl Reader<'_> {
+    /// Run a query, `EXPLAIN <query>` or `EXPLAIN ANALYZE <query>`:
+    /// plan → optimize → execute. A bare scan of a materialized view is
+    /// served straight from the view's stored rows, which maintenance
+    /// keeps sorted — no optimizer pass, no engine execution. Otherwise
+    /// rows come back sorted, or in presentation order under a top-level
+    /// `ORDER BY`; EXPLAIN output comes back as single-column text rows.
+    pub(crate) fn read(&self, stmt: &Statement) -> Result<QueryResult> {
+        let (explain, analyze, stmt) = match stmt {
+            Statement::Explain { analyze, inner } => (true, *analyze, inner.as_ref()),
+            s => (false, false, s),
+        };
+        let logical = rex_rql::logical::plan(stmt, self.schemas, self.registry)
+            .map_err(|e| RqlError::at(RqlStage::Plan, e))?;
+        let engine = self.engine.name().to_string();
+        if !explain {
+            if let Some(table) = bare_scan_target(&logical).filter(|t| (self.is_view)(t)) {
+                let rows = self.store.get(table)?.rows().to_vec();
+                return Ok(QueryResult {
+                    cost: PlanCost { rows: rows.len() as u64, resources: Default::default() },
+                    rows,
+                    report: QueryReport::default(),
+                    cluster: None,
+                    engine: "view-state".to_string(),
+                    trace: None,
+                });
+            }
+        }
+        if explain && !analyze {
+            let (text, _, cost) = explain_plan(logical, self.optimizer)?;
+            return Ok(QueryResult {
+                rows: text_rows(&text),
+                report: QueryReport::default(),
+                cluster: None,
+                cost,
+                engine,
+                trace: None,
+            });
+        }
+        let (optimized, cost) = self.optimizer.optimize(logical)?;
+        let ctx = EngineContext {
+            store: self.store,
+            registry: self.registry,
+            telemetry: self.telemetry || analyze,
+            threads: self.threads,
+        };
+        let mut out = self.engine.execute(&optimized, &ctx)?;
+        if analyze {
+            // The measured operator tree next to the optimizer's estimate,
+            // so misestimates read directly off the `estimated … actual …`
+            // line.
+            let trace = out.trace.ok_or_else(|| {
+                RexError::Exec("engine returned no trace for EXPLAIN ANALYZE".into())
+            })?;
+            let mut text = format!("== explain analyze ({engine}) ==\n");
+            text.push_str(&format!(
+                "estimated {} rows; actual {} rows in {}\n",
+                cost.rows,
+                out.rows.len(),
+                fmt_ns((trace.wall_seconds * 1e9) as u64),
+            ));
+            text.push_str(&trace.render());
+            out.rows = text_rows(&text);
+            out.trace = Some(trace);
+        } else if let Some(keys) = output_ordering(&optimized) {
+            // Engines return rows sorted (their agreement contract); a
+            // top-level ORDER BY re-orders the final — already limited —
+            // rows into presentation order.
+            presentation_sort(&mut out.rows, keys, self.registry)?;
+        }
+        Ok(QueryResult {
+            rows: out.rows,
+            report: out.report,
+            cluster: out.cluster,
+            cost,
+            engine,
+            trace: out.trace,
+        })
     }
-    Ok(QueryResult {
-        rows: out.rows,
-        report: out.report,
-        cluster: out.cluster,
-        cost,
-        engine: engine.name().to_string(),
-        trace: out.trace,
-    })
+}
+
+/// If `plan` is a bare scan of one relation — `SELECT * FROM t`, i.e. a
+/// `Scan` or an identity projection over one — the scanned table's name.
+/// This is what the view-serving fast path keys on.
+fn bare_scan_target(plan: &LogicalPlan) -> Option<&str> {
+    match plan {
+        LogicalPlan::Scan { table, .. } => Some(table),
+        LogicalPlan::Project { input, exprs, .. } => match input.as_ref() {
+            LogicalPlan::Scan { table, schema } if exprs.len() == schema.arity() => {
+                let identity = exprs
+                    .iter()
+                    .enumerate()
+                    .all(|(i, e)| matches!(e, rex_core::expr::Expr::Col(j) if *j == i));
+                identity.then_some(table.as_str())
+            }
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// One single-column string tuple per line of `text` — how EXPLAIN output
@@ -247,13 +314,13 @@ pub(crate) fn text_rows(text: &str) -> Vec<Tuple> {
     text.lines().map(|l| Tuple::new(vec![Value::str(l)])).collect()
 }
 
-/// `EXPLAIN <query>` without execution: logical plan, optimizer rewrite,
-/// and estimate, as text rows.
-pub(crate) fn explain_result(
+/// The text of `EXPLAIN`, without executing: the logical plan, the
+/// optimizer's rewrite, and its estimate. Returns the text with the
+/// rewritten plan and its cost.
+pub(crate) fn explain_plan(
     logical: LogicalPlan,
     optimizer: &Optimizer,
-    engine: &str,
-) -> Result<QueryResult> {
+) -> Result<(String, LogicalPlan, PlanCost)> {
     let before = logical.explain();
     let (optimized, cost) = optimizer.optimize(logical)?;
     let text = format!(
@@ -262,51 +329,7 @@ pub(crate) fn explain_result(
         cost.runtime(),
         cost.rows,
     );
-    Ok(QueryResult {
-        rows: text_rows(&text),
-        report: QueryReport::default(),
-        cluster: None,
-        cost,
-        engine: engine.to_string(),
-        trace: None,
-    })
-}
-
-/// `EXPLAIN ANALYZE <query>`: execute with telemetry forced on and render
-/// the measured operator tree next to the optimizer's estimate, so
-/// misestimates read directly off the `estimated … actual …` line. Shared
-/// by [`Session::query`](crate::session::Session::query) and
-/// [`SnapshotView::query`].
-pub(crate) fn run_explain_analyze(
-    logical: LogicalPlan,
-    optimizer: &Optimizer,
-    engine: &dyn Engine,
-    store: &Catalog,
-    registry: &Registry,
-    threads: usize,
-) -> Result<QueryResult> {
-    let (optimized, cost) = optimizer.optimize(logical)?;
-    let ctx = EngineContext { store, registry, telemetry: true, threads };
-    let out = engine.execute(&optimized, &ctx)?;
-    let trace = out
-        .trace
-        .ok_or_else(|| RexError::Exec("engine returned no trace for EXPLAIN ANALYZE".into()))?;
-    let mut text = format!("== explain analyze ({}) ==\n", engine.name());
-    text.push_str(&format!(
-        "estimated {} rows; actual {} rows in {}\n",
-        cost.rows,
-        out.rows.len(),
-        fmt_ns((trace.wall_seconds * 1e9) as u64),
-    ));
-    text.push_str(&trace.render());
-    Ok(QueryResult {
-        rows: text_rows(&text),
-        report: out.report,
-        cluster: out.cluster,
-        cost,
-        engine: engine.name().to_string(),
-        trace: Some(trace),
-    })
+    Ok((text, optimized, cost))
 }
 
 /// The ORDER BY keys governing the final result's presentation order, if

@@ -3,8 +3,10 @@
 //! reference evaluator, which reads the *unoptimized* plan (filters above
 //! the join), for one-sided, two-sided and UDF predicates; a join inside a
 //! fixpoint step must reach the same fixpoint with its filters pushed as
-//! with them held above the join.
+//! with them held above the join; and a materialized view maintains the
+//! pushed plan, so its join state holds only the rows that pass.
 
+use rex::views::MaterializedView;
 use rex::Session;
 use rex_testkit::{fill_tkd, reference, session, SEEDS};
 use std::collections::BTreeSet;
@@ -79,6 +81,32 @@ fn explain_shows_both_one_sided_filters_under_the_join() {
     let logical = &lines[..optimized];
     let join = logical.iter().position(|l| l.contains("Join")).unwrap();
     assert!(logical[..join].iter().filter(|l| l.contains("Filter")).count() == 2, "{lines:#?}");
+}
+
+#[test]
+fn views_maintain_the_optimized_plan() {
+    const VIEW: &str = "SELECT t.k, t.a, d.w FROM t, d WHERE t.k = d.k AND t.a > 90";
+    let mut s = session("local");
+    fill_tkd(&mut s, SEEDS[0]);
+    let lines = explain(&mut s, &format!("CREATE MATERIALIZED VIEW big AS {VIEW}"));
+    let optimized = lines.iter().position(|l| l.contains("== optimized ==")).unwrap();
+    let section = &lines[optimized..];
+    let join = section.iter().position(|l| l.contains("Join")).expect("join in plan");
+    let filter = section.iter().position(|l| l.contains("Filter")).expect("filter in plan");
+    let depth = |l: &str| l.len() - l.trim_start().len();
+    assert!(filter > join && depth(&section[filter]) > depth(&section[join]), "{lines:#?}");
+
+    // The view keeps only the rows that pass the pushed filter in its
+    // join state; the same plan defined raw keeps all of `t`.
+    s.create_materialized_view("big", VIEW).unwrap();
+    let mut raw = MaterializedView::define("raw", VIEW, s.plan(VIEW).unwrap(), s.registry());
+    raw.prime(s.store(), s.registry()).unwrap();
+    let pushed = s.views().get("big").unwrap().state_bytes();
+    assert!(pushed < raw.state_bytes(), "{pushed} vs raw {}", raw.state_bytes());
+    let want = reference::evaluate(&s.plan(VIEW).unwrap(), s.store(), s.registry()).unwrap();
+    assert!(!want.is_empty());
+    assert_eq!(s.store().get("big").unwrap().rows(), &want[..]);
+    assert_eq!(s.store().get("raw").unwrap().rows(), &want[..]);
 }
 
 /// Reachability from keys 0 and 1 over `t`'s `k → a` edges that pass

@@ -10,7 +10,8 @@ use rex::core::value::{DataType, Value};
 use rex::data::lineitem::{generate_lineitem, lineitem_tuples, reference_fig4_answer};
 use rex::hadoop::api::{FnMapper, FnReducer};
 use rex::hadoop::job::{HadoopCluster, JobInput, MapReduceJob};
-use rex::rql::lower::{compile, MemTables};
+use rex::rql::lower::{lower, MemTables};
+use rex::rql::plan_rql;
 use rex::rql::SchemaCatalog;
 use std::sync::Arc;
 
@@ -44,9 +45,9 @@ fn builtin_query_is_exact() {
     let (catalog, tables, rows) = setup(5_000);
     let (want_sum, want_count) = reference_fig4_answer(&rows);
     let reg = Registry::with_builtins();
-    let plan = compile(
-        "SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1",
-        &catalog,
+    let plan = lower(
+        &plan_rql("SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1", &catalog, &reg)
+            .unwrap(),
         &tables,
         &reg,
     )
@@ -65,9 +66,9 @@ fn udf_overhead_is_within_ten_percent() {
     let (want_sum, _) = reference_fig4_answer(&rows);
 
     let reg = Registry::with_builtins();
-    let plan = compile(
-        "SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1",
-        &catalog,
+    let plan = lower(
+        &plan_rql("SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1", &catalog, &reg)
+            .unwrap(),
         &tables,
         &reg,
     )
@@ -82,9 +83,13 @@ fn udf_overhead_is_within_ten_percent() {
         |args| Ok(Value::Bool(args[0].as_int().unwrap_or(0) > 1)),
     )));
     reg.register_agg("usum", Arc::new(UdaSum));
-    let plan = compile(
-        "SELECT usum(tax), count(*) FROM lineitem WHERE gt_one(linenumber)",
-        &catalog,
+    let plan = lower(
+        &plan_rql(
+            "SELECT usum(tax), count(*) FROM lineitem WHERE gt_one(linenumber)",
+            &catalog,
+            &reg,
+        )
+        .unwrap(),
         &tables,
         &reg,
     )
@@ -102,9 +107,9 @@ fn udf_overhead_is_within_ten_percent() {
 fn rex_beats_hadoop_by_3x_on_the_olap_query() {
     let (catalog, tables, rows) = setup(20_000);
     let reg = Registry::with_builtins();
-    let plan = compile(
-        "SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1",
-        &catalog,
+    let plan = lower(
+        &plan_rql("SELECT sum(tax), count(*) FROM lineitem WHERE linenumber > 1", &catalog, &reg)
+            .unwrap(),
         &tables,
         &reg,
     )

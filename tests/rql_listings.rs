@@ -18,7 +18,8 @@ use rex::core::udf::Registry;
 use rex::core::value::{DataType, Value};
 use rex::data::graph::{generate_graph, Graph, GraphSpec};
 use rex::data::points::{generate_points, PointSpec};
-use rex::rql::lower::{compile, MemTables};
+use rex::rql::lower::{lower, MemTables};
+use rex::rql::plan_rql;
 use rex::rql::SchemaCatalog;
 use std::sync::Arc;
 
@@ -53,7 +54,7 @@ fn listing1_pagerank_via_rql_matches_reference() {
                 FROM graph, PR
                 WHERE graph.srcId = PR.srcId)
           GROUP BY nbr)";
-    let plan = compile(src, &catalog, &tables, &reg).unwrap();
+    let plan = lower(&plan_rql(src, &catalog, &reg).unwrap(), &tables, &reg).unwrap();
     let (results, report) = LocalRuntime::new().run(plan).unwrap();
 
     let got = common::per_vertex_doubles(&results, g.n_vertices, reference::BASE_RANK);
@@ -86,7 +87,7 @@ fn listing1_sum_outer_aggregate_is_incremental() {
                 FROM graph, PR
                 WHERE graph.srcId = PR.srcId)
           GROUP BY nbr)";
-    let plan = compile(src, &catalog, &tables, &reg).unwrap();
+    let plan = lower(&plan_rql(src, &catalog, &reg).unwrap(), &tables, &reg).unwrap();
     let (_, report) = LocalRuntime::new().run(plan).unwrap();
     let sizes: Vec<u64> = report.strata.iter().map(|s| s.delta_set_size).collect();
     assert!(sizes.len() >= 3);
@@ -115,7 +116,7 @@ fn listing2_shortest_path_via_rql_matches_reference() {
                 FROM graph, SP
                 WHERE graph.srcId = SP.srcId)
           GROUP BY nbr)";
-    let plan = compile(src, &catalog, &tables, &reg).unwrap();
+    let plan = lower(&plan_rql(src, &catalog, &reg).unwrap(), &tables, &reg).unwrap();
     let (results, _) = LocalRuntime::new().run(plan).unwrap();
 
     let got = common::per_vertex_doubles(&results, g.n_vertices, f64::INFINITY);
@@ -153,7 +154,7 @@ fn listing3_kmeans_via_rql_matches_reference() {
           FROM (SELECT KMAgg(cid, x, y).{cid, xDiff, yDiff, n}
                 FROM geodata, KM)
           GROUP BY cid)";
-    let plan = compile(src, &catalog, &tables, &reg).unwrap();
+    let plan = lower(&plan_rql(src, &catalog, &reg).unwrap(), &tables, &reg).unwrap();
     let (results, report) = LocalRuntime::new().run(plan).unwrap();
 
     let got = rex::algos::kmeans::centroids_from_results(&results, k);
