@@ -224,13 +224,17 @@ impl ClusterRuntime {
                 let fp0 = fixpoints[0];
                 let key_cols =
                     executors[live[0]].with_fixpoint(fp0, |fp| fp.key_cols().to_vec())?;
-                // Gather every original owner's recoverable checkpoint.
+                // Gather every original owner's recoverable checkpoint, in
+                // tuple order: checkpoints hold their set in hash-table
+                // order, and the restore order must be a pure function of
+                // the checkpointed sets.
                 let mut tuples: Vec<Tuple> = Vec::new();
                 for owner in 0..n {
                     if let Some(c) = ckpts.recoverable(owner, k, &live) {
                         tuples.extend(c.state.tuples);
                     }
                 }
+                tuples.sort_unstable();
                 // Re-partition the recovered mutable set under the *new*
                 // snapshot and stream it to the takeover nodes.
                 let mut per_worker: Vec<Vec<Tuple>> = vec![Vec::new(); n];
@@ -289,16 +293,16 @@ impl ClusterRuntime {
                 stratum_start = Instant::now();
 
                 // Incremental checkpointing (§4.3): replicate each live
-                // worker's fixpoint state to its replicas.
+                // worker's fixpoint state to its replicas. The store keeps
+                // the whole mutable set, as a replica that applied every
+                // Δᵢ so far would hold it; the network and disk are charged
+                // for this stratum's Δᵢ only, which is all a replica needs
+                // to receive.
                 if self.config.recovery.replicates_state() && any_continue {
                     for &w in &live {
                         for &f in &fixpoints {
                             if let Some(state) = executors[w].checkpoint_node(f) {
                                 let replicas = next_workers(&live, w, REPLICATION - 1);
-                                // Incremental checkpointing ships only the
-                                // stratum's Δᵢ set; replicas maintain their
-                                // accumulated copy of the mutable state
-                                // (§4.3).
                                 let bytes =
                                     executors[w].with_fixpoint(f, |fp| fp.pending_bytes())?;
                                 executors[w].metrics.bytes_sent += bytes * replicas.len() as u64;

@@ -11,6 +11,11 @@
 //!   the current extremum finds the next-best value in O(log n);
 //! * **avg** is split into a composable sum+count pre-aggregate and a final
 //!   division, mirroring the MapReduce combiner discussion.
+//!
+//! [`agg_split`] is the one place that pairs a composable aggregate with
+//! the partial that folds rows where they are and the final that merges
+//! the partials: distributed lowering combines before every exchange with
+//! it, and the optimizer's pre-aggregation plan reads it.
 
 use crate::delta::{Annotation, Delta};
 use crate::error::{Result, RexError};
@@ -120,8 +125,9 @@ impl AggHandler for SumAgg {
         true
     }
 
-    fn pre_aggregate(&self) -> Option<String> {
-        Some("sum".into())
+    fn pre_aggregate(&self) -> Option<(String, String)> {
+        // Partial sums are summed.
+        Some(("sum".into(), "sum".into()))
     }
 
     fn multiply(&self, state: &AggState, cardinality: i64) -> Option<AggState> {
@@ -189,9 +195,9 @@ impl AggHandler for CountAgg {
         true
     }
 
-    fn pre_aggregate(&self) -> Option<String> {
-        // A pushed-down COUNT becomes partial counts that are SUMmed.
-        Some("count".into())
+    fn pre_aggregate(&self) -> Option<(String, String)> {
+        // Partial counts are summed, as Ints.
+        Some(("count".into(), "count_final".into()))
     }
 
     fn multiply(&self, state: &AggState, cardinality: i64) -> Option<AggState> {
@@ -200,6 +206,56 @@ impl AggHandler for CountAgg {
             _ => None,
         }
     }
+}
+
+/// Final stage for partial counts: sums its Int input, so a count split
+/// around an exchange stays an Int.
+pub struct CountFinalAgg;
+
+impl AggHandler for CountFinalAgg {
+    fn is_builtin(&self) -> bool {
+        true
+    }
+
+    fn name(&self) -> &str {
+        "count_final"
+    }
+
+    fn init(&self) -> AggState {
+        AggState::Int(0)
+    }
+
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+        let AggState::Int(n) = state else {
+            return Err(RexError::Exec("count_final: bad state shape".into()));
+        };
+        match &d.ann {
+            Annotation::Insert => *n += partial_count(arg(d))?,
+            Annotation::Delete => *n -= partial_count(arg(d))?,
+            Annotation::Replace(old) => *n += partial_count(arg(d))? - partial_count(old.get(0))?,
+        }
+        Ok(vec![])
+    }
+
+    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
+        let AggState::Int(n) = state else {
+            return Err(RexError::Exec("count_final: bad state shape".into()));
+        };
+        *n += partial_count(unary(t, cols)?)?;
+        Ok(true)
+    }
+
+    fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
+        CountAgg.agg_result(state)
+    }
+
+    fn return_type(&self) -> DataType {
+        DataType::Int
+    }
+}
+
+fn partial_count(v: &Value) -> Result<i64> {
+    v.as_int().ok_or_else(|| RexError::Type(format!("count_final expects Int counts, got {v}")))
 }
 
 /// MIN with buffered state: "a min aggregate will take a tuple deletion
@@ -389,8 +445,8 @@ impl AggHandler for AvgAgg {
         true
     }
 
-    fn pre_aggregate(&self) -> Option<String> {
-        Some("avg_partial".into())
+    fn pre_aggregate(&self) -> Option<(String, String)> {
+        Some(("avg_partial".into(), "avg_final".into()))
     }
 
     fn multiply(&self, state: &AggState, cardinality: i64) -> Option<AggState> {
@@ -555,10 +611,35 @@ impl AggHandler for ArgMinAgg {
     }
 }
 
+/// A composable aggregate split in two around an exchange (§5.2).
+#[derive(Clone)]
+pub struct AggSplit {
+    /// Folds the rows on one side of the exchange into one partial value
+    /// per group.
+    pub partial: Arc<dyn AggHandler>,
+    /// Folds the partial values, as insertions, into the final result.
+    pub merge: Arc<dyn AggHandler>,
+}
+
+/// The partial/final pair of the aggregate registered as `func`: its
+/// [`pre_aggregate`](AggHandler::pre_aggregate) names, resolved in `reg`.
+/// `None` when the aggregate is not composable or names no pair, so it
+/// must see every row at one place.
+pub fn agg_split(reg: &Registry, func: &str) -> Result<Option<AggSplit>> {
+    let handler = reg.agg(func)?;
+    match handler.pre_aggregate() {
+        Some((partial, merge)) if handler.composable() => {
+            Ok(Some(AggSplit { partial: reg.agg(&partial)?, merge: reg.agg(&merge)? }))
+        }
+        _ => Ok(None),
+    }
+}
+
 /// Register every built-in aggregate into `reg`.
 pub fn register_builtins(reg: &Registry) {
     reg.register_agg("sum", Arc::new(SumAgg));
     reg.register_agg("count", Arc::new(CountAgg));
+    reg.register_agg("count_final", Arc::new(CountFinalAgg));
     reg.register_agg("min", Arc::new(MinAgg));
     reg.register_agg("max", Arc::new(MaxAgg));
     reg.register_agg("avg", Arc::new(AvgAgg));

@@ -223,9 +223,12 @@ pub trait AggHandler: Send + Sync {
         false
     }
 
-    /// The pre-aggregate handler, when one exists; the optimizer pushes it
-    /// below rehash/join boundaries (§5.2).
-    fn pre_aggregate(&self) -> Option<String> {
+    /// The registered names of the partial/final pair that computes this
+    /// aggregate in parts (§5.2): the partial folds rows where they are,
+    /// the final folds the partials' values. Read it through
+    /// [`agg_split`](crate::aggregates::agg_split), which also requires
+    /// [`composable`](Self::composable).
+    fn pre_aggregate(&self) -> Option<(String, String)> {
         None
     }
 

@@ -15,7 +15,9 @@
 //! In delta mode only the tuples changed in the current stratum (the Δᵢ
 //! set) are fed back; in no-delta mode the entire mutable set is re-emitted
 //! every stratum, reproducing the paper's `no-delta` baseline. The Δᵢ set is
-//! also what gets checkpointed for incremental recovery (§4.3). The set is
+//! also what incremental recovery pays to replicate each stratum (§4.3);
+//! a [`checkpoint`](Operator::checkpoint) holds the whole mutable set,
+//! in the table's order, as those replicas would. The set is
 //! a [`KeyedTable`]: each delta hashes (FxHash) and compares its key
 //! columns in place, and an owned key is allocated only on first insert.
 //!
@@ -396,10 +398,10 @@ impl Operator for FixpointOp {
         Some(self)
     }
 
+    /// The whole mutable set, unsorted: a restore that needs a canonical
+    /// order sorts what it gathers, once, instead of every checkpoint.
     fn checkpoint(&self) -> Option<OperatorState> {
-        let mut tuples: Vec<Tuple> = self.state.values().cloned().collect();
-        tuples.sort_unstable();
-        Some(OperatorState { tuples })
+        Some(OperatorState { tuples: self.state.values().cloned().collect() })
     }
 
     fn restore(&mut self, state: OperatorState) {

@@ -14,6 +14,14 @@
 //! state across strata (`retain_across_strata`) is what makes delta-based
 //! recursion incremental; clearing it reproduces the `no-delta`
 //! configuration that re-aggregates everything each iteration.
+//!
+//! A composable aggregate can also run split around an exchange (the
+//! MapReduce combiner of §5.2): a [`partial`](GroupByOp::partial) folds
+//! each stratum's rows where they are and ships one row per touched group,
+//! and a [`merge`](GroupByOp::merge) past the exchange folds those rows.
+//! A partial row carries its group's net `+()`/`-()` row count and whether
+//! a `-()` arrived, so the merge keeps exactly the row bookkeeping — and
+//! the group retraction — of one operator that saw every row.
 
 use crate::delta::{Annotation, Delta, Punctuation};
 use crate::error::{Result, RexError};
@@ -59,6 +67,20 @@ struct GroupEntry {
     changed: bool,
 }
 
+/// Which part of an aggregate a [`GroupByOp`] computes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Part {
+    /// The whole aggregate, from input rows.
+    Whole,
+    /// The sender-side half of a split aggregate: each flush emits one
+    /// `key ++ partial values ++ [rows, deleted]` insertion per touched
+    /// group and forgets every group.
+    Partial,
+    /// The receiving half: every input row is a partial row, whose carried
+    /// row count and deletion flag start at column `carry`.
+    Merge { carry: usize },
+}
+
 impl GroupEntry {
     fn new(aggs: &[AggSpec]) -> GroupEntry {
         GroupEntry {
@@ -71,17 +93,18 @@ impl GroupEntry {
         }
     }
 
-    /// Count one input row into the group and queue its key for the next
-    /// flush the first time it changes.
-    fn touch(&mut self, ann: &Annotation, t: &Tuple, key_cols: &[usize], dirty: &mut Vec<Key>) {
-        match ann {
-            Annotation::Insert => self.rows += 1,
-            Annotation::Delete => {
-                self.rows -= 1;
-                self.deleted = true;
-            }
-            Annotation::Replace(_) => {}
-        }
+    /// Count `rows` net input rows (and a deletion, if one arrived) into
+    /// the group and queue its key for the next flush the first time it
+    /// changes.
+    fn touch(
+        &mut self,
+        (rows, deleted): (i64, bool),
+        t: &Tuple,
+        key_cols: &[usize],
+        dirty: &mut Vec<Key>,
+    ) {
+        self.rows += rows;
+        self.deleted |= deleted;
         if !self.changed {
             self.changed = true;
             dirty.push(t.key(key_cols));
@@ -108,6 +131,7 @@ pub struct GroupByOp {
     /// Streamed partial aggregation: forward handler intermediate deltas
     /// immediately instead of waiting for punctuation (§4.2).
     streaming: bool,
+    part: Part,
     /// Reusable projection buffer (one allocation per projected tuple
     /// instead of two) and a cached empty tuple for zero-column
     /// aggregates like `count(*)` (an `Arc` bump instead of an
@@ -126,9 +150,33 @@ impl GroupByOp {
             dirty: Vec::new(),
             retain_across_strata: true,
             streaming: false,
+            part: Part::Whole,
             scratch: Vec::new(),
             empty: Tuple::empty(),
         }
+    }
+
+    /// The sender-side half of a split aggregate: group on `key_cols` with
+    /// the partial handlers `aggs`. At each punctuation it emits, for every
+    /// group the stratum touched, the insertion `key ++ one partial value
+    /// per aggregate ++ [net row count, whether a -() arrived]`, then
+    /// forgets every group.
+    pub fn partial(key_cols: Vec<usize>, aggs: Vec<AggSpec>) -> GroupByOp {
+        GroupByOp { part: Part::Partial, ..GroupByOp::new(key_cols, aggs).without_retention() }
+    }
+
+    /// The receiving half of a split aggregate: merge the rows of a
+    /// [`partial`](Self::partial) with `n_keys` key columns, folding the
+    /// i-th partial value with the i-th handler of `merges`. Its output is
+    /// what one whole `GroupByOp` over every input row would emit.
+    pub fn merge(n_keys: usize, merges: Vec<Arc<dyn AggHandler>>) -> GroupByOp {
+        let carry = n_keys + merges.len();
+        let aggs = merges
+            .into_iter()
+            .enumerate()
+            .map(|(i, h)| AggSpec::new(h, vec![n_keys + i]))
+            .collect();
+        GroupByOp { part: Part::Merge { carry }, ..GroupByOp::new((0..n_keys).collect(), aggs) }
     }
 
     /// Disable cross-stratum state retention (the `no-delta` strategy).
@@ -152,8 +200,10 @@ impl GroupByOp {
     /// allocation-free [`fold_insert`](AggHandler::fold_insert) path of
     /// the built-in aggregates: no delta wrapper, no projected tuple. Any
     /// other annotation, and any handler without a fast fold, dispatches
-    /// AGGSTATE on a projected delta; its intermediate deltas are kept in
-    /// `streamed` when streaming.
+    /// AGGSTATE on a projected delta — a replacement's old tuple projected
+    /// too; its intermediate deltas are kept in `streamed` when streaming.
+    /// A replacement that moves a row to another group is the deletion
+    /// from the old group and the insertion into the new one.
     fn fold(
         &mut self,
         ann: &Annotation,
@@ -161,10 +211,27 @@ impl GroupByOp {
         streamed: &mut Vec<Delta>,
         ctx: &mut OpCtx<'_>,
     ) -> Result<()> {
+        if let Annotation::Replace(old) = ann {
+            if self.key_cols.iter().any(|&c| old.get(c) != t.get(c)) {
+                self.fold(&Annotation::Delete, old, streamed, ctx)?;
+                return self.fold(&Annotation::Insert, t, streamed, ctx);
+            }
+        }
         ctx.charge_cpu(ctx.cost.hash_cost);
+        let rows = match (self.part, ann) {
+            (Part::Merge { carry }, Annotation::Insert) => carried(t, carry)?,
+            (Part::Merge { .. }, _) => {
+                return Err(RexError::Exec(
+                    "group-by merge: partial rows must be insertions".into(),
+                ))
+            }
+            (_, Annotation::Insert) => (1, false),
+            (_, Annotation::Delete) => (-1, true),
+            (_, Annotation::Replace(_)) => (0, false),
+        };
         let aggs = &self.aggs;
         let entry = self.groups.probe_or_insert_with(t, &self.key_cols, || GroupEntry::new(aggs));
-        entry.touch(ann, t, &self.key_cols, &mut self.dirty);
+        entry.touch(rows, t, &self.key_cols, &mut self.dirty);
         let insert = *ann == Annotation::Insert;
         for (i, spec) in self.aggs.iter().enumerate() {
             if spec.handler.is_builtin() {
@@ -175,8 +242,17 @@ impl GroupByOp {
             if insert && spec.handler.fold_insert(&mut entry.states[i], t, &spec.input_cols)? {
                 continue;
             }
+            let ann = match ann {
+                Annotation::Replace(old) => Annotation::Replace(project_row(
+                    old,
+                    &spec.input_cols,
+                    &mut self.scratch,
+                    &self.empty,
+                )),
+                other => other.clone(),
+            };
             let projected = Delta {
-                ann: ann.clone(),
+                ann,
                 tuple: project_row(t, &spec.input_cols, &mut self.scratch, &self.empty),
             };
             let inter = spec.handler.agg_state(&mut entry.states[i], &projected)?;
@@ -200,6 +276,16 @@ impl GroupByOp {
         for key in dirty {
             let g = self.groups.get_mut(&key).expect("dirty key exists");
             g.changed = false;
+            if self.part == Part::Partial {
+                // A partial's net row count may be negative: the rows it
+                // retracts were counted in an earlier stratum's partial.
+                let mut vals = key;
+                push_results(&self.aggs, &g.states, &mut vals, ctx)?;
+                vals.push(Value::Int(g.rows));
+                vals.push(Value::Bool(g.deleted));
+                out.push(Delta::insert(Tuple::new(vals)));
+                continue;
+            }
             if g.rows < 0 {
                 return Err(RexError::Exec(format!(
                     "group-by: negative row count {} in group {key:?}",
@@ -235,17 +321,7 @@ impl GroupByOp {
                 }
             } else {
                 let mut vals = key.clone();
-                for (spec, state) in self.aggs.iter().zip(&g.states) {
-                    if !spec.handler.is_builtin() {
-                        ctx.charge_udf_call();
-                    }
-                    let mut results = spec.handler.agg_result(state)?;
-                    if let Some(d) = results.pop() {
-                        vals.push(d.tuple.get(0).clone());
-                    } else {
-                        vals.push(Value::Null);
-                    }
-                }
+                push_results(&self.aggs, &g.states, &mut vals, ctx)?;
                 let t = Tuple::new(vals);
                 match &g.last_emitted {
                     None => out.push(Delta::insert(t.clone())),
@@ -265,7 +341,12 @@ impl GroupByOp {
 impl Operator for GroupByOp {
     fn name(&self) -> String {
         let names: Vec<&str> = self.aggs.iter().map(|a| a.handler.name()).collect();
-        format!("GroupBy[{}]", names.join(","))
+        let part = match self.part {
+            Part::Whole => "",
+            Part::Partial => " partial",
+            Part::Merge { .. } => " merge",
+        };
+        format!("GroupBy[{}]{part}", names.join(","))
     }
 
     fn on_deltas(&mut self, _port: usize, deltas: Vec<Delta>, ctx: &mut OpCtx<'_>) -> Result<()> {
@@ -332,6 +413,32 @@ impl Operator for GroupByOp {
             ("hash_collisions".into(), collisions),
             ("groups".into(), self.groups.len() as u64),
         ]
+    }
+}
+
+/// Append each scalar aggregate's result for a group's `states` to `vals`
+/// (`NULL` for a handler that returns none).
+fn push_results(
+    aggs: &[AggSpec],
+    states: &[AggState],
+    vals: &mut Vec<Value>,
+    ctx: &mut OpCtx<'_>,
+) -> Result<()> {
+    for (spec, state) in aggs.iter().zip(states) {
+        if !spec.handler.is_builtin() {
+            ctx.charge_udf_call();
+        }
+        let mut results = spec.handler.agg_result(state)?;
+        vals.push(results.pop().map_or(Value::Null, |d| d.tuple.get(0).clone()));
+    }
+    Ok(())
+}
+
+/// The net row count and deletion flag a partial row carries from `carry`.
+fn carried(t: &Tuple, carry: usize) -> Result<(i64, bool)> {
+    match (t.try_get(carry)?, t.try_get(carry + 1)?) {
+        (Value::Int(rows), Value::Bool(deleted)) => Ok((*rows, *deleted)),
+        (r, d) => Err(RexError::Exec(format!("group-by merge: bad partial row count ({r}, {d})"))),
     }
 }
 
@@ -498,6 +605,103 @@ mod tests {
         g.on_deltas(0, vec![Delta::delete(tuple![1i64, 2.0f64])], &mut ctx).unwrap();
         let err = g.on_punct(0, Punctuation::EndOfStratum(0), &mut ctx).unwrap_err();
         assert!(err.to_string().contains("negative row count"), "{err}");
+    }
+
+    #[test]
+    fn a_replacement_adjusts_by_its_projected_old_value() {
+        // The sum reads column 2; the replaced row's column 0 is the key.
+        let mut g = GroupByOp::new(vec![1], vec![AggSpec::new(Arc::new(SumAgg), vec![2])]);
+        drive(&mut g, vec![Delta::insert(tuple![9i64, 1i64, 2.0f64])], true);
+        let out = drive(
+            &mut g,
+            vec![Delta::replace(tuple![9i64, 1i64, 2.0f64], tuple![9i64, 1i64, 5.0f64])],
+            true,
+        );
+        assert_eq!(out, vec![Delta::replace(tuple![1i64, 2.0f64], tuple![1i64, 5.0f64])]);
+    }
+
+    #[test]
+    fn a_replacement_that_changes_group_moves_the_row() {
+        let mut g = GroupByOp::new(vec![0], vec![AggSpec::new(Arc::new(CountAgg), vec![])]);
+        drive(
+            &mut g,
+            vec![Delta::insert(tuple![1i64, 2.0f64]), Delta::insert(tuple![1i64, 3.0f64])],
+            true,
+        );
+        let out =
+            drive(&mut g, vec![Delta::replace(tuple![1i64, 2.0f64], tuple![2i64, 2.0f64])], true);
+        assert_eq!(
+            out,
+            vec![
+                Delta::replace(tuple![1i64, 2i64], tuple![1i64, 1i64]),
+                Delta::insert(tuple![2i64, 1i64]),
+            ]
+        );
+    }
+
+    /// A stratum's deltas on `sites` partials, their rows merged: the
+    /// merge must emit exactly what one whole operator emits, group
+    /// retractions included, stratum after stratum.
+    #[test]
+    fn partials_merged_equal_one_whole_operator() {
+        use crate::aggregates::{agg_split, AvgAgg, CountFinalAgg};
+        let reg = Registry::with_builtins();
+        let funcs = ["sum", "count", "avg"];
+        let whole_specs = vec![
+            AggSpec::new(Arc::new(SumAgg), vec![1]),
+            AggSpec::new(Arc::new(CountAgg), vec![]),
+            AggSpec::new(Arc::new(AvgAgg), vec![1]),
+        ];
+        let splits: Vec<_> = funcs.iter().map(|f| agg_split(&reg, f).unwrap().unwrap()).collect();
+        assert_eq!(splits[1].merge.name(), CountFinalAgg.name());
+        let partial_specs: Vec<AggSpec> = whole_specs
+            .iter()
+            .zip(&splits)
+            .map(|(w, s)| AggSpec::new(s.partial.clone(), w.input_cols.clone()))
+            .collect();
+        let mut whole = GroupByOp::new(vec![0], whole_specs);
+        let sites = 3;
+        let mut partials: Vec<GroupByOp> =
+            (0..sites).map(|_| GroupByOp::partial(vec![0], partial_specs.clone())).collect();
+        let mut merge = GroupByOp::merge(1, splits.iter().map(|s| s.merge.clone()).collect());
+        // Live rows, so deletes and replacements name rows that exist.
+        let mut live: Vec<Tuple> = Vec::new();
+        let mut z = 7u64;
+        let mut next = |m: u64| {
+            z = z.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (z >> 33) % m
+        };
+        let mut retracted = 0;
+        for _stratum in 0..12 {
+            let mut batch = Vec::new();
+            for _ in 0..10 {
+                let roll = next(10);
+                if roll < 4 || live.is_empty() {
+                    let t = tuple![next(4) as i64, next(8) as f64];
+                    live.push(t.clone());
+                    batch.push(Delta::insert(t));
+                } else if roll < 8 {
+                    let t = live.swap_remove(next(live.len() as u64) as usize);
+                    batch.push(Delta::delete(t));
+                } else {
+                    let i = next(live.len() as u64) as usize;
+                    let new = tuple![next(4) as i64, next(8) as f64];
+                    batch.push(Delta::replace(std::mem::replace(&mut live[i], new.clone()), new));
+                }
+            }
+            let want = drive(&mut whole, batch.clone(), true);
+            retracted += want.iter().filter(|d| d.ann == Annotation::Delete).count();
+            let mut shipped = Vec::new();
+            for (i, p) in partials.iter_mut().enumerate() {
+                let mine = batch.iter().skip(i).step_by(sites).cloned().collect();
+                shipped.extend(drive(p, mine, true));
+                assert_eq!(p.group_count(), 0, "a partial forgets its groups");
+            }
+            assert!(shipped.iter().all(|d| d.ann == Annotation::Insert));
+            assert_eq!(drive(&mut merge, shipped, true), want);
+            assert_eq!(merge.group_count(), whole.group_count());
+        }
+        assert!(retracted > 0, "the stream must retract a group");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! original and rewritten plans and compare results.
 
 use crate::stats::Statistics;
+use rex_core::aggregates::agg_split;
 use rex_core::error::Result;
 use rex_core::expr::Expr;
 use rex_core::udf::Registry;
@@ -322,16 +323,19 @@ pub struct PreAggPlan {
     pub agg: String,
     /// The partial (pushed-down) aggregate's name.
     pub partial: String,
+    /// The aggregate that merges the partials' values.
+    pub merge: String,
     /// Whether the pushdown crossed a non-key join and needs `multiply`
     /// compensation by the opposite group's cardinality.
     pub needs_multiply: bool,
 }
 
 /// Determine the legal pre-aggregation pushdowns for an aggregate above a
-/// join: composable UDAs push through any join (with multiply compensation
-/// when the join is not on a key); non-composable UDAs only push under a
-/// key–foreign-key join. At most one pre-aggregation per UDA, maximally
-/// pushed (the §5.2 heuristic).
+/// join: an aggregate with a partial/final pair ([`agg_split`], the same
+/// pairing distributed lowering combines with) pushes through any join,
+/// with multiply compensation when the join is not on a key; any other
+/// aggregate is not pushed. At most one pre-aggregation per UDA,
+/// maximally pushed (the §5.2 heuristic).
 pub fn preaggregation_plan(
     aggs: &[AggCall],
     reg: &Registry,
@@ -339,26 +343,14 @@ pub fn preaggregation_plan(
 ) -> Result<Vec<Option<PreAggPlan>>> {
     let mut out = Vec::with_capacity(aggs.len());
     for a in aggs {
-        let handler = reg.agg(&a.func)?;
-        let plan = match handler.pre_aggregate() {
-            Some(partial) if handler.composable() => {
-                Some(PreAggPlan { agg: a.func.clone(), partial, needs_multiply: !join_on_key })
-            }
-            Some(partial) if join_on_key => {
-                Some(PreAggPlan { agg: a.func.clone(), partial, needs_multiply: false })
-            }
-            _ => None,
-        };
-        out.push(plan);
+        out.push(agg_split(reg, &a.func)?.map(|s| PreAggPlan {
+            agg: a.func.clone(),
+            partial: s.partial.name().to_string(),
+            merge: s.merge.name().to_string(),
+            needs_multiply: !join_on_key,
+        }));
     }
     Ok(out)
-}
-
-/// Estimated network benefit of pushing a pre-aggregation below a rehash:
-/// shipped rows shrink from `rows` to ~`groups` (the combiner effect). The
-/// optimizer pushes when the benefit is positive.
-pub fn preagg_network_benefit(rows: u64, groups: u64, bytes_per_tuple: f64) -> f64 {
-    (rows.saturating_sub(groups)) as f64 * bytes_per_tuple
 }
 
 #[cfg(test)]
@@ -450,6 +442,7 @@ mod tests {
             Some(PreAggPlan {
                 agg: "count".into(),
                 partial: "count".into(),
+                merge: "count_final".into(),
                 needs_multiply: false
             })
         );
@@ -458,7 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn non_composable_uda_needs_key_join() {
+    fn non_composable_uda_is_never_pushed() {
         let reg = Registry::with_builtins();
         // MIN keeps a buffered bag and advertises no pre-aggregate: never
         // pushed.
@@ -481,13 +474,7 @@ mod tests {
         }];
         let plan = preaggregation_plan(&aggs, &reg, false).unwrap();
         let p = plan[0].as_ref().expect("avg is composable via sum+count");
-        assert_eq!(p.partial, "avg_partial");
-    }
-
-    #[test]
-    fn network_benefit_shrinks_with_group_count() {
-        assert!(preagg_network_benefit(1000, 10, 24.0) > preagg_network_benefit(1000, 900, 24.0));
-        assert_eq!(preagg_network_benefit(10, 10, 24.0), 0.0);
+        assert_eq!((p.partial.as_str(), p.merge.as_str()), ("avg_partial", "avg_final"));
     }
 
     #[test]

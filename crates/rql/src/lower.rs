@@ -3,7 +3,7 @@
 //! Lowering is mechanical: scans read from a [`TableProvider`], filters
 //! and projections map 1:1 onto their operators, joins become pipelined
 //! hash joins (with the registered handler attached for handler joins),
-//! aggregates become a rehash + group-by (+ optional post-projection), and
+//! aggregates become a group-by (+ optional post-projection), and
 //! a fixpoint becomes the Figure 1 loop: base → fixpoint port 0, feedback
 //! out of port 0 into the step subplan, step output rehashed on the
 //! fixpoint key back into port 1, finals out of port 1 into the sink.
@@ -20,9 +20,12 @@
 //! * join inputs are rehashed on the join key unless already co-partitioned
 //!   on it; a key-less (handler broadcast) join replicates the recursive
 //!   side to all workers while the stored side stays partitioned;
-//! * grouped aggregates repartition on the grouping key (as locally);
-//!   *global* aggregates gather every partition's tuples at one
-//!   deterministic worker instead of computing per-worker partials;
+//! * grouped aggregates repartition on the grouping key unless already
+//!   partitioned on it; *global* aggregates gather at one deterministic
+//!   worker. When every aggregate function has a partial/final pair
+//!   (`sum`, `count`, `avg`), a partial group-by in front of the exchange
+//!   ships one row per touched group per stratum, and a merging group-by
+//!   behind it folds them (the combiner of §5.2);
 //! * fixpoint base cases are rehashed onto the fixpoint key when the base
 //!   relation is partitioned differently.
 //!
@@ -30,6 +33,7 @@
 //! are pass-throughs on a single node, so local plans stay minimal.
 
 use crate::logical::{AggCall, LogicalPlan, SortKey};
+use rex_core::aggregates::{agg_split, AggSplit};
 use rex_core::error::{Result, RexError};
 use rex_core::exec::{NodeId, PlanGraph};
 use rex_core::expr::Expr;
@@ -532,6 +536,77 @@ impl Lowering<'_> {
         (rh, 0, Some(key.to_vec()))
     }
 
+    /// Lower a grouped or global aggregate over `(src, port)`, returning
+    /// the node that emits `group cols ++ agg results`.
+    ///
+    /// Locally the group-by reads its input directly (through a shard gate
+    /// in thread-parallel shard mode). Distributed, a keyed aggregate
+    /// needs its input partitioned on the group key, and a global one
+    /// needs every row at one worker, so rows cross a `Rehash` or the
+    /// `Gather` — unless the input is already partitioned on the key.
+    /// When every aggregate has a partial/final pair ([`agg_split`]), a
+    /// partial group-by combines each worker's rows before the exchange
+    /// and a merging group-by folds the partials after it: one row per
+    /// touched group per stratum crosses instead of every input row.
+    fn aggregate(
+        &mut self,
+        src: NodeId,
+        port: usize,
+        part: &Partitioning,
+        group_cols: &[usize],
+        aggs: &[AggCall],
+    ) -> Result<NodeId> {
+        let keyed = !group_cols.is_empty();
+        if !self.opts.distributed || (keyed && part.as_deref() == Some(group_cols)) {
+            let (s, p) = if keyed {
+                let (s, p, _) = self.ensure_partitioned(src, port, part, group_cols);
+                (s, p)
+            } else {
+                (src, port)
+            };
+            let gb = self.g.add(Box::new(GroupByOp::new(group_cols.to_vec(), self.specs(aggs)?)));
+            self.g.connect(s, p, gb, 0);
+            return Ok(gb);
+        }
+        let splits: Option<Vec<AggSplit>> = if aggs.is_empty() {
+            None
+        } else {
+            aggs.iter().map(|a| agg_split(self.reg, &a.func)).collect::<Result<_>>()?
+        };
+        let (from, key) = match &splits {
+            Some(splits) => {
+                let specs = splits
+                    .iter()
+                    .zip(aggs)
+                    .map(|(s, a)| AggSpec::new(s.partial.clone(), a.input_cols.clone()))
+                    .collect();
+                let partial = self.g.add(Box::new(GroupByOp::partial(group_cols.to_vec(), specs)));
+                self.g.connect(src, port, partial, 0);
+                // Partial rows lead with the group key.
+                ((partial, 0), (0..group_cols.len()).collect())
+            }
+            None => ((src, port), group_cols.to_vec()),
+        };
+        let exchange = if keyed { self.g.add_rehash(key) } else { self.g.add_gather() };
+        self.g.connect(from.0, from.1, exchange, 0);
+        let gb = match splits {
+            Some(splits) => {
+                GroupByOp::merge(group_cols.len(), splits.into_iter().map(|s| s.merge).collect())
+            }
+            None => GroupByOp::new(group_cols.to_vec(), self.specs(aggs)?),
+        };
+        let gb = self.g.add(Box::new(gb));
+        self.g.connect(exchange, 0, gb, 0);
+        Ok(gb)
+    }
+
+    /// One whole-aggregate spec per call, handlers resolved in the registry.
+    fn specs(&self, aggs: &[AggCall]) -> Result<Vec<AggSpec>> {
+        aggs.iter()
+            .map(|a| Ok(AggSpec::new(self.reg.agg(&a.func)?, a.input_cols.clone())))
+            .collect()
+    }
+
     /// Lower a top-k selection (`ORDER BY … LIMIT n OFFSET m`, or a bare
     /// `LIMIT` with no keys — deterministic in total tuple order).
     ///
@@ -700,41 +775,7 @@ impl Lowering<'_> {
             }
             LogicalPlan::Aggregate { input, group_cols, aggs, post, .. } => {
                 let (src, port, part, _) = self.node(input)?;
-                // Repartition on the grouping key before aggregating. A
-                // *global* aggregate (no keys) is a pass-through locally
-                // but must gather all partitions at one worker in the
-                // cluster — per-worker partials would union into one row
-                // per worker at the requestor. Locally a rehash is a pure
-                // pass-through, so no node is added at all: every input
-                // delta would otherwise take one extra hop through the
-                // executor queue.
-                let (rehash, rport) = if group_cols.is_empty() {
-                    if self.opts.distributed {
-                        let gather = self.g.add_gather();
-                        self.g.connect(src, port, gather, 0);
-                        (gather, 0)
-                    } else {
-                        (src, port)
-                    }
-                } else if self.opts.distributed {
-                    let rh = self.g.add_rehash(group_cols.clone());
-                    self.g.connect(src, port, rh, 0);
-                    (rh, 0)
-                } else {
-                    // Pass-through locally — except in thread-parallel
-                    // shard mode, where ensure_partitioned gates the
-                    // stream so each thread owns disjoint groups.
-                    let (s, p, _) = self.ensure_partitioned(src, port, &part, group_cols);
-                    (s, p)
-                };
-                let specs = aggs
-                    .iter()
-                    .map(|a: &AggCall| {
-                        Ok(AggSpec::new(self.reg.agg(&a.func)?, a.input_cols.clone()))
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let gb = self.g.add(Box::new(GroupByOp::new(group_cols.clone(), specs)));
-                self.g.connect(rehash, rport, gb, 0);
+                let gb = self.aggregate(src, port, &part, group_cols, aggs)?;
                 // Aggregate output = group cols ++ agg results: partitioned
                 // on the leading group columns.
                 let gb_part: Partitioning = if group_cols.is_empty() {
