@@ -165,7 +165,7 @@ impl ClusterRuntime {
             let mut stratum_start = Instant::now();
 
             for &w in &live {
-                executors[w].start(reg, cost)?;
+                executors[w].start();
             }
             drain_all(&mut executors, &mut router, &live, &snapshot, reg, cost, threads)?;
             // Every scan batch has now been delivered on every worker:

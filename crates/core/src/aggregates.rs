@@ -43,12 +43,9 @@ fn scalar_result(v: Value) -> Vec<Delta> {
     vec![Delta::insert(Tuple::new(vec![v]))]
 }
 
-/// The single input column of a unary aggregate's batched fast path, read
-/// in place from the full (unprojected) row.
-fn unary<'t>(t: &'t Tuple, cols: &[usize]) -> Result<&'t Value> {
-    let c =
-        *cols.first().ok_or_else(|| RexError::Exec("aggregate needs an input column".into()))?;
-    t.try_get(c)
+/// The input value of a unary aggregate's insert fast path.
+fn unary(v: Option<&Value>) -> Result<&Value> {
+    v.ok_or_else(|| RexError::Exec("aggregate needs an input column".into()))
 }
 
 /// Sum/avg shared delta rule: `+()` adds the value and one row, `-()`
@@ -104,8 +101,8 @@ impl AggHandler for SumAgg {
         Ok(vec![])
     }
 
-    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
-        fold_sum_count(state, unary(t, cols)?, "sum")
+    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
+        fold_sum_count(state, unary(v)?, "sum")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -170,7 +167,7 @@ impl AggHandler for CountAgg {
         Ok(vec![])
     }
 
-    fn fold_insert(&self, state: &mut AggState, _t: &Tuple, _cols: &[usize]) -> Result<bool> {
+    fn fold_value(&self, state: &mut AggState, _v: Option<&Value>) -> Result<bool> {
         match state {
             AggState::Int(n) => {
                 *n += 1;
@@ -237,11 +234,11 @@ impl AggHandler for CountFinalAgg {
         Ok(vec![])
     }
 
-    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
+    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
         let AggState::Int(n) = state else {
             return Err(RexError::Exec("count_final: bad state shape".into()));
         };
-        *n += partial_count(unary(t, cols)?)?;
+        *n += partial_count(unary(v)?)?;
         Ok(true)
     }
 
@@ -346,8 +343,8 @@ impl AggHandler for MinAgg {
         Ok(vec![])
     }
 
-    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
-        fold_extremum(state, unary(t, cols)?, "min")
+    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
+        fold_extremum(state, unary(v)?, "min")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -384,8 +381,8 @@ impl AggHandler for MaxAgg {
         Ok(vec![])
     }
 
-    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
-        fold_extremum(state, unary(t, cols)?, "max")
+    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
+        fold_extremum(state, unary(v)?, "max")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -424,8 +421,8 @@ impl AggHandler for AvgAgg {
         Ok(vec![])
     }
 
-    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
-        fold_sum_count(state, unary(t, cols)?, "avg")
+    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
+        fold_sum_count(state, unary(v)?, "avg")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -480,8 +477,8 @@ impl AggHandler for AvgPartialAgg {
         AvgAgg.agg_state(state, d)
     }
 
-    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
-        fold_sum_count(state, unary(t, cols)?, "avg_partial")
+    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
+        fold_sum_count(state, unary(v)?, "avg_partial")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {

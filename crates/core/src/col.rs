@@ -21,12 +21,21 @@
 //! `Value::cmp` / `Value` arithmetic by inspection, and evaluate every
 //! other shape through the *same* `eval_bin` the row interpreter uses on
 //! stack-constructed `Value`s — identical semantics by construction.
+//!
+//! Keyed operators — the group-by, the join's probe, the shard gate —
+//! read a batch's rows in place: `ColumnBatch::key_hashes` and
+//! `ColumnBatch::key_eq` hash and compare key columns exactly as `Value`
+//! does, so a column row and a tuple with the same key meet in one
+//! keyed-state bucket.
 
 use crate::error::Result;
 use crate::expr::{cmp_bool, eval_bin, BinOp, CompiledExpr};
+use crate::hash::FxHasher;
 use crate::tuple::Tuple;
 use crate::udf::Registry;
-use crate::value::Value;
+use crate::value::{hash_str, Value};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Typed storage of one column. Invalid (NULL) positions hold an
@@ -72,12 +81,12 @@ impl Column {
             .unwrap_or(Column { data: ColumnData::Generic(values), validity: None })
     }
 
-    /// Column `c` of `rows`, under the same typing rules as
-    /// [`from_values`](Column::from_values), read in place: no tuple is
-    /// cloned.
-    fn of_rows(rows: &[Tuple], c: usize) -> Column {
-        Column::typed(rows.iter().map(move |t| t.get(c))).unwrap_or_else(|| Column {
-            data: ColumnData::Generic(rows.iter().map(|t| t.get(c).clone()).collect()),
+    /// A column of borrowed values, under the same typing rules as
+    /// [`from_values`](Column::from_values): typed values are copied out
+    /// and only a [`ColumnData::Generic`] column clones its `Value`s.
+    fn of_values<'a>(values: impl Iterator<Item = &'a Value> + Clone) -> Column {
+        Column::typed(values.clone()).unwrap_or_else(|| Column {
+            data: ColumnData::Generic(values.cloned().collect()),
             validity: None,
         })
     }
@@ -177,6 +186,57 @@ impl Column {
         }
     }
 
+    /// Run `f` on the value at `row`, built on the stack for the typed
+    /// variants and borrowed from a [`ColumnData::Generic`] column: unlike
+    /// [`value_at`](Column::value_at) nothing is allocated or cloned,
+    /// except one `Arc` bump on a string column.
+    #[inline]
+    pub(crate) fn with_value<R>(&self, row: usize, f: impl FnOnce(&Value) -> R) -> R {
+        if !self.is_valid(row) {
+            return f(&Value::Null);
+        }
+        match &self.data {
+            ColumnData::Int(v) => f(&Value::Int(v[row])),
+            ColumnData::Double(v) => f(&Value::Double(v[row])),
+            ColumnData::Bool(v) => f(&Value::Bool(v[row])),
+            ColumnData::Str(v) => f(&Value::Str(v[row].clone())),
+            ColumnData::Generic(v) => f(&v[row]),
+        }
+    }
+
+    /// Whether the value at `row` equals `v` under `Value`'s total order
+    /// (so `Int(2)` equals `Double(2.0)` and NULL equals NULL), compared
+    /// in place on the typed shapes.
+    #[inline]
+    pub(crate) fn eq_at(&self, row: usize, v: &Value) -> bool {
+        if !self.is_valid(row) {
+            return v.is_null();
+        }
+        match (&self.data, v) {
+            (ColumnData::Int(c), Value::Int(x)) => c[row] == *x,
+            (ColumnData::Double(c), Value::Double(x)) => c[row].total_cmp(x).is_eq(),
+            (ColumnData::Str(c), Value::Str(x)) => c[row] == *x,
+            (ColumnData::Generic(c), _) => c[row] == *v,
+            _ => self.with_value(row, |mine| mine == v),
+        }
+    }
+
+    /// Feed the value at `row` to `h` exactly as hashing the `Value`
+    /// would, so column keys and tuple keys probe the same buckets.
+    #[inline]
+    fn hash_at(&self, row: usize, h: &mut FxHasher) {
+        if !self.is_valid(row) {
+            return Value::Null.hash(h);
+        }
+        match &self.data {
+            ColumnData::Int(v) => Value::Int(v[row]).hash(h),
+            ColumnData::Double(v) => Value::Double(v[row]).hash(h),
+            ColumnData::Bool(v) => Value::Bool(v[row]).hash(h),
+            ColumnData::Str(v) => hash_str(&v[row], h),
+            ColumnData::Generic(v) => v[row].hash(h),
+        }
+    }
+
     /// Byte size of the value at `row` under the row lane's accounting.
     #[inline]
     fn value_byte_size(&self, row: usize) -> usize {
@@ -239,12 +299,13 @@ impl ColumnBatch {
     /// (a scan's stored slice): each column is read straight out of the
     /// tuples, with no per-row `Arc` bump. `None` for a ragged slice.
     pub fn from_row_slice(rows: &[Tuple]) -> Option<ColumnBatch> {
-        let width = rows.first().map_or(0, Tuple::arity);
-        if rows.iter().any(|t| t.arity() != width) {
-            return None;
-        }
-        let cols = (0..width).map(|c| Column::of_rows(rows, c)).collect();
-        Some(ColumnBatch { cols, rows: rows.len(), sel: None })
+        Some(ColumnBatch { cols: columns_of(rows)?, rows: rows.len(), sel: None })
+    }
+
+    /// A batch of whole `cols`, each `rows` long, every row selected.
+    pub(crate) fn from_columns(cols: Vec<Column>, rows: usize) -> ColumnBatch {
+        debug_assert!(cols.iter().all(|c| c.len() == rows));
+        ColumnBatch { cols, rows, sel: None }
     }
 
     /// Number of columns.
@@ -271,11 +332,61 @@ impl ColumnBatch {
     }
 
     /// Selected physical row indices, materialized.
-    fn selection(&self) -> Vec<u32> {
+    pub(crate) fn selection(&self) -> Vec<u32> {
         match &self.sel {
             Some(s) => s.clone(),
             None => (0..self.rows as u32).collect(),
         }
+    }
+
+    /// Keep only the selected rows `keep` accepts (by physical index),
+    /// in order: a narrowed selection, no data moved.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let mut sel = self.selection();
+        sel.retain(|&r| keep(r as usize));
+        self.sel = Some(sel);
+    }
+
+    /// One key hash per row of `rows` (physical indices) over the key
+    /// columns `cols`, computed column by column; each equals
+    /// [`hash_values`](crate::hash::hash_values) of the row's key, which
+    /// is how [`Tuple::hash_key`] hashes it.
+    pub(crate) fn key_hashes(&self, rows: &[u32], cols: &[usize]) -> Vec<u64> {
+        let mut hs = vec![FxHasher::default(); rows.len()];
+        for &c in cols {
+            let col = &self.cols[c];
+            for (h, &r) in hs.iter_mut().zip(rows) {
+                col.hash_at(r as usize, h);
+            }
+        }
+        hs.iter().map(FxHasher::finish).collect()
+    }
+
+    /// Whether row `row`'s key columns `cols` equal the owned `key`,
+    /// compared in place (the columnar twin of [`Tuple::key_eq`]).
+    #[inline]
+    pub(crate) fn key_eq(&self, row: usize, cols: &[usize], key: &[Value]) -> bool {
+        cols.len() == key.len() && cols.iter().zip(key).all(|(&c, v)| self.cols[c].eq_at(row, v))
+    }
+
+    /// Whether rows `a` and `b` agree on the key columns `cols`.
+    #[inline]
+    pub(crate) fn rows_key_eq(&self, a: usize, b: usize, cols: &[usize]) -> bool {
+        cols.iter().all(|&c| {
+            let col = &self.cols[c];
+            col.with_value(a, |v| col.eq_at(b, v))
+        })
+    }
+
+    /// Row `row`'s key columns `cols` as an owned key.
+    pub(crate) fn key(&self, row: usize, cols: &[usize]) -> Vec<Value> {
+        cols.iter().map(|&c| self.cols[c].value_at(row)).collect()
+    }
+
+    /// Every column gathered at `rows` (physical indices, repeats
+    /// allowed), compacted in that order.
+    pub(crate) fn gather(&self, rows: &[u32]) -> Vec<Column> {
+        self.cols.iter().map(|c| c.gather(rows)).collect()
     }
 
     /// Materialize the selected rows as tuples, in row order — the exact
@@ -407,6 +518,16 @@ impl ColumnBatch {
         }
         Ok(ColumnBatch { cols: out, rows: n, sel: None })
     }
+}
+
+/// The columns of borrowed tuples, typed where each column allows, with
+/// no tuple cloned. `None` when the tuples are ragged.
+pub(crate) fn columns_of<T: Borrow<Tuple>>(rows: &[T]) -> Option<Vec<Column>> {
+    let width = rows.first().map_or(0, |t| t.borrow().arity());
+    if rows.iter().any(|t| t.borrow().arity() != width) {
+        return None;
+    }
+    Some((0..width).map(|c| Column::of_values(rows.iter().map(|t| t.borrow().get(c)))).collect())
 }
 
 /// `column OP literal` comparison kernel. Pushes passing physical indices
@@ -554,6 +675,49 @@ mod tests {
             // Bit-exactness, not just Eq (NaN == NaN under total order,
             // but we want the very same bits and variants).
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+    }
+
+    /// Column keys hash and compare exactly like the same rows' tuple
+    /// keys, on every typed shape with and without NULLs and on a
+    /// `Generic` column where `Int(2)` meets `Double(2.0)`.
+    #[test]
+    fn key_hashes_and_equality_match_tuple_keys() {
+        let rows = vec![
+            Tuple::new(vec![
+                Value::Int(2),
+                Value::Double(2.0),
+                Value::str("a"),
+                Value::Bool(true),
+                Value::Null,
+            ]),
+            Tuple::new(vec![
+                Value::Null,
+                Value::Double(-0.0),
+                Value::str("b"),
+                Value::Bool(false),
+                Value::Int(2),
+            ]),
+            Tuple::new(vec![
+                Value::Int(-7),
+                Value::Double(f64::NAN),
+                Value::Null,
+                Value::Null,
+                Value::Double(2.0),
+            ]),
+        ];
+        let b = ColumnBatch::try_from_rows(rows.clone()).unwrap();
+        let sel: Vec<u32> = (0..rows.len() as u32).collect();
+        for cols in [vec![0], vec![1], vec![2], vec![3], vec![4], vec![4, 0], (0..5).collect()] {
+            let hashes = b.key_hashes(&sel, &cols);
+            for (r, t) in rows.iter().enumerate() {
+                assert_eq!(hashes[r], t.hash_key(&cols), "row {r} cols {cols:?}");
+                for (o, other) in rows.iter().enumerate() {
+                    let key = other.key(&cols);
+                    assert_eq!(b.key_eq(r, &cols, &key), t.key_eq(&cols, &key), "{r}/{cols:?}");
+                    assert_eq!(b.rows_key_eq(r, o, &cols), t.key_eq(&cols, &key), "{r}/{o}");
+                }
+            }
         }
     }
 

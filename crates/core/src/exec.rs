@@ -163,6 +163,9 @@ pub struct Executor {
     network: Vec<Option<NetKey>>,
     edges: Vec<Vec<Vec<(NodeId, usize)>>>,
     queue: VecDeque<(NodeId, usize, Event)>,
+    /// Sources [`start`](Executor::start)ed and not yet exhausted, in node
+    /// order; the drain pulls the first one whenever the queue runs dry.
+    sources: VecDeque<NodeId>,
     /// Worker-local metrics.
     pub metrics: ExecMetrics,
     /// `metrics` as of the last stratum [`run_strata`](Executor::run_strata)
@@ -187,6 +190,7 @@ impl Executor {
             network: graph.network,
             edges: graph.edges,
             queue: VecDeque::new(),
+            sources: VecDeque::new(),
             metrics: ExecMetrics::default(),
             reported: ExecMetrics::default(),
             stratum: 0,
@@ -260,39 +264,15 @@ impl Executor {
         self.network.iter().enumerate().filter_map(|(i, k)| k.as_ref().map(|_| i)).collect()
     }
 
-    /// Run all source operators (scans), queueing their output. One
-    /// [`OpCtx`] serves every source.
-    pub fn start(&mut self, reg: &Registry, cost: &CostModel) -> Result<()> {
-        let traced = self.trace.is_some();
-        let mut ctx = OpCtx::new(self.stratum, self.worker, reg, cost, &mut self.metrics);
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].is_source() {
-                let t0 = traced.then(Instant::now);
-                self.nodes[i].run_source(&mut ctx)?;
-                if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
-                    tr[i].batches += 1;
-                    tr[i].wall_ns += t0.elapsed().as_nanos() as u64;
-                }
-                for (port, event) in ctx.drain_output() {
-                    if traced {
-                        if let Some(tr) = self.trace.as_mut() {
-                            tr[i].rows_out += event_rows(&event);
-                        }
-                    }
-                    enqueue(
-                        self.distributed,
-                        &self.network,
-                        &self.edges,
-                        &mut self.queue,
-                        &mut Vec::new(),
-                        i,
-                        port,
-                        event,
-                    );
-                }
-            }
-        }
-        Ok(())
+    /// Start every source operator (scan), in node order. Nothing is read
+    /// yet: [`drain`](Executor::drain) pulls one batch (or morsel) from
+    /// the first unexhausted source each time its queue runs dry, so a
+    /// query holds one scan batch's cascade at a time instead of every
+    /// batch of every scan. Depth-first draining already finished each
+    /// batch's cascade before taking the next, so the delivery order is
+    /// the one queueing every batch up front would give.
+    pub fn start(&mut self) {
+        self.sources = (0..self.nodes.len()).filter(|&i| self.nodes[i].is_source()).collect();
     }
 
     /// Deliver an event directly to a node's input port (cluster receive
@@ -310,8 +290,8 @@ impl Executor {
         fan_out(&mut self.queue, &self.edges[node][port], event);
     }
 
-    /// Process queued events until quiescence. Network emissions are
-    /// appended to `outbox`.
+    /// Process queued events — and the started sources' batches — until
+    /// quiescence. Network emissions are appended to `outbox`.
     ///
     /// **Depth-first.** An activation's outputs go to the *front* of the
     /// queue, in emission order, so each batch is pushed through to the
@@ -320,11 +300,12 @@ impl Executor {
     /// everything queued ahead of a node's output descends from that same
     /// activation, so in an acyclic plan the node cannot run again before
     /// its earlier output is consumed; the only cycles pass through
-    /// fixpoints, which emit only when the runtime drives them. A query's
-    /// live intermediate is therefore O(batch × plan depth) rather than
-    /// the size of its largest intermediate relation. Order *across*
-    /// edges is not FIFO, and nothing may depend on it: recursion is
-    /// started by the runtime after quiescence
+    /// fixpoints, which emit only when the runtime drives them. A source
+    /// is pulled for its next batch only when the queue is empty. A
+    /// query's live intermediate is therefore O(batch × plan depth) rather
+    /// than the size of its largest intermediate relation or of its scans.
+    /// Order *across* edges is not FIFO, and nothing may depend on it:
+    /// recursion is started by the runtime after quiescence
     /// ([`start_fixpoint`](Executor::start_fixpoint)), never by a
     /// punctuation racing queued batches.
     ///
@@ -337,62 +318,99 @@ impl Executor {
         cost: &CostModel,
         outbox: &mut Vec<NetEmission>,
     ) -> Result<()> {
+        self.with_ctx(reg, cost, |ex, ctx| ex.drain_with(ctx, outbox))
+    }
+
+    /// Run `f` with one [`OpCtx`] over this executor's clock and a copy of
+    /// its metrics, written back afterwards — so `f` can still borrow the
+    /// executor whole.
+    fn with_ctx<R>(
+        &mut self,
+        reg: &Registry,
+        cost: &CostModel,
+        f: impl FnOnce(&mut Executor, &mut OpCtx<'_>) -> R,
+    ) -> R {
+        let mut metrics = self.metrics;
+        let mut ctx = OpCtx::new(self.stratum, self.worker, reg, cost, &mut metrics);
+        let out = f(self, &mut ctx);
+        drop(ctx);
+        self.metrics = metrics;
+        out
+    }
+
+    fn drain_with(&mut self, ctx: &mut OpCtx<'_>, outbox: &mut Vec<NetEmission>) -> Result<()> {
         let traced = self.trace.is_some();
-        let mut ctx = OpCtx::new(self.stratum, self.worker, reg, cost, &mut self.metrics);
-        while let Some((node, port, event)) = self.queue.pop_front() {
+        loop {
+            let Some((node, port, event)) = self.queue.pop_front() else {
+                let Some(&src) = self.sources.front() else { return Ok(()) };
+                let t0 = traced.then(Instant::now);
+                if !self.nodes[src].pull_source(ctx)? {
+                    self.sources.pop_front();
+                }
+                if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
+                    // A source is delivered no events: its whole run counts
+                    // as one batch, so `lane_hits / batches` does not move
+                    // with the number of pulls.
+                    tr[src].batches = 1;
+                    tr[src].wall_ns += t0.elapsed().as_nanos() as u64;
+                }
+                self.route(src, ctx, outbox);
+                continue;
+            };
             let t0 = traced.then(Instant::now);
-            let (rows_in, lane, qdepth) = if traced {
+            let (rows_in, lane, cols, qdepth) = if traced {
                 // Queue depth at pop time, counting the popped event.
                 (
                     event_rows(&event),
                     matches!(event, Event::Rows(_) | Event::Cols(_)),
+                    matches!(event, Event::Cols(_)),
                     self.queue.len() as u64 + 1,
                 )
             } else {
-                (0, false, 0)
+                (0, false, false, 0)
             };
             match event {
-                Event::Data(deltas) => self.nodes[node].on_deltas(port, deltas, &mut ctx)?,
-                Event::Rows(rows) => self.nodes[node].on_rows(port, rows, &mut ctx)?,
-                Event::Cols(batch) => self.nodes[node].on_cols(port, batch, &mut ctx)?,
-                Event::Punct(p) => self.nodes[node].on_punct(port, p, &mut ctx)?,
+                Event::Data(deltas) => self.nodes[node].on_deltas(port, deltas, ctx)?,
+                Event::Rows(rows) => self.nodes[node].on_rows(port, rows, ctx)?,
+                Event::Cols(batch) => self.nodes[node].on_cols(port, batch, ctx)?,
+                Event::Punct(p) => self.nodes[node].on_punct(port, p, ctx)?,
             }
             if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
                 let s = &mut tr[node];
                 s.batches += 1;
                 s.rows_in += rows_in;
                 s.lane_hits += lane as u64;
+                s.cols += cols as u64;
                 s.wall_ns += t0.elapsed().as_nanos() as u64;
                 s.queue_depth = s.queue_depth.max(qdepth);
             }
             let queued = self.queue.len();
-            for (p, ev) in ctx.drain_output() {
-                if traced {
-                    if let Some(tr) = self.trace.as_mut() {
-                        tr[node].rows_out += event_rows(&ev);
-                    }
-                }
-                enqueue(
-                    self.distributed,
-                    &self.network,
-                    &self.edges,
-                    &mut self.queue,
-                    outbox,
-                    node,
-                    p,
-                    ev,
-                );
-            }
+            self.route(node, ctx, outbox);
             // Move what this activation appended to the front, in order.
             let appended = self.queue.len() - queued;
             self.queue.rotate_right(appended);
         }
-        Ok(())
     }
 
-    /// Whether there is any queued work.
+    /// Route what `node`'s activation emitted into `ctx`, counting its
+    /// rows out when traced: to `outbox` when it leaves a network boundary
+    /// of a distributed executor, to the back of the queue otherwise.
+    fn route(&mut self, node: NodeId, ctx: &mut OpCtx<'_>, outbox: &mut Vec<NetEmission>) {
+        for (port, event) in ctx.drain_output() {
+            if let Some(tr) = self.trace.as_mut() {
+                tr[node].rows_out += event_rows(&event);
+            }
+            if self.distributed && self.network[node].is_some() {
+                outbox.push(NetEmission { node, port, event });
+            } else {
+                fan_out(&mut self.queue, &self.edges[node][port], event);
+            }
+        }
+    }
+
+    /// Whether there is any queued work or unread source.
     pub fn has_work(&self) -> bool {
-        !self.queue.is_empty()
+        !self.queue.is_empty() || !self.sources.is_empty()
     }
 
     /// Node ids of all fixpoint operators.
@@ -447,35 +465,19 @@ impl Executor {
         outbox: &mut Vec<NetEmission>,
         call: impl FnOnce(&mut FixpointOp, &mut OpCtx<'_>) -> Result<()>,
     ) -> Result<()> {
-        let traced = self.trace.is_some();
-        let mut ctx = OpCtx::new(self.stratum, self.worker, reg, cost, &mut self.metrics);
-        let fp = self.nodes[id]
-            .as_fixpoint()
-            .ok_or_else(|| RexError::Exec(format!("node {id} is not a fixpoint")))?;
-        let t0 = traced.then(Instant::now);
-        call(fp, &mut ctx)?;
-        if let (Some(t0), Some(tr)) = (t0, self.trace.as_mut()) {
-            tr[id].batches += 1;
-            tr[id].wall_ns += t0.elapsed().as_nanos() as u64;
-        }
-        for (port, event) in ctx.drain_output() {
-            if traced {
-                if let Some(tr) = self.trace.as_mut() {
-                    tr[id].rows_out += event_rows(&event);
-                }
+        self.with_ctx(reg, cost, |ex, ctx| {
+            let fp = ex.nodes[id]
+                .as_fixpoint()
+                .ok_or_else(|| RexError::Exec(format!("node {id} is not a fixpoint")))?;
+            let t0 = ex.trace.is_some().then(Instant::now);
+            call(fp, ctx)?;
+            if let (Some(t0), Some(tr)) = (t0, ex.trace.as_mut()) {
+                tr[id].batches += 1;
+                tr[id].wall_ns += t0.elapsed().as_nanos() as u64;
             }
-            enqueue(
-                self.distributed,
-                &self.network,
-                &self.edges,
-                &mut self.queue,
-                outbox,
-                id,
-                port,
-                event,
-            );
-        }
-        Ok(())
+            ex.route(id, ctx, outbox);
+            Ok(())
+        })
     }
 
     /// Punctuate stratum `s` on the output of every node in `open` — the
@@ -586,6 +588,7 @@ impl Executor {
             n.reset();
         }
         self.queue.clear();
+        self.sources.clear();
         self.stratum = 0;
     }
 
@@ -598,6 +601,7 @@ impl Executor {
             network: self.network.clone(),
             edges: self.edges.clone(),
             queue: self.queue.clone(),
+            sources: self.sources.clone(),
             metrics: self.metrics,
             reported: self.reported,
             stratum: self.stratum,
@@ -626,28 +630,6 @@ fn fan_out(queue: &mut VecDeque<(NodeId, usize, Event)>, dsts: &[(NodeId, usize)
             }
             queue.push_back((*last, *lport, event));
         }
-    }
-}
-
-/// Route one produced event: to the outbox when it leaves a network
-/// boundary of a distributed executor, downstream otherwise. A free
-/// function over the executor's fields so [`Executor::drain`] can call it
-/// while its long-lived [`OpCtx`] still borrows the metrics.
-#[allow(clippy::too_many_arguments)]
-fn enqueue(
-    distributed: bool,
-    network: &[Option<NetKey>],
-    edges: &[Vec<Vec<(NodeId, usize)>>],
-    queue: &mut VecDeque<(NodeId, usize, Event)>,
-    outbox: &mut Vec<NetEmission>,
-    node: NodeId,
-    port: usize,
-    event: Event,
-) {
-    if distributed && network[node].is_some() {
-        outbox.push(NetEmission { node, port, event });
-    } else {
-        fan_out(queue, &edges[node][port], event);
     }
 }
 
@@ -785,7 +767,7 @@ impl LocalRuntime {
                         }
                         ex.set_telemetry(telemetry);
                         let mut outbox = Vec::new(); // never used locally
-                        ex.start(reg, cost)?;
+                        ex.start();
                         ex.drain(reg, cost, &mut outbox)?;
                         let rows = ex.take_sink_results()?;
                         let trace = ex.take_trace();
@@ -838,7 +820,7 @@ impl LocalRuntime {
         ex.set_telemetry(self.telemetry);
         let t0 = Instant::now();
         let mut outbox = Vec::new(); // never used in local mode
-        ex.start(&self.reg, &self.cost)?;
+        ex.start();
         let strata = ex.run_strata(&[], &self.reg, &self.cost, &mut outbox)?;
         let wall = t0.elapsed().as_secs_f64();
         let m = ex.metrics;
@@ -1072,12 +1054,12 @@ mod tests {
         fn is_source(&self) -> bool {
             true
         }
-        fn run_source(&mut self, ctx: &mut OpCtx<'_>) -> Result<()> {
+        fn pull_source(&mut self, ctx: &mut OpCtx<'_>) -> Result<bool> {
             for i in 1..=3i64 {
                 ctx.emit_rows(0, vec![tuple![i]]);
             }
             ctx.punct(0, Punctuation::EndOfStream);
-            Ok(())
+            Ok(false)
         }
         fn on_deltas(
             &mut self,
@@ -1133,7 +1115,7 @@ mod tests {
         g.connect(pass, 0, rec, 1);
         let mut ex = Executor::new(g, 0, false);
         let (reg, cost) = (Registry::new(), CostModel::default());
-        ex.start(&reg, &cost).unwrap();
+        ex.start();
         ex.drain(&reg, &cost, &mut Vec::new()).unwrap();
         assert_eq!(*seen.lock().unwrap(), ["in1", "out1", "in2", "out2", "in3", "out3"]);
     }

@@ -189,15 +189,19 @@ pub trait AggHandler: Send + Sync {
     /// intermediate deltas for streamed partial aggregation (usually empty).
     fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>>;
 
-    /// Batched-rows fast path: fold one *inserted* row into `state`,
-    /// reading the aggregate's input columns `cols` from `t` in place —
-    /// no delta wrapper, no projected tuple, no allocation. Must behave
-    /// exactly like `agg_state(state, &Delta::insert(project(t, cols)))`
-    /// returning no intermediate deltas. Returns `Ok(false)` when the
-    /// handler has no fast path; the caller then takes the general delta
-    /// path (the default for custom UDAs and table-valued aggregates).
-    fn fold_insert(&self, state: &mut AggState, t: &Tuple, cols: &[usize]) -> Result<bool> {
-        let _ = (state, t, cols);
+    /// Insert fast path: fold one *inserted* row's input value into
+    /// `state` — `None` for an aggregate with no input column
+    /// (`count(*)`), else the value of its one input column, borrowed
+    /// from a tuple or built on the stack from a typed column. No delta
+    /// wrapper, no projected tuple, no allocation. Must behave exactly
+    /// like `agg_state(state, &Delta::insert(tuple![v]))` (the empty
+    /// tuple for `None`) returning no intermediate deltas. Returns
+    /// `Ok(false)` when the handler has no fast path; the caller then
+    /// takes the general delta path (the default for custom UDAs and
+    /// table-valued aggregates). Both batch lanes of the group-by call
+    /// it, so a row folds the same whichever form it arrived in.
+    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
+        let _ = (state, v);
         Ok(false)
     }
 

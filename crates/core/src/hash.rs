@@ -323,7 +323,14 @@ impl<V> KeyedTable<V> {
     /// callers probing several tables with the same key (a join's two
     /// sides) hash once and reuse it.
     pub fn probe_hashed(&self, hash: u64, t: &Tuple, cols: &[usize]) -> Option<&V> {
-        self.found(hash, |k| t.key_eq(cols, k)).map(|i| &self.entries[i].2)
+        self.probe_by(hash, |k| t.key_eq(cols, k))
+    }
+
+    /// Lookup by a key held anywhere — a tuple's columns, a column
+    /// batch's row: `hash` is the key's [`hash_values`] hash and `eq`
+    /// compares it with a stored key.
+    pub(crate) fn probe_by(&self, hash: u64, eq: impl FnMut(&[Value]) -> bool) -> Option<&V> {
+        self.found(hash, eq).map(|i| &self.entries[i].2)
     }
 
     /// Borrowed-key mutable lookup.
@@ -358,8 +365,20 @@ impl<V> KeyedTable<V> {
         cols: &[usize],
         init: impl FnOnce() -> V,
     ) -> &mut V {
+        self.probe_or_insert_by(hash, |k| t.key_eq(cols, k), || t.key(cols), init)
+    }
+
+    /// Upsert by a key held anywhere (see [`probe_by`](KeyedTable::probe_by)):
+    /// one probe, and `key` materializes the owned key only on insert.
+    pub(crate) fn probe_or_insert_by(
+        &mut self,
+        hash: u64,
+        eq: impl FnMut(&[Value]) -> bool,
+        key: impl FnOnce() -> Vec<Value>,
+        init: impl FnOnce() -> V,
+    ) -> &mut V {
         self.reserve_one();
-        match self.locate(hash, |k| t.key_eq(cols, k)) {
+        match self.locate(hash, eq) {
             Slot::Found(slot) => {
                 let idx = self.slots[slot] as usize;
                 &mut self.entries[idx].2
@@ -369,7 +388,7 @@ impl<V> KeyedTable<V> {
                     self.tombs -= 1;
                 }
                 self.slots[slot] = self.entries.len() as u32;
-                self.entries.push((hash, t.key(cols), init()));
+                self.entries.push((hash, key(), init()));
                 &mut self.entries.last_mut().expect("just pushed").2
             }
         }

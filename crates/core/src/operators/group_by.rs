@@ -23,6 +23,7 @@
 //! a `-()` arrived, so the merge keeps exactly the row bookkeeping — and
 //! the group retraction — of one operator that saw every row.
 
+use crate::col::ColumnBatch;
 use crate::delta::{Annotation, Delta, Punctuation};
 use crate::error::{Result, RexError};
 use crate::handlers::{AggHandler, AggOutputKind, AggState};
@@ -94,21 +95,78 @@ impl GroupEntry {
     }
 
     /// Count `rows` net input rows (and a deletion, if one arrived) into
-    /// the group and queue its key for the next flush the first time it
+    /// the group and queue its `key` for the next flush the first time it
     /// changes.
     fn touch(
         &mut self,
         (rows, deleted): (i64, bool),
-        t: &Tuple,
-        key_cols: &[usize],
+        key: impl FnOnce() -> Key,
         dirty: &mut Vec<Key>,
     ) {
         self.rows += rows;
         self.deleted |= deleted;
         if !self.changed {
             self.changed = true;
-            dirty.push(t.key(key_cols));
+            dirty.push(key());
         }
+    }
+}
+
+/// An inserted row as the group-by's fold reads it: a tuple, or one row
+/// of a column batch ([`ColRow`]), read in place either way.
+trait InsertRow {
+    /// Whether the row's `cols` equal a stored key.
+    fn key_eq(&self, cols: &[usize], key: &[Value]) -> bool;
+    /// The row's `cols` as an owned key.
+    fn key(&self, cols: &[usize]) -> Key;
+    /// Run `f` on the value of column `c`.
+    fn with_value<R>(&self, c: usize, f: impl FnOnce(&Value) -> R) -> Result<R>;
+    /// The row projected onto `cols` (the general AGGSTATE path).
+    fn project(&self, cols: &[usize], scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple;
+}
+
+impl InsertRow for Tuple {
+    fn key_eq(&self, cols: &[usize], key: &[Value]) -> bool {
+        Tuple::key_eq(self, cols, key)
+    }
+
+    fn key(&self, cols: &[usize]) -> Key {
+        Tuple::key(self, cols)
+    }
+
+    fn with_value<R>(&self, c: usize, f: impl FnOnce(&Value) -> R) -> Result<R> {
+        Ok(f(self.try_get(c)?))
+    }
+
+    fn project(&self, cols: &[usize], scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple {
+        project_row(self, cols, scratch, empty)
+    }
+}
+
+/// Row `.1` of the column batch `.0`.
+struct ColRow<'a>(&'a ColumnBatch, usize);
+
+impl InsertRow for ColRow<'_> {
+    fn key_eq(&self, cols: &[usize], key: &[Value]) -> bool {
+        self.0.key_eq(self.1, cols, key)
+    }
+
+    fn key(&self, cols: &[usize]) -> Key {
+        self.0.key(self.1, cols)
+    }
+
+    fn with_value<R>(&self, c: usize, f: impl FnOnce(&Value) -> R) -> Result<R> {
+        let col = self.0.columns().get(c).ok_or_else(|| {
+            RexError::Exec(format!("column index {c} out of range (arity {})", self.0.width()))
+        })?;
+        Ok(col.with_value(self.1, f))
+    }
+
+    fn project(&self, cols: &[usize], _scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple {
+        if cols.is_empty() {
+            return empty.clone();
+        }
+        Tuple::new(self.0.key(self.1, cols))
     }
 }
 
@@ -196,10 +254,55 @@ impl GroupByOp {
         self.groups.len()
     }
 
-    /// Fold one annotated row into its group. A `+()` row takes the
-    /// allocation-free [`fold_insert`](AggHandler::fold_insert) path of
-    /// the built-in aggregates: no delta wrapper, no projected tuple. Any
-    /// other annotation, and any handler without a fast fold, dispatches
+    /// Fold one inserted row — `rows` net rows of its group (a merge's
+    /// partial row carries its own count) — into its group, whose key
+    /// hashes to `hash`: one hashed upsert, then per aggregate the
+    /// allocation-free [`fold_value`](AggHandler::fold_value) of the
+    /// built-ins, or AGGSTATE on the projected row for a handler without
+    /// one (its intermediate deltas kept in `streamed` when streaming).
+    /// Both batch lanes fold through here, so a row folds identically
+    /// whichever form it arrived in.
+    fn fold_insert(
+        &mut self,
+        row: &impl InsertRow,
+        hash: u64,
+        rows: (i64, bool),
+        streamed: &mut Vec<Delta>,
+        ctx: &mut OpCtx<'_>,
+    ) -> Result<()> {
+        ctx.charge_cpu(ctx.cost.hash_cost);
+        let GroupByOp { key_cols, aggs, groups, dirty, streaming, scratch, empty, .. } = self;
+        let entry = groups.probe_or_insert_by(
+            hash,
+            |k| row.key_eq(key_cols, k),
+            || row.key(key_cols),
+            || GroupEntry::new(aggs),
+        );
+        entry.touch(rows, || row.key(key_cols), dirty);
+        for (spec, state) in aggs.iter().zip(entry.states.iter_mut()) {
+            if spec.handler.is_builtin() {
+                ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
+            } else {
+                ctx.charge_udf_call();
+            }
+            let folded = match spec.input_cols.as_slice() {
+                [] => spec.handler.fold_value(state, None)?,
+                [c] => row.with_value(*c, |v| spec.handler.fold_value(state, Some(v)))??,
+                _ => false,
+            };
+            if !folded {
+                let projected = Delta::insert(row.project(&spec.input_cols, scratch, empty));
+                let inter = spec.handler.agg_state(state, &projected)?;
+                if *streaming {
+                    streamed.extend(inter);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold one annotated row into its group. A `+()` row takes
+    /// [`fold_insert`](Self::fold_insert). A `-()` or `→(t')` dispatches
     /// AGGSTATE on a projected delta — a replacement's old tuple projected
     /// too; its intermediate deltas are kept in `streamed` when streaming.
     /// A replacement that moves a row to another group is the deletion
@@ -217,7 +320,6 @@ impl GroupByOp {
                 return self.fold(&Annotation::Insert, t, streamed, ctx);
             }
         }
-        ctx.charge_cpu(ctx.cost.hash_cost);
         let rows = match (self.part, ann) {
             (Part::Merge { carry }, Annotation::Insert) => carried(t, carry)?,
             (Part::Merge { .. }, _) => {
@@ -229,18 +331,19 @@ impl GroupByOp {
             (_, Annotation::Delete) => (-1, true),
             (_, Annotation::Replace(_)) => (0, false),
         };
+        if *ann == Annotation::Insert {
+            return self.fold_insert(t, t.hash_key(&self.key_cols), rows, streamed, ctx);
+        }
+        ctx.charge_cpu(ctx.cost.hash_cost);
         let aggs = &self.aggs;
-        let entry = self.groups.probe_or_insert_with(t, &self.key_cols, || GroupEntry::new(aggs));
-        entry.touch(rows, t, &self.key_cols, &mut self.dirty);
-        let insert = *ann == Annotation::Insert;
+        let key_cols = &self.key_cols;
+        let entry = self.groups.probe_or_insert_with(t, key_cols, || GroupEntry::new(aggs));
+        entry.touch(rows, || t.key(key_cols), &mut self.dirty);
         for (i, spec) in self.aggs.iter().enumerate() {
             if spec.handler.is_builtin() {
                 ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
             } else {
                 ctx.charge_udf_call();
-            }
-            if insert && spec.handler.fold_insert(&mut entry.states[i], t, &spec.input_cols)? {
-                continue;
             }
             let ann = match ann {
                 Annotation::Replace(old) => Annotation::Replace(project_row(
@@ -375,6 +478,28 @@ impl Operator for GroupByOp {
         Ok(())
     }
 
+    /// A column batch folds from its typed columns: the selected rows'
+    /// key hashes are computed column by column, then each row is one
+    /// `fold_insert` reading its key and input values
+    /// in place — no tuple is built. A merge's partial rows come from the
+    /// exchange, never as columns, and take the row path.
+    fn on_cols(&mut self, port: usize, batch: ColumnBatch, ctx: &mut OpCtx<'_>) -> Result<()> {
+        if let Part::Merge { .. } = self.part {
+            return self.on_rows(port, batch.to_rows(), ctx);
+        }
+        ctx.charge_input(batch.len());
+        let sel = batch.selection();
+        let hashes = batch.key_hashes(&sel, &self.key_cols);
+        let mut streamed = Vec::new();
+        for (&r, &hash) in sel.iter().zip(&hashes) {
+            self.fold_insert(&ColRow(&batch, r as usize), hash, (1, false), &mut streamed, ctx)?;
+        }
+        if self.streaming && !streamed.is_empty() {
+            ctx.emit(0, streamed);
+        }
+        Ok(())
+    }
+
     fn on_punct(&mut self, _port: usize, p: Punctuation, ctx: &mut OpCtx<'_>) -> Result<()> {
         let out = self.flush(ctx)?;
         ctx.emit(0, out);
@@ -445,7 +570,7 @@ fn carried(t: &Tuple, carry: usize) -> Result<(i64, bool)> {
 /// Project a row onto an aggregate's input columns, through a reusable
 /// scratch buffer (one allocation per projected tuple); the zero-column
 /// projection of `count(*)` reuses a cached empty tuple. The fallback
-/// when an input cannot take the [`AggHandler::fold_insert`] fast path.
+/// when an input cannot take the [`AggHandler::fold_value`] fast path.
 fn project_row(t: &Tuple, cols: &[usize], scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple {
     if cols.is_empty() {
         return empty.clone();

@@ -10,6 +10,7 @@
 //! when one is installed, owns every delta instead: it maintains both
 //! buckets and emits whatever deltas it likes (§3.3's delta handlers).
 
+use crate::col::{columns_of, ColumnBatch};
 use crate::delta::{Annotation, Delta, Punctuation};
 use crate::error::Result;
 use crate::handlers::{JoinHandler, TupleSet};
@@ -178,6 +179,49 @@ impl HashJoinOp {
             }
             i = j;
         }
+    }
+
+    /// The column lane's probe-only loop: [`apply_rows`](Self::apply_rows)
+    /// without the upsert, over the batch's selected rows, keys hashed
+    /// and compared in place from the key columns. Returns, per output
+    /// row in emission order, the probing row's physical index and the
+    /// stored tuple it matched.
+    fn probe_cols<'s>(
+        &'s mut self,
+        batch: &ColumnBatch,
+        from_left: bool,
+        ctx: &mut OpCtx<'_>,
+    ) -> (Vec<u32>, Vec<&'s Tuple>) {
+        let HashJoinOp { left, right, left_key, right_key, prefetch_probes, .. } = self;
+        let (opposite, cols) =
+            if from_left { (&*right, left_key.as_slice()) } else { (&*left, right_key.as_slice()) };
+        let sel = batch.selection();
+        let hashes = batch.key_hashes(&sel, cols);
+        let (mut rows, mut matched) =
+            (Vec::with_capacity(sel.len()), Vec::with_capacity(sel.len()));
+        let mut i = 0;
+        while i < sel.len() {
+            let (hash, r) = (hashes[i], sel[i] as usize);
+            let mut j = i + 1;
+            while j < sel.len() && hashes[j] == hash && batch.rows_key_eq(sel[j] as usize, r, cols)
+            {
+                j += 1;
+            }
+            opposite.prefetch(hashes[(i + PREFETCH_DIST).min(sel.len() - 1)]);
+            *prefetch_probes += 1;
+            ctx.charge_cpu(ctx.cost.hash_cost);
+            if let Some(bucket) = opposite.probe_by(hash, |k| batch.key_eq(r, cols, k)) {
+                for &p in &sel[i..j] {
+                    for m in bucket.iter() {
+                        ctx.charge_cpu(ctx.cost.hash_cost);
+                        rows.push(p);
+                        matched.push(m);
+                    }
+                }
+            }
+            i = j;
+        }
+        (rows, matched)
     }
 
     /// A user join handler owns bucket maintenance for *all* deltas (the
@@ -365,6 +409,40 @@ impl Operator for HashJoinOp {
         let mut out: Vec<Tuple> = Vec::with_capacity(rows.len());
         self.apply_rows(&rows, from_left, store, &mut out, ctx);
         ctx.emit_rows(0, out);
+        Ok(())
+    }
+
+    /// A column batch that runs probe-only (insert-only inputs, opposite
+    /// side ended) probes by its key columns and emits a column batch in
+    /// the row lane's order: the probing columns gathered at each match,
+    /// beside the matched stored tuples' columns — no fused tuple is
+    /// built. A batch this side must store takes the row path, so stored
+    /// rows stay `Arc`-shared tuples.
+    fn on_cols(&mut self, port: usize, batch: ColumnBatch, ctx: &mut OpCtx<'_>) -> Result<()> {
+        let store = !(self.insert_only_inputs && self.punct.is_eos(1 - port));
+        if self.handler.is_some() || store {
+            return self.on_rows(port, batch.to_rows(), ctx);
+        }
+        ctx.charge_input(batch.len());
+        let from_left = port == 0;
+        let (rows, matched) = self.probe_cols(&batch, from_left, ctx);
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let probe = batch.gather(&rows);
+        match columns_of(&matched) {
+            Some(stored) => {
+                let (mut cols, rest) = if from_left { (probe, stored) } else { (stored, probe) };
+                cols.extend(rest);
+                ctx.emit_cols(0, ColumnBatch::from_columns(cols, rows.len()));
+            }
+            // Ragged stored rows cannot share columns: fuse rows instead.
+            None => {
+                let probe = ColumnBatch::from_columns(probe, rows.len()).to_rows();
+                let fused = probe.iter().zip(matched).map(|(t, m)| fuse(t, m, from_left));
+                ctx.emit_rows(0, fused.collect());
+            }
+        }
         Ok(())
     }
 

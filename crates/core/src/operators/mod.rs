@@ -53,11 +53,11 @@ pub enum Event {
     /// insertion deltas.
     Rows(Vec<Tuple>),
     /// A columnar batch of implicit `+()` insertions — the vectorized
-    /// form of [`Event::Rows`]. Scans feeding stateless chains emit these
-    /// so filters and projections run whole-batch kernels over typed
-    /// columns; any operator without a native [`Operator::on_cols`]
-    /// transparently receives the batch as bare rows (and, failing that,
-    /// as insertion deltas).
+    /// form of [`Event::Rows`]. Scans on the column lane emit these so
+    /// filters, projections, shard gates, group-bys and probe-only joins
+    /// run over typed columns; any operator without a native
+    /// [`Operator::on_cols`] transparently receives the batch as bare
+    /// rows (and, failing that, as insertion deltas).
     Cols(ColumnBatch),
     /// A stratum/stream boundary.
     Punct(Punctuation),
@@ -224,8 +224,11 @@ pub trait Operator: Send {
 
     /// Handle a columnar insert batch arriving on `port`. The default
     /// materializes the selected rows and delegates to
-    /// [`on_rows`](Operator::on_rows), so only filter and project carry
-    /// native columnar kernels.
+    /// [`on_rows`](Operator::on_rows). Filter, project and the shard gate
+    /// run native kernels; the group-by folds whole and partial parts
+    /// from the typed columns; the join probes a probe-only batch by its
+    /// key columns and emits columns. Everything else — a join side it
+    /// stores, a merge, top-k, exchanges, sinks — takes the default.
     fn on_cols(&mut self, port: usize, batch: ColumnBatch, ctx: &mut OpCtx<'_>) -> Result<()> {
         self.on_rows(port, batch.to_rows(), ctx)
     }
@@ -239,10 +242,13 @@ pub trait Operator: Send {
         false
     }
 
-    /// Produce source data (scans). Called once at query start.
-    fn run_source(&mut self, ctx: &mut OpCtx<'_>) -> Result<()> {
+    /// Produce a source's next batch — a scan's next batch, or the
+    /// batches of its next morsel — or, when it has none left, its
+    /// end-of-stream, returning `false`. The executor pulls a started
+    /// source only when its queue is empty, until this returns `false`.
+    fn pull_source(&mut self, ctx: &mut OpCtx<'_>) -> Result<bool> {
         let _ = ctx;
-        Ok(())
+        Ok(false)
     }
 
     /// Fixpoint coordination hook: downcast to a fixpoint operator.

@@ -7,6 +7,7 @@
 //! rehash nodes and routes each delta to the worker owning its key under
 //! the query's partition snapshot.
 
+use crate::col::ColumnBatch;
 use crate::delta::{Delta, Punctuation};
 use crate::error::Result;
 use crate::hash::FxHasher;
@@ -153,6 +154,18 @@ impl Operator for ShardGateOp {
         ctx.charge_cpu(rows.len() as f64 * ctx.cost.hash_cost);
         rows.retain(|t| self.owns(t));
         ctx.emit_rows(0, rows);
+        Ok(())
+    }
+
+    /// A column batch keeps its columns: the key columns are hashed in
+    /// place, and the selection narrows to the rows this shard owns.
+    fn on_cols(&mut self, _port: usize, mut batch: ColumnBatch, ctx: &mut OpCtx<'_>) -> Result<()> {
+        ctx.charge_input(batch.len());
+        ctx.charge_cpu(batch.len() as f64 * ctx.cost.hash_cost);
+        let hashes = batch.key_hashes(&batch.selection(), &self.key_cols);
+        let mut owned = hashes.iter().map(|&h| shard_of(h, self.shards) == self.shard);
+        batch.retain(|_| owned.next().unwrap_or(false));
+        ctx.emit_cols(0, batch);
         Ok(())
     }
 

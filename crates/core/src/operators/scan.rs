@@ -38,16 +38,21 @@ impl From<Vec<Tuple>> for ScanRows {
     }
 }
 
+/// A snapshot of stored rows shared across plan copies.
+type SharedRows = Arc<dyn AsRef<[Tuple]> + Send + Sync>;
+
 /// Scans a vector of tuples (the worker's local partition of a stored
-/// table) and emits them followed by end-of-stream. A stored row is an
-/// insertion by definition, so batches go out bare — run-length
-/// [`Event::Rows`](crate::operators::Event::Rows), no per-row delta
-/// wrapping — and whichever operator first needs annotations receives
-/// them as `+()` deltas through the [`Operator`] defaults.
+/// table) and emits them followed by end-of-stream, one batch per
+/// [`pull_source`](Operator::pull_source) (one morsel per pull in morsel
+/// mode). A stored row is an insertion by definition, so batches go out
+/// bare — run-length [`Event::Rows`](crate::operators::Event::Rows), no
+/// per-row delta wrapping — or as columns, and whichever operator first
+/// needs annotations receives them as `+()` deltas through the
+/// [`Operator`] defaults.
 #[derive(Clone)]
 pub struct ScanOp {
     table: String,
-    source: ScanRows,
+    rows: Unread,
     /// Transpose each batch into an
     /// [`Event::Cols`](crate::operators::Event::Cols) columnar batch.
     /// Ragged batches fall back to `Event::Rows` per batch.
@@ -63,19 +68,42 @@ pub struct ScanOp {
     morsel: Option<(Arc<AtomicUsize>, usize)>,
     /// Morsels this scan pulled (telemetry).
     morsels_pulled: u64,
+    /// Rows emitted so far, and their summed bytes when `known_bytes` is
+    /// not given.
+    emitted: usize,
+    counted: u64,
+}
+
+/// The rows a scan has yet to emit.
+#[derive(Clone)]
+enum Unread {
+    /// Owned rows, *moved* into batches: each tuple is handed on exactly
+    /// once, with no per-row clone (not even an `Arc` bump) between
+    /// storage and the first operator.
+    Owned(std::vec::IntoIter<Tuple>),
+    /// A shared snapshot, emitted as `Arc` bumps (no upfront deep copy),
+    /// and the next row to read — in morsel mode the shared cursor says
+    /// instead.
+    Shared(SharedRows, usize),
 }
 
 impl ScanOp {
     /// Scan over the given local tuples (owned or shared; see
     /// [`ScanRows`]).
     pub fn new(table: impl Into<String>, tuples: impl Into<ScanRows>) -> ScanOp {
+        let rows = match tuples.into() {
+            ScanRows::Owned(v) => Unread::Owned(v.into_iter()),
+            ScanRows::Shared(s) => Unread::Shared(s, 0),
+        };
         ScanOp {
             table: table.into(),
-            source: tuples.into(),
+            rows,
             columnar: false,
             known_bytes: None,
             morsel: None,
             morsels_pulled: 0,
+            emitted: 0,
+            counted: 0,
         }
     }
 
@@ -90,11 +118,10 @@ impl ScanOp {
     }
 
     /// Emit columnar insert batches (`Event::Cols`) instead of row
-    /// batches: each `SCAN_BATCH` chunk (one morsel slice at a time in
-    /// morsel mode) is transposed into a [`ColumnBatch`] so downstream
-    /// filters and projections run vectorized kernels. Pays only when
-    /// nothing downstream materializes the rows again before the sink,
-    /// so lowering asks for it on stateless scan→filter/project chains.
+    /// batches: each `SCAN_BATCH` chunk is transposed into a
+    /// [`ColumnBatch`] so downstream operators run vectorized kernels.
+    /// Pays only when the operators the batches reach consume columns
+    /// natively, so lowering asks for it per scan (the column lane).
     pub fn columnar(mut self, on: bool) -> ScanOp {
         self.columnar = on;
         self
@@ -112,57 +139,46 @@ impl ScanOp {
         &self.table
     }
 
-    /// Emit every row in [`SCAN_BATCH`]-sized batches, charging input
-    /// metrics. Returns the summed row bytes when the source's total size
-    /// is not already known (callers charge disk-read from whichever is
-    /// available).
-    fn emit_all(&self, mut it: impl Iterator<Item = Tuple>, ctx: &mut OpCtx<'_>) -> u64 {
-        let mut bytes = 0u64;
-        let count = self.known_bytes.is_none();
-        let mut size = |t: &Tuple| {
-            if count {
-                bytes += t.byte_size() as u64;
-            }
-        };
-        loop {
-            let batch: Vec<Tuple> = it.by_ref().take(SCAN_BATCH).inspect(&mut size).collect();
-            if batch.is_empty() {
-                break;
-            }
-            ctx.charge_input(batch.len());
-            if self.columnar {
-                match ColumnBatch::try_from_rows(batch) {
-                    Ok(cols) => ctx.emit_cols(0, cols),
-                    // Ragged batch: stay on rows for this batch.
-                    Err(rows) => ctx.emit_rows(0, rows),
-                }
-            } else {
-                ctx.emit_rows(0, batch);
-            }
+    /// Count `rows` as read: their number, and their bytes when the
+    /// source's total is not known.
+    fn count(&mut self, rows: &[Tuple]) {
+        self.emitted += rows.len();
+        if self.known_bytes.is_none() {
+            self.counted += rows.iter().map(|t| t.byte_size() as u64).sum::<u64>();
         }
-        bytes
     }
 
-    /// Emit stored rows batch by batch, like [`emit_all`](Self::emit_all).
-    /// A columnar batch is transposed straight out of the stored slice, so
-    /// no row is cloned (an `Arc` bump and drop each) on that lane.
-    fn emit_shared(&self, rows: &[Tuple], ctx: &mut OpCtx<'_>) -> u64 {
-        if !self.columnar {
-            return self.emit_all(rows.iter().cloned(), ctx);
-        }
-        let mut bytes = 0u64;
+    /// Emit borrowed `rows` in [`SCAN_BATCH`]-sized batches, charging
+    /// input metrics. A columnar batch is transposed straight out of the
+    /// slice, so no row is cloned (an `Arc` bump and drop each) on that
+    /// lane.
+    fn emit(&mut self, rows: &[Tuple], ctx: &mut OpCtx<'_>) {
+        self.count(rows);
         for batch in rows.chunks(SCAN_BATCH) {
-            if self.known_bytes.is_none() {
-                bytes += batch.iter().map(|t| t.byte_size() as u64).sum::<u64>();
-            }
             ctx.charge_input(batch.len());
-            match ColumnBatch::from_row_slice(batch) {
+            match self.columnar.then(|| ColumnBatch::from_row_slice(batch)).flatten() {
                 Some(cols) => ctx.emit_cols(0, cols),
-                // Ragged batch: stay on rows for this batch.
+                // Row lane, or a ragged batch that stays on rows.
                 None => ctx.emit_rows(0, batch.to_vec()),
             }
         }
-        bytes
+    }
+
+    /// Bytes read, for disk accounting: the known total (a morsel scan's
+    /// proportional share of it), else the bytes counted while emitting.
+    fn bytes_read(&self) -> u64 {
+        match (self.known_bytes, &self.rows, &self.morsel) {
+            (Some(kb), Unread::Shared(rows, _), Some(_)) => {
+                let total = (**rows).as_ref().len();
+                if total == 0 {
+                    kb
+                } else {
+                    kb * self.emitted as u64 / total as u64
+                }
+            }
+            (Some(kb), ..) => kb,
+            (None, ..) => self.counted,
+        }
     }
 }
 
@@ -179,48 +195,44 @@ impl Operator for ScanOp {
         true
     }
 
-    fn run_source(&mut self, ctx: &mut OpCtx<'_>) -> Result<()> {
-        // Owned rows are *moved* straight into batches: each tuple is
-        // handed on exactly once, with no per-row clone (not even an
-        // `Arc` bump) between storage and the first operator. Shared rows
-        // are emitted as `Arc` bumps off the stored snapshot — no upfront
-        // deep copy.
-        match std::mem::replace(&mut self.source, ScanRows::Owned(Vec::new())) {
-            ScanRows::Owned(v) => {
-                let counted = self.emit_all(v.into_iter(), ctx);
-                ctx.charge_disk_read(self.known_bytes.unwrap_or(counted));
-            }
-            ScanRows::Shared(s) => {
-                let rows: &[Tuple] = (*s).as_ref();
-                if let Some((cursor, size)) = self.morsel.take() {
-                    let mut emitted = 0usize;
-                    let mut counted = 0u64;
-                    loop {
-                        let start = cursor.fetch_add(size, Ordering::Relaxed);
-                        if start >= rows.len() {
-                            break;
-                        }
-                        let end = (start + size).min(rows.len());
-                        self.morsels_pulled += 1;
-                        emitted += end - start;
-                        counted += self.emit_shared(&rows[start..end], ctx);
-                    }
-                    // Each thread charges disk for the slice it actually
-                    // read; with a known total, proportionally.
-                    let bytes = match self.known_bytes {
-                        Some(kb) if !rows.is_empty() => kb * emitted as u64 / rows.len() as u64,
-                        Some(kb) => kb,
-                        None => counted,
-                    };
-                    ctx.charge_disk_read(bytes);
+    fn pull_source(&mut self, ctx: &mut OpCtx<'_>) -> Result<bool> {
+        let more = match &mut self.rows {
+            Unread::Owned(it) => {
+                let batch: Vec<Tuple> = it.by_ref().take(SCAN_BATCH).collect();
+                let more = !batch.is_empty();
+                if !more {
+                    // Free the drained partition's buffer now, not with the plan.
+                    self.rows = Unread::Owned(Vec::new().into_iter());
+                } else if self.columnar {
+                    self.emit(&batch, ctx);
                 } else {
-                    let counted = self.emit_shared(rows, ctx);
-                    ctx.charge_disk_read(self.known_bytes.unwrap_or(counted));
+                    // Rows are moved on, not cloned.
+                    self.count(&batch);
+                    ctx.charge_input(batch.len());
+                    ctx.emit_rows(0, batch);
                 }
+                more
             }
+            Unread::Shared(rows, next) => {
+                let rows = rows.clone();
+                let all: &[Tuple] = (*rows).as_ref();
+                let (start, size) = match &self.morsel {
+                    Some((cursor, size)) => (cursor.fetch_add(*size, Ordering::Relaxed), *size),
+                    None => (std::mem::replace(next, *next + SCAN_BATCH), SCAN_BATCH),
+                };
+                let more = start < all.len();
+                if more {
+                    self.morsels_pulled += self.morsel.is_some() as u64;
+                    self.emit(&all[start..(start + size).min(all.len())], ctx);
+                }
+                more
+            }
+        };
+        if !more {
+            ctx.charge_disk_read(self.bytes_read());
+            ctx.punct(0, Punctuation::EndOfStream);
         }
-        ctx.punct(0, Punctuation::EndOfStream);
-        Ok(())
+        Ok(more)
     }
 
     fn on_deltas(&mut self, _port: usize, _deltas: Vec<Delta>, _ctx: &mut OpCtx<'_>) -> Result<()> {
@@ -232,8 +244,9 @@ impl Operator for ScanOp {
     }
 
     fn reset(&mut self) {
-        // Tuples were consumed by run_source; a reset scan re-reads storage
-        // via the runtime, which re-creates scan operators. Nothing to do.
+        // Tuples were consumed by pull_source; a reset scan re-reads
+        // storage via the runtime, which re-creates scan operators.
+        // Nothing to do.
     }
 
     fn boxed_clone(&self) -> Option<Box<dyn Operator>> {
@@ -264,7 +277,7 @@ mod tests {
         let cost = CostModel::default();
         let mut m = ExecMetrics::default();
         let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
-        op.run_source(&mut ctx).unwrap();
+        while op.pull_source(&mut ctx).unwrap() {}
         let out = ctx.take_output();
         assert_eq!(out.len(), 2);
         match &out[0].1 {
@@ -291,7 +304,7 @@ mod tests {
                 .morsel_cursor(cursor.clone(), 512);
             let mut m = ExecMetrics::default();
             let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
-            op.run_source(&mut ctx).unwrap();
+            while op.pull_source(&mut ctx).unwrap() {}
             for (_, ev) in ctx.take_output() {
                 if let Event::Rows(rows) = ev {
                     got.extend(rows);
@@ -312,7 +325,7 @@ mod tests {
         let cost = CostModel::default();
         let mut m = ExecMetrics::default();
         let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
-        op.run_source(&mut ctx).unwrap();
+        while op.pull_source(&mut ctx).unwrap() {}
         let out = ctx.take_output();
         // 3 data batches (1024+1024+452) + punct
         assert_eq!(out.len(), 4);

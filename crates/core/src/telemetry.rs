@@ -31,9 +31,13 @@ pub struct OpStats {
     pub rows_out: u64,
     /// Event batches delivered (data + punctuation).
     pub batches: u64,
-    /// Batches that arrived on the insert-only fast lane
-    /// ([`Event::Rows`](crate::operators::Event::Rows)).
+    /// Batches that arrived as bare rows or columns
+    /// ([`Event::Rows`](crate::operators::Event::Rows) or
+    /// [`Event::Cols`](crate::operators::Event::Cols)), not as deltas.
     pub lane_hits: u64,
+    /// Of those, the batches that arrived as columns — whether the
+    /// operator ran on the column lane.
+    pub cols: u64,
     /// Wall-clock nanoseconds spent inside the operator's handlers.
     pub wall_ns: u64,
     /// High-water mark of the executor event queue observed when events
@@ -61,6 +65,7 @@ impl OpStats {
         self.rows_out += other.rows_out;
         self.batches += other.batches;
         self.lane_hits += other.lane_hits;
+        self.cols += other.cols;
         self.wall_ns += other.wall_ns;
         self.queue_depth = self.queue_depth.max(other.queue_depth);
         self.morsels += other.morsels;
@@ -133,6 +138,9 @@ impl ExecTrace {
             ));
             if op.lane_hits > 0 {
                 s.push_str(&format!("   lane_hits={}\n", op.lane_hits));
+            }
+            if op.cols > 0 {
+                s.push_str(&format!("   cols={}\n", op.cols));
             }
             if op.threads > 1 {
                 s.push_str(&format!("   threads={}\n", op.threads));
@@ -243,7 +251,10 @@ mod tests {
             wall_seconds: 0.0,
         };
         tr.ops[0].detail.push(("probes".into(), 42));
+        tr.ops[1].lane_hits = 3;
+        tr.ops[1].cols = 2;
         let txt = tr.render();
+        assert!(txt.contains("lane_hits=3\n   cols=2\n"), "{txt}");
         assert!(txt.contains("#0 Scan(t)  rows_in=0 rows_out=8"));
         assert!(txt.contains("out0 -> #1.in0"));
         assert!(txt.contains("probes=42"));

@@ -352,10 +352,7 @@ impl Hash for Value {
                     d.to_bits().hash(state);
                 }
             }
-            Value::Str(s) => {
-                4u8.hash(state);
-                s.hash(state);
-            }
+            Value::Str(s) => hash_str(s, state),
             Value::List(l) => {
                 5u8.hash(state);
                 for v in l.iter() {
@@ -364,6 +361,13 @@ impl Hash for Value {
             }
         }
     }
+}
+
+/// How a `Value::Str(s)` hashes, for callers that hold the string
+/// without its `Value` wrapper (a typed string column).
+pub(crate) fn hash_str<H: Hasher>(s: &Arc<String>, state: &mut H) {
+    4u8.hash(state);
+    s.hash(state);
 }
 
 impl fmt::Display for Value {

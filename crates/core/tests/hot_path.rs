@@ -7,7 +7,7 @@
 
 use rex_core::col::ColumnBatch;
 use rex_core::delta::{Annotation, Delta, Punctuation, ZSet};
-use rex_core::expr::{BinOp, Expr};
+use rex_core::expr::{BinOp, CompiledExpr, Expr};
 use rex_core::hash::FxHashMap;
 use rex_core::metrics::{CostModel, ExecMetrics};
 use rex_core::operators::{
@@ -358,4 +358,176 @@ fn cross_type_numeric_join_keys_meet_in_one_bucket() {
     drive(&mut join, 0, vec![Delta::insert(tuple![2i64, "l"])]);
     let out = drive(&mut join, 1, vec![Delta::insert(tuple![2.0f64, "r"])]);
     assert_eq!(out, vec![Delta::insert(tuple![2i64, "l", 2.0f64, "r"])]);
+}
+
+/// One random 5-column row for the column-lane sweeps. Column 0 is the
+/// varying key: Int with NULLs (`shape` 0), or Int and Double values that
+/// compare equal mixed in one column (`shape` 1, a `Generic` column).
+/// Column 1 is an Int with NULLs, column 2 a dyadic Double, column 3 a
+/// short string, column 4 a NULL-free Int.
+fn lane_row(rng: &mut Rng, shape: u64) -> Tuple {
+    let key = match (shape, rng.range(6)) {
+        (0, 0) => Value::Null,
+        (0, r) => Value::Int(r as i64 % 4),
+        (_, r) if r % 2 == 0 => Value::Double((r % 4) as f64),
+        (_, r) => Value::Int((r % 4) as i64),
+    };
+    let int_or_null =
+        if rng.range(4) == 0 { Value::Null } else { Value::Int(rng.range(9) as i64 - 4) };
+    Tuple::new(vec![
+        key,
+        int_or_null,
+        Value::Double(rng.range(64) as f64 * 0.25),
+        Value::str(["x", "y", "zz"][rng.range(3) as usize]),
+        Value::Int(rng.range(5) as i64),
+    ])
+}
+
+/// One insert batch in all three forms: the selection of the column batch
+/// keeps the rows whose column 4 is below `keep_below` (5 keeps all, 0
+/// none), and the rows and deltas are exactly the selected rows.
+fn three_forms(rows: &[Tuple], keep_below: i64) -> (Vec<Delta>, Vec<Tuple>, ColumnBatch) {
+    let reg = Registry::new();
+    let pred = CompiledExpr::compile(&Expr::col(4).bin(BinOp::Lt, Expr::lit(keep_below)));
+    let mut batch = ColumnBatch::try_from_rows(rows.to_vec()).expect("uniform arity");
+    batch.filter(&pred, &reg).unwrap();
+    let kept: Vec<Tuple> =
+        rows.iter().filter(|t| pred.eval_predicate(t, &reg).unwrap()).cloned().collect();
+    (kept.iter().cloned().map(Delta::insert).collect(), kept, batch)
+}
+
+/// Deliver end-of-stream on `port`.
+fn eos(op: &mut dyn Operator, port: usize) {
+    let reg = Registry::new();
+    let cost = CostModel::default();
+    let mut m = ExecMetrics::default();
+    let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
+    op.on_punct(port, Punctuation::EndOfStream, &mut ctx).unwrap();
+}
+
+/// The join emits exactly the same rows, in the same order, whether an
+/// insert batch arrives as deltas, bare rows or columns: on a probe-only
+/// side (insert-only inputs, opposite side ended) and on sides it stores,
+/// over NULL keys, Int/Double keys meeting in one `Generic` column,
+/// string keys and two-column keys, with full, partial and empty
+/// selections, probing from either port.
+#[test]
+fn join_lanes_emit_identically_for_data_rows_and_cols() {
+    // (probe key columns, stored key columns): an Int-or-NULL / mixed
+    // numeric key, a string key, and both at once.
+    let keys: [(Vec<usize>, Vec<usize>); 3] =
+        [(vec![0], vec![0]), (vec![3], vec![1]), (vec![0, 3], vec![0, 1])];
+    for seed in [7u64, 61, 0x5eed] {
+        for (probe_key, stored_key) in &keys {
+            for probe_port in [0usize, 1] {
+                for probe_only in [true, false] {
+                    let mut rng = Rng(seed);
+                    let shape = rng.range(2);
+                    let (lk, rk) = if probe_port == 0 {
+                        (probe_key.clone(), stored_key.clone())
+                    } else {
+                        (stored_key.clone(), probe_key.clone())
+                    };
+                    let mut ops: Vec<HashJoinOp> = (0..3)
+                        .map(|_| HashJoinOp::new(lk.clone(), rk.clone()).with_insert_only_inputs())
+                        .collect();
+                    // The stored side: (key, string, payload) rows keyed
+                    // like the probe side's values, duplicates included.
+                    let stored: Vec<Tuple> = (0..24)
+                        .map(|i| {
+                            let probe = lane_row(&mut rng, shape);
+                            Tuple::new(vec![
+                                probe.get(0).clone(),
+                                probe.get(3).clone(),
+                                Value::Int(i),
+                            ])
+                        })
+                        .collect();
+                    let stored_port = 1 - probe_port;
+                    for op in &mut ops {
+                        drive_rows(op, stored_port, stored.clone());
+                        if probe_only {
+                            eos(op, stored_port);
+                        }
+                    }
+                    let mut emitted = 0;
+                    for round in 0..12 {
+                        let rows: Vec<Tuple> =
+                            (0..rng.range(20) + 1).map(|_| lane_row(&mut rng, shape)).collect();
+                        let (deltas, kept, batch) = three_forms(&rows, [5, 3, 0][round % 3]);
+                        let via_data = drive(&mut ops[0], probe_port, deltas);
+                        let ctx = format!(
+                            "seed {seed} key {probe_key:?} port {probe_port} probe-only {probe_only} r{round}"
+                        );
+                        assert_eq!(via_data, drive_rows(&mut ops[1], probe_port, kept), "{ctx}");
+                        assert_eq!(via_data, drive_cols(&mut ops[2], probe_port, batch), "{ctx}");
+                        emitted += via_data.len();
+                    }
+                    assert!(emitted > 0, "vacuous join sweep: seed {seed} key {probe_key:?}");
+                }
+            }
+        }
+    }
+}
+
+/// The group-by emits exactly the same deltas, stratum after stratum,
+/// whether its inserts arrive as deltas, bare rows or columns — for the
+/// whole aggregate and for a split's partial part, over NULL, mixed
+/// numeric, string and two-column keys, with `count(*)`, `count(col)`
+/// over NULLs, `sum`, `min`/`max` over NULLs and `avg`, under full,
+/// partial and empty selections.
+#[test]
+fn group_by_lanes_emit_identically_for_data_rows_and_cols() {
+    use rex_core::aggregates::{agg_split, AvgAgg, MaxAgg, MinAgg};
+    let reg = Registry::with_builtins();
+    let whole = || {
+        vec![
+            AggSpec::new(Arc::new(CountAgg), vec![]),
+            AggSpec::new(Arc::new(CountAgg), vec![1]),
+            AggSpec::new(Arc::new(SumAgg), vec![2]),
+            AggSpec::new(Arc::new(MinAgg), vec![1]),
+            AggSpec::new(Arc::new(MaxAgg), vec![1]),
+            AggSpec::new(Arc::new(AvgAgg), vec![2]),
+        ]
+    };
+    let partial = || {
+        [("count", vec![]), ("count", vec![1]), ("sum", vec![2]), ("avg", vec![2])]
+            .into_iter()
+            .map(|(f, cols)| AggSpec::new(agg_split(&reg, f).unwrap().unwrap().partial, cols))
+            .collect::<Vec<_>>()
+    };
+    for seed in [13u64, 101, 0xface] {
+        for key in [vec![0], vec![3], vec![0, 3]] {
+            for split in [false, true] {
+                let mut rng = Rng(seed);
+                let shape = rng.range(2);
+                let mut ops: Vec<GroupByOp> = (0..3)
+                    .map(|_| {
+                        if split {
+                            GroupByOp::partial(key.clone(), partial())
+                        } else {
+                            GroupByOp::new(key.clone(), whole())
+                        }
+                    })
+                    .collect();
+                let mut emitted = 0;
+                for stratum in 0..10 {
+                    let rows: Vec<Tuple> =
+                        (0..rng.range(24) + 1).map(|_| lane_row(&mut rng, shape)).collect();
+                    let (deltas, kept, batch) = three_forms(&rows, [5, 2, 0][stratum % 3]);
+                    let ctx = format!("seed {seed} key {key:?} split {split} s{stratum}");
+                    let mut via_data = drive(&mut ops[0], 0, deltas);
+                    let mut via_rows = drive_rows(&mut ops[1], 0, kept);
+                    let mut via_cols = drive_cols(&mut ops[2], 0, batch);
+                    via_data.extend(punct(&mut ops[0]));
+                    via_rows.extend(punct(&mut ops[1]));
+                    via_cols.extend(punct(&mut ops[2]));
+                    assert_eq!(via_data, via_rows, "{ctx}");
+                    assert_eq!(via_data, via_cols, "{ctx}");
+                    emitted += via_data.len();
+                }
+                assert!(emitted > 0, "vacuous group-by sweep: seed {seed} key {key:?}");
+            }
+        }
+    }
 }

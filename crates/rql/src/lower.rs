@@ -124,12 +124,9 @@ impl LowerOptions {
 }
 
 /// Whether the plan is a pure stateless chain — scans feeding only
-/// filters and projections (pure ORDER BY on top included). This is the
-/// one plan-shape question lowering asks about batch forms: nothing on
-/// such a plan materializes rows again before the sink, so its scans
-/// transpose their batches into `Event::Cols` for the vectorized kernels,
-/// and its thread copies can split each scan by morsels because no
-/// operator holds keyed state.
+/// filters and projections (pure ORDER BY on top included). Its thread
+/// copies can split each scan by morsels because no operator holds keyed
+/// state.
 fn stateless_chain(plan: &LogicalPlan) -> bool {
     match plan {
         LogicalPlan::Scan { .. } => true,
@@ -137,6 +134,49 @@ fn stateless_chain(plan: &LogicalPlan) -> bool {
             stateless_chain(input)
         }
         LogicalPlan::Sort { input, fetch: None, offset: 0, .. } => stateless_chain(input),
+        _ => false,
+    }
+}
+
+/// Whether the plan may ride the column lane: scans, filters,
+/// projections, handler-free joins, built-in aggregates and top-k — no
+/// recursion, no handler join, no UDA. On such a plan every operator
+/// either takes column batches natively or receives rows, so a scan
+/// whose batches reach only native operators emits them as columns
+/// (`Lowering::input` decides per scan).
+fn column_lane(plan: &LogicalPlan, reg: &Registry) -> bool {
+    match plan {
+        LogicalPlan::Scan { .. } => true,
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => column_lane(input, reg),
+        LogicalPlan::Join { left, right, handler, .. } => {
+            handler.is_none() && column_lane(left, reg) && column_lane(right, reg)
+        }
+        LogicalPlan::Aggregate { input, aggs, .. } => {
+            aggs.iter().all(|a| reg.agg(&a.func).is_ok_and(|h| h.is_builtin()))
+                && column_lane(input, reg)
+        }
+        LogicalPlan::Fixpoint { .. } | LogicalPlan::FixpointRef { .. } => false,
+    }
+}
+
+/// Whether every batch `plan`'s stream will *ever* carry is an insertion
+/// when its scans read stored rows: scans, and filters, projections,
+/// pure sorts and handler-free joins over such streams. A batch shows
+/// its own annotations but not its port's future, so this is the one
+/// lane fact lowering derives — for the join's probe-only shortcut (see
+/// `HashJoinOp::with_insert_only_inputs`).
+fn inserts_only(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Scan { .. } => true,
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, fetch: None, offset: 0, .. } => inserts_only(input),
+        LogicalPlan::Join { left, right, handler: None, .. } => {
+            inserts_only(left) && inserts_only(right)
+        }
         _ => false,
     }
 }
@@ -171,17 +211,19 @@ fn lower_graph<'a>(
     parallel: Option<ParallelCtx<'a>>,
 ) -> Result<(PlanGraph, Vec<NodeId>)> {
     let mut g = PlanGraph::new();
+    let lane = column_lane(plan, reg);
     let mut ctx = Lowering {
         g: &mut g,
         provider,
         reg,
         fixpoint: None,
         opts,
-        columnar: stateless_chain(plan),
+        lane,
+        columnar: lane,
         parallel,
         fed_scans: None,
     };
-    let (node, port, _, _) = ctx.node(plan)?;
+    let (node, port, _) = ctx.node(plan)?;
     let gates = ctx.parallel.take().map(|p| p.gates).unwrap_or_default();
     let sink = g.add(Box::new(SinkOp::new()));
     g.connect(node, port, sink, 0);
@@ -223,11 +265,12 @@ pub fn lower_dataflow(plan: &LogicalPlan, reg: &Registry) -> Result<Dataflow> {
         reg,
         fixpoint: None,
         opts: LowerOptions::default(),
+        lane: false,
         columnar: false,
         parallel: None,
         fed_scans: Some(Vec::new()),
     };
-    let (node, port, _, _) = ctx.node(plan)?;
+    let (node, port, _) = ctx.node(plan)?;
     let scans = ctx.fed_scans.take().unwrap_or_default();
     Ok(Dataflow { graph, scans, root: (node, port) })
 }
@@ -477,13 +520,8 @@ pub fn lower_parallel(
 /// when unknown (forces a rehash wherever co-partitioning is required).
 type Partitioning = Option<Vec<usize>>;
 
-/// A lowered stream: `(node, output port, partitioning, insert_only)`.
-/// `insert_only` means every batch the stream will *ever* carry is an
-/// insertion: a scan of stored rows (not a [`lower_dataflow`] scan), or
-/// filters / projections / handler-free joins over such streams. A batch shows its own annotations but not its port's
-/// future, so this is the one lane fact lowering still derives — for the
-/// join's probe-only shortcut (see `HashJoinOp::with_insert_only_inputs`).
-type Stream = (NodeId, usize, Partitioning, bool);
+/// A lowered stream: `(node, output port, partitioning)`.
+type Stream = (NodeId, usize, Partitioning);
 
 struct Lowering<'a> {
     g: &'a mut PlanGraph,
@@ -493,9 +531,11 @@ struct Lowering<'a> {
     /// port 0 feeds [`LogicalPlan::FixpointRef`] consumers) and its key.
     fixpoint: Option<(NodeId, Vec<usize>)>,
     opts: LowerOptions,
-    /// Scans transpose each batch into columnar `Event::Cols` form for
-    /// the vectorized filter/project kernels (the plan is a
-    /// [`stateless_chain`]).
+    /// The plan fits the [`column_lane`].
+    lane: bool,
+    /// The subtree being lowered feeds an operator that takes column
+    /// batches natively, so its scans emit `Event::Cols` (see
+    /// [`input`](Lowering::input)).
     columnar: bool,
     /// Set while building one thread copy of a parallel plan (see
     /// [`lower_parallel`]); `None` for ordinary lowering.
@@ -623,7 +663,7 @@ impl Lowering<'_> {
         fetch: Option<u64>,
         offset: u64,
     ) -> Result<Stream> {
-        let (src, port, _, _) = self.node(input)?;
+        let (src, port, _) = self.input(input, false)?;
         let specs: Vec<SortSpec> =
             keys.iter().map(|k| SortSpec { expr: k.expr.clone(), desc: k.desc }).collect();
         if self.opts.distributed {
@@ -638,7 +678,7 @@ impl Lowering<'_> {
                 offset as usize,
             )));
             self.g.connect(gather, 0, fin, 0);
-            Ok((fin, 0, None, false))
+            Ok((fin, 0, None))
         } else {
             let id = self.g.add(Box::new(TopKOp::new(
                 specs,
@@ -646,8 +686,23 @@ impl Lowering<'_> {
                 offset as usize,
             )));
             self.g.connect(src, port, id, 0);
-            Ok((id, 0, None, false))
+            Ok((id, 0, None))
         }
+    }
+
+    /// Lower `plan` as the input of an operator that does (`cols`) or
+    /// does not take column batches natively. Filters, projections,
+    /// shard gates, a group-by's whole and partial parts and a join's
+    /// probe-only side do, and emit columns for columns; a join side that
+    /// is stored, an exchange, top-k and a merge do not. A scan emits
+    /// columns only when every operator its batches reach before such a
+    /// consumer is native, since materializing rows out of columns costs
+    /// more than sharing the stored tuples.
+    fn input(&mut self, plan: &LogicalPlan, cols: bool) -> Result<Stream> {
+        let outer = std::mem::replace(&mut self.columnar, self.lane && cols);
+        let stream = self.node(plan);
+        self.columnar = outer;
+        stream
     }
 
     /// Lower `plan`, returning its result [`Stream`].
@@ -676,32 +731,28 @@ impl Lowering<'_> {
                 let id = self.g.add(Box::new(scan));
                 let part =
                     if self.opts.distributed { self.provider.partition_cols(table) } else { None };
-                let insert_only = match &mut self.fed_scans {
-                    Some(scans) => {
-                        scans.push((table.to_ascii_lowercase(), id));
-                        false
-                    }
-                    None => true,
-                };
-                Ok((id, 0, part, insert_only))
+                if let Some(scans) = &mut self.fed_scans {
+                    scans.push((table.to_ascii_lowercase(), id));
+                }
+                Ok((id, 0, part))
             }
             LogicalPlan::FixpointRef { name, .. } => {
                 let (fp, key) = self.fixpoint.clone().ok_or_else(|| {
                     RexError::Plan(format!("recursive relation {name} referenced outside WITH"))
                 })?;
-                Ok((fp, 0, Some(key), false))
+                Ok((fp, 0, Some(key)))
             }
             LogicalPlan::Filter { input, predicate } => {
-                let (src, port, part, ins) = self.node(input)?;
+                let (src, port, part) = self.node(input)?;
                 let id = self.g.add(Box::new(FilterOp::new(predicate.clone())));
                 self.g.connect(src, port, id, 0);
-                Ok((id, 0, part, ins))
+                Ok((id, 0, part))
             }
             LogicalPlan::Project { input, exprs, .. } => {
-                let (src, port, part, ins) = self.node(input)?;
+                let (src, port, part) = self.node(input)?;
                 let id = self.g.add(Box::new(ProjectOp::new(exprs.clone())));
                 self.g.connect(src, port, id, 0);
-                Ok((id, 0, remap_partitioning(&part, exprs), ins))
+                Ok((id, 0, remap_partitioning(&part, exprs)))
             }
             LogicalPlan::Join { left, right, left_key, right_key, handler, .. } => {
                 // Build-side selection. The executor starts sources in
@@ -722,12 +773,22 @@ impl Lowering<'_> {
                     ),
                     (Some(lb), Some(rb)) if rb < lb
                 );
-                let ((l, lp, lpart, l_ins), (r, rp, rpart, r_ins)) = if build_right {
-                    let rnode = self.node(right)?;
-                    (self.node(left)?, rnode)
+                // A handler emits whatever it likes; without one,
+                // insertions in are insertions out.
+                let ins = handler.is_none()
+                    && self.fed_scans.is_none()
+                    && inserts_only(left)
+                    && inserts_only(right);
+                // The stored side arrives as rows, whose tuples the build
+                // table shares; the side that then runs probe-only takes
+                // columns when this join's consumer does.
+                let probe_cols = ins && !self.opts.distributed && self.columnar;
+                let ((l, lp, lpart), (r, rp, rpart)) = if build_right {
+                    let rnode = self.input(right, false)?;
+                    (self.input(left, probe_cols)?, rnode)
                 } else {
-                    let lnode = self.node(left)?;
-                    (lnode, self.node(right)?)
+                    let lnode = self.input(left, false)?;
+                    (lnode, self.input(right, probe_cols)?)
                 };
                 let (l, lp, r, rp, out_part) = if left_key.is_empty() {
                     // Key-less (handler broadcast) join: replicate the
@@ -762,19 +823,20 @@ impl Lowering<'_> {
                 if let Some(h) = handler {
                     join = join.with_handler(self.reg.join(h)?);
                 }
-                // A handler emits whatever it likes; without one,
-                // insertions in are insertions out.
-                let ins = handler.is_none() && l_ins && r_ins;
                 if ins {
                     join = join.with_insert_only_inputs();
                 }
                 let id = self.g.add(Box::new(join));
                 self.g.connect(l, lp, id, 0);
                 self.g.connect(r, rp, id, 1);
-                Ok((id, 0, out_part, ins))
+                Ok((id, 0, out_part))
             }
             LogicalPlan::Aggregate { input, group_cols, aggs, post, .. } => {
-                let (src, port, part, _) = self.node(input)?;
+                // The group-by reads its input directly unless a cluster
+                // exchange without a partial part sits in between.
+                let direct = !self.opts.distributed
+                    || aggs.iter().all(|a| matches!(agg_split(self.reg, &a.func), Ok(Some(_))));
+                let (src, port, part) = self.input(input, direct)?;
                 let gb = self.aggregate(src, port, &part, group_cols, aggs)?;
                 // Aggregate output = group cols ++ agg results: partitioned
                 // on the leading group columns.
@@ -787,9 +849,9 @@ impl Lowering<'_> {
                     Some(exprs) => {
                         let proj = self.g.add(Box::new(ProjectOp::new(exprs.clone())));
                         self.g.connect(gb, 0, proj, 0);
-                        Ok((proj, 0, remap_partitioning(&gb_part, exprs), false))
+                        Ok((proj, 0, remap_partitioning(&gb_part, exprs)))
                     }
-                    None => Ok((gb, 0, gb_part, false)),
+                    None => Ok((gb, 0, gb_part)),
                 }
             }
             LogicalPlan::Sort { input, keys, fetch, offset } => {
@@ -816,7 +878,7 @@ impl Lowering<'_> {
                 self.topk(inner, keys, Some(*fetch), *offset)
             }
             LogicalPlan::Fixpoint { key_cols, base, step, .. } => {
-                let (b, bport, bpart, _) = self.node(base)?;
+                let (b, bport, bpart) = self.node(base)?;
                 // The base case must arrive partitioned on the fixpoint key
                 // so each worker's mutable set holds exactly its keys.
                 let (b, bport, _) = self.ensure_partitioned(b, bport, &bpart, key_cols);
@@ -827,7 +889,7 @@ impl Lowering<'_> {
                     self.g.add(Box::new(FixpointOp::new(key_cols.clone(), Termination::Fixpoint)));
                 self.g.connect(b, bport, fp, 0);
                 let prev = self.fixpoint.replace((fp, key_cols.clone()));
-                let (s, sport, _, _) = self.node(step)?;
+                let (s, sport, _) = self.node(step)?;
                 self.fixpoint = prev;
                 // Step results re-enter the fixpoint keyed on its key. A fed
                 // dataflow runs on one node behind a distributed executor
@@ -841,7 +903,7 @@ impl Lowering<'_> {
                     self.g.connect(s, sport, rehash, 0);
                     self.g.connect(rehash, 0, fp, 1);
                 }
-                Ok((fp, 1, Some(key_cols.clone()), false))
+                Ok((fp, 1, Some(key_cols.clone())))
             }
         }
     }

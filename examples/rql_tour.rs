@@ -11,6 +11,7 @@
 //! `SELECT DISTINCT` • `ORDER BY … LIMIT/OFFSET` (deterministic ties,
 //! distributed top-k) • `CREATE MATERIALIZED VIEW` with incremental
 //! DISTINCT/HAVING maintenance • a three-table FROM keyed on every join •
+//! `EXPLAIN ANALYZE` showing column batches reach a join and a group-by •
 //! `EXPLAIN`.
 
 use rex::core::tuple::Tuple;
@@ -139,6 +140,31 @@ fn main() {
     assert_eq!(joined.len(), 6, "two sales each of apple, pear and plum; fig has no color");
     let plan = sessions[0].explain(three).expect("explain");
     assert!(!plan.contains("Join on []=[]"), "no cross join in\n{plan}");
+
+    // ---- EXPLAIN ANALYZE: the column lane reaches joins and group-bys ----
+    // `sales` probes the stored `fruit` rows as column batches, and the
+    // group-by folds the joined columns; each operator's `cols=` line
+    // counts the column batches it ran on, so a silent fallback to rows
+    // fails here.
+    let analyzed = sessions[0]
+        .query(
+            "EXPLAIN ANALYZE SELECT fruit.color, count(*), sum(sales.qty) \
+             FROM sales, fruit WHERE sales.item = fruit.item GROUP BY fruit.color",
+        )
+        .expect("explain analyze");
+    let text: Vec<String> = analyzed.rows.iter().map(|r| r.get(0).to_string()).collect();
+    let col_batches = |op: &str| -> u64 {
+        let at = text.iter().position(|l| l.starts_with('#') && l.contains(op)).expect(op);
+        text[at + 1..]
+            .iter()
+            .take_while(|l| !l.starts_with('#'))
+            .find_map(|l| l.trim().strip_prefix("cols="))
+            .map_or(0, |n| n.parse().expect("cols count"))
+    };
+    for op in ["HashJoin", "GroupBy"] {
+        assert!(col_batches(op) > 0, "{op} ran on rows, not columns:\n{}", text.join("\n"));
+    }
+    println!("\ncolumn lane through the join and the group-by:\n{}", text.join("\n"));
 
     // ---- EXPLAIN: plans, rewrites, estimates, maintenance strategies -----
     let plan = sessions[0]

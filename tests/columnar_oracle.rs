@@ -10,13 +10,15 @@
 use rex_testkit::{fill_tkd, reference, session, SEEDS};
 
 /// Query shapes across every batch form: pure stateless chains
-/// (scan→filter→project, the `Event::Cols` path), joins with and without
-/// downstream aggregation (the batched probe loop), grouped and global
-/// aggregates (avg/min/max fold over bare rows), and top-k.
+/// (scan→filter→project), joins with and without downstream aggregation
+/// (a probe-only column batch, and through shard gates at 2 and 4
+/// threads), grouped and global aggregates (avg/min/max folded from
+/// columns), and top-k (rows above a column-fed aggregate).
 const QUERIES: &[&str] = &[
     "SELECT k, a, b FROM t WHERE a > 40",
     "SELECT k, a * 2 + 1, b FROM t WHERE b < 200.0",
     "SELECT t.k, t.b, d.w FROM t, d WHERE t.k = d.k AND t.a > 90",
+    "SELECT t.k, d.w FROM t, d WHERE t.k = d.k AND t.a < 90 AND t.k >= 37",
     "SELECT a, count(*), sum(b) FROM t GROUP BY a",
     "SELECT t.a, count(*), sum(t.b * d.w) FROM t, d WHERE t.k = d.k GROUP BY t.a",
     "SELECT avg(b), min(a), max(a) FROM t",
@@ -38,7 +40,7 @@ fn engines_and_thread_counts_match_the_naive_reference() {
             .collect();
         assert!(want.iter().all(|r| !r.is_empty()), "vacuous sweep for seed {seed}");
         for engine in ["local", "cluster"] {
-            for threads in [1usize, 4] {
+            for threads in [1usize, 2, 4] {
                 let mut s = session(engine);
                 s.set_threads(threads);
                 fill_tkd(&mut s, seed);

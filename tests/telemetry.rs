@@ -189,7 +189,12 @@ fn batched_lane_detail_counters_surface_in_traces() {
         // above the group-by and sees its deltas).
         let op = trace.ops.iter().find(|o| o.name.starts_with(prefix)).expect(prefix);
         assert!(op.lane_hits > 0, "{prefix} consumed bare batches: {}", trace.render());
+        // Built-in aggregates over a scan ride the column lane: the
+        // group-by folds from typed columns, and `cols` says so.
+        assert!(op.cols > 0, "{prefix} consumed column batches: {}", trace.render());
     }
+    let topk = trace.ops.iter().find(|o| o.name.starts_with("TopK")).expect("top-k in plan");
+    assert_eq!(topk.cols, 0, "top-k sits above the group-by's deltas: {}", trace.render());
 
     // The batched join probe loop (hash-all-first + software prefetch)
     // runs on bare rows too, and — both inputs being scans, insert-only
@@ -200,6 +205,9 @@ fn batched_lane_detail_counters_surface_in_traces() {
         .unwrap();
     let trace = r.trace.as_ref().expect("trace");
     let join = trace.ops.iter().find(|o| o.name.starts_with("HashJoin")).expect("join in plan");
+    // The probe-only side arrives as columns; the stored side as rows,
+    // whose tuples the build table shares.
+    assert!(join.cols > 0 && join.cols < join.lane_hits, "{}", trace.render());
     let prefetches = detail(join, "prefetch_probes").expect("prefetch_probes counter");
     assert!(prefetches > 0, "batched probe loop ran: {prefetches}");
     let probes = detail(join, "hash_probes").expect("hash_probes counter");
