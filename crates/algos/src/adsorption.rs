@@ -169,7 +169,7 @@ impl AggHandler for LabelAccum {
         AggState::Value(value_from_vec(&vec![0.0; self.n_labels]))
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         let AggState::Value(acc) = state else {
             return Err(RexError::Exec("LabelAccum state must be a value".into()));
         };
@@ -181,7 +181,7 @@ impl AggHandler for LabelAccum {
             *c += sign * x;
         }
         *state = AggState::Value(value_from_vec(&cur));
-        Ok(Vec::new())
+        Ok(())
     }
 
     fn agg_result(&self, _state: &AggState) -> Result<Vec<Delta>> {
@@ -234,7 +234,7 @@ impl AggHandler for KeyedLabelAccum {
         ]))
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         let AggState::Value(Value::List(list)) = state else {
             return Err(RexError::Exec("bad LabelAccum state".into()));
         };
@@ -246,7 +246,7 @@ impl AggHandler for KeyedLabelAccum {
             *c += sign * x;
         }
         *state = AggState::Value(Value::list(vec![Value::Int(vertex), value_from_vec(&cur)]));
-        Ok(Vec::new())
+        Ok(())
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {

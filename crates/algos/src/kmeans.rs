@@ -203,7 +203,7 @@ impl AggHandler for CentroidAvg {
         AggState::Value(Value::list(vec![Value::Double(0.0), Value::Double(0.0), Value::Int(0)]))
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         let AggState::Value(Value::List(list)) = state else {
             return Err(RexError::Exec("CentroidAvg state must be a list".into()));
         };
@@ -220,7 +220,7 @@ impl AggHandler for CentroidAvg {
             Value::Double(sy + sign * dy),
             Value::Int(n + if sign < 0.0 { -dn } else { dn }),
         ]));
-        Ok(Vec::new())
+        Ok(())
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {

@@ -161,7 +161,7 @@ impl AggHandler for RankAccum {
         AggState::Double(0.0)
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         let share = d
             .tuple
             .get(1)
@@ -174,7 +174,7 @@ impl AggHandler for RankAccum {
             Annotation::Delete => *acc -= share,
             _ => *acc += share,
         }
-        Ok(Vec::new())
+        Ok(())
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {

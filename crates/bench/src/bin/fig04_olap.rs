@@ -39,7 +39,7 @@ impl AggHandler for UdaSum {
     fn init(&self) -> AggState {
         rex_core::aggregates::SumAgg.init()
     }
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         rex_core::aggregates::SumAgg.agg_state(state, d)
     }
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -59,7 +59,7 @@ impl AggHandler for UdaCount {
     fn init(&self) -> AggState {
         rex_core::aggregates::CountAgg.init()
     }
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         rex_core::aggregates::CountAgg.agg_state(state, d)
     }
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {

@@ -2,24 +2,31 @@
 //!
 //! "The standard operators (min, max, sum, average, count) automatically
 //! handle insertion, deletion, and replacement deltas" (§3.3). Each built-in
-//! here is an [`AggHandler`]; the delta rules follow the paper's discussion:
+//! here is an [`AggHandler`] with one value rule
+//! ([`fold_value`](AggHandler::fold_value)) for all three annotations; the
+//! trait's default AGGSTATE adapts a projected delta to it. The rules
+//! follow the paper's discussion:
 //!
-//! * **sum** subtracts on deletion and adjusts on replacement, so an
-//!   inserted row can carry an *adjustment* to the sum (how PageRank's
-//!   handler join feeds rank changes into it);
+//! * **sum** subtracts on deletion and adjusts by `new − old` on
+//!   replacement, so an inserted row can carry an *adjustment* to the sum
+//!   (how PageRank's handler join feeds rank changes into it);
 //! * **min/max** keep a count-annotated ordered multiset so that deleting
 //!   the current extremum finds the next-best value in O(log n);
 //! * **avg** is split into a composable sum+count pre-aggregate and a final
 //!   division, mirroring the MapReduce combiner discussion.
 //!
+//! Every rule skips NULL inputs on `+()`, `-()` and `→(t')` alike, as SQL
+//! does; `count(*)` counts rows. A group with no non-NULL input returns
+//! NULL (0 for `count`).
+//!
 //! [`agg_split`] is the one place that pairs a composable aggregate with
 //! the partial that folds rows where they are and the final that merges
 //! the partials: distributed lowering combines before every exchange with
-//! it, and the optimizer's pre-aggregation plan reads it.
+//! it.
 
 use crate::delta::{Annotation, Delta};
 use crate::error::{Result, RexError};
-use crate::handlers::{AggHandler, AggState};
+use crate::handlers::{AggHandler, AggState, TupleSet, ValueDelta};
 use crate::tuple::Tuple;
 use crate::udf::Registry;
 use crate::value::{DataType, Value};
@@ -32,52 +39,51 @@ fn numeric(v: &Value) -> Result<f64> {
     })
 }
 
-/// First attribute of the delta's tuple — built-in aggregates are unary; the
-/// group-by operator projects the aggregate's input column(s) before
-/// dispatching.
-fn arg(d: &Delta) -> &Value {
-    d.tuple.get(0)
-}
-
 fn scalar_result(v: Value) -> Vec<Delta> {
     vec![Delta::insert(Tuple::new(vec![v]))]
 }
 
-/// The input value of a unary aggregate's insert fast path.
-fn unary(v: Option<&Value>) -> Result<&Value> {
-    v.ok_or_else(|| RexError::Exec("aggregate needs an input column".into()))
+fn bad_state(name: &str) -> RexError {
+    RexError::Exec(format!("{name}: bad state shape"))
 }
 
-/// Sum/avg shared delta rule: `+()` adds the value and one row, `-()`
-/// takes them away, and `→(t')` adjusts the sum by the difference.
-fn sum_count_state(state: &mut AggState, d: &Delta, name: &str) -> Result<()> {
-    let AggState::SumCount(sum, n) = state else {
-        return Err(RexError::Exec(format!("{name}: bad state shape")));
-    };
-    match &d.ann {
-        Annotation::Insert => {
-            *sum += numeric(arg(d))?;
-            *n += 1;
+/// A value an aggregate reads; `None` for NULL, which it skips.
+fn present(v: Option<&Value>) -> Option<&Value> {
+    v.filter(|v| !v.is_null())
+}
+
+/// Sum/avg shared value rule: `+()` adds the value and one value to the
+/// count, `-()` takes them away, and a replacement adjusts the sum by
+/// `new − old`. A `sum` group starts [`AggState::Empty`], is the NULL
+/// value while it has folded only NULLs, and becomes a running
+/// `(sum, count)` at its first non-NULL value, for good.
+fn fold_sum_count(state: &mut AggState, d: ValueDelta<'_>, name: &str) -> Result<bool> {
+    let (old, new) = (present(d.old), present(d.new));
+    if old.is_none() && new.is_none() {
+        if matches!(state, AggState::Empty) {
+            *state = AggState::Value(Value::Null);
         }
-        Annotation::Delete => {
-            *sum -= numeric(arg(d))?;
+        return Ok(true);
+    }
+    if matches!(state, AggState::Empty | AggState::Value(Value::Null)) {
+        *state = AggState::SumCount(0.0, 0);
+    }
+    let AggState::SumCount(sum, n) = state else {
+        return Err(bad_state(name));
+    };
+    match (old, new) {
+        (Some(o), Some(v)) => *sum += numeric(v)? - numeric(o)?,
+        (Some(o), None) => {
+            *sum -= numeric(o)?;
             *n -= 1;
         }
-        Annotation::Replace(old) => *sum += numeric(arg(d))? - numeric(old.get(0))?,
-    }
-    Ok(())
-}
-
-/// Sum/avg shared insert fold: `state += value, count += 1`.
-fn fold_sum_count(state: &mut AggState, v: &Value, name: &str) -> Result<bool> {
-    match state {
-        AggState::SumCount(sum, n) => {
+        (None, Some(v)) => {
             *sum += numeric(v)?;
             *n += 1;
-            Ok(true)
         }
-        _ => Err(RexError::Exec(format!("{name}: bad state shape"))),
+        (None, None) => {}
     }
+    Ok(true)
 }
 
 /// SUM over a numeric column.
@@ -93,20 +99,18 @@ impl AggHandler for SumAgg {
     }
 
     fn init(&self) -> AggState {
-        AggState::SumCount(0.0, 0)
+        AggState::Empty
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        sum_count_state(state, d, "sum")?;
-        Ok(vec![])
-    }
-
-    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
-        fold_sum_count(state, unary(v)?, "sum")
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
+        fold_sum_count(state, d, "sum")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
         match state {
+            // No row yet (a group always holds one; a bare handler may not).
+            AggState::Empty => Ok(scalar_result(Value::Double(0.0))),
+            AggState::Value(Value::Null) => Ok(scalar_result(Value::Null)),
             AggState::SumCount(s, n) => {
                 if *n == 0 && *s == 0.0 {
                     Ok(scalar_result(Value::Double(0.0)))
@@ -114,7 +118,7 @@ impl AggHandler for SumAgg {
                     Ok(scalar_result(Value::Double(*s)))
                 }
             }
-            _ => Err(RexError::Exec("sum: bad state shape".into())),
+            _ => Err(bad_state("sum")),
         }
     }
 
@@ -125,16 +129,6 @@ impl AggHandler for SumAgg {
     fn pre_aggregate(&self) -> Option<(String, String)> {
         // Partial sums are summed.
         Some(("sum".into(), "sum".into()))
-    }
-
-    fn multiply(&self, state: &AggState, cardinality: i64) -> Option<AggState> {
-        // sum scales linearly with the multiplicity of the opposite group.
-        match state {
-            AggState::SumCount(s, n) => {
-                Some(AggState::SumCount(s * cardinality as f64, n * cardinality))
-            }
-            _ => None,
-        }
     }
 }
 
@@ -154,33 +148,22 @@ impl AggHandler for CountAgg {
         AggState::Int(0)
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        let n = match state {
-            AggState::Int(n) => n,
-            _ => return Err(RexError::Exec("count: bad state shape".into())),
+    /// Counts the non-NULL values (every row, for `count(*)`), so a
+    /// replacement moves the count only when it turns a NULL into a value
+    /// or back.
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
+        let AggState::Int(n) = state else {
+            return Err(bad_state("count"));
         };
-        match &d.ann {
-            Annotation::Insert => *n += 1,
-            Annotation::Delete => *n -= 1,
-            Annotation::Replace(_) => {}
-        }
-        Ok(vec![])
-    }
-
-    fn fold_value(&self, state: &mut AggState, _v: Option<&Value>) -> Result<bool> {
-        match state {
-            AggState::Int(n) => {
-                *n += 1;
-                Ok(true)
-            }
-            _ => Err(RexError::Exec("count: bad state shape".into())),
-        }
+        let counted = |v| i64::from(present(v).is_some());
+        *n += counted(d.new) - counted(d.old);
+        Ok(true)
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
         match state {
             AggState::Int(n) => Ok(scalar_result(Value::Int(*n))),
-            _ => Err(RexError::Exec("count: bad state shape".into())),
+            _ => Err(bad_state("count")),
         }
     }
 
@@ -195,13 +178,6 @@ impl AggHandler for CountAgg {
     fn pre_aggregate(&self) -> Option<(String, String)> {
         // Partial counts are summed, as Ints.
         Some(("count".into(), "count_final".into()))
-    }
-
-    fn multiply(&self, state: &AggState, cardinality: i64) -> Option<AggState> {
-        match state {
-            AggState::Int(n) => Some(AggState::Int(n * cardinality)),
-            _ => None,
-        }
     }
 }
 
@@ -222,23 +198,12 @@ impl AggHandler for CountFinalAgg {
         AggState::Int(0)
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
         let AggState::Int(n) = state else {
-            return Err(RexError::Exec("count_final: bad state shape".into()));
+            return Err(bad_state("count_final"));
         };
-        match &d.ann {
-            Annotation::Insert => *n += partial_count(arg(d))?,
-            Annotation::Delete => *n -= partial_count(arg(d))?,
-            Annotation::Replace(old) => *n += partial_count(arg(d))? - partial_count(old.get(0))?,
-        }
-        Ok(vec![])
-    }
-
-    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
-        let AggState::Int(n) = state else {
-            return Err(RexError::Exec("count_final: bad state shape".into()));
-        };
-        *n += partial_count(unary(v)?)?;
+        let count = |v| present(v).map_or(Ok(0), partial_count);
+        *n += count(d.new)? - count(d.old)?;
         Ok(true)
     }
 
@@ -266,13 +231,6 @@ pub struct MinAgg;
 /// MAX, symmetric to [`MinAgg`].
 pub struct MaxAgg;
 
-fn multiset<'s>(state: &'s mut AggState, name: &str) -> Result<&'s mut BTreeMap<Value, i64>> {
-    match state {
-        AggState::Multiset(m) => Ok(m),
-        _ => Err(RexError::Exec(format!("{name}: bad state shape"))),
-    }
-}
-
 /// Remove one occurrence of `v`. Deleting a value the group does not hold
 /// is an error, not a silent no-op: it means the input stream and the
 /// state have diverged.
@@ -291,27 +249,22 @@ fn remove_one(m: &mut BTreeMap<Value, i64>, v: &Value, name: &str) -> Result<()>
     Ok(())
 }
 
-/// Extremum insert fold: count the value into the multiset.
-fn fold_extremum(state: &mut AggState, v: &Value, name: &str) -> Result<bool> {
-    *multiset(state, name)?.entry(v.clone()).or_insert(0) += 1;
-    Ok(true)
-}
-
-fn extremum_state(state: &mut AggState, d: &Delta, name: &str) -> Result<()> {
-    let m = multiset(state, name)?;
-    match &d.ann {
-        Annotation::Insert => {}
-        Annotation::Delete => return remove_one(m, arg(d), name),
-        // Upsert, like `TupleSet::replace`: an old value the group never
-        // held leaves only the insertion.
-        Annotation::Replace(old) => {
-            if m.contains_key(old.get(0)) {
-                remove_one(m, old.get(0), name)?;
-            }
+/// Extremum value rule: count the new value into the multiset and the old
+/// one out. A replacement upserts, like `TupleSet::replace`: an old value
+/// the group never held leaves only the insertion.
+fn fold_extremum(state: &mut AggState, d: ValueDelta<'_>, name: &str) -> Result<bool> {
+    let AggState::Multiset(m) = state else {
+        return Err(bad_state(name));
+    };
+    if let Some(o) = present(d.old) {
+        if d.new.is_none() || m.contains_key(o) {
+            remove_one(m, o, name)?;
         }
     }
-    *m.entry(arg(d).clone()).or_insert(0) += 1;
-    Ok(())
+    if let Some(v) = present(d.new) {
+        *m.entry(v.clone()).or_insert(0) += 1;
+    }
+    Ok(true)
 }
 
 /// The multiset's first (`min`) or last (`max`) value; `NULL` when empty.
@@ -321,7 +274,7 @@ fn extremum_result(state: &AggState, name: &str, min: bool) -> Result<Vec<Delta>
             let v = if min { m.keys().next() } else { m.keys().next_back() };
             Ok(scalar_result(v.cloned().unwrap_or(Value::Null)))
         }
-        _ => Err(RexError::Exec(format!("{name}: bad state shape"))),
+        _ => Err(bad_state(name)),
     }
 }
 
@@ -338,13 +291,8 @@ impl AggHandler for MinAgg {
         AggState::Multiset(BTreeMap::new())
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        extremum_state(state, d, "min")?;
-        Ok(vec![])
-    }
-
-    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
-        fold_extremum(state, unary(v)?, "min")
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
+        fold_extremum(state, d, "min")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -356,8 +304,8 @@ impl AggHandler for MinAgg {
     }
 
     // min is composable for insert-only streams (min of mins) but the
-    // buffered deletion path is not; REX treats it as non-composable so the
-    // optimizer only pushes it below key-foreign-key joins.
+    // buffered deletion path is not; REX treats it as non-composable so it
+    // is never split around an exchange.
     fn composable(&self) -> bool {
         false
     }
@@ -376,13 +324,8 @@ impl AggHandler for MaxAgg {
         AggState::Multiset(BTreeMap::new())
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        extremum_state(state, d, "max")?;
-        Ok(vec![])
-    }
-
-    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
-        fold_extremum(state, unary(v)?, "max")
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
+        fold_extremum(state, d, "max")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -416,13 +359,8 @@ impl AggHandler for AvgAgg {
         AggState::SumCount(0.0, 0)
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        sum_count_state(state, d, "avg")?;
-        Ok(vec![])
-    }
-
-    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
-        fold_sum_count(state, unary(v)?, "avg")
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
+        fold_sum_count(state, d, "avg")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -434,7 +372,7 @@ impl AggHandler for AvgAgg {
                     Ok(scalar_result(Value::Double(s / *n as f64)))
                 }
             }
-            _ => Err(RexError::Exec("avg: bad state shape".into())),
+            _ => Err(bad_state("avg")),
         }
     }
 
@@ -445,19 +383,10 @@ impl AggHandler for AvgAgg {
     fn pre_aggregate(&self) -> Option<(String, String)> {
         Some(("avg_partial".into(), "avg_final".into()))
     }
-
-    fn multiply(&self, state: &AggState, cardinality: i64) -> Option<AggState> {
-        match state {
-            AggState::SumCount(s, n) => {
-                Some(AggState::SumCount(s * cardinality as f64, n * cardinality))
-            }
-            _ => None,
-        }
-    }
 }
 
 /// The avg pre-aggregate: produces `(sum, count)` list values that
-/// `avg_final` folds. Used when the optimizer pushes avg below a rehash.
+/// `avg_final` folds. Used when an avg is split around an exchange.
 pub struct AvgPartialAgg;
 
 impl AggHandler for AvgPartialAgg {
@@ -473,12 +402,8 @@ impl AggHandler for AvgPartialAgg {
         AggState::SumCount(0.0, 0)
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        AvgAgg.agg_state(state, d)
-    }
-
-    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
-        fold_sum_count(state, unary(v)?, "avg_partial")
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
+        fold_sum_count(state, d, "avg_partial")
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -486,7 +411,7 @@ impl AggHandler for AvgPartialAgg {
             AggState::SumCount(s, n) => {
                 Ok(scalar_result(Value::list(vec![Value::Double(*s), Value::Int(*n)])))
             }
-            _ => Err(RexError::Exec("avg_partial: bad state shape".into())),
+            _ => Err(bad_state("avg_partial")),
         }
     }
 
@@ -502,6 +427,16 @@ impl AggHandler for AvgPartialAgg {
 /// Final stage for partial averages: input values are `(sum, count)` lists.
 pub struct AvgFinalAgg;
 
+/// A partial average's `(sum, count)`.
+fn partial_avg(v: &Value) -> Result<(f64, i64)> {
+    let l =
+        v.as_list().ok_or_else(|| RexError::Type("avg_final expects (sum,count) lists".into()))?;
+    Ok((
+        l.first().and_then(Value::as_double).unwrap_or(0.0),
+        l.get(1).and_then(Value::as_int).unwrap_or(0),
+    ))
+}
+
 impl AggHandler for AvgFinalAgg {
     fn is_builtin(&self) -> bool {
         true
@@ -515,38 +450,29 @@ impl AggHandler for AvgFinalAgg {
         AggState::SumCount(0.0, 0)
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        let (sum, n) = match state {
-            AggState::SumCount(s, n) => (s, n),
-            _ => return Err(RexError::Exec("avg_final: bad state shape".into())),
+    fn fold_value(&self, state: &mut AggState, d: ValueDelta<'_>) -> Result<bool> {
+        let AggState::SumCount(sum, n) = state else {
+            return Err(bad_state("avg_final"));
         };
-        let l = arg(d)
-            .as_list()
-            .ok_or_else(|| RexError::Type("avg_final expects (sum,count) lists".into()))?;
-        let (ds, dn) = (
-            l.first().and_then(Value::as_double).unwrap_or(0.0),
-            l.get(1).and_then(Value::as_int).unwrap_or(0),
-        );
-        match &d.ann {
-            Annotation::Insert => {
-                *sum += ds;
-                *n += dn;
-            }
-            Annotation::Delete => {
-                *sum -= ds;
-                *n -= dn;
-            }
-            Annotation::Replace(old) => {
-                let ol = old.get(0).as_list().unwrap_or(&[]).to_vec();
-                let (os, on) = (
-                    ol.first().and_then(Value::as_double).unwrap_or(0.0),
-                    ol.get(1).and_then(Value::as_int).unwrap_or(0),
-                );
+        match (present(d.old), present(d.new)) {
+            (Some(o), Some(v)) => {
+                let ((os, on), (ds, dn)) = (partial_avg(o)?, partial_avg(v)?);
                 *sum += ds - os;
                 *n += dn - on;
             }
+            (Some(o), None) => {
+                let (os, on) = partial_avg(o)?;
+                *sum -= os;
+                *n -= on;
+            }
+            (None, Some(v)) => {
+                let (ds, dn) = partial_avg(v)?;
+                *sum += ds;
+                *n += dn;
+            }
+            (None, None) => {}
         }
-        Ok(vec![])
+        Ok(true)
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -558,6 +484,7 @@ impl AggHandler for AvgFinalAgg {
 /// with minimum value" (appendix, used by the shortest-path query).
 ///
 /// Input tuples are `(id, value)` pairs; buffered so deletions can recover.
+/// It reads two columns, so its rule is AGGSTATE on the projected delta.
 pub struct ArgMinAgg;
 
 impl AggHandler for ArgMinAgg {
@@ -570,13 +497,12 @@ impl AggHandler for ArgMinAgg {
     }
 
     fn init(&self) -> AggState {
-        AggState::Tuples(crate::handlers::TupleSet::new())
+        AggState::Tuples(TupleSet::new())
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
-        let set = match state {
-            AggState::Tuples(s) => s,
-            _ => return Err(RexError::Exec("argmin: bad state shape".into())),
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
+        let AggState::Tuples(set) = state else {
+            return Err(bad_state("argmin"));
         };
         match &d.ann {
             Annotation::Insert => set.insert(d.tuple.clone()),
@@ -587,7 +513,7 @@ impl AggHandler for ArgMinAgg {
                 set.replace(old, d.tuple.clone());
             }
         }
-        Ok(vec![])
+        Ok(())
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -599,7 +525,7 @@ impl AggHandler for ArgMinAgg {
                     None => Ok(vec![]),
                 }
             }
-            _ => Err(RexError::Exec("argmin: bad state shape".into())),
+            _ => Err(bad_state("argmin")),
         }
     }
 
@@ -766,15 +692,41 @@ mod tests {
     }
 
     #[test]
-    fn multiply_compensation_scales_sum_and_count() {
+    fn composable_uda_pushes_through_any_join() {
+        let reg = Registry::with_builtins();
+        let s = agg_split(&reg, "count").unwrap().expect("count is composable");
+        assert_eq!((s.partial.name(), s.merge.name()), ("count", "count_final"));
+    }
+
+    #[test]
+    fn non_composable_uda_is_never_pushed() {
+        let reg = Registry::with_builtins();
+        // MIN keeps a buffered bag and advertises no pre-aggregate: never
+        // split.
+        assert!(agg_split(&reg, "min").unwrap().is_none());
+        assert!(agg_split(&reg, "max").unwrap().is_none());
+    }
+
+    #[test]
+    fn avg_splits_into_partial_and_final() {
+        let reg = Registry::with_builtins();
+        let s = agg_split(&reg, "avg").unwrap().expect("avg is composable via sum+count");
+        assert_eq!((s.partial.name(), s.merge.name()), ("avg_partial", "avg_final"));
+    }
+
+    /// A sum is NULL until it folds a non-NULL value, and from then on a
+    /// number: a replacement-only group reports its running adjustment.
+    #[test]
+    fn sum_is_null_until_it_folds_a_value() {
+        let (null, three, five) = (Value::Null, Value::Int(3), Value::Int(5));
         let h = SumAgg;
-        let s = AggState::SumCount(10.0, 2);
-        let m = h.multiply(&s, 3).unwrap();
-        assert_eq!(m, AggState::SumCount(30.0, 6));
-        let c = CountAgg;
-        assert_eq!(c.multiply(&AggState::Int(4), 3).unwrap(), AggState::Int(12));
-        // min is not composable and has no multiply.
-        assert!(MinAgg.multiply(&MinAgg.init(), 3).is_none());
+        let mut s = h.init();
+        h.fold_value(&mut s, ValueDelta { old: None, new: Some(&null) }).unwrap();
+        assert_eq!(result_value(&h, &s), Value::Null);
+        h.fold_value(&mut s, ValueDelta { old: Some(&three), new: Some(&five) }).unwrap();
+        assert_eq!(result_value(&h, &s), Value::Double(2.0));
+        h.fold_value(&mut s, ValueDelta { old: Some(&five), new: Some(&three) }).unwrap();
+        assert_eq!(result_value(&h, &s), Value::Double(0.0));
     }
 
     #[test]

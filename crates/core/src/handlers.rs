@@ -1,7 +1,7 @@
 //! Delta handlers — the four forms of user-defined state-update code (§3.3):
 //!
-//! * `AGGSTATE(state, delta) -> deltas` and `AGGRESULT(state) -> deltas`
-//!   for group-by aggregates ([`AggHandler`]);
+//! * `AGGSTATE(state, delta)` and `AGGRESULT(state) -> deltas` for
+//!   group-by aggregates ([`AggHandler`]);
 //! * `UPDATE(leftBucket, rightBucket, delta) -> deltas` for joins
 //!   ([`JoinHandler`]);
 //! * `UPDATE(whileRelation, delta) -> deltas` for while/fixpoint operators
@@ -11,8 +11,8 @@
 //! annotation as if it were another (hidden) attribute of the tuple, with no
 //! special semantics" — the operators implement exactly that fallback.
 
-use crate::delta::Delta;
-use crate::error::Result;
+use crate::delta::{Annotation, Delta};
+use crate::error::{Result, RexError};
 use crate::tuple::Tuple;
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
@@ -175,9 +175,42 @@ pub enum AggOutputKind {
     TableValued,
 }
 
+/// What a value rule reads for each row of an aggregate with no input
+/// column: `count(*)` counts rows as the `count` of a column that is never
+/// NULL.
+pub(crate) static ROW: Value = Value::Bool(true);
+
+/// One row's change to an aggregate's input value, as a value rule folds
+/// it: `old` leaves the group and `new` enters it, so `+()` has only
+/// `new`, `-()` only `old`, and `→(t')` both. Each is the value of the
+/// aggregate's one input column (`true` for each row when it has none, as
+/// for `count(*)`), borrowed from a tuple or built on the stack from a
+/// typed column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ValueDelta<'a> {
+    /// The value that leaves the group (`-()` and `→(t')`).
+    pub old: Option<&'a Value>,
+    /// The value that enters the group (`+()` and `→(t')`).
+    pub new: Option<&'a Value>,
+}
+
+/// The value a projected aggregate input carries: its first column, or
+/// [`ROW`] for the empty tuple of `count(*)`.
+fn first(t: &Tuple) -> &Value {
+    if t.arity() == 0 {
+        &ROW
+    } else {
+        t.get(0)
+    }
+}
+
 /// Group-by aggregate handler: the AGGSTATE/AGGRESULT pair of §3.3 plus the
-/// metadata the optimizer needs (composability, pre-aggregation, multiply
-/// compensation — §5.2).
+/// metadata the optimizer needs (composability, pre-aggregation — §5.2).
+///
+/// A handler states its delta rule once, either on values
+/// ([`fold_value`](Self::fold_value), every built-in over one column) or
+/// on projected deltas ([`agg_state`](Self::agg_state), UDAs and
+/// multi-column aggregates like `argmin`).
 pub trait AggHandler: Send + Sync {
     /// Registered name.
     fn name(&self) -> &str;
@@ -185,22 +218,35 @@ pub trait AggHandler: Send + Sync {
     /// Fresh per-group state ("a default object if the key does not exist").
     fn init(&self) -> AggState;
 
-    /// AGGSTATE: revise `state` according to the delta; may return
-    /// intermediate deltas for streamed partial aggregation (usually empty).
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>>;
+    /// AGGSTATE: revise `state` according to the delta, whose tuple is
+    /// the row projected onto the aggregate's input columns (a
+    /// replacement's old tuple too). It emits nothing: the group-by
+    /// reads the state through [`agg_result`](Self::agg_result) when the
+    /// stratum ends. The default adapts the delta to the value rule, so a
+    /// UDA that forwards here runs the built-in's rule.
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
+        let v = match &d.ann {
+            Annotation::Insert => ValueDelta { old: None, new: Some(first(&d.tuple)) },
+            Annotation::Delete => ValueDelta { old: Some(first(&d.tuple)), new: None },
+            Annotation::Replace(old) => {
+                ValueDelta { old: Some(first(old)), new: Some(first(&d.tuple)) }
+            }
+        };
+        if self.fold_value(state, v)? {
+            Ok(())
+        } else {
+            Err(RexError::Exec(format!("{}: no AGGSTATE and no value rule", self.name())))
+        }
+    }
 
-    /// Insert fast path: fold one *inserted* row's input value into
-    /// `state` — `None` for an aggregate with no input column
-    /// (`count(*)`), else the value of its one input column, borrowed
-    /// from a tuple or built on the stack from a typed column. No delta
-    /// wrapper, no projected tuple, no allocation. Must behave exactly
-    /// like `agg_state(state, &Delta::insert(tuple![v]))` (the empty
-    /// tuple for `None`) returning no intermediate deltas. Returns
-    /// `Ok(false)` when the handler has no fast path; the caller then
-    /// takes the general delta path (the default for custom UDAs and
-    /// table-valued aggregates). Both batch lanes of the group-by call
-    /// it, so a row folds the same whichever form it arrived in.
-    fn fold_value(&self, state: &mut AggState, v: Option<&Value>) -> Result<bool> {
+    /// The value rule: fold one row's change to the aggregate's one input
+    /// value into `state`, with no delta wrapper, no projected tuple and
+    /// no allocation. Returns `Ok(false)` when the handler has no value
+    /// rule (the default for custom UDAs and table-valued aggregates);
+    /// the group-by then calls [`agg_state`](Self::agg_state) on the
+    /// projected delta. Both batch lanes of the group-by call it, so a
+    /// row folds the same whichever form it arrived in.
+    fn fold_value(&self, state: &mut AggState, v: ValueDelta<'_>) -> Result<bool> {
         let _ = (state, v);
         Ok(false)
     }
@@ -233,14 +279,6 @@ pub trait AggHandler: Send + Sync {
     /// [`agg_split`](crate::aggregates::agg_split), which also requires
     /// [`composable`](Self::composable).
     fn pre_aggregate(&self) -> Option<(String, String)> {
-        None
-    }
-
-    /// Optional multiply compensation for pre-aggregation on both sides of a
-    /// non-key join: scales a partial state by the cardinality of the
-    /// opposite join group (§5.2 "Composability and multiplicative joins").
-    fn multiply(&self, state: &AggState, cardinality: i64) -> Option<AggState> {
-        let _ = (state, cardinality);
         None
     }
 

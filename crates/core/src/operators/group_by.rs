@@ -26,7 +26,7 @@
 use crate::col::ColumnBatch;
 use crate::delta::{Annotation, Delta, Punctuation};
 use crate::error::{Result, RexError};
-use crate::handlers::{AggHandler, AggOutputKind, AggState};
+use crate::handlers::{AggHandler, AggOutputKind, AggState, ValueDelta, ROW};
 use crate::hash::KeyedTable;
 use crate::operators::{OpCtx, Operator, OperatorState};
 use crate::tuple::Tuple;
@@ -112,20 +112,20 @@ impl GroupEntry {
     }
 }
 
-/// An inserted row as the group-by's fold reads it: a tuple, or one row
-/// of a column batch ([`ColRow`]), read in place either way.
-trait InsertRow {
+/// A row as the group-by's fold reads it: a tuple, or one row of a column
+/// batch ([`ColRow`]), read in place either way.
+trait InputRow {
     /// Whether the row's `cols` equal a stored key.
     fn key_eq(&self, cols: &[usize], key: &[Value]) -> bool;
     /// The row's `cols` as an owned key.
     fn key(&self, cols: &[usize]) -> Key;
     /// Run `f` on the value of column `c`.
     fn with_value<R>(&self, c: usize, f: impl FnOnce(&Value) -> R) -> Result<R>;
-    /// The row projected onto `cols` (the general AGGSTATE path).
+    /// The row projected onto `cols` (the AGGSTATE path).
     fn project(&self, cols: &[usize], scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple;
 }
 
-impl InsertRow for Tuple {
+impl InputRow for Tuple {
     fn key_eq(&self, cols: &[usize], key: &[Value]) -> bool {
         Tuple::key_eq(self, cols, key)
     }
@@ -146,7 +146,7 @@ impl InsertRow for Tuple {
 /// Row `.1` of the column batch `.0`.
 struct ColRow<'a>(&'a ColumnBatch, usize);
 
-impl InsertRow for ColRow<'_> {
+impl InputRow for ColRow<'_> {
     fn key_eq(&self, cols: &[usize], key: &[Value]) -> bool {
         self.0.key_eq(self.1, cols, key)
     }
@@ -186,9 +186,6 @@ pub struct GroupByOp {
     /// Keep aggregate state across strata (delta mode). When false the
     /// operator clears itself after each flush (no-delta / Hadoop-like).
     retain_across_strata: bool,
-    /// Streamed partial aggregation: forward handler intermediate deltas
-    /// immediately instead of waiting for punctuation (§4.2).
-    streaming: bool,
     part: Part,
     /// Reusable projection buffer (one allocation per projected tuple
     /// instead of two) and a cached empty tuple for zero-column
@@ -207,7 +204,6 @@ impl GroupByOp {
             groups: KeyedTable::new(),
             dirty: Vec::new(),
             retain_across_strata: true,
-            streaming: false,
             part: Part::Whole,
             scratch: Vec::new(),
             empty: Tuple::empty(),
@@ -243,85 +239,28 @@ impl GroupByOp {
         self
     }
 
-    /// Enable streamed partial aggregation.
-    pub fn streaming(mut self) -> Self {
-        self.streaming = true;
-        self
-    }
-
     /// Number of groups currently held.
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
 
-    /// Fold one inserted row — `rows` net rows of its group (a merge's
-    /// partial row carries its own count) — into its group, whose key
+    /// Fold one row — `+()`, `-()` or `→(t')` — into its group, whose key
     /// hashes to `hash`: one hashed upsert, then per aggregate the
     /// allocation-free [`fold_value`](AggHandler::fold_value) of the
-    /// built-ins, or AGGSTATE on the projected row for a handler without
-    /// one (its intermediate deltas kept in `streamed` when streaming).
-    /// Both batch lanes fold through here, so a row folds identically
-    /// whichever form it arrived in.
-    fn fold_insert(
-        &mut self,
-        row: &impl InsertRow,
-        hash: u64,
-        rows: (i64, bool),
-        streamed: &mut Vec<Delta>,
-        ctx: &mut OpCtx<'_>,
-    ) -> Result<()> {
-        ctx.charge_cpu(ctx.cost.hash_cost);
-        let GroupByOp { key_cols, aggs, groups, dirty, streaming, scratch, empty, .. } = self;
-        let entry = groups.probe_or_insert_by(
-            hash,
-            |k| row.key_eq(key_cols, k),
-            || row.key(key_cols),
-            || GroupEntry::new(aggs),
-        );
-        entry.touch(rows, || row.key(key_cols), dirty);
-        for (spec, state) in aggs.iter().zip(entry.states.iter_mut()) {
-            if spec.handler.is_builtin() {
-                ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
-            } else {
-                ctx.charge_udf_call();
-            }
-            let folded = match spec.input_cols.as_slice() {
-                [] => spec.handler.fold_value(state, None)?,
-                [c] => row.with_value(*c, |v| spec.handler.fold_value(state, Some(v)))??,
-                _ => false,
-            };
-            if !folded {
-                let projected = Delta::insert(row.project(&spec.input_cols, scratch, empty));
-                let inter = spec.handler.agg_state(state, &projected)?;
-                if *streaming {
-                    streamed.extend(inter);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold one annotated row into its group. A `+()` row takes
-    /// [`fold_insert`](Self::fold_insert). A `-()` or `→(t')` dispatches
-    /// AGGSTATE on a projected delta — a replacement's old tuple projected
-    /// too; its intermediate deltas are kept in `streamed` when streaming.
-    /// A replacement that moves a row to another group is the deletion
-    /// from the old group and the insertion into the new one.
+    /// built-ins, or AGGSTATE on the projected delta (a replacement's old
+    /// tuple projected too) for a handler without one. Every row of every
+    /// lane folds through here, so a row folds identically whichever form
+    /// it arrived in. A replacement must keep its group (see
+    /// [`fold_delta`](Self::fold_delta)).
     fn fold(
         &mut self,
         ann: &Annotation,
-        t: &Tuple,
-        streamed: &mut Vec<Delta>,
+        row: &impl InputRow,
+        hash: u64,
         ctx: &mut OpCtx<'_>,
     ) -> Result<()> {
-        if let Annotation::Replace(old) = ann {
-            if self.key_cols.iter().any(|&c| old.get(c) != t.get(c)) {
-                self.fold(&Annotation::Delete, old, streamed, ctx)?;
-                return self.fold(&Annotation::Insert, t, streamed, ctx);
-            }
-        }
         let rows = match (self.part, ann) {
-            (Part::Merge { carry }, Annotation::Insert) => carried(t, carry)?,
+            (Part::Merge { carry }, Annotation::Insert) => carried(row, carry)?,
             (Part::Merge { .. }, _) => {
                 return Err(RexError::Exec(
                     "group-by merge: partial rows must be insertions".into(),
@@ -331,39 +270,59 @@ impl GroupByOp {
             (_, Annotation::Delete) => (-1, true),
             (_, Annotation::Replace(_)) => (0, false),
         };
-        if *ann == Annotation::Insert {
-            return self.fold_insert(t, t.hash_key(&self.key_cols), rows, streamed, ctx);
-        }
         ctx.charge_cpu(ctx.cost.hash_cost);
-        let aggs = &self.aggs;
-        let key_cols = &self.key_cols;
-        let entry = self.groups.probe_or_insert_with(t, key_cols, || GroupEntry::new(aggs));
-        entry.touch(rows, || t.key(key_cols), &mut self.dirty);
-        for (i, spec) in self.aggs.iter().enumerate() {
-            if spec.handler.is_builtin() {
+        let GroupByOp { key_cols, aggs, groups, dirty, scratch, empty, .. } = self;
+        let entry = groups.probe_or_insert_by(
+            hash,
+            |k| row.key_eq(key_cols, k),
+            || row.key(key_cols),
+            || GroupEntry::new(aggs),
+        );
+        entry.touch(rows, || row.key(key_cols), dirty);
+        let old = match ann {
+            Annotation::Replace(old) => Some(old),
+            _ => None,
+        };
+        for (spec, state) in aggs.iter().zip(entry.states.iter_mut()) {
+            let h = &spec.handler;
+            if h.is_builtin() {
                 ctx.charge_cpu(ctx.cost.cpu_per_tuple * 0.02);
             } else {
                 ctx.charge_udf_call();
             }
-            let ann = match ann {
-                Annotation::Replace(old) => Annotation::Replace(project_row(
-                    old,
-                    &spec.input_cols,
-                    &mut self.scratch,
-                    &self.empty,
-                )),
-                other => other.clone(),
+            let folded = match spec.input_cols.as_slice() {
+                [] => h.fold_value(state, value_delta(ann, Some(&ROW), &ROW))?,
+                [c] => {
+                    let o = old.map(|o| o.try_get(*c)).transpose()?;
+                    row.with_value(*c, |v| h.fold_value(state, value_delta(ann, o, v)))??
+                }
+                _ => false,
             };
-            let projected = Delta {
-                ann,
-                tuple: project_row(t, &spec.input_cols, &mut self.scratch, &self.empty),
-            };
-            let inter = spec.handler.agg_state(&mut entry.states[i], &projected)?;
-            if self.streaming {
-                streamed.extend(inter);
+            if !folded {
+                let ann = match old {
+                    Some(o) => {
+                        Annotation::Replace(project_row(o, &spec.input_cols, scratch, empty))
+                    }
+                    None => ann.clone(),
+                };
+                let tuple = row.project(&spec.input_cols, scratch, empty);
+                h.agg_state(state, &Delta { ann, tuple })?;
             }
         }
         Ok(())
+    }
+
+    /// Fold one annotated tuple. A replacement that moves a row to another
+    /// group is the deletion from the old group and the insertion into
+    /// the new one.
+    fn fold_delta(&mut self, ann: &Annotation, t: &Tuple, ctx: &mut OpCtx<'_>) -> Result<()> {
+        if let Annotation::Replace(old) = ann {
+            if self.key_cols.iter().any(|&c| old.get(c) != t.get(c)) {
+                self.fold_delta(&Annotation::Delete, old, ctx)?;
+                return self.fold_delta(&Annotation::Insert, t, ctx);
+            }
+        }
+        self.fold(ann, t, t.hash_key(&self.key_cols), ctx)
     }
 
     fn flush(&mut self, ctx: &mut OpCtx<'_>) -> Result<Vec<Delta>> {
@@ -454,12 +413,8 @@ impl Operator for GroupByOp {
 
     fn on_deltas(&mut self, _port: usize, deltas: Vec<Delta>, ctx: &mut OpCtx<'_>) -> Result<()> {
         ctx.charge_input(deltas.len());
-        let mut streamed = Vec::new();
         for d in &deltas {
-            self.fold(&d.ann, &d.tuple, &mut streamed, ctx)?;
-        }
-        if self.streaming && !streamed.is_empty() {
-            ctx.emit(0, streamed);
+            self.fold_delta(&d.ann, &d.tuple, ctx)?;
         }
         Ok(())
     }
@@ -468,21 +423,17 @@ impl Operator for GroupByOp {
     /// stand for, with no delta wrapper.
     fn on_rows(&mut self, _port: usize, rows: Vec<Tuple>, ctx: &mut OpCtx<'_>) -> Result<()> {
         ctx.charge_input(rows.len());
-        let mut streamed = Vec::new();
         for t in &rows {
-            self.fold(&Annotation::Insert, t, &mut streamed, ctx)?;
-        }
-        if self.streaming && !streamed.is_empty() {
-            ctx.emit(0, streamed);
+            self.fold(&Annotation::Insert, t, t.hash_key(&self.key_cols), ctx)?;
         }
         Ok(())
     }
 
     /// A column batch folds from its typed columns: the selected rows'
     /// key hashes are computed column by column, then each row is one
-    /// `fold_insert` reading its key and input values
-    /// in place — no tuple is built. A merge's partial rows come from the
-    /// exchange, never as columns, and take the row path.
+    /// `fold` reading its key and input values in place — no tuple is
+    /// built. A merge's partial rows come from the exchange, never as
+    /// columns, and take the row path.
     fn on_cols(&mut self, port: usize, batch: ColumnBatch, ctx: &mut OpCtx<'_>) -> Result<()> {
         if let Part::Merge { .. } = self.part {
             return self.on_rows(port, batch.to_rows(), ctx);
@@ -490,12 +441,8 @@ impl Operator for GroupByOp {
         ctx.charge_input(batch.len());
         let sel = batch.selection();
         let hashes = batch.key_hashes(&sel, &self.key_cols);
-        let mut streamed = Vec::new();
         for (&r, &hash) in sel.iter().zip(&hashes) {
-            self.fold_insert(&ColRow(&batch, r as usize), hash, (1, false), &mut streamed, ctx)?;
-        }
-        if self.streaming && !streamed.is_empty() {
-            ctx.emit(0, streamed);
+            self.fold(&Annotation::Insert, &ColRow(&batch, r as usize), hash, ctx)?;
         }
         Ok(())
     }
@@ -560,17 +507,27 @@ fn push_results(
 }
 
 /// The net row count and deletion flag a partial row carries from `carry`.
-fn carried(t: &Tuple, carry: usize) -> Result<(i64, bool)> {
-    match (t.try_get(carry)?, t.try_get(carry + 1)?) {
-        (Value::Int(rows), Value::Bool(deleted)) => Ok((*rows, *deleted)),
+fn carried(row: &impl InputRow, carry: usize) -> Result<(i64, bool)> {
+    match (row.with_value(carry, Value::clone)?, row.with_value(carry + 1, Value::clone)?) {
+        (Value::Int(rows), Value::Bool(deleted)) => Ok((rows, deleted)),
         (r, d) => Err(RexError::Exec(format!("group-by merge: bad partial row count ({r}, {d})"))),
+    }
+}
+
+/// A row's change to one input value of an aggregate, as its value rule
+/// reads it: `v` is the row's value, `old` a replacement's.
+fn value_delta<'v>(ann: &Annotation, old: Option<&'v Value>, v: &'v Value) -> ValueDelta<'v> {
+    match ann {
+        Annotation::Insert => ValueDelta { old: None, new: Some(v) },
+        Annotation::Delete => ValueDelta { old: Some(v), new: None },
+        Annotation::Replace(_) => ValueDelta { old, new: Some(v) },
     }
 }
 
 /// Project a row onto an aggregate's input columns, through a reusable
 /// scratch buffer (one allocation per projected tuple); the zero-column
-/// projection of `count(*)` reuses a cached empty tuple. The fallback
-/// when an input cannot take the [`AggHandler::fold_value`] fast path.
+/// projection of `count(*)` reuses a cached empty tuple. The input of
+/// AGGSTATE, for a handler without a value rule.
 fn project_row(t: &Tuple, cols: &[usize], scratch: &mut Vec<Value>, empty: &Tuple) -> Tuple {
     if cols.is_empty() {
         return empty.clone();

@@ -66,7 +66,6 @@ pub struct ClosureUdf {
     args: Vec<DataType>,
     ret: DataType,
     deterministic: bool,
-    hint: Option<CostHint>,
     f: ScalarFn,
 }
 
@@ -78,18 +77,12 @@ impl ClosureUdf {
         ret: DataType,
         f: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
     ) -> ClosureUdf {
-        ClosureUdf { name: name.into(), args, ret, deterministic: true, hint: None, f: Arc::new(f) }
+        ClosureUdf { name: name.into(), args, ret, deterministic: true, f: Arc::new(f) }
     }
 
     /// Mark the function volatile (uncacheable).
     pub fn volatile(mut self) -> Self {
         self.deterministic = false;
-        self
-    }
-
-    /// Attach a cost hint.
-    pub fn with_hint(mut self, hint: CostHint) -> Self {
-        self.hint = Some(hint);
         self
     }
 }
@@ -117,9 +110,6 @@ impl ScalarUdf for ClosureUdf {
     }
     fn deterministic(&self) -> bool {
         self.deterministic
-    }
-    fn cost_hint(&self) -> Option<CostHint> {
-        self.hint
     }
 }
 

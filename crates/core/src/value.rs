@@ -133,14 +133,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Interpret as a boolean, if possible.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Interpret as an integer, if possible (no float truncation).
     pub fn as_int(&self) -> Option<i64> {
         match self {

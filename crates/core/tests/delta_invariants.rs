@@ -210,3 +210,182 @@ mod join_props {
         }
     }
 }
+
+/// Every built-in states its delta rule once, on values. Driven through
+/// `GroupByOp` as itself (the value rule) and as a UDA that forwards to
+/// the trait's default AGGSTATE (the adapter), under seeded streams of
+/// `+()`, `-()` and `→(t')` over live rows — group-moving replacements
+/// and NULL inputs included — both runs must emit identical deltas, and
+/// their net output must equal the aggregate of the live rows.
+mod value_rule {
+    use super::splitmix;
+    use rex_core::delta::{Annotation, Delta, Punctuation};
+    use rex_core::error::Result;
+    use rex_core::handlers::{AggHandler, AggState};
+    use rex_core::metrics::{CostModel, ExecMetrics};
+    use rex_core::operators::{AggSpec, Event, GroupByOp, OpCtx, Operator};
+    use rex_core::tuple::Tuple;
+    use rex_core::udf::Registry;
+    use rex_core::value::{DataType, Value};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    /// A user aggregate that forwards AGGSTATE to a built-in's default.
+    struct Forward(Arc<dyn AggHandler>);
+
+    impl AggHandler for Forward {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn init(&self) -> AggState {
+            self.0.init()
+        }
+        fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
+            self.0.agg_state(state, d)
+        }
+        fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
+            self.0.agg_result(state)
+        }
+        fn return_type(&self) -> DataType {
+            self.0.return_type()
+        }
+    }
+
+    fn drive(op: &mut GroupByOp, deltas: Vec<Delta>) -> Vec<Delta> {
+        let reg = Registry::new();
+        let cost = CostModel::default();
+        let mut m = ExecMetrics::default();
+        let mut ctx = OpCtx::new(0, 0, &reg, &cost, &mut m);
+        op.on_deltas(0, deltas, &mut ctx).unwrap();
+        op.on_punct(0, Punctuation::EndOfStratum(0), &mut ctx).unwrap();
+        ctx.take_output()
+            .into_iter()
+            .flat_map(|(_, e)| match e {
+                Event::Data(d) => d,
+                _ => vec![],
+            })
+            .collect()
+    }
+
+    /// One input value: NULL about one time in five, else a small Int,
+    /// or for `avg_final` a `(sum, count)` partial.
+    fn value(s: &mut u64, func: &str) -> Value {
+        let v = (splitmix(s) % 11) as i64 - 5;
+        match splitmix(s) % 5 {
+            0 => Value::Null,
+            _ if func == "avg_final" => {
+                Value::list(vec![Value::Double(v as f64), Value::Int((splitmix(s) % 3) as i64)])
+            }
+            _ => Value::Int(v),
+        }
+    }
+
+    /// The aggregate of one group's live input values. `seen`: the group
+    /// has folded a non-NULL value since it was created, which is when a
+    /// `sum` stops being NULL.
+    fn oracle(func: &str, star: bool, vals: &[&Value], seen: bool) -> Value {
+        let live: Vec<&Value> = vals.iter().copied().filter(|v| !v.is_null()).collect();
+        let sum = live.iter().filter_map(|v| v.as_double()).fold(0.0, |a, x| a + x);
+        let parts = || {
+            live.iter().fold((0.0, 0), |(s, n), v| {
+                let l = v.as_list().unwrap();
+                (s + l[0].as_double().unwrap(), n + l[1].as_int().unwrap())
+            })
+        };
+        match func {
+            "count" if star => Value::Int(vals.len() as i64),
+            "count" => Value::Int(live.len() as i64),
+            "count_final" => Value::Int(live.iter().filter_map(|v| v.as_int()).sum()),
+            "sum" if seen => Value::Double(sum),
+            "sum" => Value::Null,
+            "avg" if live.is_empty() => Value::Null,
+            "avg" => Value::Double(sum / live.len() as f64),
+            "avg_partial" => Value::list(vec![Value::Double(sum), Value::Int(live.len() as i64)]),
+            "avg_final" => match parts() {
+                (_, 0) => Value::Null,
+                (s, n) => Value::Double(s / n as f64),
+            },
+            "min" => live.iter().copied().min().cloned().unwrap_or(Value::Null),
+            "max" => live.iter().copied().max().cloned().unwrap_or(Value::Null),
+            other => panic!("no oracle for {other}"),
+        }
+    }
+
+    #[test]
+    fn the_adapter_and_the_value_rule_emit_identically() {
+        let reg = Registry::with_builtins();
+        let funcs =
+            ["sum", "count", "count_final", "avg", "avg_partial", "avg_final", "min", "max"];
+        let mut replaced_across = 0;
+        for case in 0..48u64 {
+            for (func, star) in funcs.iter().map(|f| (*f, false)).chain([("count", true)]) {
+                let h = reg.agg(func).unwrap();
+                let cols = if star { vec![] } else { vec![1] };
+                let mut rule = GroupByOp::new(vec![0], vec![AggSpec::new(h.clone(), cols.clone())]);
+                let mut adapter =
+                    GroupByOp::new(vec![0], vec![AggSpec::new(Arc::new(Forward(h)), cols)]);
+                let mut s = case * 7919 + func.len() as u64;
+                let mut live: Vec<Tuple> = Vec::new();
+                let mut seen: BTreeMap<i64, bool> = BTreeMap::new();
+                let mut out: BTreeMap<Value, Value> = BTreeMap::new();
+                for _stratum in 0..6 {
+                    let mut batch = Vec::new();
+                    for _ in 0..(splitmix(&mut s) % 12) {
+                        let row = |s: &mut u64| {
+                            let g = (splitmix(s) % 4) as i64;
+                            Tuple::new(vec![Value::Int(g), value(s, func)])
+                        };
+                        let roll = splitmix(&mut s) % 10;
+                        let d = if roll < 5 || live.is_empty() {
+                            let t = row(&mut s);
+                            live.push(t.clone());
+                            Delta::insert(t)
+                        } else if roll < 7 {
+                            let i = (splitmix(&mut s) % live.len() as u64) as usize;
+                            Delta::delete(live.swap_remove(i))
+                        } else {
+                            let i = (splitmix(&mut s) % live.len() as u64) as usize;
+                            let mut new = row(&mut s);
+                            if splitmix(&mut s).is_multiple_of(2) {
+                                // Keep the group: the rule sees `→(t')`.
+                                new = Tuple::new(vec![live[i].get(0).clone(), new.get(1).clone()]);
+                            }
+                            replaced_across += usize::from(new.get(0) != live[i].get(0));
+                            Delta::replace(std::mem::replace(&mut live[i], new.clone()), new)
+                        };
+                        if let Annotation::Insert | Annotation::Replace(_) = d.ann {
+                            let g = d.tuple.get(0).as_int().unwrap();
+                            *seen.entry(g).or_default() |= !d.tuple.get(1).is_null();
+                        }
+                        batch.push(d);
+                    }
+                    let want = drive(&mut rule, batch.clone());
+                    let got = drive(&mut adapter, batch);
+                    assert_eq!(got, want, "case {case} {func}: adapter and value rule differ");
+                    for d in want {
+                        let (k, v) = (d.tuple.get(0).clone(), d.tuple.get(1).clone());
+                        match d.ann {
+                            Annotation::Delete => assert!(out.remove(&k).is_some()),
+                            ref ann => {
+                                let replaced = matches!(ann, Annotation::Replace(_));
+                                assert_eq!(out.insert(k, v).is_some(), replaced);
+                            }
+                        }
+                    }
+                    let mut groups: BTreeMap<i64, Vec<&Value>> = BTreeMap::new();
+                    for t in &live {
+                        groups.entry(t.get(0).as_int().unwrap()).or_default().push(t.get(1));
+                    }
+                    // A group whose last row went is forgotten.
+                    seen.retain(|g, _| groups.contains_key(g));
+                    let want: BTreeMap<Value, Value> = groups
+                        .iter()
+                        .map(|(g, vals)| (Value::Int(*g), oracle(func, star, vals, seen[g])))
+                        .collect();
+                    assert_eq!(out, want, "case {case} {func} star={star}");
+                }
+            }
+        }
+        assert!(replaced_across > 0, "the streams must move rows between groups");
+    }
+}

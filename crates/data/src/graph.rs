@@ -67,14 +67,6 @@ impl Graph {
             .map(|&(s, t)| Tuple::new(vec![Value::Int(s as i64), Value::Int(t as i64)]))
             .collect()
     }
-
-    /// Vertices with at least one outgoing edge.
-    pub fn source_vertices(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self.edges.iter().map(|&(s, _)| s).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// Parameters for the preferential-attachment generator.

@@ -81,11 +81,6 @@ impl Default for HadoopCost {
 }
 
 impl HadoopCost {
-    /// Use the given shared base constants.
-    pub fn with_base(base: CostModel) -> HadoopCost {
-        HadoopCost { base, ..HadoopCost::default() }
-    }
-
     /// CPU cost of sort-merging `n` records.
     pub fn sort_time(&self, n: u64) -> f64 {
         if n < 2 {

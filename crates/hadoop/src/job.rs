@@ -138,12 +138,6 @@ impl HadoopCluster {
         self
     }
 
-    /// Use custom cost constants.
-    pub fn with_cost(mut self, cost: HadoopCost) -> HadoopCluster {
-        self.cost = cost;
-        self
-    }
-
     /// Execute one MapReduce job over the given inputs.
     ///
     /// `iteration` is the 0-based position within an iterative driver: in

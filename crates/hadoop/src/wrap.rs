@@ -129,7 +129,7 @@ impl AggHandler for ReduceWrap {
         AggState::Tuples(TupleSet::new())
     }
 
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         let AggState::Tuples(set) = state else {
             return Err(RexError::Exec("ReduceWrap state must be a tuple bag".into()));
         };
@@ -144,7 +144,7 @@ impl AggHandler for ReduceWrap {
                 set.replace(old, d.tuple.clone());
             }
         }
-        Ok(Vec::new())
+        Ok(())
     }
 
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
@@ -233,7 +233,7 @@ mod tests {
         let mut st = w.init();
         for v in [1i64, 2, 3] {
             let d = Delta::insert(Tuple::new(vec![Value::str("k"), Value::Int(v)]));
-            assert!(w.agg_state(&mut st, &d).unwrap().is_empty());
+            w.agg_state(&mut st, &d).unwrap();
         }
         let out = w.agg_result(&st).unwrap();
         assert_eq!(out.len(), 1);

@@ -2,12 +2,14 @@
 //!
 //! The REX cost-based optimizer (§5): a resource-vector cost model with
 //! CPU/disk/network overlap and worst-case node calibration ([`cost`]),
-//! rank-based ordering of expensive UDF predicates ([`rules`]), UDA
-//! pre-aggregation pushdown with composability and multiplicative-join
-//! compensation ([`rules`]), and recursive-query costing by capped
+//! rank-based ordering of expensive UDF predicates and filter pushdown
+//! below joins ([`rules`]), and recursive-query costing by capped
 //! simulated iteration ([`plan_cost`]). Joins keep the order the query
 //! wrote them in: the planner already keys every join of an n-way FROM
 //! left-deep, and §5's join enumeration has no workload to pay for it.
+//! §5.2's pre-aggregation is not a rewrite here: the partial/final pair
+//! of a composable aggregate is `rex_core::aggregates::agg_split`, which
+//! distributed lowering combines with before every exchange.
 //!
 //! The [`Optimizer`] facade takes an RQL [`LogicalPlan`], applies the
 //! semantics-preserving rewrites, and returns the rewritten plan with its

@@ -1,6 +1,6 @@
-//! Rewrite rules: predicate migration for UDFs (§5.1), UDA
-//! pre-aggregation pushdown (§5.2), and the ORDER BY / LIMIT / DISTINCT /
-//! HAVING normalizations:
+//! Rewrite rules: predicate migration for UDFs (§5.1), filter pushdown
+//! below joins, and the ORDER BY / LIMIT / DISTINCT / HAVING
+//! normalizations:
 //!
 //! * [`fuse_limit_into_sort`] — `Limit` directly above `Sort` collapses
 //!   into a top-k (the sort never materializes more than
@@ -15,11 +15,8 @@
 //! original and rewritten plans and compare results.
 
 use crate::stats::Statistics;
-use rex_core::aggregates::agg_split;
-use rex_core::error::Result;
 use rex_core::expr::Expr;
-use rex_core::udf::Registry;
-use rex_rql::logical::{AggCall, LogicalPlan};
+use rex_rql::logical::LogicalPlan;
 
 /// The calibrated rank of a filter predicate: `cost / (1 − selectivity)`.
 /// Cheap, selective predicates rank low and run first.
@@ -316,48 +313,12 @@ pub fn eliminate_redundant_distinct(plan: LogicalPlan) -> LogicalPlan {
     })
 }
 
-/// Decision record for a pre-aggregation pushdown (§5.2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreAggPlan {
-    /// The final aggregate's registered name.
-    pub agg: String,
-    /// The partial (pushed-down) aggregate's name.
-    pub partial: String,
-    /// The aggregate that merges the partials' values.
-    pub merge: String,
-    /// Whether the pushdown crossed a non-key join and needs `multiply`
-    /// compensation by the opposite group's cardinality.
-    pub needs_multiply: bool,
-}
-
-/// Determine the legal pre-aggregation pushdowns for an aggregate above a
-/// join: an aggregate with a partial/final pair ([`agg_split`], the same
-/// pairing distributed lowering combines with) pushes through any join,
-/// with multiply compensation when the join is not on a key; any other
-/// aggregate is not pushed. At most one pre-aggregation per UDA,
-/// maximally pushed (the §5.2 heuristic).
-pub fn preaggregation_plan(
-    aggs: &[AggCall],
-    reg: &Registry,
-    join_on_key: bool,
-) -> Result<Vec<Option<PreAggPlan>>> {
-    let mut out = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        out.push(agg_split(reg, &a.func)?.map(|s| PreAggPlan {
-            agg: a.func.clone(),
-            partial: s.partial.name().to_string(),
-            merge: s.merge.name().to_string(),
-            needs_multiply: !join_on_key,
-        }));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::UdfProfile;
     use rex_core::tuple::Schema;
+    use rex_core::udf::Registry;
     use rex_core::value::DataType;
     use rex_rql::logical::plan_text;
     use rex_rql::SchemaCatalog;
@@ -429,52 +390,6 @@ mod tests {
         };
         assert_eq!(run(&p), run(&rewritten));
         assert_eq!(run(&p), vec![tuple![1i64]]);
-    }
-
-    #[test]
-    fn composable_uda_pushes_through_any_join() {
-        let reg = Registry::with_builtins();
-        let aggs =
-            vec![AggCall { func: "count".into(), input_cols: vec![], return_type: DataType::Int }];
-        let on_key = preaggregation_plan(&aggs, &reg, true).unwrap();
-        assert_eq!(
-            on_key[0],
-            Some(PreAggPlan {
-                agg: "count".into(),
-                partial: "count".into(),
-                merge: "count_final".into(),
-                needs_multiply: false
-            })
-        );
-        let off_key = preaggregation_plan(&aggs, &reg, false).unwrap();
-        assert!(off_key[0].as_ref().unwrap().needs_multiply);
-    }
-
-    #[test]
-    fn non_composable_uda_is_never_pushed() {
-        let reg = Registry::with_builtins();
-        // MIN keeps a buffered bag and advertises no pre-aggregate: never
-        // pushed.
-        let aggs = vec![AggCall {
-            func: "min".into(),
-            input_cols: vec![0],
-            return_type: DataType::Double,
-        }];
-        assert_eq!(preaggregation_plan(&aggs, &reg, true).unwrap()[0], None);
-        assert_eq!(preaggregation_plan(&aggs, &reg, false).unwrap()[0], None);
-    }
-
-    #[test]
-    fn avg_splits_into_partial_and_final() {
-        let reg = Registry::with_builtins();
-        let aggs = vec![AggCall {
-            func: "avg".into(),
-            input_cols: vec![1],
-            return_type: DataType::Double,
-        }];
-        let plan = preaggregation_plan(&aggs, &reg, false).unwrap();
-        let p = plan[0].as_ref().expect("avg is composable via sum+count");
-        assert_eq!((p.partial.as_str(), p.merge.as_str()), ("avg_partial", "avg_final"));
     }
 
     #[test]

@@ -59,8 +59,6 @@ impl Default for UdfProfile {
 pub struct Statistics {
     tables: HashMap<String, u64>,
     udfs: HashMap<String, UdfProfile>,
-    /// Distinct-key counts for (table, column), used for join estimates.
-    distinct: HashMap<(String, usize), u64>,
 }
 
 impl Statistics {
@@ -77,20 +75,6 @@ impl Statistics {
     /// A table's estimated row count.
     pub fn table_rows(&self, table: &str) -> u64 {
         self.tables.get(table).copied().unwrap_or(1000)
-    }
-
-    /// Record a column's distinct-value count.
-    pub fn set_distinct(&mut self, table: impl Into<String>, col: usize, n: u64) {
-        self.distinct.insert((table.into(), col), n);
-    }
-
-    /// Distinct values of `(table, col)`; defaults to √rows.
-    pub fn distinct(&self, table: &str, col: usize) -> u64 {
-        self.distinct
-            .get(&(table.to_string(), col))
-            .copied()
-            .unwrap_or_else(|| (self.table_rows(table) as f64).sqrt().ceil() as u64)
-            .max(1)
     }
 
     /// Record a UDF's calibrated profile (or a programmer hint).
@@ -166,6 +150,5 @@ mod tests {
     fn unknown_table_defaults() {
         let s = Statistics::new();
         assert_eq!(s.table_rows("mystery"), 1000);
-        assert!(s.distinct("mystery", 0) >= 31);
     }
 }

@@ -10,7 +10,7 @@
 use crate::ast::{AstBinOp, AstExpr};
 use rex_core::error::{Result, RexError};
 use rex_core::expr::{BinOp, Expr};
-use rex_core::tuple::{Field, Schema};
+use rex_core::tuple::Schema;
 use rex_core::udf::Registry;
 use rex_core::value::{DataType, Value};
 use std::collections::HashMap;
@@ -206,16 +206,6 @@ pub fn projection_name(e: &AstExpr, alias: Option<&str>, index: usize) -> String
         AstExpr::Call { name, .. } => name.to_ascii_lowercase(),
         _ => format!("col{index}"),
     }
-}
-
-/// Infer a resolved expression's type over `schema`.
-pub fn expr_type(e: &Expr, schema: &Schema, reg: &Registry) -> Result<DataType> {
-    e.data_type(schema, reg)
-}
-
-/// Make a schema out of `(name, type)` pairs.
-pub fn schema_of(fields: Vec<(String, DataType)>) -> Schema {
-    Schema::new(fields.into_iter().map(|(n, t)| Field::new(n, t)).collect())
 }
 
 #[cfg(test)]

@@ -155,15 +155,6 @@ impl PartitionSnapshot {
         self.ring.owners(hash_key(key), self.replication)
     }
 
-    /// Replica nodes (excluding the primary) for a key.
-    pub fn replicas_of_key(&self, key: &[Value]) -> Vec<usize> {
-        let mut owners = self.owners_of_key(key);
-        if !owners.is_empty() {
-            owners.remove(0);
-        }
-        owners
-    }
-
     /// The snapshot after a node failure: "during each recovery process,
     /// the data partition snapshot gets updated to reflect the new set of
     /// nodes" (§4.1).

@@ -114,23 +114,27 @@ fn eval(plan: &LogicalPlan, store: &Catalog, reg: &Registry) -> Result<Vec<Tuple
 
 /// One built-in aggregate over a group's member rows.
 fn aggregate(call: &AggCall, members: &[Tuple]) -> Result<Value> {
-    let arg = || -> Result<Vec<&Value>> {
-        let &[c] = call.input_cols.as_slice() else {
-            return Err(format!("reference evaluator: {} takes one column", call.func));
-        };
-        Ok(members.iter().map(|t| t.get(c)).collect())
+    if call.func == "count" && call.input_cols.is_empty() {
+        return Ok(Value::Int(members.len() as i64));
+    }
+    // SQL: an aggregate skips NULL inputs.
+    let vals: Vec<&Value> = match call.input_cols.as_slice() {
+        &[c] => members.iter().map(|t| t.get(c)).filter(|v| !v.is_null()).collect(),
+        _ => return Err(format!("reference evaluator: {} takes one column", call.func)),
     };
-    let sum = |vals: &[&Value]| -> Result<f64> {
+    let sum = || -> Result<f64> {
         vals.iter().try_fold(0.0, |acc, v| {
             v.as_double().map(|d| acc + d).ok_or(format!("{}: non-numeric input {v}", call.func))
         })
     };
     match call.func.as_str() {
-        "count" => Ok(Value::Int(members.len() as i64)),
-        "sum" => Ok(Value::Double(sum(&arg()?)?)),
-        "avg" => Ok(Value::Double(sum(&arg()?)? / members.len() as f64)),
-        "min" => Ok(arg()?.into_iter().min().cloned().unwrap_or(Value::Null)),
-        "max" => Ok(arg()?.into_iter().max().cloned().unwrap_or(Value::Null)),
+        "count" => Ok(Value::Int(vals.len() as i64)),
+        // A group with no non-NULL input is NULL.
+        "sum" | "avg" | "min" | "max" if vals.is_empty() => Ok(Value::Null),
+        "sum" => Ok(Value::Double(sum()?)),
+        "avg" => Ok(Value::Double(sum()? / vals.len() as f64)),
+        "min" => Ok(vals.iter().copied().min().cloned().unwrap_or(Value::Null)),
+        "max" => Ok(vals.iter().copied().max().cloned().unwrap_or(Value::Null)),
         other => Err(format!("reference evaluator: unsupported aggregate {other}")),
     }
 }

@@ -1,16 +1,19 @@
 //! Sharded view maintenance: a view's dataflow split across cluster
-//! workers, co-partitioned with the workers' base-table shards, surviving
-//! worker death (§4.3 of the paper, applied to materialized views).
+//! workers by the view's own partition columns, surviving worker death
+//! (§4.3 of the paper, applied to materialized views).
 //!
 //! A view's maintenance state — join sides, group-by state — lives in
 //! [`ViewFlow`]s. [`ShardedMaint`] holds one flow per shard: every delta
 //! batch is routed once, at the base-table boundary, by hashing the view's
-//! *partition columns* with the same [`shard_of`] function the cluster
-//! engine uses for base tables, and each shard's flow then maintains only
-//! the keys it owns. Outputs are signed multisets, so the view's output
-//! delta is simply the union of the per-shard outputs. A single-node view
-//! is the one-shard case: its flow runs on the session node, with nothing
-//! to route or replicate.
+//! *partition columns* with [`shard_of`] (a mix of those columns' hash,
+//! modulo the shard count), and each shard's flow then maintains only the
+//! keys it owns. This is not how the cluster engine places base tables:
+//! it partitions them on the consistent-hash ring
+//! (`PartitionSnapshot::owner_of_hash`, via `StoredTable::partition_for`).
+//! Outputs are signed multisets, so the view's output delta is simply the
+//! union of the per-shard outputs. A single-node view is the one-shard
+//! case: its flow runs on the session node, with nothing to route or
+//! replicate.
 //!
 //! ## When is a view shardable?
 //!

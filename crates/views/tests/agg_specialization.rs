@@ -169,15 +169,15 @@ impl AggHandler for UdaSum {
     fn init(&self) -> AggState {
         AggState::Double(0.0)
     }
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         let (AggState::Double(s), Some(x)) = (state, d.tuple.get(0).as_double()) else {
-            return Ok(vec![]);
+            return Ok(());
         };
         match d.ann {
             Annotation::Delete => *s -= x,
             _ => *s += x,
         }
-        Ok(vec![])
+        Ok(())
     }
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
         let AggState::Double(s) = state else { unreachable!("usum state") };

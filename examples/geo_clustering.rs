@@ -1,6 +1,7 @@
 //! Delta-based K-means over 2-D geo points (Listing 3): the centroid
 //! relation is the mutable set; only points that *switch* clusters emit
-//! deltas.
+//! deltas. Panics unless every centroid is within 1e-9 of sequential
+//! Lloyd's iteration.
 //!
 //! ```sh
 //! cargo run --release --example geo_clustering
@@ -31,6 +32,7 @@ fn main() {
     let (want, _, iters, switch_trace) = reference::kmeans(&points, &init, 100);
     let max_err = centroids.iter().zip(&want).map(|(a, b)| a.dist(b)).fold(0.0f64, f64::max);
     println!("\nmax deviation from sequential Lloyd's: {max_err:.2e} over {iters} iterations");
+    assert!(max_err <= 1e-9, "centroids deviate from Lloyd's by {max_err:.2e} (> 1e-9)");
 
     // The delta behaviour: switches per stratum shrink to zero.
     println!("\npoints switching clusters per engine stratum (the Δᵢ set):");

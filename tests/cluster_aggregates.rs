@@ -6,7 +6,8 @@
 //! and must return exactly what a naive evaluator returns:
 //!
 //! * keyed and global `sum`, `count(*)`, `count(col)` and `avg` over
-//!   dyadic doubles (exact in any addition order);
+//!   dyadic doubles (exact in any addition order) and NULLs, which every
+//!   aggregate but `count(*)` skips;
 //! * recursions whose step aggregates over a join with the recursive
 //!   relation under a filter on its value, so the aggregate receives
 //!   `→(t')` when a value changes and `-()` when it crosses the filter,
@@ -23,13 +24,14 @@ use rex_testkit::{reference, SEEDS};
 use std::collections::{BTreeMap, BTreeSet};
 
 const NODES: i64 = 40;
-/// Rows of `t(g, x)`, over `GROUPS` groups.
+/// Rows of `t(g, x)`, over `GROUPS` groups (and one all-NULL group).
 const T_ROWS: usize = 300;
 const GROUPS: i64 = 12;
 
 /// Seeded fixture: a weighted DAG `e(src, dst, w)` (every edge climbs, so
 /// each recursion converges within `NODES` strata), start values
 /// `base(k, v)` and a flat `t(g, x)`, every double a multiple of 0.5.
+/// About one `x` in ten is NULL, and group `GROUPS` holds only NULLs.
 struct Fixture {
     edges: Vec<(i64, i64, f64)>,
     base: BTreeMap<i64, f64>,
@@ -48,12 +50,15 @@ impl Fixture {
         let edges =
             dsts.into_iter().map(|(s, d)| (s, d, rng.gen_range(1..=16i64) as f64 * 0.5)).collect();
         let base = (0..NODES).map(|k| (k, rng.gen_range(1..=6i64) as f64 * 0.5)).collect();
-        let t = (0..T_ROWS)
+        let mut t: Vec<Tuple> = (0..T_ROWS)
             .map(|_| {
                 let g = Value::Int(rng.gen_range(0..=GROUPS - 1));
-                Tuple::new(vec![g, Value::Double(rng.gen_range(1..=9i64) as f64 * 0.5)])
+                let x = rng.gen_range(0..=9i64);
+                let x = if x == 0 { Value::Null } else { Value::Double(x as f64 * 0.5) };
+                Tuple::new(vec![g, x])
             })
             .collect();
+        t.extend((0..3).map(|_| Tuple::new(vec![Value::Int(GROUPS), Value::Null])));
         Fixture { edges, base, t }
     }
 
@@ -218,6 +223,41 @@ fn flat_cluster_aggregates_match_the_naive_reference() {
                 }
             }
         }
+    }
+}
+
+/// SQL's NULL rule on a three-row table: `count(col)`, `sum`, `avg`,
+/// `min` and `max` skip the NULL, `count(*)` counts it, and a group of
+/// NULLs alone is NULL (0 for `count(col)`).
+#[test]
+fn built_in_aggregates_skip_null_inputs() {
+    for mut s in [Session::local(), Session::cluster(4)] {
+        s.create_table("n", Schema::of(&[("g", DataType::Int), ("v", DataType::Int)])).unwrap();
+        let rows = [(1, Value::Int(5)), (1, Value::Null), (1, Value::Int(3)), (2, Value::Null)];
+        s.insert("n", rows.into_iter().map(|(g, v)| Tuple::new(vec![Value::Int(g), v])).collect())
+            .unwrap();
+        let q = "SELECT g, count(v), count(*), min(v), max(v), sum(v), avg(v) FROM n GROUP BY g";
+        let want = vec![
+            Tuple::new(vec![
+                Value::Int(1),
+                Value::Int(2),
+                Value::Int(3),
+                Value::Int(3),
+                Value::Int(5),
+                Value::Double(8.0),
+                Value::Double(4.0),
+            ]),
+            Tuple::new(vec![
+                Value::Int(2),
+                Value::Int(0),
+                Value::Int(1),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ]),
+        ];
+        assert_eq!(s.query(q).unwrap().rows, want);
     }
 }
 

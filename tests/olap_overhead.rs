@@ -23,7 +23,7 @@ impl AggHandler for UdaSum {
     fn init(&self) -> AggState {
         rex::core::aggregates::SumAgg.init()
     }
-    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<Vec<Delta>> {
+    fn agg_state(&self, state: &mut AggState, d: &Delta) -> Result<()> {
         rex::core::aggregates::SumAgg.agg_state(state, d)
     }
     fn agg_result(&self, state: &AggState) -> Result<Vec<Delta>> {
